@@ -4,7 +4,9 @@ With the atoms fixed, the weights of a representing measure solve a linear
 feasibility system (one equation per sparse multi-index, including the total
 mass row, so the feasible set is compact). Extreme representing measures are
 the vertices of this polytope; each one is found by minimizing a linear cost
-with the simplex method.
+with a two-phase revised simplex method under Bland's rule. Only phase 2
+depends on the cost: the matrix is built and reduced to full row rank, and
+phase 1 finds a feasible basis, once per atom set.
 """
 
 from __future__ import annotations
@@ -12,10 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .core import SparseMomentVector
+from .core import SparseMomentVector, monomial_matrix
 from .errors import Infeasible
 
 RANK_TOL = 1e-9
+REFACTOR_EVERY = 50
 
 
 @dataclass(frozen=True)
@@ -34,11 +37,8 @@ class WeightLP:
 
 def build_weight_lp(atoms, y: SparseMomentVector, cost) -> WeightLP:
     atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
-    alphas = list(y.entries)
-    A = np.empty((len(alphas), atoms.shape[0]))
-    for row, alpha in enumerate(alphas):
-        A[row] = np.prod(atoms ** np.asarray(alpha, dtype=float), axis=1)
-    b = np.array([y.entries[a] for a in alphas])
+    A = monomial_matrix(list(y.entries), atoms)
+    b = np.fromiter(y.entries.values(), dtype=float, count=len(y.entries))
     return WeightLP(atoms, A, b, np.asarray(cost, dtype=float))
 
 
@@ -56,8 +56,9 @@ def _row_reduce(A: np.ndarray, b: np.ndarray, tol: float) -> tuple[np.ndarray, n
         if abs(M[k, col]) <= tol * scale:
             continue
         M[[rank, k]] = M[[k, rank]]
-        others = [i for i in range(rows) if i != rank]
-        M[others] -= np.outer(M[others, col] / M[rank, col], M[rank])
+        factors = M[:, col] / M[rank, col]
+        factors[rank] = 0.0  # eliminate col from every other row
+        M -= np.outer(factors, M[rank])
         rank += 1
     for i in range(rank, rows):
         if abs(M[i, -1]) > tol * scale * 10:
@@ -65,81 +66,84 @@ def _row_reduce(A: np.ndarray, b: np.ndarray, tol: float) -> tuple[np.ndarray, n
     return M[:rank, :-1], M[:rank, -1]
 
 
-def _simplex_phase(A, b, c, basis, tol):
-    """Revised simplex with Bland's rule from a given feasible basis.
+def _pivot(Binv: np.ndarray, d: np.ndarray, row: int) -> None:
+    """Rank-1 update of ``Binv`` when column ``a``, with ``d = Binv @ a``, enters at ``row``."""
+    pivot_row = Binv[row] / d[row]
+    Binv -= d[:, None] * pivot_row
+    Binv[row] = pivot_row
 
-    Returns the optimal basis and solution; the basis matrix is solved with
-    LU (partial pivoting) at every iteration.
-    """
-    m, n = A.shape
-    basis = list(basis)
-    for _ in range(20000):
-        B = A[:, basis]
-        xb = np.linalg.solve(B, b)
-        lam = np.linalg.solve(B.T, c[basis])
-        reduced = c - lam @ A
-        entering = -1
-        for j in range(n):  # Bland: smallest index with negative reduced cost
-            if j not in basis and reduced[j] < -tol:
-                entering = j
-                break
-        if entering < 0:
+
+def _simplex_phase(A, b, c, basis, tol):
+    """Revised simplex with Bland's rule from a given feasible basis; returns
+    the optimal basis and solution. The basis inverse gets one rank-1 update
+    per pivot and is recomputed every ``REFACTOR_EVERY`` pivots; the solution
+    is a fresh solve with the optimal basis matrix."""
+    n = A.shape[1]
+    basis = np.array(basis, dtype=int)
+    for step in range(20000):
+        if step % REFACTOR_EVERY == 0:
+            Binv = np.linalg.inv(A[:, basis])
+        reduced = c - (c[basis] @ Binv) @ A
+        reduced[basis] = 0.0
+        # Bland: smallest nonbasic index with negative reduced cost
+        entering = int(np.argmax(reduced < -tol))
+        if reduced[entering] >= -tol:
             x = np.zeros(n)
-            x[basis] = xb
-            return basis, x
-        d = np.linalg.solve(B, A[:, entering])
-        ratios = [(xb[i] / d[i], basis[i], i) for i in range(m) if d[i] > tol]
-        if not ratios:
+            x[basis] = np.linalg.solve(A[:, basis], b)
+            return basis.tolist(), x
+        d = Binv @ A[:, entering]
+        rows = np.flatnonzero(d > tol)
+        if rows.size == 0:
             raise Infeasible("weight program is unbounded; atoms and moments are inconsistent")
-        min_ratio = min(r for r, _, _ in ratios)
+        ratios = (Binv @ b)[rows] / d[rows]
+        min_ratio = ratios.min()
         # Bland tie-break: smallest variable index among minimal ratios
-        leave_row = min(
-            (var, i) for r, var, i in ratios if r <= min_ratio + tol * (1 + abs(min_ratio))
-        )[1]
+        ties = rows[ratios <= min_ratio + tol * (1 + abs(min_ratio))]
+        leave_row = int(ties[np.argmin(basis[ties])])
         basis[leave_row] = entering
+        _pivot(Binv, d, leave_row)
     raise RuntimeError("simplex iteration limit reached")
 
 
-def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float) -> np.ndarray:
-    """Two-phase primal simplex for min c.x s.t. A x = b, x >= 0 with A of
-    full row rank; returns a basic optimal solution."""
+def _feasible_start(A: np.ndarray, b: np.ndarray, tol: float):
+    """Phase 1 for A x = b, x >= 0 with A of full row rank: ``(A, b, basis)``
+    with rows sign-flipped to b >= 0, redundant rows dropped, and a feasible
+    basis free of artificial variables."""
     m, n = A.shape
-    if m == 0:
-        return np.zeros(n)
-    A = A.copy()
-    b = b.copy()
+    A, b = A.copy(), b.copy()
     flip = b < 0
     A[flip] *= -1
     b[flip] *= -1
+    if m == 0:
+        return A, b, []
 
-    # phase 1: artificial variables
     A1 = np.hstack([A, np.eye(m)])
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
     basis, x = _simplex_phase(A1, b, c1, list(range(n, n + m)), tol)
     if c1 @ x > 1e3 * tol * max(1.0, np.abs(b).max()):
         raise Infeasible(f"no nonnegative weights satisfy the moment equations (gap {c1 @ x:.3e})")
     # drive any degenerate artificials out of the basis
-    keep_rows = list(range(m))
+    Binv = np.linalg.inv(A1[:, basis])
+    keep_rows = []
     for row in range(m):
         if basis[row] >= n:
-            B = A1[:, basis]
-            replaced = False
-            for j in range(n):
-                if j in basis:
-                    continue
-                d = np.linalg.solve(B, A1[:, j])
-                if abs(d[row]) > 1e3 * tol:
-                    basis[row] = j
-                    replaced = True
-                    break
-            if not replaced:
-                keep_rows.remove(row)  # redundant row
-    if len(keep_rows) < m:
-        A = A[keep_rows]
-        b = b[keep_rows]
-        basis = [basis[r] for r in keep_rows]
-    basis, x = _simplex_phase(A, b, c, basis, tol)
-    return np.maximum(x[:n], 0.0)
+            d_row = Binv[row] @ A
+            d_row[[j for j in basis if j < n]] = 0.0
+            candidates = np.flatnonzero(np.abs(d_row) > 1e3 * tol)
+            if candidates.size == 0:
+                continue  # redundant row
+            basis[row] = int(candidates[0])
+            _pivot(Binv, Binv @ A1[:, basis[row]], row)
+        keep_rows.append(row)
+    return A[keep_rows], b[keep_rows], [basis[r] for r in keep_rows]
+
+
+def _optimal_weights(start, cost: np.ndarray, tol: float) -> np.ndarray:
+    """Phase 2 from a :func:`_feasible_start` result: a basic optimal solution."""
+    A, b, basis = start
+    if not basis:
+        return np.zeros(A.shape[1])
+    return np.maximum(_simplex_phase(A, b, cost, basis, tol)[1], 0.0)
 
 
 def solve_weight_lp(
@@ -153,21 +157,24 @@ def solve_weight_lp(
     weight vector reproduces the moments.
     """
     lp = build_weight_lp(atoms, y, cost)
-    A, b = _row_reduce(lp.matrix, lp.rhs, tol)
-    return _simplex(A, b, lp.cost, tol)
+    start = _feasible_start(*_row_reduce(lp.matrix, lp.rhs, tol), tol)
+    return _optimal_weights(start, lp.cost, tol)
 
 
 def enumerate_extreme_measures(
     atoms, y: SparseMomentVector, budget: int, seed: int = 0, tol: float = 1e-8
 ) -> list[np.ndarray]:
     """Distinct basic feasible weight vectors found by ``budget`` random
-    linear costs (seeded); duplicates within ``tol`` are merged."""
-    atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
+    linear costs (seeded); duplicates within ``tol`` are merged. Each cost
+    gives what :func:`solve_weight_lp` gives; phase 1 is shared."""
+    if budget < 1:
+        return []
+    lp = build_weight_lp(atoms, y, 0.0)
+    start = _feasible_start(*_row_reduce(lp.matrix, lp.rhs, RANK_TOL), RANK_TOL)
     rng = np.random.default_rng(seed)
     found: list[np.ndarray] = []
     for _ in range(budget):
-        cost = rng.standard_normal(atoms.shape[0])
-        w = solve_weight_lp(atoms, y, cost)
+        w = _optimal_weights(start, rng.standard_normal(lp.atoms.shape[0]), RANK_TOL)
         if not any(np.abs(w - prev).max() <= tol for prev in found):
             found.append(w)
     return found

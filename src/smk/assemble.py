@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import CliqueCover, Projection, SparseMomentVector
+from .core import CliqueCover, Projection, SparseMomentVector, monomial_matrix
 from .errors import FinalMarginalCheckFailed, MarginalMismatch
 from .extract import AtomicMeasure, lex_order_rows
 from .rip import RipWitnesses
@@ -23,20 +23,18 @@ MASS_TOL = 1e-6
 
 
 def _cluster(points: np.ndarray, tol: float) -> tuple[np.ndarray, list[list[int]]]:
-    """Greedy clustering under the max-norm; returns representatives and the
-    member indices per cluster, in first-appearance order."""
-    reps: list[np.ndarray] = []
+    """Greedy clustering under the max-norm (a point joins the first cluster
+    whose representative is within ``tol``); returns representatives and the
+    member indices per cluster, in first-appearance order. Run as: the first
+    unclustered point takes every unclustered point within ``tol``."""
     groups: list[list[int]] = []
-    for k, p in enumerate(points):
-        for gi, rep in enumerate(reps):
-            if p.size == 0 or np.abs(p - rep).max() <= tol:
-                groups[gi].append(k)
-                break
-        else:
-            reps.append(p)
-            groups.append([k])
-    rep_arr = np.array(reps) if reps else np.zeros((0, points.shape[1]))
-    return rep_arr, groups
+    free = np.arange(points.shape[0])
+    while free.size:
+        near = np.abs(points[free] - points[free[0]]).max(axis=1, initial=0.0) <= tol
+        near[0] = True
+        groups.append(free[near].tolist())
+        free = free[~near]
+    return points[[g[0] for g in groups]], groups
 
 
 def pushforward(mu: AtomicMeasure, p: Projection, merge_tol: float = 1e-6) -> AtomicMeasure:
@@ -167,18 +165,17 @@ def assemble(
         overlap = tuple(v for v in clique_measures[j - 1].variables if v in incoming.variables)
         groups = match_marginals(current, incoming, overlap, tol)
         union_vars = tuple(sorted(set(current.variables) | set(incoming.variables)))
-        new_pos = [v for v in incoming.variables if v not in current.variables]
-        atoms, weights = [], []
-        for gi in range(len(groups.masses)):
-            theta = groups.masses[gi]
-            for k in groups.groups_a[gi]:
-                for l in groups.groups_b[gi]:
-                    point = {v: current.atoms[k][current.variables.index(v)] for v in current.variables}
-                    for v in new_pos:
-                        point[v] = incoming.atoms[l][incoming.variables.index(v)]
-                    atoms.append([point[v] for v in union_vars])
-                    weights.append(current.weights[k] * incoming.weights[l] / theta)
-        current = AtomicMeasure(union_vars, np.array(atoms), np.array(weights))
+        column = {v: c for c, v in enumerate(union_vars)}
+        new_cols = [c for c, v in enumerate(incoming.variables) if v not in current.variables]
+        # every pair (k, l) of atoms over the same marginal point g
+        pairs = [(k, l, g) for g, (ga, gb) in enumerate(zip(groups.groups_a, groups.groups_b))
+                 for k in ga for l in gb]
+        k, l, g = np.array(pairs, dtype=int).reshape(-1, 3).T
+        atoms = np.empty((len(pairs), len(union_vars)))
+        atoms[:, [column[v] for v in current.variables]] = current.atoms[k]
+        atoms[:, [column[incoming.variables[c]] for c in new_cols]] = incoming.atoms[l][:, new_cols]
+        weights = current.weights[k] * incoming.weights[l] / groups.masses[g]
+        current = AtomicMeasure(union_vars, atoms, weights)
 
     for i, mu_i in enumerate(clique_measures, start=1):
         marginal = pushforward(current, Projection(current.variables, mu_i.variables), tol)
@@ -225,7 +222,5 @@ def verify_global(mu: AtomicMeasure, y: SparseMomentVector) -> float:
     the sparse moment vector."""
     if mu.variables != tuple(range(1, y.cover.n + 1)):
         raise ValueError("measure must live on all variables 1..n")
-    worst = 0.0
-    for alpha, target in y.entries.items():
-        worst = max(worst, abs(mu.moment(alpha) - target))
-    return worst
+    targets = np.fromiter(y.entries.values(), dtype=float, count=len(y.entries))
+    return float(np.abs(monomial_matrix(list(y.entries), mu.atoms) @ mu.weights - targets).max())

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .errors import DuplicateEntry, IndexOutOfPattern, MissingEntries
 
 MultiIndex = tuple[int, ...]
@@ -41,6 +43,24 @@ def local_exponents(num_vars: int, bound: int) -> list[MultiIndex]:
         return [()]
     out = [e for e in product(range(bound + 1), repeat=num_vars) if sum(e) <= bound]
     out.sort(key=grlex_key)
+    return out
+
+
+def monomial_matrix(exponents, atoms) -> np.ndarray:
+    """``A[k, j] = prod_t atoms[j, t] ** exponents[k, t]``, one variable at a
+    time from a table of its powers, so no float temporary exceeds the result.
+    Exponents are held as uint8 (below 256); tuples are read as bytes."""
+    atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
+    count = len(exponents)
+    if not isinstance(exponents, np.ndarray):
+        exponents = np.frombuffer(b"".join(bytes(tuple(e)) for e in exponents), dtype=np.uint8)
+    exps = np.asarray(exponents, dtype=np.uint8).reshape(count, atoms.shape[1])
+    out = np.ones((exps.shape[0], atoms.shape[0]))
+    for t in range(exps.shape[1]):
+        rows = np.flatnonzero(exps[:, t])
+        if rows.size:
+            powers = atoms[:, t] ** np.arange(int(exps[rows, t].max()) + 1, dtype=float)[:, None]
+            out[rows] *= powers[exps[rows, t]]
     return out
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import CliqueCover, SparseMomentVector, sparse_exponents
+from .core import CliqueCover, SparseMomentVector, monomial_matrix, sparse_exponents
 from .matrices import ConstraintPolynomial
 from .relax import PopProblem
 
@@ -17,13 +17,9 @@ def moments_of_atoms(
     cover: CliqueCover, omega: int, atoms, weights
 ) -> SparseMomentVector:
     """Sparse moment vector of a weighted atomic measure on all n variables."""
-    atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
-    weights = np.asarray(weights, dtype=float)
-    entries = {}
-    for alpha in sparse_exponents(cover, 2 * omega):
-        vals = np.prod(atoms ** np.asarray(alpha, dtype=float), axis=1)
-        entries[alpha] = float(weights @ vals)
-    return SparseMomentVector(cover, omega, entries)
+    exponents = sparse_exponents(cover, 2 * omega)
+    values = monomial_matrix(exponents, atoms) @ np.asarray(weights, dtype=float)
+    return SparseMomentVector(cover, omega, dict(zip(exponents, values.tolist())))
 
 
 def chain_pair_moments() -> SparseMomentVector:

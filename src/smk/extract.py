@@ -17,7 +17,7 @@ import numpy as np
 import scipy.optimize
 
 from .certify import RankPolicy
-from .core import CliqueSubvector, local_exponents
+from .core import CliqueSubvector, local_exponents, monomial_matrix
 from .errors import FlatnessViolated, NonPhysicalWeights, ReconstructionFailed
 from .matrices import ConstraintPolynomial, LabeledSymMatrix
 
@@ -70,10 +70,7 @@ class AtomicMeasure:
 
     def moment(self, local_alpha) -> float:
         """Integral of the monomial with local exponents ``local_alpha``."""
-        if self.num_atoms == 0:
-            return 0.0
-        vals = np.prod(self.atoms ** np.asarray(local_alpha, dtype=float), axis=1)
-        return float(self.weights @ vals)
+        return float(self.weights @ monomial_matrix([local_alpha], self.atoms)[0])
 
     def sorted_by_atoms(self) -> "AtomicMeasure":
         """Atoms in lexicographic coordinate order (canonical for reporting).
@@ -203,9 +200,7 @@ def extract_atoms(
         raise ReconstructionFailed("could not separate atoms after redrawing combinations")
 
     # weights from the degree-<=omega moments by nonnegative least squares
-    A = np.empty((len(labels), r))
-    for row, alpha in enumerate(labels):
-        A[row] = np.prod(atoms ** np.asarray(alpha, dtype=float), axis=1)
+    A = monomial_matrix(labels, atoms)
     b = np.array([M.data[0, label_pos[alpha]] for alpha in labels])
     weights, _ = scipy.optimize.nnls(A, b)
     if weights.min() <= policy.rel_tol * max(1.0, weights.max()):
@@ -223,10 +218,9 @@ def verify_measure_against_subvector(mu: AtomicMeasure, y_sub: CliqueSubvector) 
     relaxation order."""
     if mu.variables != y_sub.clique:
         raise ValueError(f"measure on {mu.variables} does not match clique {y_sub.clique}")
-    worst = 0.0
-    for alpha in local_exponents(len(y_sub.clique), 2 * y_sub.omega):
-        worst = max(worst, abs(mu.moment(alpha) - y_sub.values[alpha]))
-    return worst
+    exponents = local_exponents(len(y_sub.clique), 2 * y_sub.omega)
+    targets = np.array([y_sub.values[alpha] for alpha in exponents])
+    return float(np.abs(monomial_matrix(exponents, mu.atoms) @ mu.weights - targets).max())
 
 
 @dataclass(frozen=True)

@@ -284,13 +284,16 @@ def ingest_solution(
 
     ``source`` may be a sequence of free-coordinate values (length
     ``num_vars - 1``, canonical order), a full moment mapping, or an existing
-    moment vector. Blocks that fail the PSD check at the policy tolerance
-    are reported as :class:`BlockNotPsdWarning`, not errors.
+    moment vector on the same cliques in any order. Blocks that fail the PSD
+    check at the policy tolerance are reported as :class:`BlockNotPsdWarning`,
+    not errors.
     """
     if isinstance(source, SparseMomentVector):
-        if source.cover != instance.cover or source.omega != instance.omega:
+        same_cliques = set(source.cover.cliques) == set(instance.cover.cliques)
+        if source.cover.n != instance.cover.n or not same_cliques or source.omega != instance.omega:
             raise DimensionMismatch("moment vector does not match the instance pattern")
-        y = source
+        # entries are keyed by global multi-indices: only the clique order may differ
+        y = SparseMomentVector(instance.cover, source.omega, source.entries)
     elif isinstance(source, Mapping):
         y = SparseMomentVector.build(instance.cover, instance.omega, source)
         if abs(y.mass - 1.0) > 1e-9:

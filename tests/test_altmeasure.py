@@ -2,8 +2,10 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smk.altmeasure import build_weight_lp, enumerate_extreme_measures, solve_weight_lp
+from smk.core import CliqueCover, SparseMomentVector
 from smk.errors import Infeasible
 from smk import demo
 
@@ -29,6 +31,29 @@ def vertex_enumeration_oracle(atoms, y, tol=1e-9):
         if not any(np.abs(w - v).max() <= 1e-8 for v in vertices):
             vertices.append(np.maximum(w, 0.0))
     return vertices
+
+
+def two_point_product(lows, highs, probs, omega):
+    """Atoms and moments of the product of the two-point laws
+    ``probs[t]`` at ``highs[t]`` and ``1 - probs[t]`` at ``lows[t]``, on the
+    width-2 chain cover of ``len(lows)`` variables."""
+    n = len(lows)
+    bits = (np.arange(2**n)[:, None] >> np.arange(n)[::-1]) & 1
+    atoms = np.where(bits == 1, highs, lows)
+    weights = np.prod(np.where(bits == 1, probs, 1.0 - probs), axis=1)
+    cover = CliqueCover(n, tuple((t, t + 1) for t in range(1, n)))
+    return atoms, demo.moments_of_atoms(cover, omega, atoms, weights)
+
+
+@st.composite
+def product_lps(draw):
+    """A product of two-point laws on a chain of 2 or 3 variables, and a cost."""
+    n = draw(st.integers(2, 3))
+    coords = st.lists(st.floats(0.4, 1.2), min_size=n, max_size=n).map(np.array)
+    probs = st.lists(st.floats(0.3, 0.7), min_size=n, max_size=n).map(np.array)
+    atoms, y = two_point_product(-draw(coords), draw(coords), draw(probs), draw(st.integers(1, 2)))
+    cost = draw(st.lists(st.floats(-1.0, 1.0), min_size=2**n, max_size=2**n))
+    return atoms, y, np.array(cost)
 
 
 @pytest.fixture
@@ -73,8 +98,28 @@ class TestSolveWeightLp:
         assert np.count_nonzero(w > 1e-10) <= rank
 
     def test_infeasible(self, y_pair):
-        with pytest.raises(Infeasible):
+        with pytest.raises(Infeasible, match="inconsistent moment equation"):
             solve_weight_lp(np.array([[0.0, 0.0, 0.0]]), y_pair, np.array([1.0]))
+
+    def test_negative_weights_infeasible(self):
+        # atoms 0 and 1 with mean 2 need weights (-1, 2)
+        cover = CliqueCover(1, ((1,),))
+        y = SparseMomentVector.build(cover, 1, {(0,): 1.0, (1,): 2.0, (2,): 2.0})
+        with pytest.raises(Infeasible, match="no nonnegative weights"):
+            solve_weight_lp(np.array([[0.0], [1.0]]), y, np.array([1.0, 0.0]))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(product_lps())
+    def test_optimal_vertex_of_product_measures(self, case):
+        atoms, y, cost = case
+        w = solve_weight_lp(atoms, y, cost)
+        lp = build_weight_lp(atoms, y, cost)
+        scale = max(1.0, np.abs(lp.rhs).max())
+        assert w.min() >= 0.0
+        assert np.abs(lp.matrix @ w - lp.rhs).max() <= 1e-9 * scale
+        assert np.count_nonzero(w) <= np.linalg.matrix_rank(lp.matrix, tol=1e-9)
+        for v in vertex_enumeration_oracle(atoms, y):
+            assert cost @ w <= cost @ v + 1e-9 * scale
 
     def test_residual_and_nonnegativity(self, y_pair, rng):
         scale = 1 + max(abs(v) for v in y_pair.entries.values())
@@ -98,6 +143,26 @@ class TestEnumerate:
         y = demo.moments_of_atoms(demo.chain_pair_moments().cover, 2, [[1.0, 0.0, -1.0]], [1.0])
         found = enumerate_extreme_measures(np.array([[1.0, 0.0, -1.0]]), y, budget=5, seed=0)
         assert len(found) == 1
+
+    @pytest.mark.parametrize("name", ["chain-triple", "product-4"])
+    def test_same_as_one_solve_per_cost(self, name):
+        if name == "chain-triple":
+            atoms, y = demo.chain_triple_minimizers(), demo.chain_triple_moments()
+        else:
+            atoms, y = two_point_product(
+                -np.array([0.5, 0.9, 1.1, 0.7]), np.array([1.2, 0.6, 0.8, 0.4]),
+                np.array([0.3, 0.55, 0.7, 0.45]), 2,
+            )
+        rng = np.random.default_rng(5)
+        expected: list[np.ndarray] = []
+        for _ in range(30):
+            w = solve_weight_lp(atoms, y, rng.standard_normal(atoms.shape[0]))
+            if not any(np.abs(w - v).max() <= 1e-8 for v in expected):
+                expected.append(w)
+        found = enumerate_extreme_measures(atoms, y, budget=30, seed=5)
+        assert len(found) == len(expected) > 1
+        for w, v in zip(found, expected):
+            assert np.array_equal(w, v)
 
     def test_chain_triple_mass_and_support(self):
         y = demo.chain_triple_moments()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from smk.assemble import (
+    _cluster,
     assemble,
     match_marginals,
     maximal_support_set,
@@ -31,6 +32,53 @@ def chain_triple_measures():
         AtomicMeasure((2, 3), [[1.0, 0.0], [-1.0, 0.0]], [0.5, 0.5]),
         AtomicMeasure((3, 4), [[0.0, 1.0], [0.0, -1.0]], [0.5, 0.5]),
     ]
+
+
+def cluster_reference(points, tol):
+    """Greedy max-norm clustering, point by point."""
+    reps, groups = [], []
+    for k, p in enumerate(points):
+        for gi, rep in enumerate(reps):
+            if p.size == 0 or np.abs(p - rep).max() <= tol:
+                groups[gi].append(k)
+                break
+        else:
+            reps.append(p)
+            groups.append([k])
+    return np.array(reps).reshape(len(reps), points.shape[1]), groups
+
+
+def glue_reference(measures, witnesses, tol=1e-6):
+    """The inductive gluing of ``assemble``, atom pair by atom pair, without
+    the final marginal check."""
+    current = measures[0]
+    for i in range(2, len(measures) + 1):
+        incoming = measures[i - 1]
+        j = min(witnesses.witness[i])
+        overlap = tuple(v for v in measures[j - 1].variables if v in incoming.variables)
+        groups = match_marginals(current, incoming, overlap, tol)
+        union_vars = tuple(sorted(set(current.variables) | set(incoming.variables)))
+        atoms, weights = [], []
+        for gi, theta in enumerate(groups.masses):
+            for k in groups.groups_a[gi]:
+                for l in groups.groups_b[gi]:
+                    point = dict(zip(incoming.variables, incoming.atoms[l]))
+                    point.update(zip(current.variables, current.atoms[k]))
+                    atoms.append([point[v] for v in union_vars])
+                    weights.append(current.weights[k] * incoming.weights[l] / theta)
+        current = AtomicMeasure(union_vars, np.array(atoms), np.array(weights))
+    return current
+
+
+def product_chain_measures(rng, n):
+    """Clique marginals, on the width-2 chain over n variables, of a product
+    of seeded two-point laws."""
+    bits = (np.arange(2**n)[:, None] >> np.arange(n)[::-1]) & 1
+    atoms = np.where(bits == 1, rng.uniform(0.4, 1.2, n), rng.uniform(-1.2, -0.4, n))
+    p = rng.uniform(0.3, 0.7, n)
+    mu = AtomicMeasure(tuple(range(1, n + 1)), atoms, np.prod(np.where(bits == 1, p, 1 - p), axis=1))
+    cover = CliqueCover(n, tuple((t, t + 1) for t in range(1, n)))
+    return [pushforward(mu, Projection(mu.variables, c)) for c in cover.cliques], cover
 
 
 def triangle_measures():
@@ -114,6 +162,27 @@ class TestAssemble:
         expect = expect[np.lexsort(expect.T[::-1])]
         assert np.allclose(mu.atoms, expect)
         assert np.allclose(mu.weights, 0.125)
+
+    def test_equals_pairwise_gluing(self, rng):
+        for measures, cover in (
+            (chain_triple_measures(), CliqueCover(4, ((1, 2), (2, 3), (3, 4)))),
+            product_chain_measures(rng, 6),
+        ):
+            wit = check_rip(cover)
+            mu, ref = assemble(measures, wit), glue_reference(measures, wit)
+            assert mu.variables == ref.variables
+            assert np.array_equal(mu.atoms, ref.atoms)
+            assert np.array_equal(mu.weights, ref.weights)
+
+    def test_cluster_equals_pointwise_loop(self, rng):
+        centres = rng.uniform(-1.0, 1.0, (4, 2))
+        points = centres[rng.integers(0, 4, 60)] + rng.uniform(-2e-7, 2e-7, (60, 2))
+        points[7] = np.nan
+        for pts in (points, points[:, :0], points[:0]):
+            reps, groups = _cluster(pts, 1e-6)
+            ref_reps, ref_groups = cluster_reference(pts, 1e-6)
+            assert groups == ref_groups
+            assert np.array_equal(reps, ref_reps, equal_nan=True)
 
     def test_single_clique(self):
         mu0 = chain_pair_measures()[0]

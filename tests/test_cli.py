@@ -97,6 +97,25 @@ def test_pipeline_primal_vector_file(files, capsys, tmp_path):
     assert len(report["minimizers"]) == 8
 
 
+def test_pipeline_solution_on_reordered_cover(capsys, tmp_path):
+    # the problem's clique order fails running intersection; the solution
+    # file keeps that order while the pipeline solves a reordered relaxation
+    pop = demo.chain_triple_pop().reorder((1, 3, 2))
+    y = demo.moments_of_atoms(pop.cover, 3, demo.chain_triple_minimizers(), np.full(8, 0.125))
+    io.save_pop(pop, tmp_path / "pop.json")
+    io.save_moment_vector(y, tmp_path / "moments.json")
+    code, report = run_json(
+        capsys,
+        [
+            "pipeline", "--pop", str(tmp_path / "pop.json"), "--omega", "3",
+            "--solution", str(tmp_path / "moments.json"),
+        ],
+    )
+    assert code == 0
+    assert report["clique_order"] != [1, 2, 3]
+    assert len(report["minimizers"]) == 8
+
+
 def test_certify_verdict_false_exit_two(tmp_path, capsys):
     # three collinear first coordinates: rank grows with the order, not flat
     cover = demo.chain_pair_moments().cover

@@ -11,6 +11,7 @@ from smk.core import (
     clique_subvector,
     lift,
     local_exponents,
+    monomial_matrix,
     project_point,
     riesz_eval,
     sparse_exponents,
@@ -118,6 +119,26 @@ def y_triangle():
 def test_demo_matches_reference(y_pair, y_triangle):
     assert demo.chain_pair_moments().entries == y_pair.entries
     assert demo.triangle_moments().entries == y_triangle.entries
+
+
+class TestMonomialMatrix:
+    def test_equals_product_loop(self, rng):
+        cover = CliqueCover(6, ((1, 2, 3), (3, 4), (4, 5, 6)))
+        exponents = sparse_exponents(cover, 6)
+        atoms = rng.uniform(-1.5, 1.5, (7, 6))
+        atoms[0, 2] = 0.0
+        loop = np.array([np.prod(atoms ** np.asarray(a, dtype=float), axis=1) for a in exponents])
+        assert np.array_equal(monomial_matrix(exponents, atoms), loop)
+        assert np.array_equal(monomial_matrix(np.array(exponents), atoms), loop)
+
+    def test_empty_shapes(self):
+        assert monomial_matrix([()], np.zeros((3, 0))).tolist() == [[1.0, 1.0, 1.0]]
+        assert monomial_matrix([], np.ones((2, 4))).shape == (0, 2)
+        assert monomial_matrix([(1, 2)], np.zeros((0, 2))).shape == (1, 0)
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            monomial_matrix([(-1, 0)], np.ones((1, 2)))
 
 
 class TestMomentVectorBuild:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from smk.certify import RankPolicy
-from smk.core import CliqueCover, sparse_exponents
+from smk.core import CliqueCover, SparseMomentVector, sparse_exponents
 from smk.errors import BlockNotPsdWarning, DegreeTooLow, DimensionMismatch
 from smk.matrices import ConstraintPolynomial
 from smk.relax import (
@@ -126,6 +126,19 @@ class TestIngest:
         y = ingest_solution(inst_triple, dict(y_fix.entries))
         assert y.entries == y_fix.entries
 
+    def test_permuted_cover_rebuilt_on_instance_cover(self, inst_triple):
+        y_fix = demo.chain_triple_moments()
+        permuted = SparseMomentVector(y_fix.cover.reorder((2, 3, 1)), 3, y_fix.entries)
+        y = ingest_solution(inst_triple, permuted)
+        assert y.cover == inst_triple.cover
+        assert y.entries == y_fix.entries
+
+    def test_other_cliques_rejected(self, inst_triple):
+        merged = CliqueCover(4, ((1, 2), (2, 3, 4)))
+        y = demo.moments_of_atoms(merged, 3, demo.chain_triple_minimizers(), np.full(8, 0.125))
+        with pytest.raises(DimensionMismatch):
+            ingest_solution(inst_triple, y)
+
 
 class TestBundledSolver:
     def test_chain_pair_feasibility(self):
@@ -169,6 +182,17 @@ class TestPipeline:
         assert np.allclose(res.measure.weights, 0.125, atol=1e-10)
         assert res.global_residual <= 1e-10
         assert res.feasibility_clean
+
+    def test_reordered_problem_takes_solution_in_given_order(self, pop_triple):
+        # the cover fails running intersection, so the relaxation is built on
+        # a reordered cover while the solution keeps the given clique order
+        pop = pop_triple.reorder((1, 3, 2))
+        atoms = demo.chain_triple_minimizers()
+        y = demo.moments_of_atoms(pop.cover, 3, atoms, np.full(8, 0.125))
+        res = pipeline(pop, 3, solver="file", solution=y)
+        assert res.clique_order != (1, 2, 3)
+        assert res.certificate.verdict
+        assert np.allclose(res.minimizers, atoms[np.lexsort(atoms.T[::-1])], atol=1e-8)
 
     def test_bundled_order_two_is_not_certified(self, pop_triple):
         # recorded outcome: the order-2 relaxation already attains the optimal
