@@ -37,9 +37,8 @@ class WeightLP:
 
 def build_weight_lp(atoms, y: SparseMomentVector, cost) -> WeightLP:
     atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
-    A = monomial_matrix(list(y.entries), atoms)
-    b = np.fromiter(y.entries.values(), dtype=float, count=len(y.entries))
-    return WeightLP(atoms, A, b, np.asarray(cost, dtype=float))
+    A = monomial_matrix(y.index_map.exponent_array, atoms)
+    return WeightLP(atoms, A, y.values, np.asarray(cost, dtype=float))
 
 
 def _row_reduce(A: np.ndarray, b: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:

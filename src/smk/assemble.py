@@ -195,25 +195,22 @@ def maximal_support_set(
     clique's measure, via constraint-propagating concatenation. The result
     does not depend on the clique order; rows are sorted lexicographically.
     """
-    assigned: tuple[int, ...] = clique_measures[0].variables
-    candidates = [dict(zip(assigned, atom)) for atom in clique_measures[0].atoms]
+    first = clique_measures[0]
+    column = {v: c for c, v in enumerate(first.variables)}  # variable -> column of ``points``
+    points = first.atoms  # one row per candidate
     for mu in clique_measures[1:]:
-        shared = [v for v in mu.variables if v in assigned]
-        new_vars = [v for v in mu.variables if v not in assigned]
-        extended = []
-        for cand in candidates:
-            for atom in mu.atoms:
-                point = dict(zip(mu.variables, atom))
-                if all(abs(cand[v] - point[v]) <= tol for v in shared):
-                    nxt = dict(cand)
-                    for v in new_vars:
-                        nxt[v] = point[v]
-                    extended.append(nxt)
-        candidates = extended
-        assigned = tuple(sorted(set(assigned) | set(mu.variables)))
-    points = np.array([[c[v] for v in range(1, cover.n + 1)] for c in candidates])
+        shared = [c for c, v in enumerate(mu.variables) if v in column]
+        new_cols = [c for c, v in enumerate(mu.variables) if v not in column]
+        near = np.abs(
+            points[:, None, [column[mu.variables[c]] for c in shared]] - mu.atoms[None, :, shared]
+        ) <= tol
+        k, l = np.nonzero(near.all(axis=2))  # candidate-major: extensions keep candidate order
+        points = np.hstack([points[k], mu.atoms[l][:, new_cols]])
+        for c in new_cols:
+            column[mu.variables[c]] = len(column)
     if points.size == 0:
         return np.zeros((0, cover.n))
+    points = points[:, [column[v] for v in range(1, cover.n + 1)]]
     return points[lex_order_rows(points)]
 
 
@@ -222,5 +219,5 @@ def verify_global(mu: AtomicMeasure, y: SparseMomentVector) -> float:
     the sparse moment vector."""
     if mu.variables != tuple(range(1, y.cover.n + 1)):
         raise ValueError("measure must live on all variables 1..n")
-    targets = np.fromiter(y.entries.values(), dtype=float, count=len(y.entries))
-    return float(np.abs(monomial_matrix(list(y.entries), mu.atoms) @ mu.weights - targets).max())
+    moments = monomial_matrix(y.index_map.exponent_array, mu.atoms) @ mu.weights
+    return float(np.abs(moments - y.values).max())

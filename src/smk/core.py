@@ -3,11 +3,23 @@
 Variables are numbered 1..n in every public interface; exponent tuples are
 0-based positionally (``alpha[k]`` is the exponent of variable ``k+1``).
 All values here are immutable after construction and every operation is pure.
+
+The sparse index set of a cover and a degree bound is built once, as an
+:class:`IndexMap`. Each multi-index is keyed inside it by its *sparse key*,
+the pairs ``(variable, -exponent)`` of its nonzero exponents in variable
+order, so building and looking up cost O(clique width) per entry rather than
+O(n). Sorting by ``(degree, sparse key)`` is exactly the canonical graded
+order of :func:`grlex_key`: at the first variable where two multi-indices
+differ the larger exponent sorts first in both, and the one case where the
+orders could part, one sparse key being a prefix of the other, needs
+different degrees. A :class:`SparseMomentVector` keeps its map and its values
+in canonical order, and clique subvectors are gathered from them by position.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Iterable, Mapping
 
@@ -16,6 +28,7 @@ import numpy as np
 from .errors import DuplicateEntry, IndexOutOfPattern, MissingEntries
 
 MultiIndex = tuple[int, ...]
+SparseKey = tuple[tuple[int, int], ...]
 
 
 def degree(alpha: MultiIndex) -> int:
@@ -37,13 +50,19 @@ def grlex_key(alpha: MultiIndex):
 def local_exponents(num_vars: int, bound: int) -> list[MultiIndex]:
     """All exponent tuples in ``num_vars`` variables of total degree <= bound,
     in canonical order. ``num_vars = 0`` yields the single empty tuple."""
+    return list(_local_exponents(num_vars, bound))
+
+
+@lru_cache(maxsize=64)
+def _local_exponents(num_vars: int, bound: int) -> tuple[MultiIndex, ...]:
+    """Memoised :func:`local_exponents`, as an immutable tuple."""
     if bound < 0:
-        return []
+        return ()
     if num_vars == 0:
-        return [()]
+        return ((),)
     out = [e for e in product(range(bound + 1), repeat=num_vars) if sum(e) <= bound]
     out.sort(key=grlex_key)
-    return out
+    return tuple(out)
 
 
 def monomial_matrix(exponents, atoms) -> np.ndarray:
@@ -133,16 +152,65 @@ def validate_cover(cover: CliqueCover) -> list[str]:
     return report
 
 
+class IndexMap:
+    """The sparse index set of ``(cover, degree_bound)``, built once.
+
+    ``exponents`` holds the dense multi-indices in canonical order (each is
+    lifted to length n once, here) and ``position`` maps each sparse key to
+    its place in that order. Treat both as read-only.
+    """
+
+    def __init__(self, cover: CliqueCover, degree_bound: int):
+        if degree_bound < 0:
+            raise ValueError("degree_bound must be nonnegative")
+        degrees: dict[SparseKey, int] = {}
+        for cl in cover.cliques:
+            for loc in _local_exponents(len(cl), degree_bound):
+                degrees[tuple((var, -e) for var, e in zip(cl, loc) if e)] = sum(loc)
+        order = sorted(degrees, key=lambda key: (degrees[key], key))
+        self.n = cover.n
+        self.position: dict[SparseKey, int] = {key: p for p, key in enumerate(order)}
+        self.exponents: tuple[MultiIndex, ...] = tuple(_dense(key, cover.n) for key in order)
+
+    @cached_property
+    def exponent_array(self) -> np.ndarray:
+        """The exponents as one read-only uint8 array of shape (entries, n),
+        column-major, so that :func:`monomial_matrix` reads each variable's
+        exponents contiguously. Filled from the sparse keys."""
+        by_var = np.zeros((self.n, len(self.exponents)), dtype=np.uint8)
+        for key, p in self.position.items():
+            for var, e in key:
+                by_var[var - 1, p] = -e
+        by_var.setflags(write=False)
+        return by_var.T
+
+    def positions(self, variables: tuple[int, ...], bound: int) -> list[int]:
+        """Global position of each local exponent tuple of degree <= ``bound``
+        on ``variables`` (in the order of :func:`local_exponents`); a tuple
+        outside the set raises :class:`IndexOutOfPattern` naming its lift."""
+        variables = tuple(variables)
+        var_order = sorted(range(len(variables)), key=variables.__getitem__)
+        out = []
+        for loc in _local_exponents(len(variables), bound):
+            key = tuple((variables[t], -loc[t]) for t in var_order if loc[t])
+            try:
+                out.append(self.position[key])
+            except KeyError:
+                raise IndexOutOfPattern(lift(loc, variables, self.n)) from None
+        return out
+
+
+def _dense(key: SparseKey, n: int) -> MultiIndex:
+    alpha = [0] * n
+    for var, e in key:
+        alpha[var - 1] = -e
+    return tuple(alpha)
+
+
 def sparse_exponents(cover: CliqueCover, degree_bound: int) -> list[MultiIndex]:
     """Union over cliques of all multi-indices supported on that clique with
     total degree <= ``degree_bound``, deduplicated, in canonical order."""
-    if degree_bound < 0:
-        raise ValueError("degree_bound must be nonnegative")
-    seen: set[MultiIndex] = set()
-    for cl in cover.cliques:
-        for loc in local_exponents(len(cl), degree_bound):
-            seen.add(lift(loc, cl, cover.n))
-    return sorted(seen, key=grlex_key)
+    return list(IndexMap(cover, degree_bound).exponents)
 
 
 @dataclass(frozen=True)
@@ -152,6 +220,8 @@ class SparseMomentVector:
     ``entries`` maps each multi-index of ``sparse_exponents(cover, 2*omega)``
     to a real value, stored in canonical order. Build via :meth:`build` to
     get the key-set validation; the entry at the zero index is the total mass.
+    The index map and the values in canonical order are computed on first
+    use, or carried over from the call that made the vector.
     """
 
     cover: CliqueCover
@@ -177,19 +247,44 @@ class SparseMomentVector:
             if alpha in supplied:
                 raise DuplicateEntry(f"multi-index {alpha} supplied twice")
             supplied[alpha] = v
-        pattern = sparse_exponents(cover, 2 * omega)
-        pattern_set = set(pattern)
-        extras = [a for a in supplied if a not in pattern_set]
-        if extras:
-            raise IndexOutOfPattern(extras[0])
-        missing = [a for a in pattern if a not in supplied]
+        index_map = IndexMap(cover, 2 * omega)
+        found = [supplied.pop(a, None) for a in index_map.exponents]
+        if supplied:
+            raise IndexOutOfPattern(next(iter(supplied)))
+        missing = [a for a, v in zip(index_map.exponents, found) if v is None]
         if missing and not allow_missing_as_zero:
             raise MissingEntries(
                 f"{len(missing)} sparse indices missing, first {missing[0]}; "
                 "pass allow_missing_as_zero to default them to 0"
             )
-        entries = {a: supplied.get(a, 0.0) for a in pattern}
-        return cls(cover, omega, entries)
+        values = [0.0 if v is None else v for v in found]
+        return cls.on_index_map(cover, omega, index_map, values)
+
+    @classmethod
+    def on_index_map(
+        cls, cover: CliqueCover, omega: int, index_map: IndexMap, values
+    ) -> "SparseMomentVector":
+        """Vector whose values are given in the canonical order of
+        ``index_map``, which must be the map of ``(cover, 2*omega)``; the
+        vector keeps the map and the values, so neither is rebuilt."""
+        values = np.array(values, dtype=float)
+        if values.shape != (len(index_map.exponents),):
+            raise ValueError(f"{values.shape} values for {len(index_map.exponents)} sparse indices")
+        values.setflags(write=False)
+        y = cls(cover, omega, dict(zip(index_map.exponents, values.tolist())))
+        y.__dict__.update(index_map=index_map, values=values)
+        return y
+
+    @cached_property
+    def index_map(self) -> IndexMap:
+        return IndexMap(self.cover, 2 * self.omega)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """Read-only values in canonical order, aligned with ``index_map.exponents``."""
+        values = np.fromiter(self.entries.values(), dtype=float, count=len(self.entries))
+        values.setflags(write=False)
+        return values
 
     @property
     def index_set(self) -> tuple[MultiIndex, ...]:
@@ -203,8 +298,9 @@ class SparseMomentVector:
         return all(v == 0.0 for v in self.entries.values())
 
     def rounded(self, decimals: int) -> "SparseMomentVector":
-        return SparseMomentVector(
-            self.cover, self.omega, {a: round(v, decimals) for a, v in self.entries.items()}
+        return SparseMomentVector.on_index_map(
+            self.cover, self.omega, self.index_map,
+            [round(v, decimals) for v in self.values.tolist()],
         )
 
 
@@ -242,14 +338,10 @@ def subvector_on(y: SparseMomentVector, variables: tuple[int, ...]) -> CliqueSub
     """Dense subvector of ``y`` on an arbitrary variable subset contained in
     some clique (e.g. a clique intersection)."""
     variables = tuple(variables)
-    values = {}
-    for loc in local_exponents(len(variables), 2 * y.omega):
-        alpha = lift(loc, variables, y.cover.n)
-        try:
-            values[loc] = y.entries[alpha]
-        except KeyError:
-            raise IndexOutOfPattern(alpha) from None
-    return CliqueSubvector(variables, y.omega, values)
+    bound = 2 * y.omega
+    gathered = y.values[y.index_map.positions(variables, bound)].tolist()
+    locs = _local_exponents(len(variables), bound)
+    return CliqueSubvector(variables, y.omega, dict(zip(locs, gathered)))
 
 
 def clique_subvector(y: SparseMomentVector, i: int) -> CliqueSubvector:

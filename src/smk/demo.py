@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import CliqueCover, SparseMomentVector, monomial_matrix, sparse_exponents
+from .core import CliqueCover, IndexMap, SparseMomentVector, monomial_matrix, sparse_exponents
 from .matrices import ConstraintPolynomial
 from .relax import PopProblem
 
@@ -17,9 +17,9 @@ def moments_of_atoms(
     cover: CliqueCover, omega: int, atoms, weights
 ) -> SparseMomentVector:
     """Sparse moment vector of a weighted atomic measure on all n variables."""
-    exponents = sparse_exponents(cover, 2 * omega)
-    values = monomial_matrix(exponents, atoms) @ np.asarray(weights, dtype=float)
-    return SparseMomentVector(cover, omega, dict(zip(exponents, values.tolist())))
+    index_map = IndexMap(cover, 2 * omega)
+    values = monomial_matrix(index_map.exponent_array, atoms) @ np.asarray(weights, dtype=float)
+    return SparseMomentVector.on_index_map(cover, omega, index_map, values)
 
 
 def chain_pair_moments() -> SparseMomentVector:

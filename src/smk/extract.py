@@ -68,10 +68,6 @@ class AtomicMeasure:
     def mass(self) -> float:
         return float(self.weights.sum())
 
-    def moment(self, local_alpha) -> float:
-        """Integral of the monomial with local exponents ``local_alpha``."""
-        return float(self.weights @ monomial_matrix([local_alpha], self.atoms)[0])
-
     def sorted_by_atoms(self) -> "AtomicMeasure":
         """Atoms in lexicographic coordinate order (canonical for reporting).
 

@@ -9,7 +9,6 @@ from typing import Mapping
 import numpy as np
 
 from .core import CliqueCover, SparseMomentVector
-from .errors import DuplicateEntry
 from .extract import AtomicMeasure
 from .matrices import ConstraintPolynomial
 from .relax import PopProblem
@@ -41,14 +40,7 @@ def load_moment_vector(source, allow_missing_as_zero: bool = False) -> SparseMom
     """
     data = _load(source)
     cover = cover_from_dict(data)
-    pairs = []
-    seen = set()
-    for item in data["entries"]:
-        alpha = tuple(int(a) for a in item["alpha"])
-        if alpha in seen:
-            raise DuplicateEntry(f"multi-index {alpha} supplied twice")
-        seen.add(alpha)
-        pairs.append((alpha, float(item["value"])))
+    pairs = [(tuple(map(int, item["alpha"])), float(item["value"])) for item in data["entries"]]
     return SparseMomentVector.build(
         cover, int(data["omega"]), pairs, allow_missing_as_zero=allow_missing_as_zero
     )

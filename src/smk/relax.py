@@ -14,6 +14,7 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -24,10 +25,10 @@ from .assemble import assemble, verify_global
 from .certify import FlatnessCertificate, RankPolicy, certify
 from .core import (
     CliqueCover,
+    IndexMap,
     MultiIndex,
     SparseMomentVector,
     clique_subvector,
-    lift,
     local_exponents,
 )
 from .errors import BlockNotPsdWarning, DegreeTooLow, DimensionMismatch
@@ -136,9 +137,21 @@ class SdpInstance:
     def num_vars(self) -> int:
         return len(self.exponents)
 
+    @cached_property
+    def index_map(self) -> IndexMap:
+        return IndexMap(self.cover, 2 * self.omega)
+
     def moment_vector(self, values: np.ndarray) -> SparseMomentVector:
-        entries = dict(zip(self.exponents, (float(v) for v in values)))
-        return SparseMomentVector(self.cover, self.omega, entries)
+        return SparseMomentVector.on_index_map(self.cover, self.omega, self.index_map, values)
+
+
+def _label_sums(labels) -> list[tuple[int, int, MultiIndex]]:
+    """Upper-triangular (row, col, labels[row] + labels[col]) of a label list."""
+    return [
+        (r, c, tuple(x + z for x, z in zip(labels[r], labels[c])))
+        for r in range(len(labels))
+        for c in range(r, len(labels))
+    ]
 
 
 def build_relaxation(pop: PopProblem, omega: int) -> SdpInstance:
@@ -149,43 +162,36 @@ def build_relaxation(pop: PopProblem, omega: int) -> SdpInstance:
         raise DegreeTooLow(
             f"2*omega = {2*omega} is below the problem degree {pop.max_degree}"
         )
-    from .core import sparse_exponents
-
-    exps = tuple(sparse_exponents(pop.cover, 2 * omega))
-    pos_of = {a: p for p, a in enumerate(exps)}
-    n = pop.cover.n
-
-    objective = np.zeros(len(exps))
-    for i, obj in enumerate(pop.objectives, start=1):
-        clique = pop.cover.clique(i)
+    index_map = IndexMap(pop.cover, 2 * omega)
+    # per clique: local exponent of degree <= 2*omega -> global position
+    tables = [
+        dict(zip(local_exponents(len(cl), 2 * omega), index_map.positions(cl, 2 * omega)))
+        for cl in pop.cover.cliques
+    ]
+    objective = np.zeros(len(index_map.exponents))
+    for table, obj in zip(tables, pop.objectives):
         for a, c in obj.items():
-            objective[pos_of[lift(a, clique, n)]] += c
+            objective[table[a]] += c
 
     blocks = []
-    for i in range(1, pop.cover.m + 1):
-        clique = pop.cover.clique(i)
+    for i, (clique, table) in enumerate(zip(pop.cover.cliques, tables), start=1):
         labels = local_exponents(len(clique), omega)
-        terms = []
-        for r in range(len(labels)):
-            for c in range(r, len(labels)):
-                alpha = tuple(x + z for x, z in zip(labels[r], labels[c]))
-                terms.append((r, c, pos_of[lift(alpha, clique, n)], 1.0))
-        blocks.append(SdpBlock(i, "moment", None, len(labels), tuple(terms)))
-    for i in range(1, pop.cover.m + 1):
-        clique = pop.cover.clique(i)
+        terms = tuple((r, c, table[alpha], 1.0) for r, c, alpha in _label_sums(labels))
+        blocks.append(SdpBlock(i, "moment", None, len(labels), terms))
+    for i, (clique, table) in enumerate(zip(pop.cover.cliques, tables), start=1):
         for gi, g in enumerate(pop.constraints[i - 1], start=1):
             labels = local_exponents(len(clique), omega - g.d_half)
             terms = []
-            for r in range(len(labels)):
-                for c in range(r, len(labels)):
-                    base = tuple(x + z for x, z in zip(labels[r], labels[c]))
-                    for gamma, coef in g.coefficients.items():
-                        if coef == 0.0:
-                            continue
-                        alpha = tuple(x + z for x, z in zip(base, gamma))
-                        terms.append((r, c, pos_of[lift(alpha, clique, n)], coef))
+            for r, c, base in _label_sums(labels):
+                for gamma, coef in g.coefficients.items():
+                    if coef == 0.0:
+                        continue
+                    alpha = tuple(x + z for x, z in zip(base, gamma))
+                    terms.append((r, c, table[alpha], coef))
             blocks.append(SdpBlock(i, "localizing", gi, len(labels), tuple(terms)))
-    return SdpInstance(pop.cover, omega, exps, objective, tuple(blocks))
+    instance = SdpInstance(pop.cover, omega, index_map.exponents, objective, tuple(blocks))
+    instance.__dict__["index_map"] = index_map
+    return instance
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +298,10 @@ def ingest_solution(
         same_cliques = set(source.cover.cliques) == set(instance.cover.cliques)
         if source.cover.n != instance.cover.n or not same_cliques or source.omega != instance.omega:
             raise DimensionMismatch("moment vector does not match the instance pattern")
-        # entries are keyed by global multi-indices: only the clique order may differ
-        y = SparseMomentVector(instance.cover, source.omega, source.entries)
+        # same index set, so the same canonical order: only the clique order may differ
+        y = SparseMomentVector.on_index_map(
+            instance.cover, source.omega, instance.index_map, source.values
+        )
     elif isinstance(source, Mapping):
         y = SparseMomentVector.build(instance.cover, instance.omega, source)
         if abs(y.mass - 1.0) > 1e-9:
@@ -307,9 +315,8 @@ def ingest_solution(
         values = np.concatenate([[1.0], free])
         y = instance.moment_vector(values)
 
-    y_values = np.array([y.entries[a] for a in instance.exponents])
     for bno, blk in enumerate(instance.blocks, start=1):
-        M = blk.assemble_matrix(y_values)
+        M = blk.assemble_matrix(y.values)
         if M.size:
             eigs = np.linalg.eigvalsh(M)
             if eigs[0] < -policy.rel_tol * max(1.0, eigs[-1]):
@@ -497,8 +504,7 @@ def pipeline(
         y = y.rounded(policy.round_decimals)
 
     certificate = certify(y, pop_o.constraints, witnesses, policy)
-    y_values = np.array([y.entries[a] for a in instance.exponents])
-    objective = float(instance.objective @ y_values)
+    objective = float(instance.objective @ y.values)
     if not certificate.verdict:
         return PipelineResult(order, objective, certificate, None, None, None, report)
 

@@ -12,7 +12,7 @@ from smk.assemble import (
 )
 from smk.core import CliqueCover, Projection
 from smk.errors import FinalMarginalCheckFailed, MarginalMismatch
-from smk.extract import AtomicMeasure
+from smk.extract import AtomicMeasure, lex_order_rows
 from smk.rip import RipWitnesses, check_rip
 from smk import demo
 
@@ -78,6 +78,42 @@ def product_chain_measures(rng, n):
     p = rng.uniform(0.3, 0.7, n)
     mu = AtomicMeasure(tuple(range(1, n + 1)), atoms, np.prod(np.where(bits == 1, p, 1 - p), axis=1))
     cover = CliqueCover(n, tuple((t, t + 1) for t in range(1, n)))
+    return [pushforward(mu, Projection(mu.variables, c)) for c in cover.cliques], cover
+
+
+def support_reference(clique_measures, cover, tol=1e-6):
+    """``maximal_support_set`` candidate by candidate, each a dict over the
+    variables assigned so far."""
+    assigned = clique_measures[0].variables
+    candidates = [dict(zip(assigned, atom)) for atom in clique_measures[0].atoms]
+    for mu in clique_measures[1:]:
+        shared = [v for v in mu.variables if v in assigned]
+        new_vars = [v for v in mu.variables if v not in assigned]
+        extended = []
+        for cand in candidates:
+            for atom in mu.atoms:
+                point = dict(zip(mu.variables, atom))
+                if all(abs(cand[v] - point[v]) <= tol for v in shared):
+                    nxt = dict(cand)
+                    for v in new_vars:
+                        nxt[v] = point[v]
+                    extended.append(nxt)
+        candidates = extended
+        assigned = tuple(sorted(set(assigned) | set(mu.variables)))
+    points = np.array([[c[v] for v in range(1, cover.n + 1)] for c in candidates])
+    if points.size == 0:
+        return np.zeros((0, cover.n))
+    return points[lex_order_rows(points)]
+
+
+def long_chain_measures(rng, m, num_atoms=3):
+    """Clique marginals of ``num_atoms`` seeded points on the width-3 chain
+    with m cliques overlapping in one variable."""
+    n = 2 * m + 1
+    atoms = rng.uniform(-1.0, 1.0, (num_atoms, n))
+    atoms[1, : n // 2] = atoms[0, : n // 2]  # marginals with fewer points than atoms
+    mu = AtomicMeasure(tuple(range(1, n + 1)), atoms, rng.uniform(0.5, 1.0, num_atoms))
+    cover = CliqueCover(n, tuple((s, s + 1, s + 2) for s in range(1, n - 1, 2)))
     return [pushforward(mu, Projection(mu.variables, c)) for c in cover.cliques], cover
 
 
@@ -258,6 +294,29 @@ class TestMaximalSupport:
         a = maximal_support_set(measures, cover)
         b = maximal_support_set(measures[::-1], cover)
         assert np.allclose(a, b)
+
+    def test_equals_reference_on_product_measures(self, rng):
+        for n in (2, 5, 8):
+            measures, cover = product_chain_measures(rng, n)
+            for order in (measures, measures[::-1], [measures[k] for k in rng.permutation(n - 1)]):
+                got = maximal_support_set(order, cover)
+                assert got.shape == (2**n, n)
+                assert np.array_equal(got, support_reference(order, cover))
+
+    def test_equals_reference_on_long_chain(self, rng):
+        for m in (1, 12, 40):
+            measures, cover = long_chain_measures(rng, m)
+            for order in (measures, measures[::-1]):
+                assert np.array_equal(
+                    maximal_support_set(order, cover), support_reference(order, cover)
+                )
+        for measures, cover in (
+            (triangle_measures(), CliqueCover(3, ((1, 2), (2, 3), (1, 3)))),
+            (chain_triple_measures(), CliqueCover(4, ((1, 2), (2, 3), (3, 4)))),
+        ):
+            assert np.array_equal(
+                maximal_support_set(measures, cover), support_reference(measures, cover)
+            )
 
     def test_support_of_assembly_equals_maximal_set(self):
         measures = chain_triple_measures()

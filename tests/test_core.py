@@ -1,20 +1,25 @@
 import math
+import re
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smk.core import (
     CliqueCover,
+    IndexMap,
     Projection,
     SparseMomentVector,
     clique_subvector,
+    grlex_key,
     lift,
     local_exponents,
     monomial_matrix,
     project_point,
     riesz_eval,
     sparse_exponents,
+    subvector_on,
     validate_cover,
 )
 from smk.errors import DuplicateEntry, IndexOutOfPattern, MissingEntries
@@ -37,6 +42,58 @@ def brute_force_sparse(cover, bound):
         if any(supp <= set(c) for c in cover.cliques):
             out.add(exps)
     return out
+
+
+def grlex_reference(cover, bound):
+    """The sparse index set by dense tuples: every lift, deduplicated, sorted
+    by the canonical key."""
+    lifted = {
+        lift(loc, cl, cover.n) for cl in cover.cliques for loc in local_exponents(len(cl), bound)
+    }
+    return sorted(lifted, key=grlex_key)
+
+
+def subvector_reference(y, variables):
+    """Clique subvector by lifting every local index to a dense tuple."""
+    return [
+        (loc, y.entries[lift(loc, variables, y.cover.n)])
+        for loc in local_exponents(len(variables), 2 * y.omega)
+    ]
+
+
+@st.composite
+def shuffled_chain_covers(draw):
+    """Chains of 1-5 cliques of widths 1-4, each overlapping the previous one
+    in 0 to width - 1 variables (no clique contains another), listed in a
+    shuffled order."""
+    cliques, start, prev = [], 1, None
+    for _ in range(draw(st.integers(1, 5))):
+        width = draw(st.integers(1, 4))
+        start -= 0 if prev is None else draw(st.integers(0, min(width, prev) - 1))
+        cliques.append(tuple(range(start, start + width)))
+        start, prev = start + width, width
+    return CliqueCover(start - 1, tuple(draw(st.permutations(cliques))))
+
+
+class TestIndexMap:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(shuffled_chain_covers(), st.integers(0, 6))
+    def test_order_equals_sorted_dense_lifts(self, cover, bound):
+        assert validate_cover(cover) == []
+        index_map = IndexMap(cover, bound)
+        reference = grlex_reference(cover, bound)
+        assert list(index_map.exponents) == reference
+        assert sorted(index_map.position.values()) == list(range(len(reference)))
+        assert np.array_equal(
+            index_map.exponent_array, np.array(reference, dtype=np.uint8).reshape(-1, cover.n)
+        )
+
+    def test_positions_follow_local_order(self):
+        index_map = IndexMap(CHAIN_TRIPLE, 4)
+        for variables in ((2, 3), (3, 2), (4,), ()):
+            lifted = [lift(loc, variables, 4) for loc in local_exponents(len(variables), 4)]
+            got = [index_map.exponents[p] for p in index_map.positions(variables, 4)]
+            assert got == lifted
 
 
 @pytest.mark.parametrize(
@@ -211,6 +268,21 @@ class TestCliqueSubvector:
         sub = clique_subvector(y_triangle, 3)
         assert sub.clique == (1, 3)
         assert sub.values[(1, 1)] == -1.0
+
+    def test_subvectors_equal_dense_reference(self):
+        y = demo.chain_triple_moments()
+        for i in range(1, y.cover.m + 1):
+            sub = clique_subvector(y, i)
+            assert list(sub.values.items()) == subvector_reference(y, y.cover.clique(i))
+        for variables in ((2,), (3, 4), (4, 3), ()):
+            sub = subvector_on(y, variables)
+            assert list(sub.values.items()) == subvector_reference(y, variables)
+
+    def test_variables_outside_every_clique(self):
+        y = demo.chain_triple_moments()
+        with pytest.raises(IndexOutOfPattern, match=re.escape("(1, 0, 1, 0)")) as info:
+            subvector_on(y, (1, 3))
+        assert info.value.alpha == (1, 0, 1, 0)
 
     def test_reembedding_roundtrip(self, y_triangle):
         for i in (1, 2, 3):

@@ -18,7 +18,7 @@ from smk.relax import (
     solve_sdp_bundled,
     to_sdpa,
 )
-from smk import demo
+from smk import demo, io
 
 
 def feasibility_pop(cover):
@@ -132,6 +132,16 @@ class TestIngest:
         y = ingest_solution(inst_triple, permuted)
         assert y.cover == inst_triple.cover
         assert y.entries == y_fix.entries
+
+    def test_reordered_cover_keeps_entries_and_order(self, inst_triple):
+        y_fix = demo.chain_triple_moments()
+        data = io.moment_vector_to_dict(y_fix)
+        data["cliques"] = data["cliques"][::-1]
+        y = ingest_solution(inst_triple, io.load_moment_vector(data))
+        assert y.cover == inst_triple.cover
+        assert y.entries == y_fix.entries
+        assert list(y.entries) == list(inst_triple.exponents)
+        assert y.values.tolist() == [y_fix.entries[a] for a in inst_triple.exponents]
 
     def test_other_cliques_rejected(self, inst_triple):
         merged = CliqueCover(4, ((1, 2), (2, 3, 4)))
