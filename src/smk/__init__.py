@@ -27,8 +27,6 @@ from .core import (
     Projection,
     SparseMomentVector,
     clique_subvector,
-    project_point,
-    riesz_eval,
     sparse_exponents,
     validate_cover,
 )

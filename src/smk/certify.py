@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SparseMomentVector, clique_subvector
-from .errors import ZeroVector
+from .core import SparseMomentVector, clique_subvector, local_exponents
+from .errors import OrderTooHigh, ZeroVector
 from .matrices import (
     ConstraintPolynomial,
     LabeledSymMatrix,
@@ -85,6 +85,15 @@ def psd_check(M: LabeledSymMatrix, policy: RankPolicy = RankPolicy()) -> bool:
     """
     lo, hi = _eig_range(M.data, policy)
     return M.size == 0 or lo >= -policy.rel_tol * max(1.0, hi)
+
+
+def _leading(M: LabeledSymMatrix, d: int, omega: int) -> np.ndarray:
+    """The order-``d`` moment matrix inside the order-``omega`` one ``M``:
+    the labels are graded, so it is the leading principal block."""
+    if d < 0:
+        raise OrderTooHigh(f"moment matrix of order {d} needs degrees up to {2*d} > {2*omega}")
+    k = len(local_exponents(len(M.variables), d))
+    return M.data[:k, :k]
 
 
 def d_half(constraints: Sequence[ConstraintPolynomial]) -> int:
@@ -217,9 +226,8 @@ def certify(
         sub = clique_subvector(y, i)
         di = d_half(constraints[i - 1])
         full = moment_matrix(sub, omega)
-        shifted = moment_matrix(sub, omega - di)
         rank_full, gap_full = _rank_and_gap(full.data, policy)
-        rank_shifted, gap_shifted = _rank_and_gap(shifted.data, policy)
+        rank_shifted, gap_shifted = _rank_and_gap(_leading(full, omega - di, omega), policy)
         psd_loc = True
         if constraints[i - 1]:
             psd_loc = psd_check(localizing_block(sub, constraints[i - 1], omega), policy)
@@ -244,9 +252,8 @@ def certify(
         best = None
         for j in candidates:
             full = overlap_moment_matrix(y, i, j, omega)
-            shifted = overlap_moment_matrix(y, i, j, omega - 1)
             rank_full, gap_full = _rank_and_gap(full.data, policy)
-            rank_shifted, gap_shifted = _rank_and_gap(shifted.data, policy)
+            rank_shifted, gap_shifted = _rank_and_gap(_leading(full, omega - 1, omega), policy)
             record = OverlapCheck(i, j, rank_full, rank_shifted, gap_full, gap_shifted, candidates)
             if best is None:
                 best = record

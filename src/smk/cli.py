@@ -251,7 +251,8 @@ def _run_pipeline(args, report):
     solver = "bundled"
     if args.solution:
         solver = "file"
-        text = open(args.solution).read()
+        with open(args.solution) as fh:
+            text = fh.read()
         if text.lstrip().startswith("{"):
             solution = io.load_moment_vector(args.solution,
                                              allow_missing_as_zero=args.allow_missing_as_zero)

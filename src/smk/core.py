@@ -18,6 +18,7 @@ in canonical order, and clique subvectors are gathered from them by position.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
@@ -65,6 +66,26 @@ def _local_exponents(num_vars: int, bound: int) -> tuple[MultiIndex, ...]:
     return tuple(out)
 
 
+def grlex_position(exps: np.ndarray) -> np.ndarray:
+    """Position of each exponent tuple (the last axis of ``exps``) in
+    :func:`local_exponents` of its width, for every bound at least its degree.
+
+    The order is graded, so the list up to any bound is a prefix of the list
+    up to a higher one. A tuple b comes before a exactly when, at the first
+    variable t from which their degrees on the variables t, t+1, ... differ,
+    b's is the lower; for each t those b are counted by that tail alone.
+    """
+    exps = np.asarray(exps, dtype=np.int64)
+    width = exps.shape[-1]
+    tail = np.cumsum(exps[..., ::-1], axis=-1)[..., ::-1]  # degree on variables t, t+1, ...
+    top = int(tail.max(initial=0))
+    # below[v, k]: tuples in v variables of degree below k
+    below = np.array(
+        [[math.comb(v + k - 1, v) if k else 0 for k in range(top + 1)] for v in range(width + 1)]
+    )
+    return below[np.arange(width, 0, -1), tail].sum(axis=-1)
+
+
 def monomial_matrix(exponents, atoms) -> np.ndarray:
     """``A[k, j] = prod_t atoms[j, t] ** exponents[k, t]``, one variable at a
     time from a table of its powers, so no float temporary exceeds the result.
@@ -89,11 +110,6 @@ def lift(local: MultiIndex, clique: tuple[int, ...], n: int) -> MultiIndex:
     for var, e in zip(clique, local):
         alpha[var - 1] = e
     return tuple(alpha)
-
-
-def restrict(alpha: MultiIndex, clique: tuple[int, ...]) -> MultiIndex:
-    """Local exponent tuple of ``alpha`` on ``clique`` (drops other positions)."""
-    return tuple(alpha[var - 1] for var in clique)
 
 
 @dataclass(frozen=True)
@@ -304,21 +320,6 @@ class SparseMomentVector:
         )
 
 
-def riesz_eval(y: SparseMomentVector, poly: Mapping[MultiIndex, float]) -> float:
-    """Apply the Riesz functional of ``y`` to a polynomial given as a
-    coefficient map; linear in both arguments."""
-    total = 0.0
-    for alpha, c in poly.items():
-        alpha = tuple(alpha)
-        if c == 0.0:
-            continue
-        try:
-            total += c * y.entries[alpha]
-        except KeyError:
-            raise IndexOutOfPattern(alpha) from None
-    return total
-
-
 @dataclass(frozen=True)
 class CliqueSubvector:
     """Dense restriction of a moment vector to one clique, in local variables.
@@ -367,10 +368,3 @@ class Projection:
         """0-based positions of the target variables within the source."""
         return tuple(self.source.index(v) for v in self.target)
 
-
-def project_point(p: Projection, x) -> tuple[float, ...]:
-    """Select the coordinates of ``x`` at the target variables, in target order."""
-    x = tuple(x)
-    if len(x) != len(p.source):
-        raise ValueError(f"point has {len(x)} coordinates, source has {len(p.source)}")
-    return tuple(x[k] for k in p.positions)

@@ -1,5 +1,13 @@
 """Moment, localizing, and overlap moment matrices.
 
+Each of these matrices is a fixed linear image of one clique's moments, and
+:func:`block_operator` is the one place that image is built: it compiles a
+block into flat (entry, position, coefficient) terms over the canonical local
+exponent list. That list is graded, so its part up to degree 2d is a prefix
+of the list up to 2*omega for every omega >= d, and a compiled block does not
+depend on omega. The matrices here gather it from a clique subvector; the
+relaxation maps its positions to global ones and stacks the blocks.
+
 All matrices are dense, exactly symmetric by construction, and labeled by
 local multi-indices in canonical order. An entry whose multi-index falls
 outside the stored moment data is a construction error, never silently zero.
@@ -7,26 +15,16 @@ outside the stored moment data is a construction error, never silently zero.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import CliqueSubvector, MultiIndex, SparseMomentVector, local_exponents, subvector_on
+from .core import (
+    CliqueSubvector, MultiIndex, SparseMomentVector, grlex_position, local_exponents, subvector_on,
+)
 from .errors import IndexOutOfPattern, OrderTooHigh
-
-
-def monomial_str(variables: tuple[int, ...], alpha: MultiIndex) -> str:
-    """Readable monomial like ``x1*x3^2``; the empty product is ``1``."""
-    parts = []
-    for var, e in zip(variables, alpha):
-        if e == 1:
-            parts.append(f"x{var}")
-        elif e > 1:
-            parts.append(f"x{var}^{e}")
-    return "*".join(parts) if parts else "1"
 
 
 @dataclass(frozen=True)
@@ -45,21 +43,6 @@ class LabeledSymMatrix:
     @property
     def size(self) -> int:
         return len(self.labels)
-
-    def to_csv(self) -> str:
-        """Dump with a header row/column of labels, for fixture comparison."""
-        def fmt(label):
-            if len(label) == len(self.variables) and all(isinstance(e, int) for e in label):
-                return monomial_str(self.variables, label)
-            pos, alpha = label
-            return f"g{pos}:{monomial_str(self.variables, alpha)}"
-
-        buf = io.StringIO()
-        heads = [fmt(l) for l in self.labels]
-        buf.write("," + ",".join(heads) + "\n")
-        for h, row in zip(heads, self.data):
-            buf.write(h + "," + ",".join(repr(float(v)) for v in row) + "\n")
-        return buf.getvalue()
 
 
 @dataclass(frozen=True)
@@ -102,8 +85,45 @@ class ConstraintPolynomial:
         return total
 
 
-def _add(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-    return tuple(x + y for x, y in zip(a, b))
+def block_operator(width: int, d: int, g: ConstraintPolynomial | None = None):
+    """Compile the moment block of order ``d``, or with ``g`` the localizing
+    block of ``g`` at order ``d``, on a clique of ``width`` variables.
+
+    Returns ``(labels, entry, position, coefficient)``: matrix entry
+    ``entry[t]`` (row-major, both triangles) gains ``coefficient[t]`` times
+    the moment at ``position[t]`` of ``local_exponents(width, 2 * d)``. Entry
+    (alpha, beta) is sum_gamma g_gamma * y[alpha + beta + gamma], in one run
+    over all entries per nonzero coefficient of g, in g's order, with labels
+    of degree <= d - d_half; the moment block is g = 1 with labels up to d.
+    """
+    if g is None:
+        shift, terms = 0, {(0,) * width: 1.0}
+    else:
+        shift, terms = g.d_half, {a: c for a, c in g.coefficients.items() if c != 0.0}
+    labels = tuple(local_exponents(width, d - shift))
+    size = len(labels)
+    lab = np.array(labels, dtype=np.int64).reshape(size, width)
+    gam = np.array(list(terms), dtype=np.int64).reshape(len(terms), width)
+    sums = gam[:, None, None, :] + (lab[:, None, :] + lab[None, :, :])
+    entry = np.arange(len(terms) * size**2) % size**2
+    coefficient = np.repeat(np.array(list(terms.values())), size**2)
+    return labels, entry, grlex_position(sums).ravel(), coefficient
+
+
+def _gather(y_sub: CliqueSubvector, d: int, g: ConstraintPolynomial | None = None) -> LabeledSymMatrix:
+    """The compiled block on a subvector, read by position from its moments
+    in canonical order; a moment the block needs but the subvector lacks
+    raises :class:`IndexOutOfPattern` naming its local exponent."""
+    labels, entry, position, coefficient = block_operator(len(y_sub.clique), d, g)
+    local = local_exponents(len(y_sub.clique), 2 * d)
+    absent = [p for p, a in enumerate(local) if a not in y_sub.values]
+    if absent and np.isin(position, absent).any():
+        raise IndexOutOfPattern(local[min(set(position.tolist()) & set(absent))])
+    moments = np.array([y_sub.values.get(a, 0.0) for a in local])
+    # -0.0 + x == x exactly, so a one-term entry is a plain copy of its moment
+    data = np.full(len(labels) ** 2, -0.0)
+    np.add.at(data, entry, coefficient * moments[position])
+    return LabeledSymMatrix(y_sub.clique, labels, data.reshape(len(labels), len(labels)))
 
 
 def moment_matrix(y_sub: CliqueSubvector, d: int) -> LabeledSymMatrix:
@@ -111,17 +131,7 @@ def moment_matrix(y_sub: CliqueSubvector, d: int) -> LabeledSymMatrix:
     alpha + beta, over all local labels of degree <= d."""
     if d < 0 or 2 * d > 2 * y_sub.omega:
         raise OrderTooHigh(f"moment matrix of order {d} needs degrees up to {2*d} > {2*y_sub.omega}")
-    labels = local_exponents(len(y_sub.clique), d)
-    data = np.empty((len(labels), len(labels)))
-    for a, la in enumerate(labels):
-        for b in range(a, len(labels)):
-            try:
-                v = y_sub.values[_add(la, labels[b])]
-            except KeyError:
-                raise IndexOutOfPattern(_add(la, labels[b])) from None
-            data[a, b] = v
-            data[b, a] = v
-    return LabeledSymMatrix(y_sub.clique, tuple(labels), data)
+    return _gather(y_sub, d)
 
 
 def localizing_matrix(y_sub: CliqueSubvector, g: ConstraintPolynomial, d: int) -> LabeledSymMatrix:
@@ -134,23 +144,7 @@ def localizing_matrix(y_sub: CliqueSubvector, g: ConstraintPolynomial, d: int) -
         raise OrderTooHigh(f"localizing order {d} is below the minimal order {g.d_half}")
     if d > y_sub.omega:
         raise OrderTooHigh(f"localizing order {d} exceeds relaxation order {y_sub.omega}")
-    labels = local_exponents(len(y_sub.clique), d - g.d_half)
-    data = np.empty((len(labels), len(labels)))
-    for a, la in enumerate(labels):
-        for b in range(a, len(labels)):
-            ab = _add(la, labels[b])
-            v = 0.0
-            for gamma, c in g.coefficients.items():
-                if c == 0.0:
-                    continue
-                idx = _add(ab, gamma)
-                try:
-                    v += c * y_sub.values[idx]
-                except KeyError:
-                    raise IndexOutOfPattern(idx) from None
-            data[a, b] = v
-            data[b, a] = v
-    return LabeledSymMatrix(y_sub.clique, tuple(labels), data)
+    return _gather(y_sub, d, g)
 
 
 def localizing_block(

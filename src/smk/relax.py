@@ -3,10 +3,15 @@
 The relaxation of a cliquewise polynomial minimization problem has one free
 scalar per sparse multi-index (with the constant entry pinned to one), one
 PSD moment block per clique, and one PSD localizing block per constraint
-polynomial. The supported high-accuracy path is exporting the instance in
-SDPA sparse format, solving externally, and ingesting the solution; the
-bundled first-order solver is a best-effort fallback whose non-convergence
-is always reported, never silent.
+polynomial. Each block is compiled once by ``matrices.block_operator`` on its
+clique's local exponents, which are a prefix of the exponents up to
+2*omega, and mapped to global positions by the index map. The instance
+stacks the blocks into one sparse operator from the moment values to the
+concatenated row-major block matrices; the SDPA export, the PSD checks and
+the bundled solver all read it. The supported high-accuracy path is
+exporting the instance in SDPA sparse format, solving externally, and
+ingesting the solution; the bundled first-order solver is a best-effort
+fallback whose non-convergence is always reported, never silent.
 """
 
 from __future__ import annotations
@@ -29,11 +34,11 @@ from .core import (
     MultiIndex,
     SparseMomentVector,
     clique_subvector,
-    local_exponents,
+    grlex_position,
 )
 from .errors import BlockNotPsdWarning, DegreeTooLow, DimensionMismatch
 from .extract import AtomicMeasure, constraint_feasibility_check, extract_atoms
-from .matrices import ConstraintPolynomial, moment_matrix
+from .matrices import ConstraintPolynomial, block_operator, moment_matrix
 from .rip import RipFailsAt, check_rip, find_rip_order
 
 log = logging.getLogger(__name__)
@@ -100,27 +105,19 @@ class PopProblem:
         return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SdpBlock:
-    """One PSD block as a linear map from moment entries to matrix entries.
-
-    ``terms`` lists upper-triangular entries as (row, col, var_position,
-    coefficient); var_position indexes the instance's exponent list.
-    """
+    """One PSD block as flat terms: entry ``entry[t]`` (row-major in the
+    ``size`` x ``size`` matrix, both triangles) gains ``coefficient[t]`` times
+    the moment at ``position[t]`` of the instance's exponent list."""
 
     clique: int
     kind: str  # "moment" | "localizing"
     constraint: int | None
     size: int
-    terms: tuple[tuple[int, int, int, float], ...]
-
-    def assemble_matrix(self, y_values: np.ndarray) -> np.ndarray:
-        M = np.zeros((self.size, self.size))
-        for r, c, pos, coef in self.terms:
-            M[r, c] += coef * y_values[pos]
-        iu = np.triu_indices(self.size, 1)
-        M[(iu[1], iu[0])] = M[iu]
-        return M
+    entry: np.ndarray
+    position: np.ndarray
+    coefficient: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -141,17 +138,33 @@ class SdpInstance:
     def index_map(self) -> IndexMap:
         return IndexMap(self.cover, 2 * self.omega)
 
+    @property
+    def offsets(self) -> np.ndarray:
+        """Where each block's rows start in :attr:`operator`, then the total."""
+        return np.cumsum([0] + [blk.size**2 for blk in self.blocks])
+
+    @cached_property
+    def operator(self) -> scipy.sparse.csr_matrix:
+        """The stacked block operator: ``operator @ values`` is the
+        concatenation of every block's matrix, row-major, at ``values``."""
+        rows = [lo + np.asarray(blk.entry) for lo, blk in zip(self.offsets, self.blocks)]
+        columns = [blk.position for blk in self.blocks]
+        coefficients = [blk.coefficient for blk in self.blocks]
+        return scipy.sparse.csr_matrix(
+            (np.concatenate(coefficients), (np.concatenate(rows), np.concatenate(columns))),
+            shape=(self.offsets[-1], self.num_vars),
+        )
+
+    def block_matrices(self, values: np.ndarray) -> list[np.ndarray]:
+        """Every block's matrix at ``values``, from one product with the operator."""
+        flat = self.operator @ values
+        return [
+            flat[lo : lo + blk.size**2].reshape(blk.size, blk.size)
+            for lo, blk in zip(self.offsets, self.blocks)
+        ]
+
     def moment_vector(self, values: np.ndarray) -> SparseMomentVector:
         return SparseMomentVector.on_index_map(self.cover, self.omega, self.index_map, values)
-
-
-def _label_sums(labels) -> list[tuple[int, int, MultiIndex]]:
-    """Upper-triangular (row, col, labels[row] + labels[col]) of a label list."""
-    return [
-        (r, c, tuple(x + z for x, z in zip(labels[r], labels[c])))
-        for r in range(len(labels))
-        for c in range(r, len(labels))
-    ]
 
 
 def build_relaxation(pop: PopProblem, omega: int) -> SdpInstance:
@@ -163,32 +176,21 @@ def build_relaxation(pop: PopProblem, omega: int) -> SdpInstance:
             f"2*omega = {2*omega} is below the problem degree {pop.max_degree}"
         )
     index_map = IndexMap(pop.cover, 2 * omega)
-    # per clique: local exponent of degree <= 2*omega -> global position
-    tables = [
-        dict(zip(local_exponents(len(cl), 2 * omega), index_map.positions(cl, 2 * omega)))
-        for cl in pop.cover.cliques
-    ]
+    # per clique: global position of each local exponent of degree <= 2*omega
+    tables = [np.array(index_map.positions(cl, 2 * omega)) for cl in pop.cover.cliques]
     objective = np.zeros(len(index_map.exponents))
-    for table, obj in zip(tables, pop.objectives):
-        for a, c in obj.items():
-            objective[table[a]] += c
+    for table, clique, obj in zip(tables, pop.cover.cliques, pop.objectives):
+        local = grlex_position(np.array(list(obj), dtype=np.int64).reshape(len(obj), len(clique)))
+        for p, c in zip(table[local].tolist(), obj.values()):
+            objective[p] += c
 
-    blocks = []
-    for i, (clique, table) in enumerate(zip(pop.cover.cliques, tables), start=1):
-        labels = local_exponents(len(clique), omega)
-        terms = tuple((r, c, table[alpha], 1.0) for r, c, alpha in _label_sums(labels))
-        blocks.append(SdpBlock(i, "moment", None, len(labels), terms))
-    for i, (clique, table) in enumerate(zip(pop.cover.cliques, tables), start=1):
-        for gi, g in enumerate(pop.constraints[i - 1], start=1):
-            labels = local_exponents(len(clique), omega - g.d_half)
-            terms = []
-            for r, c, base in _label_sums(labels):
-                for gamma, coef in g.coefficients.items():
-                    if coef == 0.0:
-                        continue
-                    alpha = tuple(x + z for x, z in zip(base, gamma))
-                    terms.append((r, c, table[alpha], coef))
-            blocks.append(SdpBlock(i, "localizing", gi, len(labels), tuple(terms)))
+    def block(i, kind, gi, g=None):
+        labels, entry, position, coefficient = block_operator(len(pop.cover.clique(i)), omega, g)
+        return SdpBlock(i, kind, gi, len(labels), entry, tables[i - 1][position], coefficient)
+
+    blocks = [block(i, "moment", None) for i in range(1, pop.cover.m + 1)]
+    for i, gs in enumerate(pop.constraints, start=1):
+        blocks += [block(i, "localizing", gi, g) for gi, g in enumerate(gs, start=1)]
     instance = SdpInstance(pop.cover, omega, index_map.exponents, objective, tuple(blocks))
     instance.__dict__["index_map"] = index_map
     return instance
@@ -245,29 +247,22 @@ def to_sdpa(instance: SdpInstance) -> SdpaData:
     """Eliminate the pinned constant entry and lay the blocks out in order.
 
     Free variable k (1-based) is the (k+1)-th sparse exponent; constant
-    contributions move into F_0 with flipped sign.
+    contributions move into F_0 with flipped sign. Column k of the operator
+    holds F_k with its rows in (block, row, column) order, so reading it by
+    columns gives the entries in canonical order.
     """
-    c = tuple(float(v) for v in instance.objective[1:])
-    entries = []
-    for bno, blk in enumerate(instance.blocks, start=1):
-        for r, col, pos, coef in blk.terms:
-            if pos == 0:
-                entries.append((0, bno, r + 1, col + 1, -coef))
-            else:
-                entries.append((pos, bno, r + 1, col + 1, coef))
-    entries.sort(key=lambda e: (e[0], e[1], e[2], e[3]))
-    merged = []
-    for e in entries:
-        if merged and merged[-1][:4] == e[:4]:
-            merged[-1] = (*e[:4], merged[-1][4] + e[4])
-        else:
-            merged.append(e)
-    merged = [e for e in merged if e[4] != 0.0]
+    A = instance.operator.tocsc()
+    sizes = np.array([blk.size for blk in instance.blocks], dtype=np.int64)
+    block = np.repeat(np.arange(len(sizes)), sizes**2)[A.indices]  # 0-based, per stored entry
+    i, j = np.divmod(A.indices - instance.offsets[block], sizes[block])
+    matno = np.repeat(np.arange(A.shape[1]), np.diff(A.indptr))
+    keep = (i <= j) & (A.data != 0.0)
+    value = np.where(matno == 0, -A.data, A.data)
     return SdpaData(
         instance.num_vars - 1,
-        tuple(blk.size for blk in instance.blocks),
-        c,
-        tuple(merged),
+        tuple(sizes.tolist()),
+        tuple(float(v) for v in instance.objective[1:]),
+        tuple(zip(*(a[keep].tolist() for a in (matno, block + 1, i + 1, j + 1, value)))),
     )
 
 
@@ -315,8 +310,7 @@ def ingest_solution(
         values = np.concatenate([[1.0], free])
         y = instance.moment_vector(values)
 
-    for bno, blk in enumerate(instance.blocks, start=1):
-        M = blk.assemble_matrix(y.values)
+    for bno, (blk, M) in enumerate(zip(instance.blocks, instance.block_matrices(y.values)), start=1):
         if M.size:
             eigs = np.linalg.eigvalsh(M)
             if eigs[0] < -policy.rel_tol * max(1.0, eigs[-1]):
@@ -360,73 +354,62 @@ def solve_sdp_bundled(
     (c) the dual update. Convergence is not guaranteed; the report flags it.
     """
     nfree = instance.num_vars - 1
-    ops = []
-    consts = []
-    for blk in instance.blocks:
-        rows, cols, vals = [], [], []
-        const = np.zeros(blk.size * blk.size)
-        for r, c, pos, coef in blk.terms:
-            for rr, cc in {(r, c), (c, r)}:
-                flat = rr * blk.size + cc
-                if pos == 0:
-                    const[flat] += coef
-                else:
-                    rows.append(flat)
-                    cols.append(pos - 1)
-                    vals.append(coef)
-        B = scipy.sparse.csr_matrix(
-            (vals, (rows, cols)), shape=(blk.size * blk.size, nfree)
-        )
-        ops.append(B)
-        consts.append(const)
+    A = instance.operator[:, 1:]
+    const = instance.operator[:, 0].toarray().ravel()
+    offsets = instance.offsets
+    spans = list(zip(instance.blocks, offsets[:-1], offsets[1:]))
 
-    H = sum((B.T @ B for B in ops), scipy.sparse.csr_matrix((nfree, nfree))).toarray()
+    # Sums over blocks run block by block: each block's part first, then the
+    # blocks in order (numpy adds the rows of a C-ordered array in turn). One
+    # product A.T @ w rounds differently and moves the last digits of the
+    # moments and residuals that the CLI reports byte for byte.
+    def transpose_by_block(w):
+        """Row k is block k's part of ``A.T @ w``."""
+        rows = scipy.sparse.csr_matrix((w, np.arange(len(w)), offsets), shape=(len(spans), len(w)))
+        return (rows @ A).toarray()
+
+    H = (A.T @ A).toarray()
     chol = scipy.linalg.cho_factor(H + 1e-12 * np.eye(nfree))
     f_free = instance.objective[1:]
     scale = max(1.0, float(np.abs(instance.objective).max()))
 
     yfree = np.zeros(nfree)
-    X = [np.zeros(B.shape[0]) for B in ops]
-    U = [np.zeros(B.shape[0]) for B in ops]
+    X = np.zeros(A.shape[0])
+    U = np.zeros(A.shape[0])
     rho = 1.0
     primal = dual = np.inf
     it = 0
     for it in range(1, max_iters + 1):
         dual_acc = 0.0
-        for k, (B, const) in enumerate(zip(ops, consts)):
-            W = (B @ yfree + const + U[k]).reshape(instance.blocks[k].size, -1)
+        Z = A @ yfree + const + U
+        for blk, lo, hi in spans:
+            W = Z[lo:hi].reshape(blk.size, -1)
             W = 0.5 * (W + W.T)
             evals, evecs = np.linalg.eigh(W)
             pos = evals > 0
-            Xnew = (evecs[:, pos] * evals[pos]) @ evecs[:, pos].T
-            dual_acc += np.sum((Xnew.ravel() - X[k]) ** 2)
-            X[k] = Xnew.ravel()
-        rhs = -f_free / rho
-        for k, (B, const) in enumerate(zip(ops, consts)):
-            rhs = rhs + B.T @ (X[k] - U[k] - const)
+            Xnew = ((evecs[:, pos] * evals[pos]) @ evecs[:, pos].T).ravel()
+            dual_acc += np.sum((Xnew - X[lo:hi]) ** 2)
+            X[lo:hi] = Xnew
+        rhs = np.vstack([-f_free / rho, transpose_by_block(X - U - const)]).sum(axis=0)
         yfree = scipy.linalg.cho_solve(chol, rhs)
-        primal_acc = 0.0
-        for k, (B, const) in enumerate(zip(ops, consts)):
-            resid = B @ yfree + const - X[k]
-            U[k] += resid
-            primal_acc += np.sum(resid**2)
-        primal = float(np.sqrt(primal_acc))
+        resid = A @ yfree + const - X
+        U += resid
+        primal = float(np.sqrt(np.cumsum([np.sum(resid[lo:hi] ** 2) for _, lo, hi in spans])[-1]))
         dual = float(rho * np.sqrt(dual_acc))
         if primal <= tol * scale and dual <= tol * scale:
             break
         if it % 100 == 0:
             if primal > 10 * dual and rho < 1e6:
                 rho *= 2.0
-                U = [u / 2.0 for u in U]
+                U /= 2.0
             elif dual > 10 * primal and rho > 1e-6:
                 rho /= 2.0
-                U = [u * 2.0 for u in U]
+                U *= 2.0
 
     values = np.concatenate([[1.0], yfree])
     y = instance.moment_vector(values)
     min_eig = 0.0
-    for blk in instance.blocks:
-        M = blk.assemble_matrix(values)
+    for M in instance.block_matrices(values):
         if M.size:
             min_eig = min(min_eig, float(np.linalg.eigvalsh(M)[0]))
     converged = primal <= tol * scale and dual <= tol * scale

@@ -1,4 +1,6 @@
+import gc
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +81,17 @@ def test_pipeline_with_solution_file(files, capsys):
     assert len(report["minimizers"]) == 8
     assert report["global_residual"] <= 1e-10
     assert report["feasibility_clean"] is True
+
+
+def test_pipeline_solution_file_is_closed(files, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["pipeline", "--pop", files["triple_pop"], "--omega", "3",
+                    "--solution", files["triple_y"]])
+        gc.collect()
+    capsys.readouterr()
+    assert code == 0
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_pipeline_primal_vector_file(files, capsys, tmp_path):

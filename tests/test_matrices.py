@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smk.core import CliqueCover, CliqueSubvector, SparseMomentVector, clique_subvector, local_exponents, subvector_on
-from smk.errors import OrderTooHigh
+from smk.errors import IndexOutOfPattern, OrderTooHigh
 from smk.matrices import (
     ConstraintPolynomial,
     localizing_block,
@@ -24,6 +25,123 @@ from conftest import (
     TUPLE_ORDER_LABELS_10,
     ingest_reference_matrices,
 )
+
+
+def _add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def moment_matrix_reference(y_sub, d):
+    """Entry by entry: sum two labels, look the sum up in the subvector."""
+    if d < 0 or d > y_sub.omega:
+        raise OrderTooHigh(d)
+    labels = local_exponents(len(y_sub.clique), d)
+    data = np.empty((len(labels), len(labels)))
+    for a, la in enumerate(labels):
+        for b in range(a, len(labels)):
+            try:
+                v = y_sub.values[_add(la, labels[b])]
+            except KeyError:
+                raise IndexOutOfPattern(_add(la, labels[b])) from None
+            data[a, b] = data[b, a] = v
+    return labels, data
+
+
+def localizing_matrix_reference(y_sub, g, d):
+    """Entry by entry: sum_gamma g_gamma * y[alpha + beta + gamma]."""
+    if d < g.d_half or d > y_sub.omega:
+        raise OrderTooHigh(d)
+    labels = local_exponents(len(y_sub.clique), d - g.d_half)
+    data = np.empty((len(labels), len(labels)))
+    for a, la in enumerate(labels):
+        for b in range(a, len(labels)):
+            ab = _add(la, labels[b])
+            v = 0.0
+            for gamma, c in g.coefficients.items():
+                if c == 0.0:
+                    continue
+                idx = _add(ab, gamma)
+                try:
+                    v += c * y_sub.values[idx]
+                except KeyError:
+                    raise IndexOutOfPattern(idx) from None
+            data[a, b] = data[b, a] = v
+    return labels, data
+
+
+def outcome(build, *args):
+    """(labels, data) of a matrix, or the error it raises as (type, alpha)."""
+    try:
+        result = build(*args)
+    except (OrderTooHigh, IndexOutOfPattern) as exc:
+        return type(exc), getattr(exc, "alpha", None)
+    if isinstance(result, tuple):
+        return tuple(result[0]), result[1]
+    return result.labels, result.data
+
+
+def assert_same_outcome(got, want):
+    assert type(got[0]) is type(want[0])
+    if isinstance(want[0], type):
+        assert got == want
+    else:
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
+
+
+@st.composite
+def subvector_cases(draw, max_width=4):
+    """A subvector on 0-4 variables with random values and a random
+    constraint on the same variables (zero coefficients and constant-only
+    constraints included)."""
+    width = draw(st.integers(0, max_width))
+    omega = draw(st.integers(1, 3 if width <= 2 else 2))
+    local = local_exponents(width, 2 * omega)
+    value = st.floats(-4.0, 4.0, allow_nan=False) | st.sampled_from([0.0, -0.0, 1.0])
+    values = {a: draw(value) for a in local}
+    coef = st.sampled_from([0.0, 1.0, -1.0, 3.0, 0.1]) | st.floats(-4.0, 4.0, allow_nan=False)
+    constant_only = draw(st.booleans())
+    exps = st.just((0,) * width) if constant_only else st.sampled_from(local)
+    g = ConstraintPolynomial(tuple(range(1, width + 1)), draw(st.dictionaries(exps, coef, max_size=5)))
+    return CliqueSubvector(tuple(range(1, width + 1)), omega, values), g
+
+
+def check_against_references(sub, g):
+    for d in range(-1, sub.omega + 2):
+        assert_same_outcome(outcome(moment_matrix, sub, d), outcome(moment_matrix_reference, sub, d))
+        assert_same_outcome(
+            outcome(localizing_matrix, sub, g, d), outcome(localizing_matrix_reference, sub, g, d)
+        )
+
+
+class TestCompiledGather:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(subvector_cases())
+    def test_equals_entrywise_reference(self, case):
+        check_against_references(*case)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(subvector_cases(), st.randoms(use_true_random=False))
+    def test_subvector_out_of_canonical_order(self, case, random):
+        sub, g = case
+        keys = list(sub.values)
+        random.shuffle(keys)
+        shuffled = CliqueSubvector(sub.clique, sub.omega, {a: sub.values[a] for a in keys})
+        check_against_references(shuffled, g)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(subvector_cases(), st.data())
+    def test_missing_key_names_local_index(self, case, data):
+        sub, g = case
+        missing = data.draw(st.sampled_from(list(sub.values)))
+        partial = CliqueSubvector(
+            sub.clique, sub.omega, {a: v for a, v in sub.values.items() if a != missing}
+        )
+        check_against_references(partial, g)
+        # the moment matrix of the full order reads every moment
+        with pytest.raises(IndexOutOfPattern) as info:
+            moment_matrix(partial, sub.omega)
+        assert info.value.alpha == missing
 
 
 def subvector_of_point(z, omega):
@@ -218,21 +336,3 @@ def test_reference_matrix_ingestion_matches_demo():
 
 def test_reference_label_order_is_plain_tuple_sort():
     assert TUPLE_ORDER_LABELS_10[:4] == [(0, 0), (0, 1), (0, 2), (0, 3)]
-
-
-def test_csv_dump(y_pair):
-    M = moment_matrix(subvector_on(y_pair, (2,)), 1)
-    lines = M.to_csv().strip().splitlines()
-    assert lines[0] == ",1,x2"
-    assert lines[1] == "1,1.0,0.0"
-    assert lines[2] == "x2,0.0,0.0"
-
-
-def test_csv_dump_edge_labels(y_triple):
-    # zero-variable labels (disjoint overlap) and block labels both format
-    cover = CliqueCover(4, ((1, 2), (3, 4)))
-    y = SparseMomentVector.build(cover, 2, {(0, 0, 0, 0): 1.0}, allow_missing_as_zero=True)
-    assert overlap_moment_matrix(y, 1, 2, 2).to_csv().splitlines()[0] == ",1"
-    g = ConstraintPolynomial((1, 2), {(0, 0): 3.0, (2, 0): -1.0, (0, 2): -1.0})
-    blk = localizing_block(clique_subvector(y_triple, 1), [g, g], 3)
-    assert blk.to_csv().splitlines()[0].startswith(",g1:1,")

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smk.certify import RankPolicy
-from smk.core import CliqueCover, SparseMomentVector, sparse_exponents
+from smk.core import CliqueCover, IndexMap, SparseMomentVector, local_exponents, sparse_exponents
 from smk.errors import BlockNotPsdWarning, DegreeTooLow, DimensionMismatch
 from smk.matrices import ConstraintPolynomial
 from smk.relax import (
@@ -23,6 +24,104 @@ from smk import demo, io
 
 def feasibility_pop(cover):
     return PopProblem(cover, tuple({} for _ in cover.cliques), tuple(() for _ in cover.cliques))
+
+
+def terms_reference(pop, omega):
+    """Per block, upper-triangular (row, col, position, coefficient) terms,
+    built entry by entry from label sums looked up in a dict."""
+    index_map = IndexMap(pop.cover, 2 * omega)
+    tables = [
+        dict(zip(local_exponents(len(cl), 2 * omega), index_map.positions(cl, 2 * omega)))
+        for cl in pop.cover.cliques
+    ]
+
+    def label_sums(labels):
+        return [
+            (r, c, tuple(x + z for x, z in zip(labels[r], labels[c])))
+            for r in range(len(labels))
+            for c in range(r, len(labels))
+        ]
+
+    blocks = []
+    for clique, table in zip(pop.cover.cliques, tables):
+        labels = local_exponents(len(clique), omega)
+        blocks.append((len(labels), [(r, c, table[a], 1.0) for r, c, a in label_sums(labels)]))
+    for clique, table, gs in zip(pop.cover.cliques, tables, pop.constraints):
+        for g in gs:
+            labels = local_exponents(len(clique), omega - g.d_half)
+            terms = []
+            for r, c, base in label_sums(labels):
+                for gamma, coef in g.coefficients.items():
+                    if coef != 0.0:
+                        terms.append((r, c, table[tuple(x + z for x, z in zip(base, gamma))], coef))
+            blocks.append((len(labels), terms))
+    return blocks
+
+
+def assemble_matrix_reference(size, terms, values):
+    M = np.zeros((size, size))
+    for r, c, pos, coef in terms:
+        M[r, c] += coef * values[pos]
+    iu = np.triu_indices(size, 1)
+    M[(iu[1], iu[0])] = M[iu]
+    return M
+
+
+def sdpa_entries_reference(blocks):
+    entries = []
+    for bno, (_, terms) in enumerate(blocks, start=1):
+        for r, col, pos, coef in terms:
+            entries.append((pos, bno, r + 1, col + 1, -coef if pos == 0 else coef))
+    entries.sort(key=lambda e: e[:4])
+    merged = []
+    for e in entries:
+        if merged and merged[-1][:4] == e[:4]:
+            merged[-1] = (*e[:4], merged[-1][4] + e[4])
+        else:
+            merged.append(e)
+    return tuple(e for e in merged if e[4] != 0.0)
+
+
+@st.composite
+def chain_pops(draw):
+    """A chain of 1-3 cliques of width 1-3 with random objectives and
+    constraints (zero coefficients, constant-only ones and any term order)."""
+    width = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    omega = draw(st.integers(1, 3 if width < 3 else 2))
+    cover = CliqueCover(width + m - 1, tuple(tuple(range(i, i + width)) for i in range(1, m + 1)))
+    exps = local_exponents(width, 2 * omega)
+    coef = st.sampled_from([0.0, 1.0, -1.0, 3.0, 0.1, -2.5])
+    polys = st.dictionaries(st.sampled_from(exps), coef, max_size=5)
+    objectives = tuple(draw(polys) for _ in range(m))
+    constraints = tuple(
+        tuple(ConstraintPolynomial(cl, c) for c in draw(st.lists(polys, max_size=2)))
+        for cl in cover.cliques
+    )
+    return PopProblem(cover, objectives, constraints), omega
+
+
+class TestBlockOperator:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(chain_pops(), st.integers(0, 2**32 - 1))
+    def test_blocks_and_sdpa_match_entrywise_reference(self, case, seed):
+        pop, omega = case
+        inst = build_relaxation(pop, omega)
+        reference = terms_reference(pop, omega)
+        values = np.random.default_rng(seed).standard_normal(inst.num_vars)
+        assert [b.size for b in inst.blocks] == [size for size, _ in reference]
+        # the operator sums an entry's terms by position, the reference in the
+        # order of the constraint's coefficients: a few roundings apart at most
+        tol = 64 * np.finfo(float).eps
+        for M, (size, terms) in zip(inst.block_matrices(values), reference):
+            assert np.allclose(M, assemble_matrix_reference(size, terms, values), rtol=tol, atol=tol)
+        assert to_sdpa(inst).entries == sdpa_entries_reference(reference)
+
+    def test_blocks_match_matrices_on_the_fixture(self, inst_triple):
+        y = demo.chain_triple_moments()
+        reference = terms_reference(demo.chain_triple_pop(), 3)
+        for M, (size, terms) in zip(inst_triple.block_matrices(y.values), reference):
+            assert np.array_equal(M, assemble_matrix_reference(size, terms, y.values))
 
 
 @pytest.fixture
@@ -158,8 +257,7 @@ class TestBundledSolver:
         assert rep.converged
         assert rep.min_block_eig >= -1e-6
         values = np.array([rep.y.entries[a] for a in inst.exponents])
-        for blk in inst.blocks:
-            M = blk.assemble_matrix(values)
+        for M in inst.block_matrices(values):
             assert np.linalg.eigvalsh(M)[0] >= -1e-6
 
     def test_chain_triple_reaches_optimum(self, inst_triple):
@@ -172,8 +270,9 @@ class TestBundledSolver:
         cover = CliqueCover(1, ((1,),))
         exponents = ((0,), (1,), (2,))
         blocks = (
-            SdpBlock(1, "moment", None, 1, ((0, 0, 1, 1.0),)),  # [y_1] >= 0
-            SdpBlock(1, "moment", None, 1, ((0, 0, 1, -1.0), (0, 0, 0, -1.0))),  # [-y_1 - 1] >= 0
+            SdpBlock(1, "moment", None, 1, np.array([0]), np.array([1]), np.array([1.0])),  # [y_1] >= 0
+            # [-y_1 - 1] >= 0
+            SdpBlock(1, "moment", None, 1, np.array([0, 0]), np.array([1, 0]), np.array([-1.0, -1.0])),
         )
         inst = SdpInstance(cover, 1, exponents, np.zeros(3), blocks)
         rep = solve_sdp_bundled(inst, max_iters=300, tol=1e-9)
