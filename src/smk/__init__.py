@@ -34,6 +34,7 @@ from .extract import (
     AtomicMeasure,
     constraint_feasibility_check,
     extract_atoms,
+    extract_clique_measures,
     verify_measure_against_subvector,
 )
 from .matrices import (

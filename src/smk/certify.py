@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -115,6 +115,8 @@ class CliqueCheck:
     gap_full: tuple[float, float]
     gap_shifted: tuple[float, float]
     eig_range: tuple[float, float]  # extreme eigenvalues of the full moment matrix
+    # the full moment matrix itself, for extraction; not part of the record
+    moment: LabeledSymMatrix = field(compare=False, repr=False)
 
     @property
     def flat(self) -> bool:
@@ -242,6 +244,7 @@ def certify(
                 gap_full=gap_full,
                 gap_shifted=gap_shifted,
                 eig_range=_eig_range(full.data, policy),
+                moment=full,
             )
         )
 

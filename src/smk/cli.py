@@ -22,10 +22,9 @@ from . import io
 from .altmeasure import enumerate_extreme_measures, solve_weight_lp
 from .assemble import assemble, maximal_support_set, verify_global
 from .certify import RankPolicy, certify, zero_propagation_check
-from .core import clique_subvector, validate_cover
+from .core import validate_cover
 from .errors import SmkError
-from .extract import constraint_feasibility_check, extract_atoms, lex_order_rows
-from .matrices import moment_matrix
+from .extract import constraint_feasibility_check, extract_clique_measures, lex_order_rows
 from .relax import build_relaxation, emit_sdpa, pipeline, solve_sdp_bundled
 from .rip import NoOrderExists, RipFailsAt, check_rip, find_rip_order
 
@@ -161,11 +160,7 @@ def _certify_chain(args, report, want_measure: bool) -> int:
     report["zero_propagation"] = zero_propagation_check(y, policy).value
     if not cert.verdict:
         return EXIT_NEGATIVE
-    measures = []
-    for i in range(1, y.cover.m + 1):
-        M = moment_matrix(clique_subvector(y, i), y.omega)
-        r_i = cert.cliques[i - 1].rank_full
-        measures.append(extract_atoms(M, r_i, policy, seed=args.seed + i, merge_tol=args.merge_tol))
+    measures = extract_clique_measures(cert, policy, args.seed, args.merge_tol)
     report["clique_measures"] = [_measure_dict(mu) for mu in measures]
     if not want_measure:
         return EXIT_OK

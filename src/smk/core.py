@@ -187,6 +187,7 @@ class IndexMap:
         self.n = cover.n
         self.position: dict[SparseKey, int] = {key: p for p, key in enumerate(order)}
         self.exponents: tuple[MultiIndex, ...] = tuple(_dense(key, cover.n) for key in order)
+        self._positions: dict[tuple[tuple[int, ...], int], np.ndarray] = {}
 
     @cached_property
     def exponent_array(self) -> np.ndarray:
@@ -200,11 +201,15 @@ class IndexMap:
         by_var.setflags(write=False)
         return by_var.T
 
-    def positions(self, variables: tuple[int, ...], bound: int) -> list[int]:
+    def positions(self, variables: tuple[int, ...], bound: int) -> np.ndarray:
         """Global position of each local exponent tuple of degree <= ``bound``
-        on ``variables`` (in the order of :func:`local_exponents`); a tuple
+        on ``variables`` (in the order of :func:`local_exponents`), as a
+        read-only array computed once per ``(variables, bound)``; a tuple
         outside the set raises :class:`IndexOutOfPattern` naming its lift."""
         variables = tuple(variables)
+        cached = self._positions.get((variables, bound))
+        if cached is not None:
+            return cached
         var_order = sorted(range(len(variables)), key=variables.__getitem__)
         out = []
         for loc in _local_exponents(len(variables), bound):
@@ -213,7 +218,10 @@ class IndexMap:
                 out.append(self.position[key])
             except KeyError:
                 raise IndexOutOfPattern(lift(loc, variables, self.n)) from None
-        return out
+        table = np.array(out, dtype=np.int64)
+        table.setflags(write=False)
+        self._positions[variables, bound] = table
+        return table
 
 
 def _dense(key: SparseKey, n: int) -> MultiIndex:

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 import scipy.optimize
 
-from .certify import RankPolicy
+from .certify import FlatnessCertificate, RankPolicy
 from .core import CliqueSubvector, local_exponents, monomial_matrix
 from .errors import FlatnessViolated, NonPhysicalWeights, ReconstructionFailed
 from .matrices import ConstraintPolynomial, LabeledSymMatrix
@@ -207,6 +207,21 @@ def extract_atoms(
     if err > policy.rel_tol * scale:
         raise ReconstructionFailed(f"moment matrix residual {err:.3e} exceeds tolerance")
     return AtomicMeasure(M.variables, atoms, weights)
+
+
+def extract_clique_measures(
+    certificate: FlatnessCertificate,
+    policy: RankPolicy = RankPolicy(),
+    seed: int = 0,
+    merge_tol: float = MERGE_TOL,
+) -> list[AtomicMeasure]:
+    """Atoms of every clique, from the full-order moment matrix that
+    :func:`certify` checked and at its certified rank; clique i draws its
+    random combination with ``seed + i``."""
+    return [
+        extract_atoms(c.moment, c.rank_full, policy, seed=seed + c.clique, merge_tol=merge_tol)
+        for c in certificate.cliques
+    ]
 
 
 def verify_measure_against_subvector(mu: AtomicMeasure, y_sub: CliqueSubvector) -> float:

@@ -23,22 +23,15 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from .assemble import assemble, verify_global
 from .certify import FlatnessCertificate, RankPolicy, certify
-from .core import (
-    CliqueCover,
-    IndexMap,
-    MultiIndex,
-    SparseMomentVector,
-    clique_subvector,
-    grlex_position,
-)
+from .core import CliqueCover, IndexMap, MultiIndex, SparseMomentVector, grlex_position
 from .errors import BlockNotPsdWarning, DegreeTooLow, DimensionMismatch
-from .extract import AtomicMeasure, constraint_feasibility_check, extract_atoms
-from .matrices import ConstraintPolynomial, block_operator, moment_matrix
+from .extract import AtomicMeasure, constraint_feasibility_check, extract_clique_measures
+from .matrices import ConstraintPolynomial, block_operator
 from .rip import RipFailsAt, check_rip, find_rip_order
 
 log = logging.getLogger(__name__)
@@ -163,8 +156,44 @@ class SdpInstance:
             for lo, blk in zip(self.offsets, self.blocks)
         ]
 
+    def block_eig_range(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Smallest and largest eigenvalue of every block's matrix at
+        ``values`` (0 for an empty block), one ``eigvalsh`` per block size."""
+        flat = self.operator @ values
+        lo, hi = np.zeros(len(self.blocks)), np.zeros(len(self.blocks))
+        for blocks, index in size_groups([blk.size for blk in self.blocks]):
+            eigs = np.linalg.eigvalsh(flat[index])
+            lo[blocks], hi[blocks] = eigs[:, 0], eigs[:, -1]
+        return lo, hi
+
     def moment_vector(self, values: np.ndarray) -> SparseMomentVector:
         return SparseMomentVector.on_index_map(self.cover, self.omega, self.index_map, values)
+
+
+def size_groups(sizes: Sequence[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each distinct nonzero size s, ascending: the numbers (0-based) of
+    the blocks of that size, and a (k, s, s) index of their entries in the
+    concatenation of the blocks' row-major matrices. ``flat[index]`` stacks
+    those k matrices; empty blocks have no entries and no group."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    offsets = np.cumsum(np.concatenate([[0], sizes**2]))
+    out = []
+    for s in np.unique(sizes[sizes > 0]).tolist():
+        blocks = np.flatnonzero(sizes == s)
+        out.append((blocks, offsets[blocks, None, None] + np.arange(s * s).reshape(s, s)))
+    return out
+
+
+def project_psd(flat: np.ndarray, groups: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Project every block of ``flat`` (the concatenated row-major blocks
+    that ``groups`` covers) onto the PSD cone: symmetrize, and keep the
+    positive part of one batched eigendecomposition per block size."""
+    out = np.empty_like(flat)
+    for _, index in groups:
+        W = flat[index]
+        evals, evecs = np.linalg.eigh(0.5 * (W + W.transpose(0, 2, 1)))
+        out[index] = (evecs * np.maximum(evals, 0.0)[:, None, :]) @ evecs.transpose(0, 2, 1)
+    return out
 
 
 def build_relaxation(pop: PopProblem, omega: int) -> SdpInstance:
@@ -177,7 +206,7 @@ def build_relaxation(pop: PopProblem, omega: int) -> SdpInstance:
         )
     index_map = IndexMap(pop.cover, 2 * omega)
     # per clique: global position of each local exponent of degree <= 2*omega
-    tables = [np.array(index_map.positions(cl, 2 * omega)) for cl in pop.cover.cliques]
+    tables = [index_map.positions(cl, 2 * omega) for cl in pop.cover.cliques]
     objective = np.zeros(len(index_map.exponents))
     for table, clique, obj in zip(tables, pop.cover.cliques, pop.objectives):
         local = grlex_position(np.array(list(obj), dtype=np.int64).reshape(len(obj), len(clique)))
@@ -310,16 +339,14 @@ def ingest_solution(
         values = np.concatenate([[1.0], free])
         y = instance.moment_vector(values)
 
-    for bno, (blk, M) in enumerate(zip(instance.blocks, instance.block_matrices(y.values)), start=1):
-        if M.size:
-            eigs = np.linalg.eigvalsh(M)
-            if eigs[0] < -policy.rel_tol * max(1.0, eigs[-1]):
-                warnings.warn(
-                    f"block {bno} (clique {blk.clique}, {blk.kind}) has eigenvalue "
-                    f"{eigs[0]:.3e}",
-                    BlockNotPsdWarning,
-                    stacklevel=2,
-                )
+    lo, hi = instance.block_eig_range(y.values)
+    for bno, (blk, low, high) in enumerate(zip(instance.blocks, lo, hi), start=1):
+        if low < -policy.rel_tol * max(1.0, high):
+            warnings.warn(
+                f"block {bno} (clique {blk.clique}, {blk.kind}) has eigenvalue {low:.3e}",
+                BlockNotPsdWarning,
+                stacklevel=2,
+            )
     return y
 
 
@@ -352,24 +379,15 @@ def solve_sdp_bundled(
     (b) least-squares restoration of consistency with the shared moment
     variables (constant pinned to one) together with an objective step, and
     (c) the dual update. Convergence is not guaranteed; the report flags it.
+    The normal matrix of the least-squares step is sparse and factored once;
+    the projection runs one batched eigendecomposition per block size.
     """
     nfree = instance.num_vars - 1
     A = instance.operator[:, 1:]
+    AT = A.T.tocsr()
     const = instance.operator[:, 0].toarray().ravel()
-    offsets = instance.offsets
-    spans = list(zip(instance.blocks, offsets[:-1], offsets[1:]))
-
-    # Sums over blocks run block by block: each block's part first, then the
-    # blocks in order (numpy adds the rows of a C-ordered array in turn). One
-    # product A.T @ w rounds differently and moves the last digits of the
-    # moments and residuals that the CLI reports byte for byte.
-    def transpose_by_block(w):
-        """Row k is block k's part of ``A.T @ w``."""
-        rows = scipy.sparse.csr_matrix((w, np.arange(len(w)), offsets), shape=(len(spans), len(w)))
-        return (rows @ A).toarray()
-
-    H = (A.T @ A).toarray()
-    chol = scipy.linalg.cho_factor(H + 1e-12 * np.eye(nfree))
+    groups = size_groups([blk.size for blk in instance.blocks])
+    lu = scipy.sparse.linalg.splu((AT @ A + 1e-12 * scipy.sparse.identity(nfree)).tocsc())
     f_free = instance.objective[1:]
     scale = max(1.0, float(np.abs(instance.objective).max()))
 
@@ -380,22 +398,14 @@ def solve_sdp_bundled(
     primal = dual = np.inf
     it = 0
     for it in range(1, max_iters + 1):
-        dual_acc = 0.0
-        Z = A @ yfree + const + U
-        for blk, lo, hi in spans:
-            W = Z[lo:hi].reshape(blk.size, -1)
-            W = 0.5 * (W + W.T)
-            evals, evecs = np.linalg.eigh(W)
-            pos = evals > 0
-            Xnew = ((evecs[:, pos] * evals[pos]) @ evecs[:, pos].T).ravel()
-            dual_acc += np.sum((Xnew - X[lo:hi]) ** 2)
-            X[lo:hi] = Xnew
-        rhs = np.vstack([-f_free / rho, transpose_by_block(X - U - const)]).sum(axis=0)
-        yfree = scipy.linalg.cho_solve(chol, rhs)
+        Xnew = project_psd(A @ yfree + const + U, groups)
+        step = Xnew - X
+        X = Xnew
+        yfree = lu.solve(-f_free / rho + AT @ (X - U - const))
         resid = A @ yfree + const - X
         U += resid
-        primal = float(np.sqrt(np.cumsum([np.sum(resid[lo:hi] ** 2) for _, lo, hi in spans])[-1]))
-        dual = float(rho * np.sqrt(dual_acc))
+        primal = float(np.sqrt(resid @ resid))
+        dual = float(rho * np.sqrt(step @ step))
         if primal <= tol * scale and dual <= tol * scale:
             break
         if it % 100 == 0:
@@ -408,10 +418,7 @@ def solve_sdp_bundled(
 
     values = np.concatenate([[1.0], yfree])
     y = instance.moment_vector(values)
-    min_eig = 0.0
-    for M in instance.block_matrices(values):
-        if M.size:
-            min_eig = min(min_eig, float(np.linalg.eigvalsh(M)[0]))
+    min_eig = float(instance.block_eig_range(values)[0].min(initial=0.0))
     converged = primal <= tol * scale and dual <= tol * scale
     log.info(
         "bundled solve: %d iterations, primal %.2e, dual %.2e, converged=%s",
@@ -491,12 +498,7 @@ def pipeline(
     if not certificate.verdict:
         return PipelineResult(order, objective, certificate, None, None, None, report)
 
-    measures = []
-    for i in range(1, pop_o.cover.m + 1):
-        sub = clique_subvector(y, i)
-        M = moment_matrix(sub, omega)
-        r_i = certificate.cliques[i - 1].rank_full
-        measures.append(extract_atoms(M, r_i, policy, seed=seed + i, merge_tol=merge_tol))
+    measures = extract_clique_measures(certificate, policy, seed, merge_tol)
     measure = assemble(measures, witnesses, merge_tol, chosen=certificate.witness_choice())
     residual = verify_global(measure, y)
     all_constraints = [g for gs in pop_o.constraints for g in gs]

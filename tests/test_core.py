@@ -93,6 +93,17 @@ class TestIndexMap:
             got = [index_map.exponents[p] for p in index_map.positions(variables, 4)]
             assert got == lifted
 
+    def test_positions_cached_read_only(self):
+        index_map = IndexMap(CHAIN_TRIPLE, 4)
+        table = index_map.positions([2, 3], 4)
+        assert index_map.positions((2, 3), 4) is table
+        assert index_map.positions((2, 3), 2) is not table
+        with pytest.raises(ValueError):
+            table[0] = 5
+        for _ in range(2):  # a failed lookup is not cached
+            with pytest.raises(IndexOutOfPattern, match=re.escape("(1, 0, 1, 0)")):
+                index_map.positions((1, 3), 4)
+
 
 @pytest.mark.parametrize(
     "cover,bound,count",

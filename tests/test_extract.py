@@ -1,16 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from smk.certify import numerical_rank
+from smk.certify import RankPolicy, certify, numerical_rank
 from smk.core import CliqueSubvector, clique_subvector, local_exponents
 from smk.errors import FlatnessViolated, NonPhysicalWeights, ReconstructionFailed
 from smk.extract import (
     AtomicMeasure,
     constraint_feasibility_check,
     extract_atoms,
+    extract_clique_measures,
     verify_measure_against_subvector,
 )
 from smk.matrices import ConstraintPolynomial, LabeledSymMatrix, moment_matrix
+from smk.rip import check_rip
 from smk import demo
 
 
@@ -81,6 +85,25 @@ class TestExtractAtoms:
             mu = extract_atoms(M, 4, seed=seed).sorted_by_atoms()
             assert np.allclose(mu.atoms, reference.atoms, atol=1e-9)
             assert np.allclose(mu.weights, reference.weights, atol=1e-9)
+
+    @pytest.mark.parametrize("round_decimals", [None, 4])
+    def test_clique_measures_reuse_certified_matrices(self, round_decimals):
+        policy = RankPolicy(round_decimals=round_decimals)
+        y = demo.chain_triple_moments()
+        if round_decimals is not None:
+            y = y.rounded(round_decimals)
+        cert = certify(y, demo.chain_triple_pop().constraints, check_rip(y.cover), policy)
+        got = extract_clique_measures(cert, policy, seed=7, merge_tol=1e-6)
+        for i, (check, mu) in enumerate(zip(cert.cliques, got), start=1):
+            M = moment_matrix(clique_subvector(y, i), y.omega)
+            assert np.array_equal(check.moment.data, M.data) and check.moment.labels == M.labels
+            ref = extract_atoms(M, check.rank_full, policy, seed=7 + i, merge_tol=1e-6)
+            assert np.array_equal(mu.atoms, ref.atoms) and np.array_equal(mu.weights, ref.weights)
+        # the matrices ride along without entering the record
+        assert " moment=" not in repr(cert.cliques[0])
+        assert "moment" not in cert.to_dict()["cliques"][0]
+        other = dataclasses.replace(cert.cliques[0], moment=cert.cliques[1].moment)
+        assert other == cert.cliques[0] and hash(other) == hash(cert.cliques[0])
 
     def test_rank_zero_gives_empty_measure(self):
         M = LabeledSymMatrix((1,), ((0,), (1,)), np.zeros((2, 2)))

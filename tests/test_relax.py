@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +18,9 @@ from smk.relax import (
     ingest_solution,
     parse_sdpa,
     pipeline,
+    project_psd,
     sdpa_text,
+    size_groups,
     solve_sdp_bundled,
     to_sdpa,
 )
@@ -242,6 +247,28 @@ class TestIngest:
         assert list(y.entries) == list(inst_triple.exponents)
         assert y.values.tolist() == [y_fix.entries[a] for a in inst_triple.exponents]
 
+    def test_warnings_in_block_order(self):
+        # moment blocks of sizes 3 and 1 and localizing blocks of size 1 on
+        # two cliques; values chosen so that blocks of both sizes fail
+        cover = CliqueCover(3, ((1, 2), (2, 3)))
+        g = [ConstraintPolynomial(cl, {(0, 0): 1.0, (2, 0): -1.0}) for cl in cover.cliques]
+        inst = build_relaxation(PopProblem(cover, ({}, {}), ((g[0],), (g[1],))), 1)
+        rng = np.random.default_rng(3)
+        free = rng.normal(size=inst.num_vars - 1)
+        expected = []
+        values = np.concatenate([[1.0], free])
+        for bno, (blk, M) in enumerate(zip(inst.blocks, inst.block_matrices(values)), start=1):
+            eigs = np.linalg.eigvalsh(M)
+            if eigs[0] < -1e-6 * max(1.0, eigs[-1]):
+                expected.append(
+                    f"block {bno} (clique {blk.clique}, {blk.kind}) has eigenvalue {eigs[0]:.3e}"
+                )
+        assert len(expected) >= 2 and {blk.size for blk in inst.blocks} == {1, 3}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ingest_solution(inst, free)
+        assert [str(w.message) for w in caught if w.category is BlockNotPsdWarning] == expected
+
     def test_other_cliques_rejected(self, inst_triple):
         merged = CliqueCover(4, ((1, 2), (2, 3, 4)))
         y = demo.moments_of_atoms(merged, 3, demo.chain_triple_minimizers(), np.full(8, 0.125))
@@ -249,7 +276,72 @@ class TestIngest:
             ingest_solution(inst_triple, y)
 
 
+def project_psd_reference(blocks):
+    """Per block: symmetrize, eigendecompose, keep the positive eigenvalues."""
+    out = []
+    for W in blocks:
+        W = 0.5 * (W + W.T)
+        evals, evecs = np.linalg.eigh(W)
+        pos = evals > 0
+        out.append((evecs[:, pos] * evals[pos]) @ evecs[:, pos].T)
+    return out
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(sizes=st.lists(st.integers(0, 6), min_size=1, max_size=9), seed=st.integers(0, 2**32 - 1))
+def test_batched_projection_matches_per_block(sizes, seed):
+    rng = np.random.default_rng(seed)
+    blocks = [rng.uniform(-1.0, 1.0, (s, s)) for s in sizes]
+    for W in blocks[::2]:
+        W += W.T  # some blocks symmetric, the others not
+    flat = np.concatenate([W.ravel() for W in blocks] + [np.zeros(0)])
+    got = project_psd(flat, size_groups(sizes))
+    lo = 0
+    for s, ref in zip(sizes, project_psd_reference(blocks)):
+        X = got[lo : lo + s * s].reshape(s, s)
+        lo += s * s
+        assert np.allclose(X, ref, rtol=0.0, atol=1e-12)
+        if s:
+            assert np.linalg.eigvalsh(X)[0] >= -1e-12
+    assert lo == flat.size
+
+
+def test_size_groups_cover_every_entry_once():
+    sizes = [3, 0, 1, 3, 2, 0, 1]
+    groups = size_groups(sizes)
+    assert [index.shape[1] for _, index in groups] == [1, 2, 3]
+    assert [blocks.tolist() for blocks, _ in groups] == [[2, 6], [4], [0, 3]]
+    covered = np.sort(np.concatenate([index.ravel() for _, index in groups]))
+    assert covered.tolist() == list(range(sum(s * s for s in sizes)))
+
+
 class TestBundledSolver:
+    @pytest.mark.parametrize("omega,iterations", [(2, 273), (3, 355), (4, 616)])
+    def test_chain_triple_iteration_counts(self, omega, iterations):
+        rep = solve_sdp_bundled(build_relaxation(demo.chain_triple_pop(), omega))
+        assert rep.converged
+        assert rep.iterations == iterations
+
+    def test_long_chain_memory(self):
+        # 100 width-3 cliques with a ball constraint each: nfree = 3004, so
+        # a dense normal matrix alone would take 72 MB
+        m = 100
+        cover = CliqueCover(2 * m + 1, tuple((2 * i + 1, 2 * i + 2, 2 * i + 3) for i in range(m)))
+        ball = {(0, 0, 0): 3.0, (2, 0, 0): -1.0, (0, 2, 0): -1.0, (0, 0, 2): -1.0}
+        pop = PopProblem(
+            cover,
+            tuple({(2, 0, 0): 1.0} for _ in range(m)),
+            tuple((ConstraintPolynomial(c, ball),) for c in cover.cliques),
+        )
+        tracemalloc.start()
+        try:
+            rep = solve_sdp_bundled(build_relaxation(pop, 2), max_iters=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.iterations == 1
+        assert peak < 20e6
+
     def test_chain_pair_feasibility(self):
         pop = feasibility_pop(CliqueCover(3, ((1, 2), (2, 3))))
         inst = build_relaxation(pop, 2)
@@ -278,6 +370,18 @@ class TestBundledSolver:
         rep = solve_sdp_bundled(inst, max_iters=300, tol=1e-9)
         assert not rep.converged
         assert rep.primal_residual > 1e-3
+
+    def test_empty_block_is_ignored(self):
+        cover = CliqueCover(1, ((1,),))
+        exponents = ((0,), (1,), (2,))
+        moment = SdpBlock(1, "moment", None, 2, np.arange(4), np.array([0, 1, 1, 2]), np.ones(4))
+        empty = SdpBlock(1, "localizing", 1, 0, np.zeros(0, int), np.zeros(0, int), np.zeros(0))
+        objective = np.array([0.0, 1.0, 1.0])  # min y_1 + y_2 over [[1, y_1], [y_1, y_2]] >= 0
+        plain = solve_sdp_bundled(SdpInstance(cover, 1, exponents, objective, (moment,)))
+        padded = solve_sdp_bundled(SdpInstance(cover, 1, exponents, objective, (empty, moment, empty)))
+        assert plain.converged and plain.objective == pytest.approx(-0.25, abs=1e-6)
+        assert padded.iterations == plain.iterations
+        assert np.array_equal(padded.y.values, plain.y.values)
 
 
 class TestPipeline:
