@@ -4,9 +4,12 @@ With the atoms fixed, the weights of a representing measure solve a linear
 feasibility system (one equation per sparse multi-index, including the total
 mass row, so the feasible set is compact). Extreme representing measures are
 the vertices of this polytope; each one is found by minimizing a linear cost
-with a two-phase revised simplex method under Bland's rule. Only phase 2
-depends on the cost: the matrix is built and reduced to full row rank, and
-phase 1 finds a feasible basis, once per atom set.
+with a two-phase revised simplex method. It prices by Dantzig's rule (most
+negative reduced cost) and falls back to Bland's rule for the pivot after a
+degenerate one, which rules out cycling and takes far fewer pivots than
+Bland's rule alone. Only phase 2 depends on the cost: the matrix is built
+and reduced to full row rank, and phase 1 finds a feasible basis, once per
+atom set.
 """
 
 from __future__ import annotations
@@ -73,19 +76,29 @@ def _pivot(Binv: np.ndarray, d: np.ndarray, row: int) -> None:
 
 
 def _simplex_phase(A, b, c, basis, tol):
-    """Revised simplex with Bland's rule from a given feasible basis; returns
-    the optimal basis and solution. The basis inverse gets one rank-1 update
-    per pivot and is recomputed every ``REFACTOR_EVERY`` pivots; the solution
-    is a fresh solve with the optimal basis matrix."""
+    """Revised simplex from a given feasible basis; returns the optimal basis
+    and solution.
+
+    The entering column has the most negative reduced cost (Dantzig), except
+    right after a degenerate pivot (minimum ratio <= ``tol``), when it is the
+    lowest-index improving column (Bland). The leaving row is always Bland's:
+    the smallest variable index among the minimal ratios. This terminates: a
+    cycle would consist of degenerate pivots only, so every pivot in it would
+    follow Bland's rule, which cannot cycle; every other pivot strictly
+    lowers the objective. The basis inverse gets one rank-1 update per pivot
+    and is recomputed every ``REFACTOR_EVERY`` pivots; the solution is a
+    fresh solve with the optimal basis matrix."""
     n = A.shape[1]
     basis = np.array(basis, dtype=int)
+    degenerate = False
     for step in range(20000):
         if step % REFACTOR_EVERY == 0:
             Binv = np.linalg.inv(A[:, basis])
         reduced = c - (c[basis] @ Binv) @ A
         reduced[basis] = 0.0
-        # Bland: smallest nonbasic index with negative reduced cost
-        entering = int(np.argmax(reduced < -tol))
+        # Bland after a degenerate pivot: smallest index with negative reduced
+        # cost; Dantzig otherwise: most negative reduced cost
+        entering = int(np.argmax(reduced < -tol) if degenerate else np.argmin(reduced))
         if reduced[entering] >= -tol:
             x = np.zeros(n)
             x[basis] = np.linalg.solve(A[:, basis], b)
@@ -99,6 +112,7 @@ def _simplex_phase(A, b, c, basis, tol):
         # Bland tie-break: smallest variable index among minimal ratios
         ties = rows[ratios <= min_ratio + tol * (1 + abs(min_ratio))]
         leave_row = int(ties[np.argmin(basis[ties])])
+        degenerate = min_ratio <= tol
         basis[leave_row] = entering
         _pivot(Binv, d, leave_row)
     raise RuntimeError("simplex iteration limit reached")

@@ -322,9 +322,11 @@ class SparseMomentVector:
         return all(v == 0.0 for v in self.entries.values())
 
     def rounded(self, decimals: int) -> "SparseMomentVector":
+        # ``+ 0.0`` turns -0.0 into 0.0, so noise below the rounding digit
+        # leaves no trace in the rounded values
         return SparseMomentVector.on_index_map(
             self.cover, self.omega, self.index_map,
-            [round(v, decimals) for v in self.values.tolist()],
+            [round(v, decimals) + 0.0 for v in self.values.tolist()],
         )
 
 

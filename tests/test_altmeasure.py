@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from smk import altmeasure
 from smk.altmeasure import build_weight_lp, enumerate_extreme_measures, solve_weight_lp
 from smk.core import CliqueCover, SparseMomentVector
 from smk.errors import Infeasible
@@ -46,13 +47,14 @@ def two_point_product(lows, highs, probs, omega):
 
 
 @st.composite
-def product_lps(draw):
-    """A product of two-point laws on a chain of 2 or 3 variables, and a cost."""
+def product_lps(draw, costs=st.floats(-1.0, 1.0)):
+    """A product of two-point laws on a chain of 2 or 3 variables, and a cost
+    whose entries are drawn from ``costs``."""
     n = draw(st.integers(2, 3))
     coords = st.lists(st.floats(0.4, 1.2), min_size=n, max_size=n).map(np.array)
     probs = st.lists(st.floats(0.3, 0.7), min_size=n, max_size=n).map(np.array)
     atoms, y = two_point_product(-draw(coords), draw(coords), draw(probs), draw(st.integers(1, 2)))
-    cost = draw(st.lists(st.floats(-1.0, 1.0), min_size=2**n, max_size=2**n))
+    cost = draw(st.lists(costs, min_size=2**n, max_size=2**n))
     return atoms, y, np.array(cost)
 
 
@@ -121,6 +123,19 @@ class TestSolveWeightLp:
         for v in vertex_enumeration_oracle(atoms, y):
             assert cost @ w <= cost @ v + 1e-9 * scale
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(product_lps(costs=st.sampled_from([-1.0, 0.0, 1.0])))
+    def test_optimal_vertex_under_tied_costs(self, case):
+        # costs in {-1, 0, 1} tie, so degenerate pivots and the Bland fallback occur
+        atoms, y, cost = case
+        w = solve_weight_lp(atoms, y, cost)
+        lp = build_weight_lp(atoms, y, cost)
+        scale = max(1.0, np.abs(lp.rhs).max())
+        assert w.min() >= 0.0
+        assert np.abs(lp.matrix @ w - lp.rhs).max() <= 1e-9 * scale
+        for v in vertex_enumeration_oracle(atoms, y):
+            assert cost @ w <= cost @ v + 1e-9 * scale
+
     def test_residual_and_nonnegativity(self, y_pair, rng):
         scale = 1 + max(abs(v) for v in y_pair.entries.values())
         lp = build_weight_lp(CHAIN_PAIR_ATOMS, y_pair, np.zeros(4))
@@ -175,3 +190,31 @@ class TestEnumerate:
             assert w.sum() == pytest.approx(1.0, abs=1e-8)
             assert np.count_nonzero(w > 1e-8) <= 8
             assert np.count_nonzero(w > 1e-8) <= rank
+
+
+class TestSimplexPhase:
+    def test_beale_cycling_lp(self):
+        # Beale (1955): from the slack basis, the most-negative-reduced-cost
+        # rule alone cycles through degenerate bases and never terminates
+        A = np.array([
+            [1.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0],
+            [0.0, 1.0, 0.0, 0.5, -12.0, -0.5, 3.0],
+            [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0],
+        ])
+        b = np.array([0.0, 0.0, 1.0])
+        c = np.array([0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0])
+        _, x = altmeasure._simplex_phase(A, b, c, [0, 1, 2], 1e-9)
+        assert c @ x == pytest.approx(-1.25, abs=1e-12)
+        assert np.allclose(x, [0.75, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0], atol=1e-12)
+
+    def test_pivots_fewer_than_atoms(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        atoms, y = two_point_product(
+            -rng.uniform(0.4, 1.2, 8), rng.uniform(0.4, 1.2, 8), rng.uniform(0.3, 0.7, 8), 3
+        )
+        calls = []
+        pivot = altmeasure._pivot
+        monkeypatch.setattr(altmeasure, "_pivot", lambda *args: calls.append(1) or pivot(*args))
+        found = enumerate_extreme_measures(atoms, y, budget=2, seed=42)
+        assert found
+        assert len(calls) < atoms.shape[0] == 256

@@ -21,6 +21,8 @@ from smk.core import (
     validate_cover,
 )
 from smk.errors import DuplicateEntry, IndexOutOfPattern, MissingEntries
+from smk.extract import extract_atoms
+from smk.matrices import moment_matrix
 from smk import demo
 
 from conftest import CHAIN_PAIR_ENTRIES, TRIANGLE_ENTRIES, random_rip_cover
@@ -232,6 +234,28 @@ class TestMomentVectorBuild:
 
     def test_key_set_is_exactly_the_pattern(self, y_pair):
         assert list(y_pair.entries) == sparse_exponents(CHAIN_PAIR, 4)
+
+
+class TestRounded:
+    def test_noise_below_the_digit_leaves_no_trace(self):
+        # noise of either sign rounds to +-0.0 unless signed zeros are normalised,
+        # and the sign of a zero entry reorders the extracted atoms
+        y = demo.chain_triple_moments()
+        noise = np.random.default_rng(0).choice([-1e-9, 1e-9], y.values.size)
+        a, b = (
+            SparseMomentVector.on_index_map(
+                y.cover, y.omega, y.index_map, (y.values + sign * noise).tolist()
+            ).rounded(4)
+            for sign in (1.0, -1.0)
+        )
+        assert a.values.tobytes() == b.values.tobytes()
+        for i, rank in zip((1, 2, 3), (4, 2, 2)):
+            mu_a, mu_b = (
+                extract_atoms(moment_matrix(clique_subvector(v, i), 3), rank, seed=i)
+                for v in (a, b)
+            )
+            assert np.array_equal(mu_a.atoms, mu_b.atoms)
+            assert np.array_equal(mu_a.weights, mu_b.weights)
 
 
 class TestCliqueSubvector:
