@@ -17,7 +17,6 @@ from .certify import (
     ZeroPropagation,
     certify,
     d_half,
-    numerical_rank,
     psd_check,
     zero_propagation_check,
 )

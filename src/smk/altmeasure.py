@@ -17,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
+from .certify import RankPolicy
 from .core import SparseMomentVector, monomial_matrix
 from .errors import Infeasible
 
-RANK_TOL = 1e-9
+PIVOT_TOL = 1e-9  # the simplex's numerical guard, not a data tolerance
 REFACTOR_EVERY = 50
 
 
@@ -44,9 +45,9 @@ def build_weight_lp(atoms, y: SparseMomentVector, cost) -> WeightLP:
     return WeightLP(atoms, A, y.values, np.asarray(cost, dtype=float))
 
 
-def _row_reduce(A: np.ndarray, b: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _row_reduce(A: np.ndarray, b: np.ndarray, policy: RankPolicy) -> tuple[np.ndarray, np.ndarray]:
     """Reduce [A | b] to full row rank by Gaussian elimination with partial
-    pivoting; an inconsistent zero row with nonzero rhs raises Infeasible."""
+    pivoting; a zero row with rhs above ``policy.tol(scale)`` raises Infeasible."""
     M = np.hstack([A, b[:, None]]).astype(float)
     rows, cols = A.shape
     scale = max(1.0, np.abs(M).max())
@@ -55,7 +56,7 @@ def _row_reduce(A: np.ndarray, b: np.ndarray, tol: float) -> tuple[np.ndarray, n
         if rank >= rows:
             break
         k = rank + int(np.argmax(np.abs(M[rank:, col])))
-        if abs(M[k, col]) <= tol * scale:
+        if abs(M[k, col]) <= PIVOT_TOL * scale:
             continue
         M[[rank, k]] = M[[k, rank]]
         factors = M[:, col] / M[rank, col]
@@ -63,7 +64,7 @@ def _row_reduce(A: np.ndarray, b: np.ndarray, tol: float) -> tuple[np.ndarray, n
         M -= np.outer(factors, M[rank])
         rank += 1
     for i in range(rank, rows):
-        if abs(M[i, -1]) > tol * scale * 10:
+        if abs(M[i, -1]) > policy.tol(scale):
             raise Infeasible(f"inconsistent moment equation, residual {M[i, -1]:.3e}")
     return M[:rank, :-1], M[:rank, -1]
 
@@ -75,7 +76,7 @@ def _pivot(Binv: np.ndarray, d: np.ndarray, row: int) -> None:
     Binv[row] = pivot_row
 
 
-def _simplex_phase(A, b, c, basis, tol):
+def _simplex_phase(A, b, c, basis, tol=PIVOT_TOL):
     """Revised simplex from a given feasible basis; returns the optimal basis
     and solution.
 
@@ -118,7 +119,7 @@ def _simplex_phase(A, b, c, basis, tol):
     raise RuntimeError("simplex iteration limit reached")
 
 
-def _feasible_start(A: np.ndarray, b: np.ndarray, tol: float):
+def _feasible_start(A: np.ndarray, b: np.ndarray, policy: RankPolicy):
     """Phase 1 for A x = b, x >= 0 with A of full row rank: ``(A, b, basis)``
     with rows sign-flipped to b >= 0, redundant rows dropped, and a feasible
     basis free of artificial variables."""
@@ -132,8 +133,8 @@ def _feasible_start(A: np.ndarray, b: np.ndarray, tol: float):
 
     A1 = np.hstack([A, np.eye(m)])
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
-    basis, x = _simplex_phase(A1, b, c1, list(range(n, n + m)), tol)
-    if c1 @ x > 1e3 * tol * max(1.0, np.abs(b).max()):
+    basis, x = _simplex_phase(A1, b, c1, list(range(n, n + m)))
+    if c1 @ x > policy.tol(np.abs(b).max()):
         raise Infeasible(f"no nonnegative weights satisfy the moment equations (gap {c1 @ x:.3e})")
     # drive any degenerate artificials out of the basis
     Binv = np.linalg.inv(A1[:, basis])
@@ -142,7 +143,7 @@ def _feasible_start(A: np.ndarray, b: np.ndarray, tol: float):
         if basis[row] >= n:
             d_row = Binv[row] @ A
             d_row[[j for j in basis if j < n]] = 0.0
-            candidates = np.flatnonzero(np.abs(d_row) > 1e3 * tol)
+            candidates = np.flatnonzero(np.abs(d_row) > 1e3 * PIVOT_TOL)
             if candidates.size == 0:
                 continue  # redundant row
             basis[row] = int(candidates[0])
@@ -151,16 +152,16 @@ def _feasible_start(A: np.ndarray, b: np.ndarray, tol: float):
     return A[keep_rows], b[keep_rows], [basis[r] for r in keep_rows]
 
 
-def _optimal_weights(start, cost: np.ndarray, tol: float) -> np.ndarray:
+def _optimal_weights(start, cost: np.ndarray) -> np.ndarray:
     """Phase 2 from a :func:`_feasible_start` result: a basic optimal solution."""
     A, b, basis = start
     if not basis:
         return np.zeros(A.shape[1])
-    return np.maximum(_simplex_phase(A, b, cost, basis, tol)[1], 0.0)
+    return np.maximum(_simplex_phase(A, b, cost, basis)[1], 0.0)
 
 
 def solve_weight_lp(
-    atoms, y: SparseMomentVector, cost, tol: float = RANK_TOL
+    atoms, y: SparseMomentVector, cost, policy: RankPolicy = RankPolicy()
 ) -> np.ndarray:
     """Extreme optimal weights for a linear cost over the representing
     measures supported on ``atoms``.
@@ -170,24 +171,24 @@ def solve_weight_lp(
     weight vector reproduces the moments.
     """
     lp = build_weight_lp(atoms, y, cost)
-    start = _feasible_start(*_row_reduce(lp.matrix, lp.rhs, tol), tol)
-    return _optimal_weights(start, lp.cost, tol)
+    start = _feasible_start(*_row_reduce(lp.matrix, lp.rhs, policy), policy)
+    return _optimal_weights(start, lp.cost)
 
 
 def enumerate_extreme_measures(
-    atoms, y: SparseMomentVector, budget: int, seed: int = 0, tol: float = 1e-8
+    atoms, y: SparseMomentVector, budget: int, seed: int = 0, policy: RankPolicy = RankPolicy()
 ) -> list[np.ndarray]:
     """Distinct basic feasible weight vectors found by ``budget`` random
-    linear costs (seeded); duplicates within ``tol`` are merged. Each cost
-    gives what :func:`solve_weight_lp` gives; phase 1 is shared."""
+    linear costs (seeded); duplicates within ``policy.tol()`` are merged.
+    Each cost gives what :func:`solve_weight_lp` gives; phase 1 is shared."""
     if budget < 1:
         return []
     lp = build_weight_lp(atoms, y, 0.0)
-    start = _feasible_start(*_row_reduce(lp.matrix, lp.rhs, RANK_TOL), RANK_TOL)
+    start = _feasible_start(*_row_reduce(lp.matrix, lp.rhs, policy), policy)
     rng = np.random.default_rng(seed)
     found: list[np.ndarray] = []
     for _ in range(budget):
-        w = _optimal_weights(start, rng.standard_normal(lp.atoms.shape[0]), RANK_TOL)
-        if not any(np.abs(w - prev).max() <= tol for prev in found):
+        w = _optimal_weights(start, rng.standard_normal(lp.atoms.shape[0]))
+        if not any(np.abs(w - prev).max() <= policy.tol() for prev in found):
             found.append(w)
     return found

@@ -14,12 +14,16 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .certify import RankPolicy
 from .core import CliqueCover, Projection, SparseMomentVector, monomial_matrix
 from .errors import FinalMarginalCheckFailed, MarginalMismatch
 from .extract import AtomicMeasure, lex_order_rows
 from .rip import RipWitnesses
 
-MASS_TOL = 1e-6
+
+def _point_tol(policy: RankPolicy, *points: np.ndarray) -> float:
+    """Max-norm distance at which points coincide: ``policy.tol`` at the largest |coordinate|."""
+    return policy.tol(max(np.abs(p).max(initial=0.0) for p in points))
 
 
 def _cluster(points: np.ndarray, tol: float) -> tuple[np.ndarray, list[list[int]]]:
@@ -37,13 +41,13 @@ def _cluster(points: np.ndarray, tol: float) -> tuple[np.ndarray, list[list[int]
     return points[[g[0] for g in groups]], groups
 
 
-def pushforward(mu: AtomicMeasure, p: Projection, merge_tol: float = 1e-6) -> AtomicMeasure:
+def pushforward(mu: AtomicMeasure, p: Projection, policy: RankPolicy = RankPolicy()) -> AtomicMeasure:
     """Marginal of an atomic measure: project every atom and merge the ones
-    that coincide up to ``merge_tol`` (max-norm), summing their weights."""
+    that coincide up to the policy tolerance (max-norm), summing their weights."""
     if p.source != mu.variables:
         raise ValueError(f"projection source {p.source} does not match measure on {mu.variables}")
     projected = mu.atoms[:, list(p.positions)]
-    reps, groups = _cluster(projected, merge_tol)
+    reps, groups = _cluster(projected, _point_tol(policy, projected))
     weights = np.array([mu.weights[g].sum() for g in groups])
     return AtomicMeasure(p.target, reps, weights)
 
@@ -68,13 +72,14 @@ def match_marginals(
     partial: AtomicMeasure,
     incoming: AtomicMeasure,
     overlap: tuple[int, ...],
-    tol: float = 1e-6,
+    policy: RankPolicy = RankPolicy(),
 ) -> MarginalGroups:
     """Match the two pushforwards onto ``overlap`` atom by atom and mass by
     mass; raises :class:`MarginalMismatch` with a diagnostic otherwise."""
     overlap = tuple(overlap)
     proj_a = partial.atoms[:, [partial.variables.index(v) for v in overlap]]
     proj_b = incoming.atoms[:, [incoming.variables.index(v) for v in overlap]]
+    tol = _point_tol(policy, proj_a, proj_b)
     reps_a, groups_a = _cluster(proj_a, tol)
     reps_b, groups_b = _cluster(proj_b, tol)
     if len(groups_a) != len(groups_b):
@@ -102,11 +107,11 @@ def match_marginals(
     for gi, bi in enumerate(order_b):
         ma = float(partial.weights[groups_a[gi]].sum())
         mb = float(incoming.weights[groups_b[bi]].sum())
-        if abs(ma - mb) > MASS_TOL * (1.0 + max(abs(ma), abs(mb))):
+        if abs(ma - mb) > policy.tol(max(abs(ma), abs(mb))):
             raise MarginalMismatch(
                 f"overlap {overlap}: mass {ma:.6g} vs {mb:.6g} at point {tuple(reps_a[gi])}"
             )
-        if ma <= tol:
+        if ma <= policy.tol():
             raise MarginalMismatch(f"overlap {overlap}: degenerate mass {ma:.3e} at a marginal atom")
         masses.append(ma)
     return MarginalGroups(
@@ -117,10 +122,11 @@ def match_marginals(
     )
 
 
-def measures_close(a: AtomicMeasure, b: AtomicMeasure, tol: float = 1e-6) -> bool:
-    """Same variable set, same atoms (up to order and tol), same weights."""
+def measures_close(a: AtomicMeasure, b: AtomicMeasure, policy: RankPolicy = RankPolicy()) -> bool:
+    """Same variable set, same atoms and weights, up to order and the policy tolerance."""
     if a.variables != b.variables or a.num_atoms != b.num_atoms:
         return False
+    tol = _point_tol(policy, a.atoms, b.atoms)
     used = [False] * b.num_atoms
     for k in range(a.num_atoms):
         found = False
@@ -128,7 +134,8 @@ def measures_close(a: AtomicMeasure, b: AtomicMeasure, tol: float = 1e-6) -> boo
             if used[l]:
                 continue
             coord_ok = a.atoms.shape[1] == 0 or np.abs(a.atoms[k] - b.atoms[l]).max() <= tol
-            if coord_ok and abs(a.weights[k] - b.weights[l]) <= MASS_TOL * (1 + abs(b.weights[l])):
+            wa, wb = a.weights[k], b.weights[l]
+            if coord_ok and abs(wa - wb) <= policy.tol(max(abs(wa), abs(wb))):
                 used[l] = True
                 found = True
                 break
@@ -140,7 +147,7 @@ def measures_close(a: AtomicMeasure, b: AtomicMeasure, tol: float = 1e-6) -> boo
 def assemble(
     clique_measures: Sequence[AtomicMeasure],
     witnesses: RipWitnesses,
-    tol: float = 1e-6,
+    policy: RankPolicy = RankPolicy(),
     chosen: Mapping[int, int] | None = None,
 ) -> AtomicMeasure:
     """Glue clique measures (given in the witnesses' clique order) into one
@@ -163,7 +170,7 @@ def assemble(
         if j is None:
             j = min(witnesses.witness[i])
         overlap = tuple(v for v in clique_measures[j - 1].variables if v in incoming.variables)
-        groups = match_marginals(current, incoming, overlap, tol)
+        groups = match_marginals(current, incoming, overlap, policy)
         union_vars = tuple(sorted(set(current.variables) | set(incoming.variables)))
         column = {v: c for c, v in enumerate(union_vars)}
         new_cols = [c for c, v in enumerate(incoming.variables) if v not in current.variables]
@@ -178,8 +185,8 @@ def assemble(
         current = AtomicMeasure(union_vars, atoms, weights)
 
     for i, mu_i in enumerate(clique_measures, start=1):
-        marginal = pushforward(current, Projection(current.variables, mu_i.variables), tol)
-        if not measures_close(marginal, mu_i, tol):
+        marginal = pushforward(current, Projection(current.variables, mu_i.variables), policy)
+        if not measures_close(marginal, mu_i, policy):
             raise FinalMarginalCheckFailed(
                 f"assembled measure does not reproduce the measure of clique at position {i}"
             )
@@ -189,7 +196,7 @@ def assemble(
 def maximal_support_set(
     clique_measures: Sequence[AtomicMeasure],
     cover: CliqueCover,
-    tol: float = 1e-6,
+    policy: RankPolicy = RankPolicy(),
 ) -> np.ndarray:
     """All points whose projection onto every clique is an atom of that
     clique's measure, via constraint-propagating concatenation. The result
@@ -198,6 +205,7 @@ def maximal_support_set(
     first = clique_measures[0]
     column = {v: c for c, v in enumerate(first.variables)}  # variable -> column of ``points``
     points = first.atoms  # one row per candidate
+    tol = _point_tol(policy, *(mu.atoms for mu in clique_measures))
     for mu in clique_measures[1:]:
         shared = [c for c, v in enumerate(mu.variables) if v in column]
         new_cols = [c for c, v in enumerate(mu.variables) if v not in column]

@@ -30,13 +30,11 @@ from .rip import RipWitnesses
 
 @dataclass(frozen=True)
 class RankPolicy:
-    """Tolerances for rank and PSD decisions.
-
-    ``rel_tol`` is the relative singular-value / eigenvalue threshold.
-    ``round_decimals``, when set, rounds matrix entries before any
-    decomposition (mirrors rounding solver output to a fixed number of
-    decimal places).
-    """
+    """The one tolerance model: ``rel_tol`` is the relative singular-value /
+    eigenvalue threshold of the rank cut and the PSD tests; ``round_decimals``,
+    when set, rounds matrix entries before any decomposition (mirrors rounding
+    solver output). Every other numerical decision compares against
+    :meth:`tol` at the scale of the numbers it compares."""
 
     rel_tol: float = 1e-6
     round_decimals: int | None = None
@@ -52,6 +50,11 @@ class RankPolicy:
             return data
         return np.round(data, self.round_decimals)
 
+    def tol(self, scale: float = 1.0) -> float:
+        """``rel_tol``, or the rounding unit if coarser, times ``max(1, |scale|)``."""
+        unit = 0.0 if self.round_decimals is None else 10.0 ** -self.round_decimals
+        return max(self.rel_tol, unit) * max(1.0, abs(scale))
+
 
 def _rank_and_gap(data: np.ndarray, policy: RankPolicy) -> tuple[int, tuple[float, float]]:
     """Numerical rank plus the singular values straddling the cut."""
@@ -66,11 +69,6 @@ def _rank_and_gap(data: np.ndarray, policy: RankPolicy) -> tuple[int, tuple[floa
     return r, (kept, dropped)
 
 
-def numerical_rank(M: LabeledSymMatrix, policy: RankPolicy = RankPolicy()) -> int:
-    """Count singular values above ``rel_tol`` times the largest one."""
-    return _rank_and_gap(M.data, policy)[0]
-
-
 def _eig_range(data: np.ndarray, policy: RankPolicy) -> tuple[float, float]:
     if data.size == 0:
         return (0.0, 0.0)
@@ -78,13 +76,16 @@ def _eig_range(data: np.ndarray, policy: RankPolicy) -> tuple[float, float]:
     return float(eigs[0]), float(eigs[-1])
 
 
+def _psd(lo: float, hi: float, policy: RankPolicy) -> bool:
+    return lo >= -policy.rel_tol * max(1.0, hi)
+
+
 def psd_check(M: LabeledSymMatrix, policy: RankPolicy = RankPolicy()) -> bool:
     """True iff the smallest eigenvalue is above ``-rel_tol * max(1, lmax)``.
 
     The empty matrix is PSD by convention.
     """
-    lo, hi = _eig_range(M.data, policy)
-    return M.size == 0 or lo >= -policy.rel_tol * max(1.0, hi)
+    return _psd(*_eig_range(M.data, policy), policy)
 
 
 def _leading(M: LabeledSymMatrix, d: int, omega: int) -> np.ndarray:
@@ -230,20 +231,21 @@ def certify(
         full = moment_matrix(sub, omega)
         rank_full, gap_full = _rank_and_gap(full.data, policy)
         rank_shifted, gap_shifted = _rank_and_gap(_leading(full, omega - di, omega), policy)
+        eig_range = _eig_range(full.data, policy)
         psd_loc = True
         if constraints[i - 1]:
             psd_loc = psd_check(localizing_block(sub, constraints[i - 1], omega), policy)
         clique_checks.append(
             CliqueCheck(
                 clique=i,
-                psd_moment=psd_check(full, policy),
+                psd_moment=_psd(*eig_range, policy),
                 psd_localizing=psd_loc,
                 rank_full=rank_full,
                 rank_shifted=rank_shifted,
                 d_i=di,
                 gap_full=gap_full,
                 gap_shifted=gap_shifted,
-                eig_range=_eig_range(full.data, policy),
+                eig_range=eig_range,
                 moment=full,
             )
         )
@@ -289,8 +291,7 @@ def zero_propagation_check(
     """Under the flatness rank conditions a single zero clique subvector
     forces the whole vector to zero; a mixed outcome therefore flags a
     rank-policy (tolerance) failure."""
-    scale = max((abs(v) for v in y.entries.values()), default=0.0)
-    tol = policy.rel_tol * max(1.0, scale)
+    tol = policy.tol(np.abs(y.values).max(initial=0.0))
     zero_flags = [clique_subvector(y, i).max_abs() <= tol for i in range(1, y.cover.m + 1)]
     if all(zero_flags):
         return ZeroPropagation.ALL_ZERO

@@ -51,7 +51,6 @@ def _build_parser() -> _Parser:
     common.add_argument("--round", type=int, default=None, metavar="DECIMALS",
                         help="round moment entries before rank decisions")
     common.add_argument("--seed", type=int, default=42)
-    common.add_argument("--merge-tol", type=float, default=1e-6, help="atom merge tolerance")
     common.add_argument("--allow-missing-as-zero", action="store_true",
                         help="treat absent sparse entries in moment files as 0")
     common.add_argument("--output", default=None, help="also write the JSON report here")
@@ -106,10 +105,6 @@ def _policy(args) -> RankPolicy:
     return RankPolicy(rel_tol=args.rel_tol, round_decimals=args.round)
 
 
-def _measure_dict(mu) -> dict:
-    return io.measure_to_dict(mu)
-
-
 def _run_rip(args, report):
     data = io._load(args.input)
     cover = io.cover_from_dict(data)
@@ -160,18 +155,18 @@ def _certify_chain(args, report, want_measure: bool) -> int:
     report["zero_propagation"] = zero_propagation_check(y, policy).value
     if not cert.verdict:
         return EXIT_NEGATIVE
-    measures = extract_clique_measures(cert, policy, args.seed, args.merge_tol)
-    report["clique_measures"] = [_measure_dict(mu) for mu in measures]
+    measures = extract_clique_measures(cert, policy, args.seed)
+    report["clique_measures"] = [io.measure_to_dict(mu) for mu in measures]
     if not want_measure:
         return EXIT_OK
-    mu = assemble(measures, witnesses, args.merge_tol, chosen=cert.witness_choice())
+    mu = assemble(measures, witnesses, policy, chosen=cert.witness_choice())
     mu = mu.sorted_by_atoms()
-    report["measure"] = _measure_dict(mu)
+    report["measure"] = io.measure_to_dict(mu)
     report["global_residual"] = verify_global(mu, y)
-    support = maximal_support_set(measures, y.cover, args.merge_tol)
+    support = maximal_support_set(measures, y.cover, policy)
     report["maximal_support"] = [[float(v) for v in p] for p in support]
     flat = [g for gs in constraints for g in gs]
-    feas = constraint_feasibility_check(mu, flat, tol=args.rel_tol)
+    feas = constraint_feasibility_check(mu, flat, tol=policy.tol())
     report["feasibility_clean"] = feas.clean
     return EXIT_OK
 
@@ -200,13 +195,13 @@ def _run_altmeasure(args, report):
     report["atoms"] = [[float(v) for v in a] for a in atoms]
     if args.cost.startswith("random:"):
         budget = int(args.cost.split(":", 1)[1])
-        solutions = enumerate_extreme_measures(atoms, y, budget, seed=args.seed)
+        solutions = enumerate_extreme_measures(atoms, y, budget, args.seed, _policy(args))
         report["weights"] = [[float(w) for w in s] for s in solutions]
     else:
         cost = np.array([float(t) for t in args.cost.split(",")])
         if cost.shape[0] != atoms.shape[0]:
             raise SmkError(f"cost has {cost.shape[0]} entries for {atoms.shape[0]} atoms")
-        w = solve_weight_lp(atoms, y, cost)
+        w = solve_weight_lp(atoms, y, cost, _policy(args))
         report["weights"] = [[float(v) for v in w]]
     return EXIT_OK
 
@@ -257,8 +252,7 @@ def _run_pipeline(args, report):
         warnings.simplefilter("always")
         result = pipeline(
             pop, args.omega, policy, solver=solver, solution=solution,
-            seed=args.seed, merge_tol=args.merge_tol,
-            max_iters=args.max_iters, solve_tol=args.tol,
+            seed=args.seed, max_iters=args.max_iters, solve_tol=args.tol,
         )
     report["warnings"] = [str(w.message) for w in caught]
     report["clique_order"] = list(result.clique_order)
@@ -272,7 +266,7 @@ def _run_pipeline(args, report):
         }
     if result.measure is None:
         return EXIT_NEGATIVE
-    report["measure"] = _measure_dict(result.measure)
+    report["measure"] = io.measure_to_dict(result.measure)
     report["minimizers"] = [[float(v) for v in a] for a in result.minimizers]
     report["global_residual"] = result.global_residual
     report["feasibility_clean"] = result.feasibility_clean
@@ -295,6 +289,10 @@ def run(argv=None) -> int:
     code rather than raising SystemExit."""
     level = os.environ.get("SMK_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "--cost" in argv[:-1]:  # argparse would read a value like "-1,0,1" as an option
+        k = argv.index("--cost")
+        argv[k : k + 2] = [f"--cost={argv[k + 1]}"]
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -21,14 +21,12 @@ from .core import CliqueSubvector, local_exponents, monomial_matrix
 from .errors import FlatnessViolated, NonPhysicalWeights, ReconstructionFailed
 from .matrices import ConstraintPolynomial, LabeledSymMatrix
 
-MERGE_TOL = 1e-6
-EIG_GAP_TOL = 1e-8
 MAX_REDRAWS = 10
 
 
 def lex_order_rows(points: np.ndarray, quantum: float = 1e-9) -> np.ndarray:
     """Indices sorting rows lexicographically, with coordinates quantized so
-    noise far below the merge tolerance cannot flip the order."""
+    noise far below the policy tolerance cannot flip the order."""
     if points.size == 0:
         return np.arange(points.shape[0])
     keys = np.round(points / quantum) * quantum
@@ -40,7 +38,7 @@ class AtomicMeasure:
     """Finite weighted sum of point masses over a named variable set.
 
     ``atoms`` has one row per atom (columns follow ``variables``); weights
-    are positive and atoms pairwise distinct beyond the merge tolerance.
+    are positive and atoms pairwise distinct beyond the policy tolerance.
     """
 
     variables: tuple[int, ...]
@@ -71,7 +69,7 @@ class AtomicMeasure:
     def sorted_by_atoms(self) -> "AtomicMeasure":
         """Atoms in lexicographic coordinate order (canonical for reporting).
 
-        Keys are quantized well below the merge tolerance so floating-point
+        Keys are quantized well below the policy tolerance so floating-point
         noise cannot flip the order of distinct atoms.
         """
         order = lex_order_rows(self.atoms)
@@ -108,7 +106,6 @@ def extract_atoms(
     r: int,
     policy: RankPolicy = RankPolicy(),
     seed: int = 0,
-    merge_tol: float = MERGE_TOL,
 ) -> AtomicMeasure:
     """Recover the r-atomic measure represented by a flat PSD moment matrix.
 
@@ -143,7 +140,7 @@ def extract_atoms(
     V = eigvecs[:, idx] * np.sqrt(eigvals[idx])
 
     allowed = np.array([sum(l) < omega for l in labels])
-    pivots, R = _column_echelon_basis(V.T, allowed, policy.rel_tol * np.sqrt(scale))
+    pivots, R = _column_echelon_basis(V.T, allowed, policy.tol(np.sqrt(scale)))
     if len(pivots) < r:
         raise FlatnessViolated(
             f"only {len(pivots)} independent basis monomials of degree < {omega} found, need {r}"
@@ -172,14 +169,14 @@ def extract_atoms(
         eigvals_c, P = np.linalg.eig(combo)
         gaps = np.abs(eigvals_c[:, None] - eigvals_c[None, :])
         gaps[np.diag_indices(r)] = np.inf
-        if r > 1 and gaps.min() < EIG_GAP_TOL * max(1.0, np.abs(eigvals_c).max()):
+        if r > 1 and gaps.min() < policy.tol(np.abs(eigvals_c).max()):
             continue
         Pinv = np.linalg.inv(P)
         candidate = np.empty((r, nvars))
         ok = True
         for t, N in enumerate(operators):
             diag = np.diag(Pinv @ N @ P)
-            if np.abs(diag.imag).max() > 1e-6 * max(1.0, np.abs(diag).max()):
+            if np.abs(diag.imag).max() > policy.tol(np.abs(diag).max()):
                 ok = False
                 break
             candidate[:, t] = diag.real
@@ -188,7 +185,7 @@ def extract_atoms(
         if r > 1:
             dist = np.abs(candidate[:, None, :] - candidate[None, :, :]).max(axis=2)
             dist[np.diag_indices(r)] = np.inf
-            if dist.min() <= merge_tol:
+            if dist.min() <= policy.tol(np.abs(candidate).max()):
                 continue
         atoms = candidate
         break
@@ -199,12 +196,12 @@ def extract_atoms(
     A = monomial_matrix(labels, atoms)
     b = np.array([M.data[0, label_pos[alpha]] for alpha in labels])
     weights, _ = scipy.optimize.nnls(A, b)
-    if weights.min() <= policy.rel_tol * max(1.0, weights.max()):
+    if weights.min() <= policy.tol(weights.max()):
         raise NonPhysicalWeights(f"weight {weights.min():.3e} is not strictly positive")
 
     recon = (A * weights) @ A.T
     err = float(np.abs(recon - M.data).max())
-    if err > policy.rel_tol * scale:
+    if err > policy.tol(scale):
         raise ReconstructionFailed(f"moment matrix residual {err:.3e} exceeds tolerance")
     return AtomicMeasure(M.variables, atoms, weights)
 
@@ -213,13 +210,12 @@ def extract_clique_measures(
     certificate: FlatnessCertificate,
     policy: RankPolicy = RankPolicy(),
     seed: int = 0,
-    merge_tol: float = MERGE_TOL,
 ) -> list[AtomicMeasure]:
     """Atoms of every clique, from the full-order moment matrix that
     :func:`certify` checked and at its certified rank; clique i draws its
     random combination with ``seed + i``."""
     return [
-        extract_atoms(c.moment, c.rank_full, policy, seed=seed + c.clique, merge_tol=merge_tol)
+        extract_atoms(c.moment, c.rank_full, policy, seed=seed + c.clique)
         for c in certificate.cliques
     ]
 

@@ -328,7 +328,7 @@ def ingest_solution(
         )
     elif isinstance(source, Mapping):
         y = SparseMomentVector.build(instance.cover, instance.omega, source)
-        if abs(y.mass - 1.0) > 1e-9:
+        if abs(y.mass - 1.0) > policy.tol():
             raise DimensionMismatch(f"ingested mass {y.mass} != 1")
     else:
         free = np.asarray(list(source), dtype=float)
@@ -463,7 +463,6 @@ def pipeline(
     solver: str = "bundled",
     solution=None,
     seed: int = 42,
-    merge_tol: float = 1e-6,
     max_iters: int = 20000,
     solve_tol: float = 1e-7,
 ) -> PipelineResult:
@@ -498,11 +497,11 @@ def pipeline(
     if not certificate.verdict:
         return PipelineResult(order, objective, certificate, None, None, None, report)
 
-    measures = extract_clique_measures(certificate, policy, seed, merge_tol)
-    measure = assemble(measures, witnesses, merge_tol, chosen=certificate.witness_choice())
+    measures = extract_clique_measures(certificate, policy, seed)
+    measure = assemble(measures, witnesses, policy, chosen=certificate.witness_choice())
     residual = verify_global(measure, y)
     all_constraints = [g for gs in pop_o.constraints for g in gs]
-    feas = constraint_feasibility_check(measure, all_constraints, tol=1e-6)
+    feas = constraint_feasibility_check(measure, all_constraints, tol=policy.tol())
     return PipelineResult(
         order, objective, certificate, measure.sorted_by_atoms(), residual, feas.clean, report
     )

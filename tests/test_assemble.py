@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from smk.altmeasure import enumerate_extreme_measures
 
 from smk.assemble import (
     _cluster,
@@ -10,9 +13,10 @@ from smk.assemble import (
     pushforward,
     verify_global,
 )
-from smk.core import CliqueCover, Projection
+from smk.certify import RankPolicy, certify
+from smk.core import CliqueCover, Projection, SparseMomentVector
 from smk.errors import FinalMarginalCheckFailed, MarginalMismatch
-from smk.extract import AtomicMeasure, lex_order_rows
+from smk.extract import AtomicMeasure, extract_clique_measures, lex_order_rows
 from smk.rip import RipWitnesses, check_rip
 from smk import demo
 
@@ -48,7 +52,7 @@ def cluster_reference(points, tol):
     return np.array(reps).reshape(len(reps), points.shape[1]), groups
 
 
-def glue_reference(measures, witnesses, tol=1e-6):
+def glue_reference(measures, witnesses, policy=RankPolicy()):
     """The inductive gluing of ``assemble``, atom pair by atom pair, without
     the final marginal check."""
     current = measures[0]
@@ -56,7 +60,7 @@ def glue_reference(measures, witnesses, tol=1e-6):
         incoming = measures[i - 1]
         j = min(witnesses.witness[i])
         overlap = tuple(v for v in measures[j - 1].variables if v in incoming.variables)
-        groups = match_marginals(current, incoming, overlap, tol)
+        groups = match_marginals(current, incoming, overlap, policy)
         union_vars = tuple(sorted(set(current.variables) | set(incoming.variables)))
         atoms, weights = [], []
         for gi, theta in enumerate(groups.masses):
@@ -345,3 +349,30 @@ class TestVerifyGlobal:
         y = demo.chain_pair_moments()
         mu = AtomicMeasure((1, 2, 3), np.zeros((0, 3)), np.zeros(0))
         assert verify_global(mu, y) == pytest.approx(1.0)  # max |y| entry
+
+
+class TestSolverNoise:
+    """Noise far below the rank cut, as a solver leaves it in the moments,
+    must not turn a true verdict into a refusal at a later step: extraction,
+    gluing and the weight LP all judge by the same policy tolerance."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 299),
+        st.sampled_from([1e-6, 1e-5, 1e-4]),
+        st.sampled_from([1e-4, 1e-5]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_true_verdict_extracts_glues_and_weighs(self, seed, rel_tol, ratio, noise_seed):
+        cover, _, _, exact = random_flat_instance(seed)
+        noise = rel_tol * ratio * np.random.default_rng(noise_seed).uniform(-1, 1, exact.values.shape)
+        noise[0] = 0.0  # the mass entry is fixed, as in the relaxation
+        y = SparseMomentVector.on_index_map(cover, exact.omega, exact.index_map, exact.values + noise)
+        policy = RankPolicy(rel_tol=rel_tol)
+        witnesses = check_rip(cover)
+        cert = certify(y, [()] * cover.m, witnesses, policy)
+        assert cert.verdict
+        measures = extract_clique_measures(cert, policy)
+        mu = assemble(measures, witnesses, policy, chosen=cert.witness_choice())
+        assert enumerate_extreme_measures(mu.atoms, y, 2, policy=policy)
+        assert verify_global(mu, y) <= rel_tol

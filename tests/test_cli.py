@@ -180,9 +180,36 @@ def test_altmeasure_costs(files, capsys):
     assert len(report["weights"]) == 2
 
 
+def test_altmeasure_negative_first_cost(files, capsys):
+    _, spaced = run_json(capsys, ["altmeasure", "--input", files["pair"], "--cost", "-1,0,1,0"])
+    _, bound = run_json(capsys, ["altmeasure", "--input", files["pair"], "--cost=-1,0,1,0"])
+    assert spaced["exit_code"] == bound["exit_code"] == 0
+    assert spaced["weights"] == bound["weights"]
+
+
+@pytest.mark.parametrize("extra", [[], ["--round", "4"]], ids=["plain", "round-4"])
+def test_altmeasure_on_bundled_solver_moments(files, capsys, tmp_path, extra):
+    """The weight LP judges consistency by the certificate's tolerance, so
+    moments accurate to the solver's 1e-7 give their extreme measures."""
+    mom = str(tmp_path / "sol.json")
+    assert run(["solve", "--pop", files["triple_pop"], "--omega", "3", "--moments-output", mom]) == 0
+    capsys.readouterr()
+    code, report = run_json(
+        capsys,
+        ["altmeasure", "--input", mom, "--constraints", files["triple_pop"], "--cost", "random:3",
+         *extra],
+    )
+    assert code == 0 and "error" not in report
+    assert len(report["atoms"]) == 8 and report["weights"]
+
+
 def test_usage_error_exit_64(capsys):
     assert run(["bogus"]) == 64
     assert run([]) == 64
+
+
+def test_merge_tol_flag_is_gone(files, capsys):
+    assert run(["certify", "--input", files["pair"], "--merge-tol", "1e-6"]) == 64
 
 
 def test_missing_file_exit_one(capsys):

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from smk.certify import RankPolicy, certify, numerical_rank
+from smk.certify import RankPolicy, _rank_and_gap, certify
 from smk.core import CliqueSubvector, clique_subvector, local_exponents
 from smk.errors import FlatnessViolated, NonPhysicalWeights, ReconstructionFailed
 from smk.extract import (
@@ -71,7 +71,7 @@ class TestExtractAtoms:
             weights = rng.uniform(0.2, 1.0, r)
             sub = measure_subvector((1, 2), atoms, weights, 3)
             M = moment_matrix(sub, 3)
-            r_num = numerical_rank(M)
+            r_num = _rank_and_gap(M.data, RankPolicy())[0]
             assert r_num == r
             mu = extract_atoms(M, r, seed=trial)
             match_atoms(mu, atoms, weights, tol=1e-6)
@@ -93,11 +93,11 @@ class TestExtractAtoms:
         if round_decimals is not None:
             y = y.rounded(round_decimals)
         cert = certify(y, demo.chain_triple_pop().constraints, check_rip(y.cover), policy)
-        got = extract_clique_measures(cert, policy, seed=7, merge_tol=1e-6)
+        got = extract_clique_measures(cert, policy, seed=7)
         for i, (check, mu) in enumerate(zip(cert.cliques, got), start=1):
             M = moment_matrix(clique_subvector(y, i), y.omega)
             assert np.array_equal(check.moment.data, M.data) and check.moment.labels == M.labels
-            ref = extract_atoms(M, check.rank_full, policy, seed=7 + i, merge_tol=1e-6)
+            ref = extract_atoms(M, check.rank_full, policy, seed=7 + i)
             assert np.array_equal(mu.atoms, ref.atoms) and np.array_equal(mu.weights, ref.weights)
         # the matrices ride along without entering the record
         assert " moment=" not in repr(cert.cliques[0])
