@@ -47,7 +47,10 @@ def build_weight_lp(atoms, y: SparseMomentVector, cost) -> WeightLP:
 
 def _row_reduce(A: np.ndarray, b: np.ndarray, policy: RankPolicy) -> tuple[np.ndarray, np.ndarray]:
     """Reduce [A | b] to full row rank by Gaussian elimination with partial
-    pivoting; a zero row with rhs above ``policy.tol(scale)`` raises Infeasible."""
+    pivoting. A pivot at or below ``policy.tol(scale)`` counts as zero, so a
+    row that differs from a combination of others only by noise of the
+    data's accuracy is dropped; a dropped row with rhs above that tolerance
+    raises Infeasible."""
     M = np.hstack([A, b[:, None]]).astype(float)
     rows, cols = A.shape
     scale = max(1.0, np.abs(M).max())
@@ -56,7 +59,7 @@ def _row_reduce(A: np.ndarray, b: np.ndarray, policy: RankPolicy) -> tuple[np.nd
         if rank >= rows:
             break
         k = rank + int(np.argmax(np.abs(M[rank:, col])))
-        if abs(M[k, col]) <= PIVOT_TOL * scale:
+        if abs(M[k, col]) <= policy.tol(scale):
             continue
         M[[rank, k]] = M[[k, rank]]
         factors = M[:, col] / M[rank, col]

@@ -45,6 +45,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _cost(text: str):
+    """``--cost``: ``random:N`` gives the budget N, anything else one cost per atom."""
+    try:
+        if text.startswith("random:"):
+            return int(text.split(":", 1)[1])
+        return np.array([float(t) for t in text.split(",")])
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers or random:N, got {text!r}"
+        ) from None
+
+
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--rel-tol", type=float, default=1e-6, help="rank/PSD tolerance")
@@ -77,7 +89,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--constraints", default=None)
     p.add_argument("--measure", default=None, help="measure JSON supplying the atoms (default: run the chain)")
-    p.add_argument("--cost", required=True, help="comma-separated cost vector, or random:N")
+    p.add_argument("--cost", required=True, type=_cost,
+                   help="comma-separated cost vector, or random:N")
 
     p = add("relax", "build the relaxation and emit SDPA sparse text")
     p.add_argument("--pop", required=True)
@@ -193,12 +206,11 @@ def _run_altmeasure(args, report):
         atoms = np.asarray(report["measure"]["atoms"], dtype=float)
     atoms = atoms[lex_order_rows(atoms)]
     report["atoms"] = [[float(v) for v in a] for a in atoms]
-    if args.cost.startswith("random:"):
-        budget = int(args.cost.split(":", 1)[1])
-        solutions = enumerate_extreme_measures(atoms, y, budget, args.seed, _policy(args))
+    if isinstance(args.cost, int):
+        solutions = enumerate_extreme_measures(atoms, y, args.cost, args.seed, _policy(args))
         report["weights"] = [[float(w) for w in s] for s in solutions]
     else:
-        cost = np.array([float(t) for t in args.cost.split(",")])
+        cost = args.cost
         if cost.shape[0] != atoms.shape[0]:
             raise SmkError(f"cost has {cost.shape[0]} entries for {atoms.shape[0]} atoms")
         w = solve_weight_lp(atoms, y, cost, _policy(args))

@@ -14,6 +14,10 @@ differ the larger exponent sorts first in both, and the one case where the
 orders could part, one sparse key being a prefix of the other, needs
 different degrees. A :class:`SparseMomentVector` keeps its map and its values
 in canonical order, and clique subvectors are gathered from them by position.
+
+Maps are shared: :func:`index_map_of` gives every caller asking for the same
+``(cover, degree bound)`` the same read-only map, so its per-clique position
+tables are computed once too.
 """
 
 from __future__ import annotations
@@ -201,6 +205,18 @@ class IndexMap:
         by_var.setflags(write=False)
         return by_var.T
 
+    def find(self, exps: np.ndarray) -> np.ndarray:
+        """Position of each row of ``exps``, a nonnegative integer array of
+        shape (rows, n), or -1 for a row outside the set. Each row's sparse
+        key is read from its nonzero entries."""
+        rows, cols = np.nonzero(exps)
+        pairs = list(zip((cols + 1).tolist(), (-exps[rows, cols]).tolist()))
+        ends = np.cumsum(np.bincount(rows, minlength=exps.shape[0])).tolist()
+        get = self.position.get
+        return np.array(
+            [get(tuple(pairs[a:b]), -1) for a, b in zip([0] + ends, ends)], dtype=np.int64
+        )
+
     def positions(self, variables: tuple[int, ...], bound: int) -> np.ndarray:
         """Global position of each local exponent tuple of degree <= ``bound``
         on ``variables`` (in the order of :func:`local_exponents`), as a
@@ -224,6 +240,14 @@ class IndexMap:
         return table
 
 
+@lru_cache(maxsize=8)
+def index_map_of(cover: CliqueCover, degree_bound: int) -> IndexMap:
+    """The :class:`IndexMap` of ``(cover, degree_bound)``, shared by every
+    caller: it is built on the first request and kept for the last eight
+    pairs asked for. Equal covers (same n and clique order) share one map."""
+    return IndexMap(cover, degree_bound)
+
+
 def _dense(key: SparseKey, n: int) -> MultiIndex:
     alpha = [0] * n
     for var, e in key:
@@ -234,7 +258,7 @@ def _dense(key: SparseKey, n: int) -> MultiIndex:
 def sparse_exponents(cover: CliqueCover, degree_bound: int) -> list[MultiIndex]:
     """Union over cliques of all multi-indices supported on that clique with
     total degree <= ``degree_bound``, deduplicated, in canonical order."""
-    return list(IndexMap(cover, degree_bound).exponents)
+    return list(index_map_of(cover, degree_bound).exponents)
 
 
 @dataclass(frozen=True)
@@ -271,7 +295,7 @@ class SparseMomentVector:
             if alpha in supplied:
                 raise DuplicateEntry(f"multi-index {alpha} supplied twice")
             supplied[alpha] = v
-        index_map = IndexMap(cover, 2 * omega)
+        index_map = index_map_of(cover, 2 * omega)
         found = [supplied.pop(a, None) for a in index_map.exponents]
         if supplied:
             raise IndexOutOfPattern(next(iter(supplied)))
@@ -301,7 +325,7 @@ class SparseMomentVector:
 
     @cached_property
     def index_map(self) -> IndexMap:
-        return IndexMap(self.cover, 2 * self.omega)
+        return index_map_of(self.cover, 2 * self.omega)
 
     @cached_property
     def values(self) -> np.ndarray:

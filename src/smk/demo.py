@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import CliqueCover, IndexMap, SparseMomentVector, monomial_matrix, sparse_exponents
+from .core import CliqueCover, SparseMomentVector, index_map_of, monomial_matrix, sparse_exponents
 from .matrices import ConstraintPolynomial
 from .relax import PopProblem
 
@@ -17,7 +17,7 @@ def moments_of_atoms(
     cover: CliqueCover, omega: int, atoms, weights
 ) -> SparseMomentVector:
     """Sparse moment vector of a weighted atomic measure on all n variables."""
-    index_map = IndexMap(cover, 2 * omega)
+    index_map = index_map_of(cover, 2 * omega)
     values = monomial_matrix(index_map.exponent_array, atoms) @ np.asarray(weights, dtype=float)
     return SparseMomentVector.on_index_map(cover, omega, index_map, values)
 

@@ -28,7 +28,7 @@ import scipy.sparse.linalg
 
 from .assemble import assemble, verify_global
 from .certify import FlatnessCertificate, RankPolicy, certify
-from .core import CliqueCover, IndexMap, MultiIndex, SparseMomentVector, grlex_position
+from .core import CliqueCover, IndexMap, MultiIndex, SparseMomentVector, grlex_position, index_map_of
 from .errors import BlockNotPsdWarning, DegreeTooLow, DimensionMismatch
 from .extract import AtomicMeasure, constraint_feasibility_check, extract_clique_measures
 from .matrices import ConstraintPolynomial, block_operator
@@ -129,7 +129,7 @@ class SdpInstance:
 
     @cached_property
     def index_map(self) -> IndexMap:
-        return IndexMap(self.cover, 2 * self.omega)
+        return index_map_of(self.cover, 2 * self.omega)
 
     @property
     def offsets(self) -> np.ndarray:
@@ -204,7 +204,7 @@ def build_relaxation(pop: PopProblem, omega: int) -> SdpInstance:
         raise DegreeTooLow(
             f"2*omega = {2*omega} is below the problem degree {pop.max_degree}"
         )
-    index_map = IndexMap(pop.cover, 2 * omega)
+    index_map = index_map_of(pop.cover, 2 * omega)
     # per clique: global position of each local exponent of degree <= 2*omega
     tables = [index_map.positions(cl, 2 * omega) for cl in pop.cover.cliques]
     objective = np.zeros(len(index_map.exponents))
@@ -220,9 +220,7 @@ def build_relaxation(pop: PopProblem, omega: int) -> SdpInstance:
     blocks = [block(i, "moment", None) for i in range(1, pop.cover.m + 1)]
     for i, gs in enumerate(pop.constraints, start=1):
         blocks += [block(i, "localizing", gi, g) for gi, g in enumerate(gs, start=1)]
-    instance = SdpInstance(pop.cover, omega, index_map.exponents, objective, tuple(blocks))
-    instance.__dict__["index_map"] = index_map
-    return instance
+    return SdpInstance(pop.cover, omega, index_map.exponents, objective, tuple(blocks))
 
 
 # ---------------------------------------------------------------------------

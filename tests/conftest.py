@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from smk.core import CliqueCover, SparseMomentVector, lift, local_exponents
 from smk.demo import moments_of_atoms
@@ -158,6 +159,20 @@ TRIANGLE_CLIQUE_ATOMS = {
 
 # ---------------------------------------------------------------------------
 # random round-trip instances
+
+
+@st.composite
+def shuffled_chain_covers(draw):
+    """Chains of 1-5 cliques of widths 1-4, each overlapping the previous one
+    in 0 to width - 1 variables (no clique contains another), listed in a
+    shuffled order."""
+    cliques, start, prev = [], 1, None
+    for _ in range(draw(st.integers(1, 5))):
+        width = draw(st.integers(1, 4))
+        start -= 0 if prev is None else draw(st.integers(0, min(width, prev) - 1))
+        cliques.append(tuple(range(start, start + width)))
+        start, prev = start + width, width
+    return CliqueCover(start - 1, tuple(draw(st.permutations(cliques))))
 
 
 def random_rip_cover(rng: np.random.Generator, max_cliques=4, max_clique_size=3):

@@ -376,3 +376,21 @@ class TestSolverNoise:
         mu = assemble(measures, witnesses, policy, chosen=cert.witness_choice())
         assert enumerate_extreme_measures(mu.atoms, y, 2, policy=policy)
         assert verify_global(mu, y) <= rel_tol
+
+    @pytest.mark.parametrize("noise_seed", range(20))
+    def test_weight_lp_drops_rows_equal_up_to_noise(self, noise_seed):
+        # noisy redundant moment rows differ by pivots near the noise (1e-6),
+        # far below the policy tolerance; kept, they made phase 1 infeasible
+        exact = demo.chain_triple_moments()
+        noise = 1e-6 * np.random.default_rng(noise_seed).uniform(-1, 1, exact.values.shape)
+        noise[0] = 0.0
+        y = SparseMomentVector.on_index_map(
+            exact.cover, exact.omega, exact.index_map, exact.values + noise
+        )
+        policy = RankPolicy(rel_tol=1e-4)
+        witnesses = check_rip(y.cover)
+        cert = certify(y, [()] * y.cover.m, witnesses, policy)
+        assert cert.verdict
+        measures = extract_clique_measures(cert, policy)
+        mu = assemble(measures, witnesses, policy, chosen=cert.witness_choice())
+        assert enumerate_extreme_measures(mu.atoms, y, 2, policy=policy)

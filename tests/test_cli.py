@@ -203,6 +203,14 @@ def test_altmeasure_on_bundled_solver_moments(files, capsys, tmp_path, extra):
     assert len(report["atoms"]) == 8 and report["weights"]
 
 
+@pytest.mark.parametrize("cost", ["1,a,0,0", "random:x"])
+def test_altmeasure_bad_cost_is_usage_error(files, capsys, cost):
+    assert run(["altmeasure", "--input", files["pair"], "--cost", cost]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: argument --cost:") and repr(cost) in captured.err
+
+
 def test_usage_error_exit_64(capsys):
     assert run(["bogus"]) == 64
     assert run([]) == 64

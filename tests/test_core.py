@@ -25,7 +25,7 @@ from smk.extract import extract_atoms
 from smk.matrices import moment_matrix
 from smk import demo
 
-from conftest import CHAIN_PAIR_ENTRIES, TRIANGLE_ENTRIES, random_rip_cover
+from conftest import CHAIN_PAIR_ENTRIES, TRIANGLE_ENTRIES, random_rip_cover, shuffled_chain_covers
 
 CHAIN_PAIR = CliqueCover(3, ((1, 2), (2, 3)))
 TRIANGLE = CliqueCover(3, ((1, 2), (2, 3), (1, 3)))
@@ -59,20 +59,6 @@ def subvector_reference(y, variables):
         (loc, y.entries[lift(loc, variables, y.cover.n)])
         for loc in local_exponents(len(variables), 2 * y.omega)
     ]
-
-
-@st.composite
-def shuffled_chain_covers(draw):
-    """Chains of 1-5 cliques of widths 1-4, each overlapping the previous one
-    in 0 to width - 1 variables (no clique contains another), listed in a
-    shuffled order."""
-    cliques, start, prev = [], 1, None
-    for _ in range(draw(st.integers(1, 5))):
-        width = draw(st.integers(1, 4))
-        start -= 0 if prev is None else draw(st.integers(0, min(width, prev) - 1))
-        cliques.append(tuple(range(start, start + width)))
-        start, prev = start + width, width
-    return CliqueCover(start - 1, tuple(draw(st.permutations(cliques))))
 
 
 class TestIndexMap:

@@ -1,9 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smk import demo, io
-from smk.errors import DuplicateEntry, MissingEntries
+from smk.core import CliqueCover, SparseMomentVector, index_map_of, sparse_exponents
+from smk.errors import DuplicateEntry, IndexOutOfPattern, MissingEntries
 from smk.extract import AtomicMeasure
+from smk.relax import build_relaxation
+
+from conftest import shuffled_chain_covers
 
 
 def test_moment_vector_round_trip(tmp_path):
@@ -37,6 +44,91 @@ def test_entries_any_order():
     data["entries"] = data["entries"][::-1]
     y = io.load_moment_vector(data)
     assert y.entries == demo.chain_pair_moments().entries
+
+
+def moment_doc(cover, omega, pairs) -> dict:
+    return {
+        "n": cover.n,
+        "cliques": [list(c) for c in cover.cliques],
+        "omega": omega,
+        "entries": [{"alpha": list(a), "value": v} for a, v in pairs],
+    }
+
+
+class TestArrayReader:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(shuffled_chain_covers(), st.integers(1, 2), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_matches_build_on_the_same_pairs(self, cover, omega, drop, seed):
+        rng = np.random.default_rng(seed)
+        exponents = sparse_exponents(cover, 2 * omega)
+        pairs = [(exponents[k], float(v)) for k, v in
+                 zip(rng.permutation(len(exponents)), rng.normal(size=len(exponents)))]
+        if drop:
+            pairs = [pair for pair in pairs if rng.random() < 0.7]
+        reference = SparseMomentVector.build(cover, omega, pairs, allow_missing_as_zero=True)
+        # well-formed entries never reach build: the array path reads them
+        with mock.patch.object(SparseMomentVector, "build", side_effect=AssertionError):
+            loaded = io.load_moment_vector(moment_doc(cover, omega, pairs), allow_missing_as_zero=True)
+        assert list(loaded.entries) == list(reference.entries)
+        assert loaded.values.tolist() == reference.values.tolist()
+        assert loaded.index_map is reference.index_map
+
+    @pytest.mark.parametrize(
+        "defect, error",
+        [
+            ("duplicate", DuplicateEntry),
+            ("out of pattern", IndexOutOfPattern),
+            ("ragged", IndexOutOfPattern),
+            ("negative", IndexOutOfPattern),
+            ("exponent 256", IndexOutOfPattern),
+            ("fractional", IndexOutOfPattern),
+            ("null value", TypeError),
+            ("duplicate after out of pattern", DuplicateEntry),
+            ("missing", MissingEntries),
+        ],
+    )
+    def test_first_error_matches_build(self, defect, error):
+        y = demo.chain_pair_moments()
+        entries = [[list(a), v] for a, v in y.entries.items()]
+        if defect.startswith("duplicate"):
+            entries.append(list(entries[3]))
+        if defect.endswith("out of pattern"):
+            entries.insert(1, [[1, 0, 1], 0.0])  # x1*x3 lies in no clique
+        alpha = {"ragged": [0, 0], "negative": [-1, 0, 0], "exponent 256": [256, 0, 0],
+                 "fractional": [0, 0, 1.5]}.get(defect)
+        if alpha is not None:
+            entries.append([alpha, 0.0])
+        if defect == "null value":
+            entries[5][1] = None
+        if defect == "missing":
+            del entries[7:9]
+        with pytest.raises(error) as expected:
+            SparseMomentVector.build(y.cover, y.omega, entries)
+        with pytest.raises(error) as got:
+            io.load_moment_vector(moment_doc(y.cover, y.omega, entries))
+        assert str(got.value) == str(expected.value)
+
+    def test_fractional_exponent_named_as_written(self):
+        y = demo.chain_pair_moments()
+        pairs = [*y.entries.items(), ((0, 0, 1.5), 0.0)]
+        with pytest.raises(IndexOutOfPattern, match=r"\(0, 0, 1\.5\)"):
+            io.load_moment_vector(moment_doc(y.cover, y.omega, pairs))
+
+    def test_integral_float_exponents_load(self):
+        y = demo.chain_pair_moments()
+        pairs = [([float(e) for e in a], v) for a, v in y.entries.items()]
+        assert io.load_moment_vector(moment_doc(y.cover, y.omega, pairs)).entries == y.entries
+
+    def test_one_index_map_per_cover(self, tmp_path):
+        assert index_map_of(CliqueCover(3, ((1, 2), (2, 3))), 4) is index_map_of(
+            CliqueCover(3, [[1, 2], [2, 3]]), 4
+        )
+        path = tmp_path / "y.json"
+        io.save_moment_vector(demo.chain_triple_moments(), path)
+        loaded = io.load_moment_vector(path)
+        instance = build_relaxation(demo.chain_triple_pop(), 3)
+        assert instance.index_map is loaded.index_map
+        assert instance.moment_vector(loaded.values).index_map is loaded.index_map
 
 
 def test_measure_round_trip(tmp_path):
