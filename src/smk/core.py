@@ -205,18 +205,6 @@ class IndexMap:
         by_var.setflags(write=False)
         return by_var.T
 
-    def find(self, exps: np.ndarray) -> np.ndarray:
-        """Position of each row of ``exps``, a nonnegative integer array of
-        shape (rows, n), or -1 for a row outside the set. Each row's sparse
-        key is read from its nonzero entries."""
-        rows, cols = np.nonzero(exps)
-        pairs = list(zip((cols + 1).tolist(), (-exps[rows, cols]).tolist()))
-        ends = np.cumsum(np.bincount(rows, minlength=exps.shape[0])).tolist()
-        get = self.position.get
-        return np.array(
-            [get(tuple(pairs[a:b]), -1) for a, b in zip([0] + ends, ends)], dtype=np.int64
-        )
-
     def positions(self, variables: tuple[int, ...], bound: int) -> np.ndarray:
         """Global position of each local exponent tuple of degree <= ``bound``
         on ``variables`` (in the order of :func:`local_exponents`), as a
@@ -240,11 +228,13 @@ class IndexMap:
         return table
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=2)
 def index_map_of(cover: CliqueCover, degree_bound: int) -> IndexMap:
     """The :class:`IndexMap` of ``(cover, degree_bound)``, shared by every
-    caller: it is built on the first request and kept for the last eight
-    pairs asked for. Equal covers (same n and clique order) share one map."""
+    caller: it is built on the first request and kept for the last two
+    pairs asked for (a problem and its reordering), so a long-lived process
+    does not hold the maps of covers it has finished with. Equal covers
+    (same n and clique order) share one map."""
     return IndexMap(cover, degree_bound)
 
 

@@ -8,7 +8,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import CliqueCover, SparseMomentVector, index_map_of
+from .core import CliqueCover, SparseMomentVector
 from .extract import AtomicMeasure
 from .matrices import ConstraintPolynomial
 from .relax import PopProblem
@@ -36,61 +36,15 @@ def load_moment_vector(source, allow_missing_as_zero: bool = False) -> SparseMom
 
     Entries may come in any order; a repeated multi-index is an error rather
     than last-wins, and missing sparse indices are an error unless
-    ``allow_missing_as_zero`` is set. Exponents are nonnegative integers
-    (``1.0`` reads as ``1``; ``1.5`` is outside the pattern).
-
-    The alphas are read as one integer array of shape (entries, n), matched
-    to the shared index map row by row, and the values are scattered into
-    canonical order. Entries that are not all well formed, or do not cover
-    the pattern, go to :meth:`SparseMomentVector.build` as written, which
-    raises the first error (duplicate, then out of pattern, then missing)
-    with the same type and message as for any other caller.
+    ``allow_missing_as_zero`` is set. Each alpha is kept as written, so
+    ``1.0`` reads as ``1`` and ``1.5`` is outside the pattern.
     """
     data = _load(source)
     cover = cover_from_dict(data)
-    omega = int(data["omega"])
-    alphas = [item["alpha"] for item in data["entries"]]
-    raw = [item["value"] for item in data["entries"]]
-    y = _read_arrays(cover, omega, alphas, raw, allow_missing_as_zero)
-    if y is None:
-        y = SparseMomentVector.build(
-            cover, omega, zip(alphas, raw), allow_missing_as_zero=allow_missing_as_zero
-        )
-    return y
-
-
-def _read_arrays(cover, omega, alphas, raw, allow_missing_as_zero) -> SparseMomentVector | None:
-    """The moment vector, or None unless every alpha is a row of n integers
-    in 0..2*omega inside the pattern, no row repeats, every value is a
-    number (``np.array`` would read ``null`` as NaN) and no index is missing
-    that may not be."""
-    if omega < 1:
-        return None
-    try:
-        exps = np.array(alphas)
-        values = np.array(raw, dtype=float)
-    except (TypeError, ValueError):  # ragged alphas, or values that are not numbers
-        return None
-    count = len(alphas)
-    if exps.shape != (count, cover.n) or exps.dtype.kind not in "biuf":
-        return None
-    if values.shape != (count,) or np.isnan(values).any():
-        return None
-    if exps.dtype.kind == "f" and (exps != np.floor(exps)).any():
-        return None
-    if ((exps < 0) | (exps > 2 * omega)).any():
-        return None
-    index_map = index_map_of(cover, 2 * omega)
-    found = index_map.find(exps.astype(np.int64, copy=False))
-    present = np.zeros(len(index_map.exponents), dtype=bool)
-    present[found] = True
-    if (found < 0).any() or np.count_nonzero(present) < count:
-        return None
-    if not (allow_missing_as_zero or present.all()):
-        return None
-    out = np.zeros(len(present))
-    out[found] = values
-    return SparseMomentVector.on_index_map(cover, omega, index_map, out)
+    pairs = [(tuple(item["alpha"]), item["value"]) for item in data["entries"]]
+    return SparseMomentVector.build(
+        cover, int(data["omega"]), pairs, allow_missing_as_zero=allow_missing_as_zero
+    )
 
 
 def moment_vector_to_dict(y: SparseMomentVector) -> dict:
