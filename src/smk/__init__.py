@@ -34,7 +34,6 @@ from .extract import (
     constraint_feasibility_check,
     extract_atoms,
     extract_clique_measures,
-    verify_measure_against_subvector,
 )
 from .matrices import (
     ConstraintPolynomial,

@@ -10,8 +10,7 @@ atomic measure whose atoms can be recovered clique by clique.
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -99,8 +98,7 @@ def _leading(M: LabeledSymMatrix, d: int, omega: int) -> np.ndarray:
 
 def d_half(constraints: Sequence[ConstraintPolynomial]) -> int:
     """Half-degree of a clique's constraint set; 1 when the set is empty."""
-    deg = max((g.degree for g in constraints), default=0)
-    return max(1, math.ceil(deg / 2))
+    return max((g.d_half for g in constraints), default=1)
 
 
 @dataclass(frozen=True)
@@ -232,9 +230,8 @@ def certify(
         rank_full, gap_full = _rank_and_gap(full.data, policy)
         rank_shifted, gap_shifted = _rank_and_gap(_leading(full, omega - di, omega), policy)
         eig_range = _eig_range(full.data, policy)
-        psd_loc = True
-        if constraints[i - 1]:
-            psd_loc = psd_check(localizing_block(sub, constraints[i - 1], omega), policy)
+        gs = constraints[i - 1]
+        psd_loc = not gs or psd_check(localizing_block(sub, gs, omega), policy)
         clique_checks.append(
             CliqueCheck(
                 clique=i,
@@ -253,24 +250,17 @@ def certify(
     overlap_checks = []
     for i in range(2, m + 1):
         candidates = tuple(sorted(witnesses.witness[i]))
-        chosen = None
-        best = None
+        first = None
         for j in candidates:
             full = overlap_moment_matrix(y, i, j, omega)
             rank_full, gap_full = _rank_and_gap(full.data, policy)
             rank_shifted, gap_shifted = _rank_and_gap(_leading(full, omega - 1, omega), policy)
             record = OverlapCheck(i, j, rank_full, rank_shifted, gap_full, gap_shifted, candidates)
-            if best is None:
-                best = record
+            first = first or record
             if record.flat:
-                chosen = record
                 break
-        if chosen is None:
-            # keep the first candidate's ranks for diagnostics, but mark no witness
-            chosen = OverlapCheck(
-                i, None, best.rank_full, best.rank_shifted, best.gap_full, best.gap_shifted, candidates
-            )
-        overlap_checks.append(chosen)
+        # with no flat candidate, keep the first one's ranks for diagnostics but mark no witness
+        overlap_checks.append(record if record.flat else replace(first, witness_j=None))
 
     verdict = all(c.ok for c in clique_checks) and all(o.flat for o in overlap_checks)
     r_bound = max(c.rank_full for c in clique_checks)

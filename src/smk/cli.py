@@ -125,25 +125,22 @@ def _run_rip(args, report):
     if problems:
         report["cover_violations"] = problems
         return EXIT_ERROR
+    order, reordered = tuple(range(1, cover.m + 1)), False
     try:
-        wit = check_rip(cover)
-        report["order"] = list(wit.order)
-        report["witnesses"] = {str(i): sorted(js) for i, js in wit.witness.items()}
-        report["reordered"] = False
-        return EXIT_OK
+        check_rip(cover)
     except RipFailsAt as exc:
         report["fails_at"] = exc.index
         report["overlap"] = list(exc.overlap)
-    try:
-        order = find_rip_order(cover)
-    except NoOrderExists as exc:
-        report["no_order_exists"] = True
-        report["detail"] = str(exc)
-        return EXIT_NEGATIVE
+        try:
+            order, reordered = find_rip_order(cover), True
+        except NoOrderExists as exc:
+            report["no_order_exists"] = True
+            report["detail"] = str(exc)
+            return EXIT_NEGATIVE
     wit = check_rip(cover.reorder(order))
     report["order"] = list(order)
     report["witnesses"] = {str(i): sorted(js) for i, js in wit.witness.items()}
-    report["reordered"] = True
+    report["reordered"] = reordered
     return EXIT_OK
 
 
@@ -222,9 +219,7 @@ def _run_relax(args, report):
     pop = io.load_pop(args.pop)
     instance = build_relaxation(pop, args.omega)
     text = emit_sdpa(instance)
-    report["num_vars"] = instance.num_vars
-    report["block_sizes"] = [b.size for b in instance.blocks]
-    report["sdpa"] = text
+    report.update(num_vars=instance.num_vars, block_sizes=[b.size for b in instance.blocks], sdpa=text)
     if args.sdpa_output:
         with open(args.sdpa_output, "w") as fh:
             fh.write(text)
@@ -235,12 +230,10 @@ def _run_solve(args, report):
     pop = io.load_pop(args.pop)
     instance = build_relaxation(pop, args.omega)
     sol = solve_sdp_bundled(instance, max_iters=args.max_iters, tol=args.tol)
-    report["objective"] = sol.objective
-    report["iterations"] = sol.iterations
-    report["primal_residual"] = sol.primal_residual
-    report["dual_residual"] = sol.dual_residual
-    report["min_block_eig"] = sol.min_block_eig
-    report["converged"] = sol.converged
+    report.update(
+        objective=sol.objective, iterations=sol.iterations, primal_residual=sol.primal_residual,
+        dual_residual=sol.dual_residual, min_block_eig=sol.min_block_eig, converged=sol.converged,
+    )
     if args.moments_output:
         io.save_moment_vector(sol.y, args.moments_output)
     return EXIT_OK  # non-convergence is reported in the JSON, not an error

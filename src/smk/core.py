@@ -16,13 +16,14 @@ different degrees. A :class:`SparseMomentVector` keeps its map and its values
 in canonical order, and clique subvectors are gathered from them by position.
 
 Maps are shared: :func:`index_map_of` gives every caller asking for the same
-``(cover, degree bound)`` the same read-only map, so its per-clique position
-tables are computed once too.
+cliques and degree bound, in any clique order, the same read-only map, so its
+per-clique position tables are computed once too.
 """
 
 from __future__ import annotations
 
 import math
+from collections import UserDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
@@ -34,10 +35,6 @@ from .errors import DuplicateEntry, IndexOutOfPattern, MissingEntries
 
 MultiIndex = tuple[int, ...]
 SparseKey = tuple[tuple[int, int], ...]
-
-
-def degree(alpha: MultiIndex) -> int:
-    return sum(alpha)
 
 
 def support(alpha: MultiIndex) -> tuple[int, ...]:
@@ -228,14 +225,17 @@ class IndexMap:
         return table
 
 
-@lru_cache(maxsize=2)
 def index_map_of(cover: CliqueCover, degree_bound: int) -> IndexMap:
     """The :class:`IndexMap` of ``(cover, degree_bound)``, shared by every
-    caller: it is built on the first request and kept for the last two
-    pairs asked for (a problem and its reordering), so a long-lived process
-    does not hold the maps of covers it has finished with. Equal covers
-    (same n and clique order) share one map."""
-    return IndexMap(cover, degree_bound)
+    caller and by every order of the same cliques. The last two maps asked
+    for are kept, so a long-lived process does not hold the maps of covers
+    it has finished with."""
+    return _index_map(cover.n, frozenset(cover.cliques), degree_bound)
+
+
+@lru_cache(maxsize=2)
+def _index_map(n: int, cliques: frozenset, degree_bound: int) -> IndexMap:
+    return IndexMap(CliqueCover(n, sorted(cliques)), degree_bound)
 
 
 def _dense(key: SparseKey, n: int) -> MultiIndex:
@@ -251,6 +251,18 @@ def sparse_exponents(cover: CliqueCover, degree_bound: int) -> list[MultiIndex]:
     return list(index_map_of(cover, degree_bound).exponents)
 
 
+class _LazyEntries(UserDict):
+    """``keys[k]: values[k]`` for a float array ``values``, as a dict built on
+    first read, so what is only read by position never hashes its keys."""
+
+    def __init__(self, keys: tuple, values: np.ndarray):
+        self._keys, self._values = keys, values
+
+    @cached_property
+    def data(self) -> dict:
+        return dict(zip(self._keys, self._values.tolist()))
+
+
 @dataclass(frozen=True)
 class SparseMomentVector:
     """Moment vector keyed exactly by the sparse index set of (cover, omega).
@@ -259,12 +271,13 @@ class SparseMomentVector:
     to a real value, stored in canonical order. Build via :meth:`build` to
     get the key-set validation; the entry at the zero index is the total mass.
     The index map and the values in canonical order are computed on first
-    use, or carried over from the call that made the vector.
+    use, or carried over from the call that made the vector; ``entries``
+    is then built from them on first read.
     """
 
     cover: CliqueCover
     omega: int
-    entries: dict[MultiIndex, float]
+    entries: Mapping[MultiIndex, float]
 
     @classmethod
     def build(
@@ -276,10 +289,8 @@ class SparseMomentVector:
     ) -> "SparseMomentVector":
         if omega < 1:
             raise ValueError("relaxation order omega must be >= 1")
-        if isinstance(values, Mapping):
-            pairs = [(tuple(a), float(v)) for a, v in values.items()]
-        else:
-            pairs = [(tuple(a), float(v)) for a, v in values]
+        items = values.items() if isinstance(values, Mapping) else values
+        pairs = [(tuple(a), float(v)) for a, v in items]
         supplied: dict[MultiIndex, float] = {}
         for alpha, v in pairs:
             if alpha in supplied:
@@ -309,7 +320,7 @@ class SparseMomentVector:
         if values.shape != (len(index_map.exponents),):
             raise ValueError(f"{values.shape} values for {len(index_map.exponents)} sparse indices")
         values.setflags(write=False)
-        y = cls(cover, omega, dict(zip(index_map.exponents, values.tolist())))
+        y = cls(cover, omega, _LazyEntries(index_map.exponents, values))
         y.__dict__.update(index_map=index_map, values=values)
         return y
 
@@ -325,15 +336,11 @@ class SparseMomentVector:
         return values
 
     @property
-    def index_set(self) -> tuple[MultiIndex, ...]:
-        return tuple(self.entries)
-
-    @property
     def mass(self) -> float:
-        return self.entries[(0,) * self.cover.n]
+        return float(self.values[0])
 
     def is_zero(self) -> bool:
-        return all(v == 0.0 for v in self.entries.values())
+        return not self.values.any()
 
     def rounded(self, decimals: int) -> "SparseMomentVector":
         # ``+ 0.0`` turns -0.0 into 0.0, so noise below the rounding digit
@@ -348,15 +355,29 @@ class SparseMomentVector:
 class CliqueSubvector:
     """Dense restriction of a moment vector to one clique, in local variables.
 
-    Contains every local multi-index of degree <= 2*omega.
+    ``values`` maps every local multi-index of degree <= 2*omega to its
+    moment; ``moments`` holds them as a read-only array in the order of
+    ``local_exponents(width, 2*omega)``, 0.0 at the positions in ``absent``.
     """
 
     clique: tuple[int, ...]
     omega: int
-    values: dict[MultiIndex, float]
+    values: Mapping[MultiIndex, float]
+
+    @cached_property
+    def moments(self) -> np.ndarray:
+        local = _local_exponents(len(self.clique), 2 * self.omega)
+        moments = np.array([self.values.get(a, 0.0) for a in local], dtype=float)
+        moments.setflags(write=False)
+        return moments
+
+    @cached_property
+    def absent(self) -> np.ndarray:
+        local = _local_exponents(len(self.clique), 2 * self.omega)
+        return np.array([p for p, a in enumerate(local) if a not in self.values], dtype=np.int64)
 
     def max_abs(self) -> float:
-        return max((abs(v) for v in self.values.values()), default=0.0)
+        return float(np.abs(self.moments).max(initial=0.0))
 
 
 def subvector_on(y: SparseMomentVector, variables: tuple[int, ...]) -> CliqueSubvector:
@@ -364,9 +385,12 @@ def subvector_on(y: SparseMomentVector, variables: tuple[int, ...]) -> CliqueSub
     some clique (e.g. a clique intersection)."""
     variables = tuple(variables)
     bound = 2 * y.omega
-    gathered = y.values[y.index_map.positions(variables, bound)].tolist()
+    moments = y.values[y.index_map.positions(variables, bound)]
+    moments.setflags(write=False)
     locs = _local_exponents(len(variables), bound)
-    return CliqueSubvector(variables, y.omega, dict(zip(locs, gathered)))
+    sub = CliqueSubvector(variables, y.omega, _LazyEntries(locs, moments))
+    sub.__dict__.update(moments=moments, absent=np.zeros(0, dtype=np.int64))
+    return sub
 
 
 def clique_subvector(y: SparseMomentVector, i: int) -> CliqueSubvector:

@@ -55,14 +55,8 @@ def chain_triple_pop() -> PopProblem:
         # (x4^2-1)^2 on clique {3,4}
         {(0, 4): 1.0, (0, 2): -2.0, (0, 0): 1.0},
     )
-    constraints = tuple(
-        (
-            ConstraintPolynomial(
-                cover.clique(i), {(0, 0): 3.0, (2, 0): -1.0, (0, 2): -1.0}
-            ),
-        )
-        for i in (1, 2, 3)
-    )
+    ball = {(0, 0): 3.0, (2, 0): -1.0, (0, 2): -1.0}
+    constraints = tuple((ConstraintPolynomial(clique, ball),) for clique in cover.cliques)
     return PopProblem(cover, objectives, constraints)
 
 

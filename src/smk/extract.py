@@ -11,13 +11,14 @@ convex combination.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 import scipy.optimize
 
 from .certify import FlatnessCertificate, RankPolicy
-from .core import CliqueSubvector, local_exponents, monomial_matrix
+from .core import monomial_matrix
 from .errors import FlatnessViolated, NonPhysicalWeights, ReconstructionFailed
 from .matrices import ConstraintPolynomial, LabeledSymMatrix
 
@@ -101,6 +102,23 @@ def _column_echelon_basis(vt: np.ndarray, allowed: np.ndarray, tol: float):
     return pivots, R
 
 
+@lru_cache(maxsize=64)
+def _label_table(labels: tuple, nvars: int):
+    """Per label tuple, built once: the top degree omega, the mask of labels
+    of degree below it, the labels as a uint8 exponent array, and
+    ``shift[k, t]``, the column of labels[k] times x_t (-1 past the order)."""
+    column = {l: k for k, l in enumerate(labels)}
+    shifted = (tuple(e + (s == t) for s, e in enumerate(l)) for l in labels for t in range(nvars))
+    shift = np.array([column.get(l, -1) for l in shifted], np.int64).reshape(len(labels), nvars)
+    exponents = np.array(labels, dtype=np.uint8).reshape(len(labels), nvars)
+    degree = exponents.sum(axis=1, dtype=np.int64)
+    omega = int(degree.max(initial=0))
+    allowed = degree < omega
+    for a in (shift, exponents, allowed):
+        a.setflags(write=False)
+    return omega, allowed, exponents, shift
+
+
 def extract_atoms(
     M: LabeledSymMatrix,
     r: int,
@@ -124,14 +142,12 @@ def extract_atoms(
     ReconstructionFailed
         if the recovered measure does not reproduce ``M``.
     """
-    labels = M.labels
     nvars = len(M.variables)
-    omega = max(sum(l) for l in labels) if labels else 0
-    label_pos = {l: k for k, l in enumerate(labels)}
     scale = max(1.0, float(np.abs(M.data).max())) if M.size else 1.0
 
     if r == 0:
         return AtomicMeasure(M.variables, np.zeros((0, nvars)), np.zeros(0))
+    omega, allowed, exponents, shift = _label_table(tuple(M.labels), nvars)
 
     eigvals, eigvecs = np.linalg.eigh(policy.prepare(M.data))
     idx = np.argsort(eigvals)[::-1][:r]
@@ -139,26 +155,22 @@ def extract_atoms(
         raise ReconstructionFailed(f"matrix is not PSD of rank {r}: eigenvalue {eigvals[idx[-1]]}")
     V = eigvecs[:, idx] * np.sqrt(eigvals[idx])
 
-    allowed = np.array([sum(l) < omega for l in labels])
     pivots, R = _column_echelon_basis(V.T, allowed, policy.tol(np.sqrt(scale)))
     if len(pivots) < r:
         raise FlatnessViolated(
             f"only {len(pivots)} independent basis monomials of degree < {omega} found, need {r}"
         )
-    basis = [labels[c] for c in pivots]
 
     # multiplication operator of each variable: column k holds the coordinates
     # of x_t * basis[k] in the basis
     operators = []
     for t in range(nvars):
-        N = np.empty((r, r))
-        for k, beta in enumerate(basis):
-            shifted = tuple(e + (1 if s == t else 0) for s, e in enumerate(beta))
-            col = label_pos.get(shifted)
-            if col is None:
-                raise FlatnessViolated(f"monomial {shifted} exceeds the matrix order")
-            N[:, k] = R[:, col]
-        operators.append(N)
+        cols = shift[pivots, t]
+        if (cols < 0).any():
+            beta = M.labels[pivots[int(np.argmax(cols < 0))]]
+            shifted = tuple(e + (s == t) for s, e in enumerate(beta))
+            raise FlatnessViolated(f"monomial {shifted} exceeds the matrix order")
+        operators.append(R[:, cols])
 
     rng = np.random.default_rng(seed)
     atoms = None
@@ -193,8 +205,8 @@ def extract_atoms(
         raise ReconstructionFailed("could not separate atoms after redrawing combinations")
 
     # weights from the degree-<=omega moments by nonnegative least squares
-    A = monomial_matrix(labels, atoms)
-    b = np.array([M.data[0, label_pos[alpha]] for alpha in labels])
+    A = monomial_matrix(exponents, atoms)
+    b = M.data[0]  # the moments of the labels, which are in matrix order
     weights, _ = scipy.optimize.nnls(A, b)
     if weights.min() <= policy.tol(weights.max()):
         raise NonPhysicalWeights(f"weight {weights.min():.3e} is not strictly positive")
@@ -218,16 +230,6 @@ def extract_clique_measures(
         extract_atoms(c.moment, c.rank_full, policy, seed=seed + c.clique)
         for c in certificate.cliques
     ]
-
-
-def verify_measure_against_subvector(mu: AtomicMeasure, y_sub: CliqueSubvector) -> float:
-    """Max absolute moment residual over every local index up to twice the
-    relaxation order."""
-    if mu.variables != y_sub.clique:
-        raise ValueError(f"measure on {mu.variables} does not match clique {y_sub.clique}")
-    exponents = local_exponents(len(y_sub.clique), 2 * y_sub.omega)
-    targets = np.array([y_sub.values[alpha] for alpha in exponents])
-    return float(np.abs(monomial_matrix(exponents, mu.atoms) @ mu.weights - targets).max())
 
 
 @dataclass(frozen=True)

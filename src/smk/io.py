@@ -87,19 +87,25 @@ def load_pop(source) -> PopProblem:
     cover = cover_from_dict(data)
     objectives = [dict() for _ in range(cover.m)]
     for obj in data.get("objectives", []):
-        i = int(obj["clique"])
-        for term in obj["terms"]:
-            alpha = tuple(int(a) for a in term["alpha_local"])
-            objectives[i - 1][alpha] = objectives[i - 1].get(alpha, 0.0) + float(term["coef"])
+        _add_terms(objectives[int(obj["clique"]) - 1], obj["terms"])
     constraints = [[] for _ in range(cover.m)]
     for con in data.get("constraints", []):
         i = int(con["clique"])
-        coeffs = {}
-        for term in con["terms"]:
-            alpha = tuple(int(a) for a in term["alpha_local"])
-            coeffs[alpha] = coeffs.get(alpha, 0.0) + float(term["coef"])
-        constraints[i - 1].append(ConstraintPolynomial(cover.clique(i), coeffs))
+        g = ConstraintPolynomial(cover.clique(i), _add_terms({}, con["terms"]))
+        constraints[i - 1].append(g)
     return PopProblem(cover, tuple(objectives), tuple(tuple(gs) for gs in constraints))
+
+
+def _add_terms(coefficients: dict, terms) -> dict:
+    """Add each ``{"coef", "alpha_local"}`` term into ``coefficients``."""
+    for term in terms:
+        alpha = tuple(int(a) for a in term["alpha_local"])
+        coefficients[alpha] = coefficients.get(alpha, 0.0) + float(term["coef"])
+    return coefficients
+
+
+def _terms(coefficients: Mapping) -> list[dict]:
+    return [{"coef": c, "alpha_local": list(a)} for a, c in coefficients.items()]
 
 
 def pop_to_dict(pop: PopProblem) -> dict:
@@ -107,22 +113,12 @@ def pop_to_dict(pop: PopProblem) -> dict:
         "n": pop.cover.n,
         "cliques": [list(c) for c in pop.cover.cliques],
         "objectives": [
-            {
-                "clique": i,
-                "terms": [
-                    {"coef": c, "alpha_local": list(a)} for a, c in obj.items()
-                ],
-            }
+            {"clique": i, "terms": _terms(obj)}
             for i, obj in enumerate(pop.objectives, start=1)
             if obj
         ],
         "constraints": [
-            {
-                "clique": i,
-                "terms": [
-                    {"coef": c, "alpha_local": list(a)} for a, c in g.coefficients.items()
-                ],
-            }
+            {"clique": i, "terms": _terms(g.coefficients)}
             for i, gs in enumerate(pop.constraints, start=1)
             for g in gs
         ],

@@ -5,8 +5,10 @@ Each of these matrices is a fixed linear image of one clique's moments, and
 block into flat (entry, position, coefficient) terms over the canonical local
 exponent list. That list is graded, so its part up to degree 2d is a prefix
 of the list up to 2*omega for every omega >= d, and a compiled block does not
-depend on omega. The matrices here gather it from a clique subvector; the
-relaxation maps its positions to global ones and stacks the blocks.
+depend on omega. It is compiled once per shape (width, order, constraint
+coefficients) and shared as read-only arrays. The matrices here gather it
+from a clique subvector's moment array; the relaxation maps its positions to
+global ones and stacks the blocks.
 
 All matrices are dense, exactly symmetric by construction, and labeled by
 local multi-indices in canonical order. An entry whose multi-index falls
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -95,34 +98,39 @@ def block_operator(width: int, d: int, g: ConstraintPolynomial | None = None):
     (alpha, beta) is sum_gamma g_gamma * y[alpha + beta + gamma], in one run
     over all entries per nonzero coefficient of g, in g's order, with labels
     of degree <= d - d_half; the moment block is g = 1 with labels up to d.
+    Cached on ``(width, d, g's nonzero terms)``, not on g's variables, so
+    equal constraints on different cliques share one; arrays are read-only.
     """
-    if g is None:
-        shift, terms = 0, {(0,) * width: 1.0}
-    else:
-        shift, terms = g.d_half, {a: c for a, c in g.coefficients.items() if c != 0.0}
+    shift, terms = (0, {(0,) * width: 1.0}) if g is None else (g.d_half, g.coefficients)
+    return _compile_block(width, d, shift, tuple((a, c) for a, c in terms.items() if c != 0.0))
+
+
+@lru_cache(maxsize=64)
+def _compile_block(width: int, d: int, shift: int, terms: tuple):
     labels = tuple(local_exponents(width, d - shift))
     size = len(labels)
     lab = np.array(labels, dtype=np.int64).reshape(size, width)
-    gam = np.array(list(terms), dtype=np.int64).reshape(len(terms), width)
+    gam = np.array([a for a, _ in terms], dtype=np.int64).reshape(len(terms), width)
     sums = gam[:, None, None, :] + (lab[:, None, :] + lab[None, :, :])
     entry = np.arange(len(terms) * size**2) % size**2
-    coefficient = np.repeat(np.array(list(terms.values())), size**2)
-    return labels, entry, grlex_position(sums).ravel(), coefficient
+    coefficient = np.repeat(np.array([c for _, c in terms]), size**2)
+    arrays = entry, grlex_position(sums).ravel(), coefficient
+    for a in arrays:
+        a.setflags(write=False)
+    return (labels, *arrays)
 
 
 def _gather(y_sub: CliqueSubvector, d: int, g: ConstraintPolynomial | None = None) -> LabeledSymMatrix:
-    """The compiled block on a subvector, read by position from its moments
-    in canonical order; a moment the block needs but the subvector lacks
-    raises :class:`IndexOutOfPattern` naming its local exponent."""
+    """The compiled block on a subvector, read by position from its moment
+    array; a moment the block needs but the subvector lacks raises
+    :class:`IndexOutOfPattern` naming its local exponent."""
     labels, entry, position, coefficient = block_operator(len(y_sub.clique), d, g)
-    local = local_exponents(len(y_sub.clique), 2 * d)
-    absent = [p for p, a in enumerate(local) if a not in y_sub.values]
-    if absent and np.isin(position, absent).any():
-        raise IndexOutOfPattern(local[min(set(position.tolist()) & set(absent))])
-    moments = np.array([y_sub.values.get(a, 0.0) for a in local])
+    missing = y_sub.absent[np.isin(y_sub.absent, position)] if y_sub.absent.size else ()
+    if len(missing):
+        raise IndexOutOfPattern(local_exponents(len(y_sub.clique), 2 * y_sub.omega)[missing[0]])
     # -0.0 + x == x exactly, so a one-term entry is a plain copy of its moment
     data = np.full(len(labels) ** 2, -0.0)
-    np.add.at(data, entry, coefficient * moments[position])
+    np.add.at(data, entry, coefficient * y_sub.moments[position])
     return LabeledSymMatrix(y_sub.clique, labels, data.reshape(len(labels), len(labels)))
 
 
@@ -157,8 +165,7 @@ def localizing_block(
     """
     blocks = [localizing_matrix(y_sub, g, d) for g in g_vec]
     labels = tuple((pos, lab) for pos, blk in enumerate(blocks, start=1) for lab in blk.labels)
-    total = sum(blk.size for blk in blocks)
-    data = np.zeros((total, total))
+    data = np.zeros((len(labels), len(labels)))
     at = 0
     for blk in blocks:
         data[at : at + blk.size, at : at + blk.size] = blk.data

@@ -3,9 +3,9 @@
 The relaxation of a cliquewise polynomial minimization problem has one free
 scalar per sparse multi-index (with the constant entry pinned to one), one
 PSD moment block per clique, and one PSD localizing block per constraint
-polynomial. Each block is compiled once by ``matrices.block_operator`` on its
-clique's local exponents, which are a prefix of the exponents up to
-2*omega, and mapped to global positions by the index map. The instance
+polynomial. Each block is compiled by ``matrices.block_operator`` once per
+clique shape, shared as read-only arrays by every clique of that shape, and
+mapped to global positions by the clique's index table. The instance
 stacks the blocks into one sparse operator from the moment values to the
 concatenated row-major block matrices; the SDPA export, the PSD checks and
 the bundled solver all read it. The supported high-accuracy path is
@@ -70,13 +70,8 @@ class PopProblem:
 
     @property
     def max_degree(self) -> int:
-        deg = 1
-        for obj in self.objectives:
-            deg = max(deg, max((sum(a) for a, c in obj.items() if c != 0.0), default=0))
-        for gs in self.constraints:
-            for g in gs:
-                deg = max(deg, g.degree)
-        return deg
+        objective = (sum(a) for obj in self.objectives for a, c in obj.items() if c != 0.0)
+        return max([1, *objective, *(g.degree for gs in self.constraints for g in gs)])
 
     def reorder(self, order: Sequence[int]) -> "PopProblem":
         return PopProblem(
@@ -364,7 +359,6 @@ class SolveReport:
     dual_residual: float
     min_block_eig: float
     converged: bool
-    source: str = "bundled"
 
 
 def solve_sdp_bundled(

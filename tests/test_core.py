@@ -20,9 +20,11 @@ from smk.core import (
     subvector_on,
     validate_cover,
 )
+from smk.certify import certify
 from smk.errors import DuplicateEntry, IndexOutOfPattern, MissingEntries
 from smk.extract import extract_atoms
 from smk.matrices import moment_matrix
+from smk.rip import check_rip
 from smk import demo
 
 from conftest import CHAIN_PAIR_ENTRIES, TRIANGLE_ENTRIES, random_rip_cover, shuffled_chain_covers
@@ -150,13 +152,13 @@ def test_local_exponents_zero_vars():
 
 
 def test_lift_restrict_inverse():
-    from smk.core import degree, support
+    from smk.core import support
 
     clique = (2, 4)
     for loc in local_exponents(2, 3):
         alpha = lift(loc, clique, 5)
         assert tuple(alpha[var - 1] for var in clique) == loc
-        assert degree(alpha) == sum(loc)
+        assert sum(alpha) == sum(loc)
         assert set(support(alpha)) <= set(clique)
 
 
@@ -220,6 +222,16 @@ class TestMomentVectorBuild:
 
     def test_key_set_is_exactly_the_pattern(self, y_pair):
         assert list(y_pair.entries) == sparse_exponents(CHAIN_PAIR, 4)
+
+    def test_entries_are_built_on_first_read(self):
+        y = demo.chain_triple_moments()
+        fresh = SparseMomentVector.on_index_map(y.cover, y.omega, y.index_map, y.values)
+        certify(fresh, ((), (), ()), check_rip(fresh.cover))
+        assert fresh.mass == 1.0 and not fresh.is_zero()
+        assert "data" not in vars(fresh.entries)  # read only by position so far
+        assert list(fresh.entries.items()) == list(zip(y.index_map.exponents, y.values.tolist()))
+        assert fresh.entries == dict(y.entries) and dict(y.entries) == fresh.entries
+        assert fresh == y and fresh == SparseMomentVector(y.cover, y.omega, dict(y.entries))
 
 
 class TestRounded:

@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 
 from smk.certify import RankPolicy, _rank_and_gap, certify
-from smk.core import CliqueSubvector, clique_subvector, local_exponents
+from smk.core import CliqueSubvector, clique_subvector, local_exponents, monomial_matrix
 from smk.errors import FlatnessViolated, NonPhysicalWeights, ReconstructionFailed
 from smk.extract import (
     AtomicMeasure,
     constraint_feasibility_check,
     extract_atoms,
     extract_clique_measures,
-    verify_measure_against_subvector,
 )
 from smk.matrices import ConstraintPolynomial, LabeledSymMatrix, moment_matrix
 from smk.rip import check_rip
-from smk import demo
+from smk import demo, extract, matrices
+
+from conftest import random_flat_instance
 
 
 def measure_subvector(variables, atoms, weights, omega):
@@ -138,25 +139,6 @@ class TestExtractAtoms:
         with pytest.raises((NonPhysicalWeights, ReconstructionFailed)):
             extract_atoms(M, 2, seed=0)
 
-
-class TestVerifyMeasure:
-    def test_chain_pair(self):
-        y = demo.chain_pair_moments()
-        sub = clique_subvector(y, 1)
-        mu = AtomicMeasure((1, 2), [[1.0, 0.0], [-1.0, 0.0]], [0.5, 0.5])
-        assert verify_measure_against_subvector(mu, sub) <= 1e-10
-
-    def test_wrong_weights(self):
-        y = demo.chain_pair_moments()
-        sub = clique_subvector(y, 1)
-        mu = AtomicMeasure((1, 2), [[1.0, 0.0], [-1.0, 0.0]], [0.25, 0.75])
-        assert verify_measure_against_subvector(mu, sub) == pytest.approx(0.5)
-
-    def test_empty_measure_zero_subvector(self):
-        zero = measure_subvector((1, 2), np.zeros((0, 2)), np.zeros(0), 2)
-        mu = AtomicMeasure((1, 2), np.zeros((0, 2)), np.zeros(0))
-        assert verify_measure_against_subvector(mu, zero) == 0.0
-
     def test_extraction_residual_bound(self, rng):
         for trial in range(10):
             r = int(rng.integers(1, 4))
@@ -166,7 +148,29 @@ class TestVerifyMeasure:
             M = moment_matrix(sub, 2)
             mu = extract_atoms(M, r, seed=trial)
             bound = 1e-8 * (1 + max(abs(v) for v in sub.values.values()))
-            assert verify_measure_against_subvector(mu, sub) <= bound
+            moments = monomial_matrix(local_exponents(3, 4), mu.atoms) @ mu.weights
+            assert np.abs(moments - sub.moments).max() <= bound
+
+def test_shape_caches_cold_and_warm_agree_bitwise():
+    """Certificates and atoms from freshly compiled blocks and label tables
+    equal, bit for bit, those read back from the caches."""
+
+    def run():
+        out = []
+        for seed in range(20):
+            cover, _, _, y = random_flat_instance(seed)
+            cert = certify(y, tuple(() for _ in range(cover.m)), check_rip(cover))
+            measures = extract_clique_measures(cert)
+            arrays = [(mu.atoms.tobytes(), mu.weights.tobytes()) for mu in measures]
+            out.append((repr(cert.to_dict()), arrays))
+        return out
+
+    matrices._compile_block.cache_clear()
+    extract._label_table.cache_clear()
+    cold = run()
+    assert matrices._compile_block.cache_info().hits > 0
+    assert extract._label_table.cache_info().hits > 0
+    assert run() == cold
 
 
 class TestFeasibility:

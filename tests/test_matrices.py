@@ -6,6 +6,7 @@ from smk.core import CliqueCover, CliqueSubvector, SparseMomentVector, clique_su
 from smk.errors import IndexOutOfPattern, OrderTooHigh
 from smk.matrices import (
     ConstraintPolynomial,
+    block_operator,
     localizing_block,
     localizing_matrix,
     moment_matrix,
@@ -142,6 +143,29 @@ class TestCompiledGather:
         with pytest.raises(IndexOutOfPattern) as info:
             moment_matrix(partial, sub.omega)
         assert info.value.alpha == missing
+
+
+class TestCompiledBlockCache:
+    BALL = {(0, 0): 4.0, (2, 0): -1.0, (0, 2): -1.0}
+
+    @pytest.mark.parametrize("g", [None, ConstraintPolynomial((1, 2), BALL)])
+    def test_compiled_arrays_are_read_only(self, g):
+        labels, *arrays = block_operator(2, 2, g)
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0] = a[0]
+
+    def test_equal_constraints_on_different_cliques_share_one_operator(self):
+        on_12 = ConstraintPolynomial((1, 2), self.BALL)
+        on_34 = ConstraintPolynomial((3, 4), self.BALL | {(1, 1): 0.0})  # a zero term is no term
+        assert block_operator(2, 3, on_12) is block_operator(2, 3, on_34)
+        assert block_operator(2, 3) is block_operator(2, 3)
+
+    def test_other_coefficients_get_their_own_operator(self):
+        ball = ConstraintPolynomial((1, 2), self.BALL)
+        wider = ConstraintPolynomial((1, 2), self.BALL | {(0, 0): 9.0})
+        assert block_operator(2, 3, ball) is not block_operator(2, 3, wider)
+        assert not np.array_equal(block_operator(2, 3, ball)[3], block_operator(2, 3, wider)[3])
 
 
 def subvector_of_point(z, omega):

@@ -24,7 +24,7 @@ from smk.relax import (
     solve_sdp_bundled,
     to_sdpa,
 )
-from smk import demo, io
+from smk import core, demo, io
 
 
 def feasibility_pop(cover):
@@ -406,6 +406,16 @@ class TestPipeline:
         assert res.clique_order != (1, 2, 3)
         assert res.certificate.verdict
         assert np.allclose(res.minimizers, atoms[np.lexsort(atoms.T[::-1])], atol=1e-8)
+
+    def test_reordered_problem_builds_one_index_map(self, pop_triple, monkeypatch):
+        built = []
+        init = IndexMap.__init__
+        monkeypatch.setattr(IndexMap, "__init__", lambda s, *a: built.append(a) or init(s, *a))
+        core._index_map.cache_clear()
+        pop = pop_triple.reorder((1, 3, 2))
+        y = demo.moments_of_atoms(pop.cover, 3, demo.chain_triple_minimizers(), np.full(8, 0.125))
+        assert pipeline(pop, 3, solver="file", solution=y).certificate.verdict
+        assert len(built) == 1
 
     def test_bundled_order_two_is_not_certified(self, pop_triple):
         # recorded outcome: the order-2 relaxation already attains the optimal
