@@ -5,6 +5,13 @@ localizing matrices are PSD, the moment matrix rank is flat with respect to
 the shifted order, and each clique after the first has a witness whose
 overlap moment matrix is also rank-flat. Such a vector is represented by an
 atomic measure whose atoms can be recovered clique by clique.
+
+The checks run once per clique shape, not once per clique: cliques of one
+width and constraint coefficients are gathered as one stack of matrices
+with one read of the moment values, and each rank and PSD decision is one
+batched SVD or ``eigvalsh`` over the stack; overlaps are stacked by width.
+A batched LAPACK call gives each matrix bit for bit what a call on it alone
+gives, so certificates do not depend on how the cliques were stacked.
 """
 
 from __future__ import annotations
@@ -20,9 +27,10 @@ from .errors import OrderTooHigh, ZeroVector
 from .matrices import (
     ConstraintPolynomial,
     LabeledSymMatrix,
-    localizing_block,
-    moment_matrix,
-    overlap_moment_matrix,
+    block_diagonal,
+    block_operator,
+    gather,
+    localizing_operator,
 )
 from .rip import RipWitnesses
 
@@ -54,25 +62,33 @@ class RankPolicy:
         unit = 0.0 if self.round_decimals is None else 10.0 ** -self.round_decimals
         return max(self.rel_tol, unit) * max(1.0, abs(scale))
 
+    def tols(self, scales: np.ndarray) -> np.ndarray:
+        """:meth:`tol` at each of ``scales``, bit for bit, as one array."""
+        return self.tol() * np.fmax(np.abs(scales), 1.0)  # fmax: 1 at NaN, as max(1.0, nan)
 
-def _rank_and_gap(data: np.ndarray, policy: RankPolicy) -> tuple[int, tuple[float, float]]:
-    """Numerical rank plus the singular values straddling the cut."""
-    if data.size == 0:
-        return 0, (0.0, 0.0)
+
+def _ranks_and_gaps(data: np.ndarray, policy: RankPolicy) -> list[tuple[int, tuple[float, float]]]:
+    """Per matrix of a stack of shape (k, s, s): numerical rank plus the
+    singular values straddling the cut, from one batched SVD."""
+    if data.shape[-1] == 0:
+        return [(0, (0.0, 0.0))] * len(data)
     sv = np.linalg.svd(policy.prepare(data), compute_uv=False)
-    if sv[0] == 0.0:
-        return 0, (0.0, 0.0)
-    r = int(np.count_nonzero(sv > policy.rel_tol * sv[0]))
-    kept = float(sv[r - 1]) if r > 0 else 0.0
-    dropped = float(sv[r]) if r < len(sv) else 0.0
-    return r, (kept, dropped)
+    ranks = np.count_nonzero(sv > policy.rel_tol * sv[:, :1], axis=1)
+    # sv[r - 1] and sv[r], 0.0 past either end; all 0.0 for the zero matrix
+    padded = np.zeros((len(sv), sv.shape[1] + 2))
+    padded[:, 1:-1] = sv
+    rows = np.arange(len(sv))
+    kept, dropped = padded[rows, ranks], padded[rows, ranks + 1]
+    dropped[sv[:, 0] == 0.0] = 0.0
+    return [(r, gap) for r, gap in zip(ranks.tolist(), zip(kept.tolist(), dropped.tolist()))]
 
 
-def _eig_range(data: np.ndarray, policy: RankPolicy) -> tuple[float, float]:
-    if data.size == 0:
-        return (0.0, 0.0)
+def _eig_ranges(data: np.ndarray, policy: RankPolicy) -> list[tuple[float, float]]:
+    """Extreme eigenvalues per matrix of a stack, from one batched ``eigvalsh``."""
+    if data.shape[-1] == 0:
+        return [(0.0, 0.0)] * len(data)
     eigs = np.linalg.eigvalsh(policy.prepare(data))
-    return float(eigs[0]), float(eigs[-1])
+    return list(zip(eigs[:, 0].tolist(), eigs[:, -1].tolist()))
 
 
 def _psd(lo: float, hi: float, policy: RankPolicy) -> bool:
@@ -84,16 +100,25 @@ def psd_check(M: LabeledSymMatrix, policy: RankPolicy = RankPolicy()) -> bool:
 
     The empty matrix is PSD by convention.
     """
-    return _psd(*_eig_range(M.data, policy), policy)
+    return _psd(*_eig_ranges(M.data[None], policy)[0], policy)
 
 
-def _leading(M: LabeledSymMatrix, d: int, omega: int) -> np.ndarray:
-    """The order-``d`` moment matrix inside the order-``omega`` one ``M``:
-    the labels are graded, so it is the leading principal block."""
+def _leading_size(width: int, d: int, omega: int) -> int:
+    """Size of the order-``d`` moment matrix inside the order-``omega`` one
+    on ``width`` variables: the labels are graded, so it is the leading
+    principal block of that size."""
     if d < 0:
         raise OrderTooHigh(f"moment matrix of order {d} needs degrees up to {2*d} > {2*omega}")
-    k = len(local_exponents(len(M.variables), d))
-    return M.data[:k, :k]
+    return len(local_exponents(width, d))
+
+
+def _moment_stack(y: SparseMomentVector, variable_sets: list[tuple[int, ...]], d: int):
+    """Labels and the order-``d`` moment matrices of ``y`` on variable sets
+    of one width, as a (k, s, s) stack read from ``y.values`` at once."""
+    block = block_operator(len(variable_sets[0]), d)
+    positions = np.stack([y.index_map.positions(v, 2 * y.omega) for v in variable_sets])
+    moments = y.values[positions]
+    return block[0], moments, gather(block, moments)
 
 
 def d_half(constraints: Sequence[ConstraintPolynomial]) -> int:
@@ -222,49 +247,104 @@ def certify(
         raise ValueError("witnesses must be computed for the cover's own clique order")
 
     omega = y.omega
-    clique_checks = []
+    # cliques of one shape (width and constraint coefficients) are decided
+    # as one stack; every shape is checked, in clique order, before any
+    # decision, so an order or constraint error names the first bad clique
+    stacks: dict[tuple, list[int]] = {}
     for i in range(1, m + 1):
-        sub = clique_subvector(y, i)
-        di = d_half(constraints[i - 1])
-        full = moment_matrix(sub, omega)
-        rank_full, gap_full = _rank_and_gap(full.data, policy)
-        rank_shifted, gap_shifted = _rank_and_gap(_leading(full, omega - di, omega), policy)
-        eig_range = _eig_range(full.data, policy)
-        gs = constraints[i - 1]
-        psd_loc = not gs or psd_check(localizing_block(sub, gs, omega), policy)
-        clique_checks.append(
-            CliqueCheck(
-                clique=i,
-                psd_moment=_psd(*eig_range, policy),
-                psd_localizing=psd_loc,
-                rank_full=rank_full,
-                rank_shifted=rank_shifted,
-                d_i=di,
-                gap_full=gap_full,
-                gap_shifted=gap_shifted,
-                eig_range=eig_range,
-                moment=full,
-            )
-        )
+        clique, gs = y.cover.clique(i), constraints[i - 1]
+        _leading_size(len(clique), omega - d_half(gs), omega)
+        for g in gs:
+            localizing_operator(clique, omega, g, omega)
+        shape = (len(clique), tuple(tuple(g.coefficients.items()) for g in gs))
+        stacks.setdefault(shape, []).append(i)
+    clique_checks: dict[int, CliqueCheck] = {}
+    for members in stacks.values():
+        checks = _clique_stack(y, members, constraints[members[0] - 1], policy)
+        clique_checks.update(zip(members, checks))
 
+    # each position's first candidate, stacked by overlap width; a position
+    # where it is not flat tries its later candidates in ascending order
+    candidates = {i: tuple(sorted(witnesses.witness[i])) for i in range(2, m + 1)}
+    shared = {i: _shared(y, i, candidates[i][0]) for i in candidates}
+    by_width: dict[int, list[int]] = {}
+    for i in candidates:
+        by_width.setdefault(len(shared[i]), []).append(i)
+    firsts: dict[int, OverlapCheck] = {}
+    for positions in by_width.values():
+        ranks = _overlap_stack(y, [shared[i] for i in positions], policy)
+        for i, r in zip(positions, ranks):
+            firsts[i] = OverlapCheck(i, candidates[i][0], *r, candidates[i])
     overlap_checks = []
-    for i in range(2, m + 1):
-        candidates = tuple(sorted(witnesses.witness[i]))
-        first = None
-        for j in candidates:
-            full = overlap_moment_matrix(y, i, j, omega)
-            rank_full, gap_full = _rank_and_gap(full.data, policy)
-            rank_shifted, gap_shifted = _rank_and_gap(_leading(full, omega - 1, omega), policy)
-            record = OverlapCheck(i, j, rank_full, rank_shifted, gap_full, gap_shifted, candidates)
-            first = first or record
+    for i in candidates:
+        record = first = firsts[i]
+        for j in candidates[i][1:]:
             if record.flat:
                 break
+            ranks = _overlap_stack(y, [_shared(y, i, j)], policy)[0]
+            record = OverlapCheck(i, j, *ranks, candidates[i])
         # with no flat candidate, keep the first one's ranks for diagnostics but mark no witness
         overlap_checks.append(record if record.flat else replace(first, witness_j=None))
 
-    verdict = all(c.ok for c in clique_checks) and all(o.flat for o in overlap_checks)
-    r_bound = max(c.rank_full for c in clique_checks)
-    return FlatnessCertificate(tuple(clique_checks), tuple(overlap_checks), verdict, r_bound)
+    cliques = tuple(clique_checks[i] for i in range(1, m + 1))
+    verdict = all(c.ok for c in cliques) and all(o.flat for o in overlap_checks)
+    r_bound = max(c.rank_full for c in cliques)
+    return FlatnessCertificate(cliques, tuple(overlap_checks), verdict, r_bound)
+
+
+def _clique_stack(
+    y: SparseMomentVector,
+    members: list[int],
+    gs: Sequence[ConstraintPolynomial],
+    policy: RankPolicy,
+) -> list[CliqueCheck]:
+    """The checks of cliques of one shape with constraints like ``gs``:
+    one gather per matrix kind, one SVD per rank decision and one
+    ``eigvalsh`` per PSD range over the whole stack."""
+    omega, di = y.omega, d_half(gs)
+    cliques = [y.cover.clique(i) for i in members]
+    labels, moments, full = _moment_stack(y, cliques, omega)
+    size = _leading_size(len(cliques[0]), omega - di, omega)
+    ranks_full = _ranks_and_gaps(full, policy)
+    ranks_shifted = _ranks_and_gaps(full[:, :size, :size], policy)
+    eig_ranges = _eig_ranges(full, policy)
+    psd_loc = [True] * len(members)
+    if gs:
+        operators = [localizing_operator(cliques[0], omega, g, omega) for g in gs]
+        loc = block_diagonal([gather(op, moments) for op in operators], len(members))
+        psd_loc = [_psd(*e, policy) for e in _eig_ranges(loc, policy)]
+    return [
+        CliqueCheck(
+            clique=i,
+            psd_moment=_psd(*eig_range, policy),
+            psd_localizing=loc_ok,
+            rank_full=rank_full,
+            rank_shifted=rank_shifted,
+            d_i=di,
+            gap_full=gap_full,
+            gap_shifted=gap_shifted,
+            eig_range=eig_range,
+            moment=LabeledSymMatrix(clique, labels, data),
+        )
+        for i, clique, data, (rank_full, gap_full), (rank_shifted, gap_shifted), eig_range, loc_ok
+        in zip(members, cliques, full, ranks_full, ranks_shifted, eig_ranges, psd_loc)
+    ]
+
+
+def _shared(y: SparseMomentVector, i: int, j: int) -> tuple[int, ...]:
+    return tuple(sorted(set(y.cover.clique(i)) & set(y.cover.clique(j))))
+
+
+def _overlap_stack(y: SparseMomentVector, shared: list[tuple[int, ...]], policy: RankPolicy):
+    """(rank_full, rank_shifted, gap_full, gap_shifted) of the overlap
+    moment matrix on each variable set of one width."""
+    _, _, full = _moment_stack(y, shared, y.omega)
+    size = _leading_size(len(shared[0]), y.omega - 1, y.omega)
+    return [
+        (rank_full, rank_shifted, gap_full, gap_shifted)
+        for (rank_full, gap_full), (rank_shifted, gap_shifted)
+        in zip(_ranks_and_gaps(full, policy), _ranks_and_gaps(full[:, :size, :size], policy))
+    ]
 
 
 class ZeroPropagation(enum.Enum):

@@ -98,10 +98,11 @@ def monomial_matrix(exponents, atoms) -> np.ndarray:
     exps = np.asarray(exponents, dtype=np.uint8).reshape(count, atoms.shape[1])
     out = np.ones((exps.shape[0], atoms.shape[0]))
     for t in range(exps.shape[1]):
-        rows = np.flatnonzero(exps[:, t])
+        rows = exps[:, t].nonzero()[0]
         if rows.size:
-            powers = atoms[:, t] ** np.arange(int(exps[rows, t].max()) + 1, dtype=float)[:, None]
-            out[rows] *= powers[exps[rows, t]]
+            e = exps[rows, t]
+            powers = atoms[:, t] ** np.arange(int(e.max()) + 1, dtype=float)[:, None]
+            out[rows] *= powers[e]
     return out
 
 
@@ -268,11 +269,12 @@ class SparseMomentVector:
     """Moment vector keyed exactly by the sparse index set of (cover, omega).
 
     ``entries`` maps each multi-index of ``sparse_exponents(cover, 2*omega)``
-    to a real value, stored in canonical order. Build via :meth:`build` to
-    get the key-set validation; the entry at the zero index is the total mass.
-    The index map and the values in canonical order are computed on first
-    use, or carried over from the call that made the vector; ``entries``
-    is then built from them on first read.
+    to a real value; the entry at the zero index is the total mass.
+    :meth:`build` checks the key set as it reads. The index map and the
+    values in canonical order are computed on first use (reading
+    ``entries`` by key, in any order, and checking its key set), or carried
+    over from the call that made the vector; ``entries`` is then built from
+    them on first read.
     """
 
     cover: CliqueCover
@@ -330,8 +332,19 @@ class SparseMomentVector:
 
     @cached_property
     def values(self) -> np.ndarray:
-        """Read-only values in canonical order, aligned with ``index_map.exponents``."""
-        values = np.fromiter(self.entries.values(), dtype=float, count=len(self.entries))
+        """Read-only values in canonical order, aligned with ``index_map.exponents``,
+        whatever the order of ``entries``; a key set other than the sparse
+        index set raises :class:`MissingEntries` or :class:`IndexOutOfPattern`."""
+        entries, exponents = self.entries, self.index_map.exponents
+        try:
+            values = np.array([entries[alpha] for alpha in exponents], dtype=float)
+        except KeyError:
+            missing = [alpha for alpha in exponents if alpha not in entries]
+            message = f"{len(missing)} sparse indices missing, first {missing[0]}"
+            raise MissingEntries(message) from None
+        if len(entries) != len(exponents):
+            known = set(exponents)
+            raise IndexOutOfPattern(next(alpha for alpha in entries if alpha not in known))
         values.setflags(write=False)
         return values
 

@@ -6,10 +6,17 @@ is recovered with standard linear algebra: factor the matrix, select a basis
 of low-degree monomials, form the multiplication operators of the clique
 variables in that basis, and simultaneously diagonalize them through a random
 convex combination.
+
+Extraction runs on stacks: the moment matrices of cliques with the same
+labels and rank go through each step together, with one ``eigh``, one
+``eig`` and one ``inv`` per step over the stack and, per clique, the
+arithmetic of an extraction on its own, so the atoms do not depend on how
+the cliques were stacked. :func:`extract_atoms` is the stack of one.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -77,46 +84,233 @@ class AtomicMeasure:
         return AtomicMeasure(self.variables, self.atoms[order], self.weights[order])
 
 
-def _column_echelon_basis(vt: np.ndarray, allowed: np.ndarray, tol: float):
-    """Gauss-reduce ``vt`` scanning columns left to right, pivoting only on
-    allowed columns. Returns (pivot column indices, reduced matrix) with the
-    reduced matrix carrying the identity on pivot columns."""
-    r, n = vt.shape
-    R = vt.copy()
-    pivots: list[int] = []
-    row = 0
-    for col in range(n):
-        if row >= r:
+def _column_echelon_bases(
+    R: np.ndarray, pivots: np.ndarray, columns: list[int], tol: np.ndarray, row: int = 0
+) -> None:
+    """Gauss-reduce each matrix of the stack ``R`` (k, r, n) in place, from
+    pivot row ``row`` on, scanning ``columns`` in order and pivoting on a
+    column when its best entry in the rows below the pivots exceeds that
+    matrix's ``tol``. The pivot column of each row goes to ``pivots`` (k, at
+    least r, -1 beyond the last pivot); each reduced matrix carries the
+    identity on its pivot columns.
+
+    Matrices that pivot on the same columns take each step together, and
+    where they part each part goes on as its own stack, so every matrix
+    sees the arithmetic of a reduction on its own.
+    """
+    k, r, _ = R.shape
+    rows = np.arange(r)[:, None]
+    at = np.arange(k)
+    for pos, col in enumerate(columns):
+        if row == r:
             break
-        if not allowed[col]:
+        mag = np.abs(R[:, row:, col])
+        best = mag.argmax(axis=1)
+        found = ~(mag[at, best] <= tol)
+        if not found.all():
+            if found.any():
+                for part in (found, ~found):
+                    sub, sub_pivots = R[part], pivots[part]
+                    _column_echelon_bases(sub, sub_pivots, columns[pos:], tol[part], row)
+                    R[part], pivots[part] = sub, sub_pivots
+                return
             continue
-        k = row + int(np.argmax(np.abs(R[row:, col])))
-        if abs(R[k, col]) <= tol:
-            continue
-        R[[row, k]] = R[[k, row]]
-        R[row] /= R[row, col]
-        others = [i for i in range(r) if i != row]
-        R[others] -= np.outer(R[others, col], R[row])
-        pivots.append(col)
+        best += row
+        pivot = R[at, best]
+        R[at, best] = R[:, row]
+        R[:, row] = pivot / pivot[:, col, None]
+        update = R[:, :, col, None] * R[:, None, row]
+        np.subtract(R, update, out=R, where=rows != row)  # every row but the pivot's
+        pivots[:, row] = col
         row += 1
-    return pivots, R
 
 
 @lru_cache(maxsize=64)
 def _label_table(labels: tuple, nvars: int):
-    """Per label tuple, built once: the top degree omega, the mask of labels
-    of degree below it, the labels as a uint8 exponent array, and
-    ``shift[k, t]``, the column of labels[k] times x_t (-1 past the order)."""
+    """Per label tuple, built once: the top degree omega, the columns of
+    labels of degree below it, the labels as a uint8 exponent array, and
+    ``shift[k, t]``, the column of labels[k] times x_t, -1 past the order
+    and in a last row that stands for no label."""
     column = {l: k for k, l in enumerate(labels)}
     shifted = (tuple(e + (s == t) for s, e in enumerate(l)) for l in labels for t in range(nvars))
-    shift = np.array([column.get(l, -1) for l in shifted], np.int64).reshape(len(labels), nvars)
+    shift = np.array([column.get(l, -1) for l in shifted] + [-1] * nvars, np.int64)
+    shift = shift.reshape(len(labels) + 1, nvars)
     exponents = np.array(labels, dtype=np.uint8).reshape(len(labels), nvars)
     degree = exponents.sum(axis=1, dtype=np.int64)
     omega = int(degree.max(initial=0))
-    allowed = degree < omega
-    for a in (shift, exponents, allowed):
+    for a in (shift, exponents):
         a.setflags(write=False)
-    return omega, allowed, exponents, shift
+    return omega, np.flatnonzero(degree < omega).tolist(), exponents, shift
+
+
+def _drop(out: list, live: np.ndarray, failed: np.ndarray, error, *arrays):
+    """Record ``error(q)`` for each failed position q of ``live`` in ``out``;
+    return ``live`` and ``arrays`` (aligned with it) without the failed."""
+    if not failed.any():
+        return (live, *arrays)
+    for q in failed.nonzero()[0]:
+        out[live[q]] = error(q)
+    return _subset(~failed, live, *arrays)
+
+
+@lru_cache(maxsize=1024)
+def _combination(seed: int, nvars: int, draw: int) -> np.ndarray:
+    """Coefficients of the random convex combination number ``draw`` (from
+    0) of a matrix seeded with ``seed``: the draw-th ``random(nvars)`` of
+    ``np.random.default_rng(seed)``, plus 0.05, normalised. Cached and
+    read-only, as making the generator costs more than the draws."""
+    rng = np.random.default_rng(seed)
+    for _ in range(draw):
+        rng.random(nvars)
+    coeffs = rng.random(nvars) + 0.05
+    coeffs /= coeffs.sum()
+    coeffs.setflags(write=False)
+    return coeffs
+
+
+def _dtype_parts(values: np.ndarray, P: np.ndarray) -> list:
+    """A stack of ``np.linalg.eig`` results split as the call on each matrix
+    alone would type them: real where all of a matrix's eigenvalues are
+    real, complex elsewhere. Gives (part of the stack, values, vectors)."""
+    if not np.iscomplexobj(values):
+        return [(slice(None), values, P)]
+    real = (values.imag == 0.0).all(axis=1)
+    return [
+        (part, v[part], p[part])
+        for part, v, p in ((real, values.real, P.real), (~real, values, P))
+        if part.any()
+    ]
+
+
+def _subset(mask: np.ndarray, *arrays):
+    """``arrays`` where ``mask`` holds, or as they are when it holds everywhere."""
+    return arrays if mask.all() else tuple(a[mask] for a in arrays)
+
+
+def _separate(keep, values, P, operators, r: int, policy: RankPolicy):
+    """For a stack of combinations numbered ``keep``, with eigenvalues
+    ``values`` and eigenvectors ``P`` (one dtype for all) of the
+    multiplication ``operators`` (k, nvars, r, r): the numbers of those whose
+    eigenvalues are apart, whose diagonalized operators are real and whose
+    atoms are apart, and those atoms, shape (found, r, nvars)."""
+    if r > 1:
+        gaps = np.abs(values[:, :, None] - values[:, None, :])
+        gaps.reshape(-1, r * r)[:, :: r + 1] = np.inf  # the diagonals
+        apart = ~(gaps.min(axis=(1, 2)) < policy.tols(np.abs(values).max(axis=1)))
+        keep, P, operators = _subset(apart, keep, P, operators)
+    # diags[b, t]: the diagonal of operator t in the eigenbasis of combination b
+    diags = (np.linalg.inv(P)[:, None] @ operators @ P[:, None]).diagonal(axis1=2, axis2=3)
+    if np.iscomplexobj(diags):  # a real diagonal passes this check whatever its values
+        imag = np.abs(diags.imag).max(axis=2) > policy.tols(np.abs(diags).max(axis=2))
+        real = ~imag.any(axis=1)
+        keep, diags = keep[real], diags[real].real
+    atoms = diags.transpose(0, 2, 1)
+    if r > 1:
+        dist = np.abs(atoms[:, :, None, :] - atoms[:, None, :, :]).max(axis=3)
+        dist.reshape(-1, r * r)[:, :: r + 1] = np.inf
+        apart = ~(dist.min(axis=(1, 2)) <= policy.tols(np.abs(atoms).max(axis=(1, 2))))
+        keep, atoms = _subset(apart, keep, atoms)
+    return keep, atoms
+
+
+def _extract_stack(
+    data: np.ndarray, labels: tuple, nvars: int, r: int, policy: RankPolicy, seeds
+) -> list:
+    """Extraction on a stack of moment matrices ``data`` (k, s, s) with the
+    same ``labels`` on ``nvars`` variables and the same rank ``r``: entry b
+    is (atoms, weights) for ``data[b]``, or the error it fails with.
+
+    Matrix b draws its combinations from ``default_rng(seeds[b])`` and only
+    the matrices not yet separated redraw. Each matrix goes through the
+    arithmetic it would go through alone: a stacked LAPACK call gives per
+    matrix bit for bit what a call on that matrix gives.
+    """
+    k = len(data)
+    if r == 0:
+        return [(np.zeros((0, nvars)), np.zeros(0)) for _ in range(k)]
+    omega, columns, exponents, shift = _label_table(labels, nvars)
+    peak = np.abs(data).max(axis=(1, 2), initial=0.0)
+    scales = np.fmax(peak, 1.0)  # max(1, peak), and 1 for NaN
+    out: list = [None] * k
+    live = np.arange(k)
+
+    eigvals, eigvecs = np.linalg.eigh(policy.prepare(data))
+    idx = np.argsort(eigvals, axis=1)[:, ::-1][:, :r]
+    top = eigvals[live[:, None], idx]
+    live, top, idx, eigvecs = _drop(
+        out, live, top[:, -1] <= 0,
+        lambda q: ReconstructionFailed(f"matrix is not PSD of rank {r}: eigenvalue {top[q, -1]}"),
+        top, idx, eigvecs,
+    )
+    # R[b] = V.T for V = the top eigenvectors scaled by the root eigenvalues
+    R = eigvecs[np.arange(len(live))[:, None], :, idx] * np.sqrt(top)[:, :, None]
+    pivots = np.empty((len(live), r), dtype=np.int64)
+    pivots.fill(-1)
+    _column_echelon_bases(R, pivots, columns, policy.tols(np.sqrt(scales[live])))
+
+    # multiplication operator of each variable: operators[b, t, :, j] holds
+    # the coordinates of x_t * basis[j] in the basis of matrix b; a missing
+    # pivot (-1) reads the last row of shift, so it is caught as past the order
+    cols = shift[pivots]
+
+    def unflat(q):
+        if pivots[q, -1] < 0:
+            found = np.count_nonzero(pivots[q] >= 0)
+            return FlatnessViolated(
+                f"only {found} independent basis monomials of degree < {omega} found, need {r}"
+            )
+        t = int(np.argmax((cols[q] < 0).any(axis=0)))
+        beta = labels[pivots[q, int(np.argmax(cols[q, :, t] < 0))]]
+        shifted = tuple(e + (s == t) for s, e in enumerate(beta))
+        return FlatnessViolated(f"monomial {shifted} exceeds the matrix order")
+
+    live, R, cols = _drop(out, live, (cols < 0).any(axis=(1, 2)), unflat, R, cols)
+    rows = np.arange(R.shape[1])[:, None]
+    at = np.arange(len(live))[:, None, None, None]
+    operators = R[at, rows, cols.transpose(0, 2, 1)[:, :, None, :]]
+
+    atoms = np.empty((len(live), r, nvars))
+    separated = np.zeros(len(live), dtype=bool)
+    pending = np.arange(len(live))
+    for draw in range(MAX_REDRAWS):
+        coeffs = [_combination(operator.index(seeds[b]), nvars, draw) for b in live[pending]]
+        coeffs = np.array(coeffs).reshape(len(pending), nvars)
+        combo = sum(coeffs[:, t, None, None] * operators[:, t] for t in range(nvars))
+        values, P = np.linalg.eig(combo)
+        for part, vals, vecs in _dtype_parts(values, P):
+            found, found_atoms = _separate(pending[part], vals, vecs, operators[part], r, policy)
+            atoms[found] = found_atoms
+            separated[found] = True
+        left = ~separated[pending]
+        if not left.any():
+            break
+        pending, operators = pending[left], operators[left]
+    else:
+        error = "could not separate atoms after redrawing combinations"
+        for q in pending:
+            out[live[q]] = ReconstructionFailed(error)
+        live, atoms = live[separated], atoms[separated]
+
+    # weights from the degree-<=omega moments by nonnegative least squares;
+    # the moments of the labels are row 0, as labels are in matrix order
+    A = monomial_matrix(exponents, atoms.reshape(-1, nvars))
+    A = A.reshape(len(labels), len(live), r).transpose(1, 0, 2).copy()
+    weights = np.array([scipy.optimize.nnls(A[q], data[b, 0])[0] for q, b in enumerate(live)])
+    weights = weights.reshape(len(live), r)
+    lightest = weights.min(axis=1)
+    light = lightest <= policy.tols(weights.max(axis=1))
+    recon = (A * weights[:, None, :]) @ A.transpose(0, 2, 1)
+    errs = np.abs(recon - data[live]).max(axis=(1, 2))
+    live, atoms, weights = _drop(
+        out, live, light | (errs > policy.tols(scales[live])),
+        lambda q: NonPhysicalWeights(f"weight {lightest[q]:.3e} is not strictly positive")
+        if light[q]
+        else ReconstructionFailed(f"moment matrix residual {errs[q]:.3e} exceeds tolerance"),
+        atoms, weights,
+    )
+    for b, a, w in zip(live, atoms, weights):
+        out[b] = (a, w)
+    return out
 
 
 def extract_atoms(
@@ -142,80 +336,10 @@ def extract_atoms(
     ReconstructionFailed
         if the recovered measure does not reproduce ``M``.
     """
-    nvars = len(M.variables)
-    scale = max(1.0, float(np.abs(M.data).max())) if M.size else 1.0
-
-    if r == 0:
-        return AtomicMeasure(M.variables, np.zeros((0, nvars)), np.zeros(0))
-    omega, allowed, exponents, shift = _label_table(tuple(M.labels), nvars)
-
-    eigvals, eigvecs = np.linalg.eigh(policy.prepare(M.data))
-    idx = np.argsort(eigvals)[::-1][:r]
-    if eigvals[idx[-1]] <= 0:
-        raise ReconstructionFailed(f"matrix is not PSD of rank {r}: eigenvalue {eigvals[idx[-1]]}")
-    V = eigvecs[:, idx] * np.sqrt(eigvals[idx])
-
-    pivots, R = _column_echelon_basis(V.T, allowed, policy.tol(np.sqrt(scale)))
-    if len(pivots) < r:
-        raise FlatnessViolated(
-            f"only {len(pivots)} independent basis monomials of degree < {omega} found, need {r}"
-        )
-
-    # multiplication operator of each variable: column k holds the coordinates
-    # of x_t * basis[k] in the basis
-    operators = []
-    for t in range(nvars):
-        cols = shift[pivots, t]
-        if (cols < 0).any():
-            beta = M.labels[pivots[int(np.argmax(cols < 0))]]
-            shifted = tuple(e + (s == t) for s, e in enumerate(beta))
-            raise FlatnessViolated(f"monomial {shifted} exceeds the matrix order")
-        operators.append(R[:, cols])
-
-    rng = np.random.default_rng(seed)
-    atoms = None
-    for _ in range(MAX_REDRAWS):
-        coeffs = rng.random(nvars) + 0.05
-        coeffs /= coeffs.sum()
-        combo = sum(c * N for c, N in zip(coeffs, operators))
-        eigvals_c, P = np.linalg.eig(combo)
-        gaps = np.abs(eigvals_c[:, None] - eigvals_c[None, :])
-        gaps[np.diag_indices(r)] = np.inf
-        if r > 1 and gaps.min() < policy.tol(np.abs(eigvals_c).max()):
-            continue
-        Pinv = np.linalg.inv(P)
-        candidate = np.empty((r, nvars))
-        ok = True
-        for t, N in enumerate(operators):
-            diag = np.diag(Pinv @ N @ P)
-            if np.abs(diag.imag).max() > policy.tol(np.abs(diag).max()):
-                ok = False
-                break
-            candidate[:, t] = diag.real
-        if not ok:
-            continue
-        if r > 1:
-            dist = np.abs(candidate[:, None, :] - candidate[None, :, :]).max(axis=2)
-            dist[np.diag_indices(r)] = np.inf
-            if dist.min() <= policy.tol(np.abs(candidate).max()):
-                continue
-        atoms = candidate
-        break
-    if atoms is None:
-        raise ReconstructionFailed("could not separate atoms after redrawing combinations")
-
-    # weights from the degree-<=omega moments by nonnegative least squares
-    A = monomial_matrix(exponents, atoms)
-    b = M.data[0]  # the moments of the labels, which are in matrix order
-    weights, _ = scipy.optimize.nnls(A, b)
-    if weights.min() <= policy.tol(weights.max()):
-        raise NonPhysicalWeights(f"weight {weights.min():.3e} is not strictly positive")
-
-    recon = (A * weights) @ A.T
-    err = float(np.abs(recon - M.data).max())
-    if err > policy.tol(scale):
-        raise ReconstructionFailed(f"moment matrix residual {err:.3e} exceeds tolerance")
-    return AtomicMeasure(M.variables, atoms, weights)
+    result = _extract_stack(M.data[None], M.labels, len(M.variables), r, policy, [seed])[0]
+    if isinstance(result, Exception):
+        raise result
+    return AtomicMeasure(M.variables, *result)
 
 
 def extract_clique_measures(
@@ -225,11 +349,25 @@ def extract_clique_measures(
 ) -> list[AtomicMeasure]:
     """Atoms of every clique, from the full-order moment matrix that
     :func:`certify` checked and at its certified rank; clique i draws its
-    random combination with ``seed + i``."""
-    return [
-        extract_atoms(c.moment, c.rank_full, policy, seed=seed + c.clique)
-        for c in certificate.cliques
-    ]
+    random combination with ``seed + i``. Cliques whose matrices have the
+    same labels and rank are extracted as one stack, with the results of
+    one clique at a time; the first clique in order that fails raises."""
+    stacks: dict[tuple, list] = {}
+    for c in certificate.cliques:
+        stacks.setdefault((c.moment.labels, len(c.moment.variables), c.rank_full), []).append(c)
+    results = {}
+    for (labels, nvars, r), checks in stacks.items():
+        data = np.array([c.moment.data for c in checks])
+        seeds = [seed + c.clique for c in checks]
+        stack = _extract_stack(data, labels, nvars, r, policy, seeds)
+        results.update(zip([c.clique for c in checks], stack))
+    measures = []
+    for c in certificate.cliques:
+        result = results[c.clique]
+        if isinstance(result, Exception):
+            raise result
+        measures.append(AtomicMeasure(c.moment.variables, *result))
+    return measures
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,10 @@ block into flat (entry, position, coefficient) terms over the canonical local
 exponent list. That list is graded, so its part up to degree 2d is a prefix
 of the list up to 2*omega for every omega >= d, and a compiled block does not
 depend on omega. It is compiled once per shape (width, order, constraint
-coefficients) and shared as read-only arrays. The matrices here gather it
-from a clique subvector's moment array; the relaxation maps its positions to
-global ones and stacks the blocks.
+coefficients) and shared as read-only arrays. :func:`gather` applies it to
+a stack of moment arrays at once (certification stacks the cliques of one
+shape), and the matrices here are the stack of one subvector; the
+relaxation maps its positions to global ones and stacks the blocks.
 
 All matrices are dense, exactly symmetric by construction, and labeled by
 local multi-indices in canonical order. An entry whose multi-index falls
@@ -120,18 +121,41 @@ def _compile_block(width: int, d: int, shift: int, terms: tuple):
     return (labels, *arrays)
 
 
-def _gather(y_sub: CliqueSubvector, d: int, g: ConstraintPolynomial | None = None) -> LabeledSymMatrix:
-    """The compiled block on a subvector, read by position from its moment
+def gather(block, moments: np.ndarray) -> np.ndarray:
+    """A compiled ``block`` (from :func:`block_operator`) on each row of
+    ``moments``, shape (k, local moments): the k matrices as one array of
+    shape (k, size, size). Every entry sums its terms in the same order
+    whatever k is, so a stack holds bit for bit what k single calls give."""
+    labels, entry, position, coefficient = block
+    size = len(labels)
+    # -0.0 + x == x exactly, so a one-term entry is a plain copy of its moment
+    data = np.full((len(moments), size * size), -0.0)
+    np.add.at(data, (slice(None), entry), coefficient * moments[:, position])
+    return data.reshape(len(moments), size, size)
+
+
+def block_diagonal(blocks: Sequence[np.ndarray], count: int) -> np.ndarray:
+    """Stacks of ``count`` square blocks as one stack of block-diagonal
+    matrices, the blocks in order; no blocks give ``count`` 0x0 matrices."""
+    total = sum(b.shape[-1] for b in blocks)
+    data = np.zeros((count, total, total))
+    at = 0
+    for b in blocks:
+        size = b.shape[-1]
+        data[:, at : at + size, at : at + size] = b
+        at += size
+    return data
+
+
+def _gather(y_sub: CliqueSubvector, block) -> LabeledSymMatrix:
+    """A compiled block on one subvector, read by position from its moment
     array; a moment the block needs but the subvector lacks raises
     :class:`IndexOutOfPattern` naming its local exponent."""
-    labels, entry, position, coefficient = block_operator(len(y_sub.clique), d, g)
+    labels, _, position, _ = block
     missing = y_sub.absent[np.isin(y_sub.absent, position)] if y_sub.absent.size else ()
     if len(missing):
         raise IndexOutOfPattern(local_exponents(len(y_sub.clique), 2 * y_sub.omega)[missing[0]])
-    # -0.0 + x == x exactly, so a one-term entry is a plain copy of its moment
-    data = np.full(len(labels) ** 2, -0.0)
-    np.add.at(data, entry, coefficient * y_sub.moments[position])
-    return LabeledSymMatrix(y_sub.clique, labels, data.reshape(len(labels), len(labels)))
+    return LabeledSymMatrix(y_sub.clique, labels, gather(block, y_sub.moments[None])[0])
 
 
 def moment_matrix(y_sub: CliqueSubvector, d: int) -> LabeledSymMatrix:
@@ -139,20 +163,29 @@ def moment_matrix(y_sub: CliqueSubvector, d: int) -> LabeledSymMatrix:
     alpha + beta, over all local labels of degree <= d."""
     if d < 0 or 2 * d > 2 * y_sub.omega:
         raise OrderTooHigh(f"moment matrix of order {d} needs degrees up to {2*d} > {2*y_sub.omega}")
-    return _gather(y_sub, d)
+    return _gather(y_sub, block_operator(len(y_sub.clique), d))
+
+
+def localizing_operator(
+    clique: tuple[int, ...], omega: int, g: ConstraintPolynomial, d: int
+):
+    """The compiled localizing block of ``g`` at order ``d`` on ``clique``,
+    after checking that ``g`` lives on the clique and that ``d`` lies
+    between ``g``'s minimal order and the relaxation order ``omega``."""
+    if g.variables != clique:
+        raise ValueError(f"constraint on {g.variables} does not match clique {clique}")
+    if d < g.d_half:
+        raise OrderTooHigh(f"localizing order {d} is below the minimal order {g.d_half}")
+    if d > omega:
+        raise OrderTooHigh(f"localizing order {d} exceeds relaxation order {omega}")
+    return block_operator(len(clique), d, g)
 
 
 def localizing_matrix(y_sub: CliqueSubvector, g: ConstraintPolynomial, d: int) -> LabeledSymMatrix:
     """Localizing matrix of ``g`` at order ``d``: entry (alpha, beta) is
     sum_gamma g_gamma * y[alpha + beta + gamma], over labels of degree
     <= d - d_half."""
-    if g.variables != y_sub.clique:
-        raise ValueError(f"constraint on {g.variables} does not match clique {y_sub.clique}")
-    if d < g.d_half:
-        raise OrderTooHigh(f"localizing order {d} is below the minimal order {g.d_half}")
-    if d > y_sub.omega:
-        raise OrderTooHigh(f"localizing order {d} exceeds relaxation order {y_sub.omega}")
-    return _gather(y_sub, d, g)
+    return _gather(y_sub, localizing_operator(y_sub.clique, y_sub.omega, g, d))
 
 
 def localizing_block(
@@ -165,11 +198,7 @@ def localizing_block(
     """
     blocks = [localizing_matrix(y_sub, g, d) for g in g_vec]
     labels = tuple((pos, lab) for pos, blk in enumerate(blocks, start=1) for lab in blk.labels)
-    data = np.zeros((len(labels), len(labels)))
-    at = 0
-    for blk in blocks:
-        data[at : at + blk.size, at : at + blk.size] = blk.data
-        at += blk.size
+    data = block_diagonal([blk.data for blk in blocks], 1)[0]
     return LabeledSymMatrix(y_sub.clique, labels, data)
 
 

@@ -5,17 +5,18 @@ from smk.certify import (
     RankPolicy,
     ZeroPropagation,
     certify,
-    _rank_and_gap,
+    _ranks_and_gaps,
     d_half,
     psd_check,
     zero_propagation_check,
 )
 from smk.core import CliqueCover, SparseMomentVector, clique_subvector, support
-from smk.errors import ZeroVector
+from smk.errors import SmkError, ZeroVector
 from smk.matrices import ConstraintPolynomial, LabeledSymMatrix, moment_matrix, overlap_moment_matrix
 from smk.rip import check_rip
 from smk import demo
 
+import per_clique
 from conftest import random_flat_instance
 
 
@@ -27,7 +28,7 @@ def labeled(data, variables=(1,)):
 
 def rank(M, policy=RankPolicy()):
     """The numerical rank that ``certify`` decides for ``M``."""
-    return _rank_and_gap(M.data, policy)[0]
+    return _ranks_and_gaps(M.data[None], policy)[0][0]
 
 
 @pytest.fixture
@@ -198,3 +199,29 @@ class TestZeroMassBoundary:
         )
         assert abs(signed.mass) < 1e-15
         assert not psd_check(moment_matrix(clique_subvector(signed, 1), 2))
+
+
+class TestShapeErrors:
+    """A constraint that does not fit its clique is refused before any
+    decision is made, naming the first such clique, with the error the
+    per-clique loop raises."""
+
+    @staticmethod
+    def outcome(run, *args):
+        try:
+            run(*args)
+        except (SmkError, ValueError) as exc:
+            return type(exc).__name__, str(exc)
+        return None
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_first_bad_clique_raises(self, y_triple, swap):
+        misplaced = ConstraintPolynomial((1, 2), {(0, 0): 1.0, (2, 0): -1.0})
+        too_high = {(0, 0): 1.0, (8, 0): -1.0}  # half-degree 4 above the order 3
+        constraints = [(), (misplaced,), (ConstraintPolynomial((3, 4), too_high),)]
+        if swap:
+            constraints = [(), (ConstraintPolynomial((2, 3), too_high),), (misplaced,)]
+        witnesses = check_rip(y_triple.cover)
+        expected = self.outcome(per_clique.certify, y_triple, constraints, witnesses)
+        assert expected[0] == ("OrderTooHigh" if swap else "ValueError")
+        assert self.outcome(certify, y_triple, constraints, witnesses) == expected

@@ -233,6 +233,28 @@ class TestMomentVectorBuild:
         assert fresh.entries == dict(y.entries) and dict(y.entries) == fresh.entries
         assert fresh == y and fresh == SparseMomentVector(y.cover, y.omega, dict(y.entries))
 
+    def test_constructor_reads_entries_in_canonical_order(self):
+        y = demo.chain_pair_moments()
+        z = SparseMomentVector(y.cover, y.omega, dict(list(y.entries.items())[::-1]))
+        assert z == y
+        assert z.values.tobytes() == y.values.tobytes() and z.mass == y.mass == 1.0
+        witnesses = check_rip(y.cover)
+        assert certify(z, ((), ()), witnesses).verdict and certify(y, ((), ()), witnesses).verdict
+        assert repr(certify(z, ((), ()), witnesses).to_dict()) == repr(
+            certify(y, ((), ()), witnesses).to_dict()
+        )
+
+    def test_constructor_refuses_another_key_set(self):
+        entries = dict(demo.chain_pair_moments().entries)
+        del entries[(0, 1, 1)]
+        message = "1 sparse indices missing, first (0, 1, 1)"
+        with pytest.raises(MissingEntries, match=re.escape(message)):
+            SparseMomentVector(CHAIN_PAIR, 2, entries).values
+        entries[(0, 1, 1)] = 0.0
+        entries[(1, 0, 1)] = 1.0  # supported on no clique
+        with pytest.raises(IndexOutOfPattern, match=re.escape("(1, 0, 1)")):
+            SparseMomentVector(CHAIN_PAIR, 2, entries).values
+
 
 class TestRounded:
     def test_noise_below_the_digit_leaves_no_trace(self):

@@ -2,10 +2,18 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from smk.certify import RankPolicy, _rank_and_gap, certify
-from smk.core import CliqueSubvector, clique_subvector, local_exponents, monomial_matrix
-from smk.errors import FlatnessViolated, NonPhysicalWeights, ReconstructionFailed
+from smk.certify import FlatnessCertificate, RankPolicy, _ranks_and_gaps, certify
+from smk.core import (
+    CliqueCover,
+    CliqueSubvector,
+    SparseMomentVector,
+    clique_subvector,
+    local_exponents,
+    monomial_matrix,
+)
+from smk.errors import FlatnessViolated, NonPhysicalWeights, ReconstructionFailed, SmkError
 from smk.extract import (
     AtomicMeasure,
     constraint_feasibility_check,
@@ -13,10 +21,11 @@ from smk.extract import (
     extract_clique_measures,
 )
 from smk.matrices import ConstraintPolynomial, LabeledSymMatrix, moment_matrix
-from smk.rip import check_rip
+from smk.rip import check_rip, find_rip_order
 from smk import demo, extract, matrices
 
-from conftest import random_flat_instance
+import per_clique
+from conftest import random_flat_instance, shuffled_chain_covers
 
 
 def measure_subvector(variables, atoms, weights, omega):
@@ -72,7 +81,7 @@ class TestExtractAtoms:
             weights = rng.uniform(0.2, 1.0, r)
             sub = measure_subvector((1, 2), atoms, weights, 3)
             M = moment_matrix(sub, 3)
-            r_num = _rank_and_gap(M.data, RankPolicy())[0]
+            r_num = _ranks_and_gaps(M.data[None], RankPolicy())[0][0]
             assert r_num == r
             mu = extract_atoms(M, r, seed=trial)
             match_atoms(mu, atoms, weights, tol=1e-6)
@@ -171,6 +180,200 @@ def test_shape_caches_cold_and_warm_agree_bitwise():
     assert matrices._compile_block.cache_info().hits > 0
     assert extract._label_table.cache_info().hits > 0
     assert run() == cold
+
+
+# ---------------------------------------------------------------------------
+# stacked certification and extraction against the per-clique loops
+
+
+def outcome(extract_one, *args):
+    """Atom and weight bytes of a measure, or the name and message of the
+    error raised instead."""
+    try:
+        mu = extract_one(*args)
+    except SmkError as exc:
+        return type(exc).__name__, str(exc)
+    mu = mu[0] if isinstance(mu, tuple) else mu
+    return mu.atoms.tobytes(), mu.weights.tobytes()
+
+
+def assert_stacks_match_per_clique(y, constraints, policy, seed):
+    witnesses = check_rip(y.cover)
+    cert = certify(y, constraints, witnesses, policy)
+    ref = per_clique.certify(y, constraints, witnesses, policy)
+    assert repr(cert.to_dict()) == repr(ref.to_dict())
+    assert [c.moment.data.tobytes() for c in cert.cliques] == [
+        c.moment.data.tobytes() for c in ref.cliques
+    ]
+    expected = [
+        outcome(per_clique.extract_atoms, c.moment, c.rank_full, policy, seed + c.clique)
+        for c in ref.cliques
+    ]
+    alone = [
+        outcome(extract_atoms, c.moment, c.rank_full, policy, seed + c.clique) for c in cert.cliques
+    ]
+    assert alone == expected
+    failures = [e for e in expected if isinstance(e[0], str)]
+    try:
+        measures = extract_clique_measures(cert, policy, seed)
+    except SmkError as exc:
+        assert failures and (type(exc).__name__, str(exc)) == failures[0]
+    else:
+        assert [(mu.atoms.tobytes(), mu.weights.tobytes()) for mu in measures] == expected
+    return cert
+
+
+def ball(width: int, radius_sq: float) -> dict:
+    coefficients = {(0,) * width: radius_sq}
+    for t in range(width):
+        coefficients[tuple(2 * (s == t) for s in range(width))] = -1.0
+    return coefficients
+
+
+def mixed_chain_instance(cover, seed: int, noise: float):
+    """A measure of 1-3 atoms on a chain put in running-intersection order,
+    where some variables take one value at every atom (so cliques of one
+    width have different ranks), and per clique no constraint, one ball or
+    two: moment and localizing shapes of several kinds."""
+    cover = cover.reorder(find_rip_order(cover))
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(1, 4))
+    atoms = np.empty((r, cover.n))
+    for k in range(cover.n):
+        while True:
+            col = rng.choice([-1.0, 1.0], size=r) * rng.uniform(0.4, 1.6, size=r)
+            if rng.random() < 0.4:
+                col[:] = col[0]
+            gaps = np.abs(col[:, None] - col[None, :])[~np.eye(r, dtype=bool)]
+            if r == 1 or gaps.max() == 0.0 or gaps.min() >= 0.3:
+                atoms[:, k] = col
+                break
+    weights = rng.uniform(0.2, 1.0, size=r)
+    y = demo.moments_of_atoms(cover, 2, atoms, weights / weights.sum())
+    if noise:
+        values = y.values + noise * rng.standard_normal(y.values.size)
+        y = SparseMomentVector.on_index_map(cover, 2, y.index_map, values)
+    kinds = [(), (3.0,), (2.0,), (3.0, 6.0)]
+    constraints = tuple(
+        tuple(
+            ConstraintPolynomial(clique, ball(len(clique), radius_sq))
+            for radius_sq in kinds[int(rng.integers(len(kinds)))]
+        )
+        for clique in cover.cliques
+    )
+    return y, constraints
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**16), round_decimals=st.sampled_from([None, 4]))
+def test_stacks_match_per_clique_on_random_flat_instances(seed, round_decimals):
+    policy = RankPolicy(round_decimals=round_decimals)
+    _, _, _, y = random_flat_instance(seed)
+    if round_decimals is not None:
+        y = y.rounded(round_decimals)
+    assert_stacks_match_per_clique(y, tuple(() for _ in range(y.cover.m)), policy, seed)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    cover=shuffled_chain_covers(),
+    seed=st.integers(0, 2**16),
+    round_decimals=st.sampled_from([None, 4]),
+    noise=st.sampled_from([0.0, 1e-9]),
+)
+def test_stacks_match_per_clique_on_mixed_chains(cover, seed, round_decimals, noise):
+    policy = RankPolicy(round_decimals=round_decimals)
+    y, constraints = mixed_chain_instance(cover, seed, noise)
+    if round_decimals is not None:
+        y = y.rounded(round_decimals)
+    assert_stacks_match_per_clique(y, constraints, policy, seed)
+
+
+def test_mixed_chain_stacks_several_shapes_and_ranks():
+    """One instance of the property above whose stacks are mixed: cliques
+    of one width with different constraints and different ranks."""
+    cover = CliqueCover(9, ((1, 2), (2, 3), (3, 4, 5), (5, 6), (6, 7, 8), (8, 9)))
+    for seed in range(200):
+        y, constraints = mixed_chain_instance(cover, seed, 0.0)
+        cert = assert_stacks_match_per_clique(y, constraints, RankPolicy(), seed)
+        shapes = {(len(c.moment.variables), len(gs)) for c, gs in zip(cert.cliques, constraints)}
+        ranks = {(len(c.moment.variables), c.rank_full) for c in cert.cliques}
+        if len(shapes) >= 4 and len(ranks) >= 3 and len({r for _, r in ranks}) >= 2:
+            break
+    else:
+        pytest.fail("no seed below 200 gives mixed stacks")
+
+
+def certificate_of(*cliques):
+    """A certificate carrying only clique records, one per (moment matrix,
+    rank), for extraction."""
+    y = demo.chain_pair_moments()
+    template = certify(y, ((), ()), check_rip(y.cover)).cliques[0]
+    checks = tuple(
+        dataclasses.replace(template, clique=i, rank_full=r, moment=M)
+        for i, (M, r) in enumerate(cliques, start=1)
+    )
+    return FlatnessCertificate(checks, (), False, max(r for _, r in cliques))
+
+
+def moments_on_pair(atoms, weights):
+    return moment_matrix(measure_subvector((1, 2), atoms, weights, 2), 2)
+
+
+class TestStackedExtraction:
+    POINT = moments_on_pair([[0.5, -0.7]], [1.0])
+    PAIR = moments_on_pair([[1.0, 0.5], [-0.6, 1.2]], [0.3, 0.7])
+    LIGHT = moments_on_pair([[1.0, 0.5], [-1.0, 0.7]], [1.0, 1e-9])  # a weight below tolerance
+    SIGNED = moments_on_pair([[0.5, 0.5]], [-1.0])  # negative semidefinite
+
+    @pytest.mark.parametrize(
+        "cliques",
+        [
+            # clique 2 fails in the rank-2 stack, clique 3 in the rank-1
+            # stack, which is extracted first
+            [(POINT, 1), (LIGHT, 2), (SIGNED, 1), (PAIR, 2)],
+            # clique 2 fails in the rank-1 stack, clique 3 in the rank-2
+            # stack, which is extracted first
+            [(PAIR, 2), (SIGNED, 1), (LIGHT, 2), (POINT, 1)],
+        ],
+    )
+    def test_first_failing_clique_raises_its_error(self, cliques):
+        cert = certificate_of(*cliques)
+        errors = [
+            outcome(per_clique.extract_atoms, M, r, RankPolicy(), 3 + i)
+            for i, (M, r) in enumerate(cliques, start=1)
+        ]
+        failures = [e for e in errors if isinstance(e[0], str)]
+        assert len(failures) == 2 and failures[0][0] != failures[1][0]
+        with pytest.raises(SmkError) as info:
+            extract_clique_measures(cert, seed=3)
+        assert (type(info.value).__name__, str(info.value)) == errors[1] == failures[0]
+
+    # seed 5 ties clique 2's eigenvalues as reals; with seed 19 they come out
+    # as a complex pair, so the first combinations of the stack are complex
+    @pytest.mark.parametrize("seed", [5, 19])
+    def test_unseparated_first_combination_redraws(self, seed):
+        """Clique 2's atoms take one value under its first random
+        combination, so it alone draws a second one; every clique gets the
+        atoms of the per-clique path."""
+        coeffs = np.random.default_rng(seed + 2).random(2) + 0.05
+        coeffs /= coeffs.sum()
+        a = np.array([0.6, -0.4])
+        tied = moments_on_pair([a, a + 0.8 * np.array([coeffs[1], -coeffs[0]])], [0.4, 0.6])
+        others = [
+            moments_on_pair([[1.0, 0.5 + 0.1 * k], [-0.6, 1.2 - 0.1 * k]], [0.3, 0.7])
+            for k in range(5)
+        ]
+        cert = certificate_of(*[(M, 2) for M in [others[0], tied, *others[1:]]])
+        reference = [
+            per_clique.extract_atoms(c.moment, c.rank_full, RankPolicy(), seed + c.clique)
+            for c in cert.cliques
+        ]
+        assert [draws for _, draws in reference] == [1, 2, 1, 1, 1, 1]
+        got = extract_clique_measures(cert, seed=seed)
+        for (ref, _), mu in zip(reference, got):
+            assert mu.atoms.tobytes() == ref.atoms.tobytes()
+            assert mu.weights.tobytes() == ref.weights.tobytes()
 
 
 class TestFeasibility:
