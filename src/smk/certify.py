@@ -62,10 +62,6 @@ class RankPolicy:
         unit = 0.0 if self.round_decimals is None else 10.0 ** -self.round_decimals
         return max(self.rel_tol, unit) * max(1.0, abs(scale))
 
-    def tols(self, scales: np.ndarray) -> np.ndarray:
-        """:meth:`tol` at each of ``scales``, bit for bit, as one array."""
-        return self.tol() * np.fmax(np.abs(scales), 1.0)  # fmax: 1 at NaN, as max(1.0, nan)
-
 
 def _ranks_and_gaps(data: np.ndarray, policy: RankPolicy) -> list[tuple[int, tuple[float, float]]]:
     """Per matrix of a stack of shape (k, s, s): numerical rank plus the
@@ -234,9 +230,9 @@ def certify(
     ``constraints`` lists, per clique, that clique's constraint polynomials
     (empty list = unconstrained clique, half-degree 1, no localizing check).
     ``witnesses`` must come from a successful property check on the cover's
-    own clique order; for each position i >= 2 the admissible witnesses are
-    searched in ascending order and the first one whose overlap moment matrix
-    is rank-flat is recorded.
+    own clique order. Every admissible witness j of a position i >= 2 has
+    the same overlap with clique i, so the overlap moment matrix is checked
+    once, and the smallest j is recorded when it is rank-flat.
     """
     if y.is_zero():
         raise ZeroVector("certification assumes a nonzero moment vector")
@@ -263,28 +259,22 @@ def certify(
         checks = _clique_stack(y, members, constraints[members[0] - 1], policy)
         clique_checks.update(zip(members, checks))
 
-    # each position's first candidate, stacked by overlap width; a position
-    # where it is not flat tries its later candidates in ascending order
+    # every witness j of position i shares C_i with the earlier cliques in
+    # C_i & C_j, so all candidates give one overlap matrix: the first one's,
+    # stacked by overlap width; a position where it is not flat keeps its
+    # ranks for diagnostics but has no witness
     candidates = {i: tuple(sorted(witnesses.witness[i])) for i in range(2, m + 1)}
     shared = {i: _shared(y, i, candidates[i][0]) for i in candidates}
     by_width: dict[int, list[int]] = {}
     for i in candidates:
         by_width.setdefault(len(shared[i]), []).append(i)
-    firsts: dict[int, OverlapCheck] = {}
+    overlaps: dict[int, OverlapCheck] = {}
     for positions in by_width.values():
         ranks = _overlap_stack(y, [shared[i] for i in positions], policy)
         for i, r in zip(positions, ranks):
-            firsts[i] = OverlapCheck(i, candidates[i][0], *r, candidates[i])
-    overlap_checks = []
-    for i in candidates:
-        record = first = firsts[i]
-        for j in candidates[i][1:]:
-            if record.flat:
-                break
-            ranks = _overlap_stack(y, [_shared(y, i, j)], policy)[0]
-            record = OverlapCheck(i, j, *ranks, candidates[i])
-        # with no flat candidate, keep the first one's ranks for diagnostics but mark no witness
-        overlap_checks.append(record if record.flat else replace(first, witness_j=None))
+            record = OverlapCheck(i, candidates[i][0], *r, candidates[i])
+            overlaps[i] = record if record.flat else replace(record, witness_j=None)
+    overlap_checks = [overlaps[i] for i in candidates]
 
     cliques = tuple(clique_checks[i] for i in range(1, m + 1))
     verdict = all(c.ok for c in cliques) and all(o.flat for o in overlap_checks)

@@ -87,22 +87,35 @@ def grlex_position(exps: np.ndarray) -> np.ndarray:
     return below[np.arange(width, 0, -1), tail].sum(axis=-1)
 
 
-def monomial_matrix(exponents, atoms) -> np.ndarray:
-    """``A[k, j] = prod_t atoms[j, t] ** exponents[k, t]``, one variable at a
-    time from a table of its powers, so no float temporary exceeds the result.
-    Exponents are held as uint8 (below 256); tuples are read as bytes."""
-    atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
-    count = len(exponents)
-    if not isinstance(exponents, np.ndarray):
-        exponents = np.frombuffer(b"".join(bytes(tuple(e)) for e in exponents), dtype=np.uint8)
-    exps = np.asarray(exponents, dtype=np.uint8).reshape(count, atoms.shape[1])
-    out = np.ones((exps.shape[0], atoms.shape[0]))
+def monomial_steps(exps: np.ndarray) -> list:
+    """What :func:`monomial_matrix` reads of a uint8 exponent array of shape
+    (monomials, variables): per variable t of positive degree somewhere, (t,
+    the rows where it has, their exponents of x_t, the powers 0..max as a
+    float column). Worth keeping when one table meets many atom sets."""
+    steps = []
     for t in range(exps.shape[1]):
         rows = exps[:, t].nonzero()[0]
         if rows.size:
             e = exps[rows, t]
-            powers = atoms[:, t] ** np.arange(int(e.max()) + 1, dtype=float)[:, None]
-            out[rows] *= powers[e]
+            steps.append((t, rows, e, np.arange(int(e.max()) + 1, dtype=float)[:, None]))
+    return steps
+
+
+def monomial_matrix(exponents, atoms, steps: list | None = None) -> np.ndarray:
+    """``A[k, j] = prod_t atoms[j, t] ** exponents[k, t]``, one variable at a
+    time from a table of its powers, so no float temporary exceeds the result.
+    Exponents are held as uint8 (below 256); tuples are read as bytes.
+    ``steps``, from :func:`monomial_steps` of the same exponents, saves
+    reading them again."""
+    atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
+    count = len(exponents)
+    if steps is None:
+        if not isinstance(exponents, np.ndarray):
+            exponents = np.frombuffer(b"".join(bytes(tuple(e)) for e in exponents), dtype=np.uint8)
+        steps = monomial_steps(np.asarray(exponents, dtype=np.uint8).reshape(count, atoms.shape[1]))
+    out = np.ones((count, atoms.shape[0]))
+    for t, rows, e, degrees in steps:
+        out[rows] *= (atoms[:, t] ** degrees)[e]
     return out
 
 
@@ -264,6 +277,25 @@ class _LazyEntries(UserDict):
         return dict(zip(self._keys, self._values.tolist()))
 
 
+def _canonical_values(
+    index_map: IndexMap, supplied: dict, allow_missing_as_zero: bool = False
+) -> list:
+    """The values of ``supplied`` (which is emptied) in the canonical order
+    of ``index_map``. A key outside the sparse index set raises
+    :class:`IndexOutOfPattern`, naming the first one in ``supplied``; then a
+    missing key raises :class:`MissingEntries`, or reads 0.0 if allowed."""
+    found = [supplied.pop(a, None) for a in index_map.exponents]
+    if supplied:
+        raise IndexOutOfPattern(next(iter(supplied)))
+    missing = [a for a, v in zip(index_map.exponents, found) if v is None]
+    if missing and not allow_missing_as_zero:
+        raise MissingEntries(
+            f"{len(missing)} sparse indices missing, first {missing[0]}; "
+            "pass allow_missing_as_zero to default them to 0"
+        )
+    return [0.0 if v is None else v for v in found]
+
+
 @dataclass(frozen=True)
 class SparseMomentVector:
     """Moment vector keyed exactly by the sparse index set of (cover, omega).
@@ -299,16 +331,7 @@ class SparseMomentVector:
                 raise DuplicateEntry(f"multi-index {alpha} supplied twice")
             supplied[alpha] = v
         index_map = index_map_of(cover, 2 * omega)
-        found = [supplied.pop(a, None) for a in index_map.exponents]
-        if supplied:
-            raise IndexOutOfPattern(next(iter(supplied)))
-        missing = [a for a, v in zip(index_map.exponents, found) if v is None]
-        if missing and not allow_missing_as_zero:
-            raise MissingEntries(
-                f"{len(missing)} sparse indices missing, first {missing[0]}; "
-                "pass allow_missing_as_zero to default them to 0"
-            )
-        values = [0.0 if v is None else v for v in found]
+        values = _canonical_values(index_map, supplied, allow_missing_as_zero)
         return cls.on_index_map(cover, omega, index_map, values)
 
     @classmethod
@@ -335,16 +358,7 @@ class SparseMomentVector:
         """Read-only values in canonical order, aligned with ``index_map.exponents``,
         whatever the order of ``entries``; a key set other than the sparse
         index set raises :class:`MissingEntries` or :class:`IndexOutOfPattern`."""
-        entries, exponents = self.entries, self.index_map.exponents
-        try:
-            values = np.array([entries[alpha] for alpha in exponents], dtype=float)
-        except KeyError:
-            missing = [alpha for alpha in exponents if alpha not in entries]
-            message = f"{len(missing)} sparse indices missing, first {missing[0]}"
-            raise MissingEntries(message) from None
-        if len(entries) != len(exponents):
-            known = set(exponents)
-            raise IndexOutOfPattern(next(alpha for alpha in entries if alpha not in known))
+        values = np.array(_canonical_values(self.index_map, dict(self.entries)), dtype=float)
         values.setflags(write=False)
         return values
 

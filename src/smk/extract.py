@@ -11,12 +11,13 @@ Extraction runs on stacks: the moment matrices of cliques with the same
 labels and rank go through each step together, with one ``eigh``, one
 ``eig`` and one ``inv`` per step over the stack and, per clique, the
 arithmetic of an extraction on its own, so the atoms do not depend on how
-the cliques were stacked. :func:`extract_atoms` is the stack of one.
+the cliques were stacked. Neither do the errors: each is kept with its
+clique, a ``LinAlgError`` included, and the first failing clique raises.
+:func:`extract_atoms` is the stack of one.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -25,7 +26,7 @@ import numpy as np
 import scipy.optimize
 
 from .certify import FlatnessCertificate, RankPolicy
-from .core import monomial_matrix
+from .core import monomial_matrix, monomial_steps
 from .errors import FlatnessViolated, NonPhysicalWeights, ReconstructionFailed
 from .matrices import ConstraintPolynomial, LabeledSymMatrix
 
@@ -99,17 +100,17 @@ def _column_echelon_bases(
     sees the arithmetic of a reduction on its own.
     """
     k, r, _ = R.shape
-    rows = np.arange(r)[:, None]
     at = np.arange(k)
     for pos, col in enumerate(columns):
         if row == r:
             break
         mag = np.abs(R[:, row:, col])
         best = mag.argmax(axis=1)
-        found = ~(mag[at, best] <= tol)
-        if not found.all():
-            if found.any():
-                for part in (found, ~found):
+        small = mag[at, best] <= tol
+        count = np.count_nonzero(small)
+        if count:
+            if count < k:
+                for part in (~small, small):
                     sub, sub_pivots = R[part], pivots[part]
                     _column_echelon_bases(sub, sub_pivots, columns[pos:], tol[part], row)
                     R[part], pivots[part] = sub, sub_pivots
@@ -120,7 +121,8 @@ def _column_echelon_bases(
         R[at, best] = R[:, row]
         R[:, row] = pivot / pivot[:, col, None]
         update = R[:, :, col, None] * R[:, None, row]
-        np.subtract(R, update, out=R, where=rows != row)  # every row but the pivot's
+        update[:, row] = 0.0  # the pivot row stays, as x - 0.0 is x
+        R -= update
         pivots[:, row] = col
         row += 1
 
@@ -128,9 +130,10 @@ def _column_echelon_bases(
 @lru_cache(maxsize=64)
 def _label_table(labels: tuple, nvars: int):
     """Per label tuple, built once: the top degree omega, the columns of
-    labels of degree below it, the labels as a uint8 exponent array, and
-    ``shift[k, t]``, the column of labels[k] times x_t, -1 past the order
-    and in a last row that stands for no label."""
+    labels of degree below it, the labels as a uint8 exponent array with
+    its :func:`monomial_steps`, and ``shift[k, t]``, the column of
+    labels[k] times x_t, -1 past the order and in a last row that stands
+    for no label."""
     column = {l: k for k, l in enumerate(labels)}
     shifted = (tuple(e + (s == t) for s, e in enumerate(l)) for l in labels for t in range(nvars))
     shift = np.array([column.get(l, -1) for l in shifted] + [-1] * nvars, np.int64)
@@ -138,34 +141,20 @@ def _label_table(labels: tuple, nvars: int):
     exponents = np.array(labels, dtype=np.uint8).reshape(len(labels), nvars)
     degree = exponents.sum(axis=1, dtype=np.int64)
     omega = int(degree.max(initial=0))
-    for a in (shift, exponents):
+    steps = monomial_steps(exponents)
+    for a in (shift, exponents, *(a for step in steps for a in step[1:])):
         a.setflags(write=False)
-    return omega, np.flatnonzero(degree < omega).tolist(), exponents, shift
+    return omega, np.flatnonzero(degree < omega).tolist(), exponents, steps, shift
 
 
 def _drop(out: list, live: np.ndarray, failed: np.ndarray, error, *arrays):
     """Record ``error(q)`` for each failed position q of ``live`` in ``out``;
     return ``live`` and ``arrays`` (aligned with it) without the failed."""
-    if not failed.any():
+    if not np.count_nonzero(failed):
         return (live, *arrays)
     for q in failed.nonzero()[0]:
         out[live[q]] = error(q)
     return _subset(~failed, live, *arrays)
-
-
-@lru_cache(maxsize=1024)
-def _combination(seed: int, nvars: int, draw: int) -> np.ndarray:
-    """Coefficients of the random convex combination number ``draw`` (from
-    0) of a matrix seeded with ``seed``: the draw-th ``random(nvars)`` of
-    ``np.random.default_rng(seed)``, plus 0.05, normalised. Cached and
-    read-only, as making the generator costs more than the draws."""
-    rng = np.random.default_rng(seed)
-    for _ in range(draw):
-        rng.random(nvars)
-    coeffs = rng.random(nvars) + 0.05
-    coeffs /= coeffs.sum()
-    coeffs.setflags(write=False)
-    return coeffs
 
 
 def _dtype_parts(values: np.ndarray, P: np.ndarray) -> list:
@@ -184,31 +173,33 @@ def _dtype_parts(values: np.ndarray, P: np.ndarray) -> list:
 
 def _subset(mask: np.ndarray, *arrays):
     """``arrays`` where ``mask`` holds, or as they are when it holds everywhere."""
-    return arrays if mask.all() else tuple(a[mask] for a in arrays)
+    return arrays if np.count_nonzero(mask) == len(mask) else tuple(a[mask] for a in arrays)
 
 
-def _separate(keep, values, P, operators, r: int, policy: RankPolicy):
+def _separate(keep, values, P, operators, r: int, unit: float):
     """For a stack of combinations numbered ``keep``, with eigenvalues
     ``values`` and eigenvectors ``P`` (one dtype for all) of the
     multiplication ``operators`` (k, nvars, r, r): the numbers of those whose
     eigenvalues are apart, whose diagonalized operators are real and whose
-    atoms are apart, and those atoms, shape (found, r, nvars)."""
+    atoms are apart, and those atoms, shape (found, r, nvars). ``unit`` is
+    the policy tolerance at scale 1."""
     if r > 1:
-        gaps = np.abs(values[:, :, None] - values[:, None, :])
-        gaps.reshape(-1, r * r)[:, :: r + 1] = np.inf  # the diagonals
-        apart = ~(gaps.min(axis=(1, 2)) < policy.tols(np.abs(values).max(axis=1)))
+        gaps = np.abs(values[:, :, None] - values[:, None, :]).reshape(-1, r * r)
+        gaps[:, :: r + 1] = np.inf  # the diagonals
+        apart = ~(gaps.min(axis=1) < unit * np.fmax(np.abs(values).max(axis=1), 1.0))
         keep, P, operators = _subset(apart, keep, P, operators)
     # diags[b, t]: the diagonal of operator t in the eigenbasis of combination b
     diags = (np.linalg.inv(P)[:, None] @ operators @ P[:, None]).diagonal(axis1=2, axis2=3)
     if np.iscomplexobj(diags):  # a real diagonal passes this check whatever its values
-        imag = np.abs(diags.imag).max(axis=2) > policy.tols(np.abs(diags).max(axis=2))
+        imag = np.abs(diags.imag).max(axis=2) > unit * np.fmax(np.abs(diags).max(axis=2), 1.0)
         real = ~imag.any(axis=1)
         keep, diags = keep[real], diags[real].real
     atoms = diags.transpose(0, 2, 1)
     if r > 1:
-        dist = np.abs(atoms[:, :, None, :] - atoms[:, None, :, :]).max(axis=3)
-        dist.reshape(-1, r * r)[:, :: r + 1] = np.inf
-        apart = ~(dist.min(axis=(1, 2)) <= policy.tols(np.abs(atoms).max(axis=(1, 2))))
+        dist = np.abs(atoms[:, :, None, :] - atoms[:, None, :, :]).max(axis=3).reshape(-1, r * r)
+        dist[:, :: r + 1] = np.inf
+        peak = np.abs(atoms).reshape(len(atoms), r * atoms.shape[2]).max(axis=1)
+        apart = ~(dist.min(axis=1) <= unit * np.fmax(peak, 1.0))
         keep, atoms = _subset(apart, keep, atoms)
     return keep, atoms
 
@@ -228,25 +219,27 @@ def _extract_stack(
     k = len(data)
     if r == 0:
         return [(np.zeros((0, nvars)), np.zeros(0)) for _ in range(k)]
-    omega, columns, exponents, shift = _label_table(labels, nvars)
-    peak = np.abs(data).max(axis=(1, 2), initial=0.0)
-    scales = np.fmax(peak, 1.0)  # max(1, peak), and 1 for NaN
+    omega, columns, exponents, steps, shift = _label_table(labels, nvars)
+    # policy.tol(s) is unit * max(1, s); the scales are at least 1 (1 for a NaN peak)
+    unit = policy.tol()
+    scales = np.fmax(np.abs(data).max(axis=(1, 2), initial=0.0), 1.0)
     out: list = [None] * k
     live = np.arange(k)
 
     eigvals, eigvecs = np.linalg.eigh(policy.prepare(data))
-    idx = np.argsort(eigvals, axis=1)[:, ::-1][:, :r]
-    top = eigvals[live[:, None], idx]
-    live, top, idx, eigvecs = _drop(
+    idx = np.argsort(eigvals, axis=1)[:, : -r - 1 : -1]  # the top r, largest first
+    at = live[:, None]  # at[:n] picks matrix b of a stack of n in row b
+    top = eigvals[at, idx]
+    live, data, scales, top, idx, eigvecs = _drop(
         out, live, top[:, -1] <= 0,
         lambda q: ReconstructionFailed(f"matrix is not PSD of rank {r}: eigenvalue {top[q, -1]}"),
-        top, idx, eigvecs,
+        data, scales, top, idx, eigvecs,
     )
     # R[b] = V.T for V = the top eigenvectors scaled by the root eigenvalues
-    R = eigvecs[np.arange(len(live))[:, None], :, idx] * np.sqrt(top)[:, :, None]
+    R = eigvecs.transpose(0, 2, 1)[at[: len(live)], idx] * np.sqrt(top)[:, :, None]
     pivots = np.empty((len(live), r), dtype=np.int64)
     pivots.fill(-1)
-    _column_echelon_bases(R, pivots, columns, policy.tols(np.sqrt(scales[live])))
+    _column_echelon_bases(R, pivots, columns, unit * np.sqrt(scales))
 
     # multiplication operator of each variable: operators[b, t, :, j] holds
     # the coordinates of x_t * basis[j] in the basis of matrix b; a missing
@@ -264,53 +257,73 @@ def _extract_stack(
         shifted = tuple(e + (s == t) for s, e in enumerate(beta))
         return FlatnessViolated(f"monomial {shifted} exceeds the matrix order")
 
-    live, R, cols = _drop(out, live, (cols < 0).any(axis=(1, 2)), unflat, R, cols)
-    rows = np.arange(R.shape[1])[:, None]
-    at = np.arange(len(live))[:, None, None, None]
-    operators = R[at, rows, cols.transpose(0, 2, 1)[:, :, None, :]]
+    live, data, scales, R, cols = _drop(
+        out, live, (cols < 0).any(axis=(1, 2)), unflat, data, scales, R, cols
+    )
+    rows = np.arange(r)[:, None]
+    operators = R[at[: len(live), :, None, None], rows, cols.transpose(0, 2, 1)[:, :, None, :]]
 
+    rngs = [np.random.default_rng(seeds[b]) for b in live.tolist()]
     atoms = np.empty((len(live), r, nvars))
     separated = np.zeros(len(live), dtype=bool)
     pending = np.arange(len(live))
-    for draw in range(MAX_REDRAWS):
-        coeffs = [_combination(operator.index(seeds[b]), nvars, draw) for b in live[pending]]
-        coeffs = np.array(coeffs).reshape(len(pending), nvars)
-        combo = sum(coeffs[:, t, None, None] * operators[:, t] for t in range(nvars))
+    for _ in range(MAX_REDRAWS):
+        coeffs = np.empty((len(pending), nvars))
+        for q, b in enumerate(pending.tolist()):
+            c = rngs[b].random(nvars) + 0.05
+            coeffs[q] = c / c.sum()
+        terms = coeffs[:, :, None, None] * operators
+        combo = sum(terms[:, t] for t in range(nvars))
         values, P = np.linalg.eig(combo)
+        done = 0
         for part, vals, vecs in _dtype_parts(values, P):
-            found, found_atoms = _separate(pending[part], vals, vecs, operators[part], r, policy)
+            found, found_atoms = _separate(pending[part], vals, vecs, operators[part], r, unit)
             atoms[found] = found_atoms
             separated[found] = True
-        left = ~separated[pending]
-        if not left.any():
+            done += len(found)
+        if done == len(pending):
             break
+        left = ~separated[pending]
         pending, operators = pending[left], operators[left]
     else:
         error = "could not separate atoms after redrawing combinations"
         for q in pending:
             out[live[q]] = ReconstructionFailed(error)
-        live, atoms = live[separated], atoms[separated]
+        live, data, scales, atoms = _subset(separated, live, data, scales, atoms)
 
     # weights from the degree-<=omega moments by nonnegative least squares;
     # the moments of the labels are row 0, as labels are in matrix order
-    A = monomial_matrix(exponents, atoms.reshape(-1, nvars))
+    A = monomial_matrix(exponents, atoms.reshape(-1, nvars), steps)
     A = A.reshape(len(labels), len(live), r).transpose(1, 0, 2).copy()
-    weights = np.array([scipy.optimize.nnls(A[q], data[b, 0])[0] for q, b in enumerate(live)])
-    weights = weights.reshape(len(live), r)
+    weights = np.empty((len(live), r))
+    for q in range(len(live)):
+        weights[q] = scipy.optimize.nnls(A[q], data[q, 0])[0]
     lightest = weights.min(axis=1)
-    light = lightest <= policy.tols(weights.max(axis=1))
+    light = lightest <= unit * np.fmax(weights.max(axis=1), 1.0)
     recon = (A * weights[:, None, :]) @ A.transpose(0, 2, 1)
-    errs = np.abs(recon - data[live]).max(axis=(1, 2))
+    errs = np.abs(recon - data).max(axis=(1, 2))
     live, atoms, weights = _drop(
-        out, live, light | (errs > policy.tols(scales[live])),
+        out, live, light | (errs > unit * scales),
         lambda q: NonPhysicalWeights(f"weight {lightest[q]:.3e} is not strictly positive")
         if light[q]
         else ReconstructionFailed(f"moment matrix residual {errs[q]:.3e} exceeds tolerance"),
         atoms, weights,
     )
-    for b, a, w in zip(live, atoms, weights):
-        out[b] = (a, w)
+    for q, b in enumerate(live.tolist()):
+        out[b] = (atoms[q], weights[q])
     return out
+
+
+def _extract(data: np.ndarray, labels: tuple, nvars: int, r: int, policy: RankPolicy, seeds):
+    """:func:`_extract_stack`, with a ``LinAlgError`` recorded as the result
+    of the matrix it comes from: a stack where a LAPACK call raises it is
+    extracted again one matrix at a time."""
+    try:
+        return _extract_stack(data, labels, nvars, r, policy, seeds)
+    except np.linalg.LinAlgError as error:
+        if len(data) == 1:
+            return [error]
+        return [_extract(d[None], labels, nvars, r, policy, [s])[0] for d, s in zip(data, seeds)]
 
 
 def extract_atoms(
@@ -336,7 +349,7 @@ def extract_atoms(
     ReconstructionFailed
         if the recovered measure does not reproduce ``M``.
     """
-    result = _extract_stack(M.data[None], M.labels, len(M.variables), r, policy, [seed])[0]
+    result = _extract(M.data[None], M.labels, len(M.variables), r, policy, [seed])[0]
     if isinstance(result, Exception):
         raise result
     return AtomicMeasure(M.variables, *result)
@@ -359,7 +372,7 @@ def extract_clique_measures(
     for (labels, nvars, r), checks in stacks.items():
         data = np.array([c.moment.data for c in checks])
         seeds = [seed + c.clique for c in checks]
-        stack = _extract_stack(data, labels, nvars, r, policy, seeds)
+        stack = _extract(data, labels, nvars, r, policy, seeds)
         results.update(zip([c.clique for c in checks], stack))
     measures = []
     for c in certificate.cliques:

@@ -191,7 +191,7 @@ def outcome(extract_one, *args):
     error raised instead."""
     try:
         mu = extract_one(*args)
-    except SmkError as exc:
+    except (SmkError, np.linalg.LinAlgError) as exc:
         return type(exc).__name__, str(exc)
     mu = mu[0] if isinstance(mu, tuple) else mu
     return mu.atoms.tobytes(), mu.weights.tobytes()
@@ -348,6 +348,34 @@ class TestStackedExtraction:
         with pytest.raises(SmkError) as info:
             extract_clique_measures(cert, seed=3)
         assert (type(info.value).__name__, str(info.value)) == errors[1] == failures[0]
+
+    def test_linalg_error_fails_its_clique_only(self):
+        """A LAPACK call that fails on one matrix of a stack (``eig`` on the
+        combination of a matrix with a NaN moment) fails that clique alone:
+        an earlier clique's error in a stack extracted later still raises
+        first, and otherwise the NaN clique raises what it raises alone."""
+        broken = self.PAIR.data.copy()
+        broken[0, 1] = broken[1, 0] = np.nan
+        nan = LabeledSymMatrix(self.PAIR.variables, self.PAIR.labels, broken)
+        cliques = [(self.PAIR, 2), (self.SIGNED, 1), (nan, 2), (self.POINT, 1)]
+        expected = [
+            outcome(per_clique.extract_atoms, M, r, RankPolicy(), 3 + i)
+            for i, (M, r) in enumerate(cliques, start=1)
+        ]
+        assert expected[1][0] == "FlatnessViolated" and expected[2][0] == "LinAlgError"
+        alone = [
+            outcome(extract_atoms, M, r, RankPolicy(), 3 + i)
+            for i, (M, r) in enumerate(cliques, start=1)
+        ]
+        assert alone == expected
+        # the rank-2 stack, holding cliques 1 and 3, is extracted first
+        with pytest.raises(FlatnessViolated) as info:
+            extract_clique_measures(certificate_of(*cliques), seed=3)
+        assert str(info.value) == expected[1][1]
+        cliques[1] = (self.POINT, 1)
+        with pytest.raises(np.linalg.LinAlgError) as info:
+            extract_clique_measures(certificate_of(*cliques), seed=3)
+        assert str(info.value) == expected[2][1]
 
     # seed 5 ties clique 2's eigenvalues as reals; with seed 19 they come out
     # as a complex pair, so the first combinations of the stack are complex
