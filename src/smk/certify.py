@@ -259,10 +259,10 @@ def certify(
         checks = _clique_stack(y, members, constraints[members[0] - 1], policy)
         clique_checks.update(zip(members, checks))
 
-    # every witness j of position i shares C_i with the earlier cliques in
-    # C_i & C_j, so all candidates give one overlap matrix: the first one's,
-    # stacked by overlap width; a position where it is not flat keeps its
-    # ranks for diagnostics but has no witness
+    # for every witness j of position i, C_i & C_j is all that C_i shares
+    # with the earlier cliques, so the candidates give one overlap matrix:
+    # the first one's, stacked by overlap width. A position where it is not
+    # flat keeps its ranks for diagnostics but has no witness.
     candidates = {i: tuple(sorted(witnesses.witness[i])) for i in range(2, m + 1)}
     shared = {i: _shared(y, i, candidates[i][0]) for i in candidates}
     by_width: dict[int, list[int]] = {}

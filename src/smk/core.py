@@ -89,8 +89,8 @@ def grlex_position(exps: np.ndarray) -> np.ndarray:
 
 def monomial_steps(exps: np.ndarray) -> list:
     """What :func:`monomial_matrix` reads of a uint8 exponent array of shape
-    (monomials, variables): per variable t of positive degree somewhere, (t,
-    the rows where it has, their exponents of x_t, the powers 0..max as a
+    (monomials, variables): per variable t with a positive exponent in some
+    row, (t, those rows, their exponents of x_t, the powers 0..max as a
     float column). Worth keeping when one table meets many atom sets."""
     steps = []
     for t in range(exps.shape[1]):
