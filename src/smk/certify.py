@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import SparseMomentVector, clique_subvector, local_exponents
-from .errors import OrderTooHigh, ZeroVector
+from .errors import NonFiniteMoment, OrderTooHigh, ZeroVector
 from .matrices import (
     ConstraintPolynomial,
     LabeledSymMatrix,
@@ -232,7 +232,9 @@ def certify(
     ``witnesses`` must come from a successful property check on the cover's
     own clique order. Every admissible witness j of a position i >= 2 has
     the same overlap with clique i, so the overlap moment matrix is checked
-    once, and the smallest j is recorded when it is rank-flat.
+    once, and the smallest j is recorded when it is rank-flat. A NaN or
+    infinite moment raises :class:`NonFiniteMoment`, naming the first clique
+    that holds one.
     """
     if y.is_zero():
         raise ZeroVector("certification assumes a nonzero moment vector")
@@ -254,6 +256,13 @@ def certify(
             localizing_operator(clique, omega, g, omega)
         shape = (len(clique), tuple(tuple(g.coefficients.items()) for g in gs))
         stacks.setdefault(shape, []).append(i)
+    if not np.isfinite(y.values).all():  # every sparse index lies in some clique
+        for i in range(1, m + 1):
+            positions = y.index_map.positions(y.cover.clique(i), 2 * omega)
+            bad = positions[~np.isfinite(y.values[positions])]
+            if bad.size:
+                alpha, value = y.index_map.exponents[bad[0]], float(y.values[bad[0]])
+                raise NonFiniteMoment(f"clique {i}: the moment at {alpha} is {value}")
     clique_checks: dict[int, CliqueCheck] = {}
     for members in stacks.values():
         checks = _clique_stack(y, members, constraints[members[0] - 1], policy)

@@ -29,6 +29,10 @@ class ZeroVector(SmkError):
     """The moment vector is identically zero."""
 
 
+class NonFiniteMoment(SmkError):
+    """A moment is NaN or infinite."""
+
+
 class FlatnessViolated(SmkError):
     """Atom extraction needed basis monomials of maximal degree."""
 

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import re
+from itertools import islice
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from .core import CliqueCover, SparseMomentVector
+from .core import CliqueCover, SparseMomentVector, index_map_of
 from .extract import AtomicMeasure
 from .matrices import ConstraintPolynomial
 from .relax import PopProblem
@@ -38,13 +40,105 @@ def load_moment_vector(source, allow_missing_as_zero: bool = False) -> SparseMom
     than last-wins, and missing sparse indices are an error unless
     ``allow_missing_as_zero`` is set. Each alpha is kept as written, so
     ``1.0`` reads as ``1`` and ``1.5`` is outside the pattern.
+
+    A file whose exponents are plain integers is read as one exponent table
+    (:func:`_read_table`); any other file, and a mapping, is read entry by
+    entry by :meth:`SparseMomentVector.build`, which raises every error.
     """
-    data = _load(source)
+    if isinstance(source, Mapping):
+        data = dict(source)
+    else:
+        text = Path(source).read_text()
+        y = _read_table(text, allow_missing_as_zero)
+        if y is not None:
+            return y
+        data = json.loads(text)
     cover = cover_from_dict(data)
     pairs = [(tuple(item["alpha"]), item["value"]) for item in data["entries"]]
     return SparseMomentVector.build(
         cover, int(data["omega"]), pairs, allow_missing_as_zero=allow_missing_as_zero
     )
+
+
+# an "alpha" key and the opening bracket of its list
+_ALPHA = re.compile(r'"alpha"[ \t\n\r]*:[ \t\n\r]*\[')
+
+
+def _read_table(text: str, allow_missing_as_zero: bool) -> SparseMomentVector | None:
+    """The vector of a moment document whose every ``alpha`` is a list of
+    n plain JSON integers from 0 to 255 inside the sparse pattern, with no
+    multi-index twice and none missing unless allowed; None for any other
+    document. The list bodies are cut from the text and the rest is parsed
+    by ``json``; the bodies become one exponent table, and the nonzeros of
+    each row give its sparse key."""
+    # without escapes every "alpha" key is spelled as it reads, so each one
+    # is cut below and only a cut list reads as []
+    starts = [m.end() for m in _ALPHA.finditer(text)] if "\\" not in text else []
+    if not starts:
+        return None
+    # a list with no "]" after it leaves json an open list, which it refuses
+    ends = [text.find("]", s) for s in starts]
+    try:
+        data = json.loads("".join(text[e:s] for e, s in zip([0, *ends], [*starts, len(text)])))
+        entries, cover, omega = data["entries"], cover_from_dict(data), int(data["omega"])
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+    n = cover.n
+    # one cut list per entry, as its alpha, and clique variables in 1..n (an
+    # index map on others fails to build)
+    if (
+        omega < 1 or n < 1 or not isinstance(entries, list) or len(entries) != len(starts)
+        or not all(isinstance(e, dict) and e.get("alpha") == [] and "value" in e for e in entries)
+        or not all(1 <= v <= n for c in cover.cliques for v in c)
+    ):
+        return None
+    # a list holding another list, or running into the next one, fails the grammar
+    raw = "".join([text[s : e + 1] for s, e in zip(starts, ends)]).encode()
+    table = _exponent_table(raw, len(starts), n)
+    if table is None:
+        return None
+    rows, cols = np.divmod(np.flatnonzero(table), n)
+    # each row's sparse key: (variable, -exponent) of its nonzeros in variable order
+    pairs = zip((cols + 1).tolist(), (-table[rows, cols].astype(np.int64)).tolist())
+    keys = (tuple(islice(pairs, c)) for c in np.bincount(rows, minlength=len(table)).tolist())
+    index_map = index_map_of(cover, 2 * omega)
+    places = np.array([index_map.position.get(key, -1) for key in keys], dtype=np.int64)
+    hits = np.bincount(places + 1, minlength=len(index_map.exponents) + 1)
+    if hits[0] or hits.max() > 1 or (hits[1:].min() == 0 and not allow_missing_as_zero):
+        return None
+    values = np.zeros(len(index_map.exponents))
+    values[places] = [float(item["value"]) for item in entries]
+    return SparseMomentVector.on_index_map(cover, omega, index_map, values)
+
+
+def _exponent_table(raw: bytes, rows: int, n: int) -> np.ndarray | None:
+    """The (rows, n) uint8 table of ``raw``, list bodies each followed by
+    its "]", or None unless each holds n plain JSON integers from 0 to 255
+    (no sign, fraction, exponent or leading zero) separated by commas, with
+    only JSON whitespace around them."""
+    s = np.frombuffer(raw.translate(None, b" \t\n\r"), dtype=np.uint8)
+    digit = s - ord("0") < 10
+    pattern = np.full(n, ord(","), dtype=np.uint8)
+    pattern[-1] = ord("]")
+    # one digit per token: no two digits meet, so no whitespace split a token
+    if len(s) == 2 * rows * n and digit[::2].all() and np.all(s[1::2].reshape(rows, n) == pattern):
+        return (s[::2] - ord("0")).reshape(rows, n)
+    separators = np.flatnonzero(~digit)
+    if len(separators) != rows * n or not np.all(s[separators].reshape(rows, n) == pattern):
+        return None
+    lengths = np.diff(separators, prepend=-1) - 1
+    starts = separators - lengths
+    if lengths.min() < 1 or lengths.max() > 3 or np.any((s[starts] == ord("0")) & (lengths > 1)):
+        return None
+    # whitespace inside a token joined its digits when it was stripped
+    unstripped = np.frombuffer(raw, dtype=np.uint8) - ord("0") < 10
+    if np.count_nonzero(unstripped[1:] & unstripped[:-1]) != len(s) - 2 * rows * n:
+        return None
+    values = s[separators - 1] - np.int16(ord("0"))
+    for k in (2, 3):
+        longer = lengths >= k
+        values[longer] += 10 ** (k - 1) * (s[separators[longer] - k] - np.int16(ord("0")))
+    return values.astype(np.uint8).reshape(rows, n) if values.max() <= 255 else None
 
 
 def moment_vector_to_dict(y: SparseMomentVector) -> dict:

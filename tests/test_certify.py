@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,10 @@ from smk.certify import (
     zero_propagation_check,
 )
 from smk.core import CliqueCover, SparseMomentVector, clique_subvector, support
-from smk.errors import SmkError, ZeroVector
+from smk.errors import NonFiniteMoment, SmkError, ZeroVector
 from smk.matrices import ConstraintPolynomial, LabeledSymMatrix, moment_matrix, overlap_moment_matrix
 from smk.rip import check_rip
-from smk import demo
+from smk import demo, io
 
 import per_clique
 from conftest import random_flat_instance
@@ -118,6 +120,30 @@ class TestCertify:
         zero = SparseMomentVector.build(y_pair.cover, 2, {}, allow_missing_as_zero=True)
         with pytest.raises(ZeroVector):
             certify(zero, ((), ()), check_rip(y_pair.cover))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_moment_refused(self, y_triple, bad):
+        values = y_triple.values.copy()
+        values[-1] = bad  # x4^6, a moment of clique 3 alone
+        y = SparseMomentVector.on_index_map(y_triple.cover, y_triple.omega, y_triple.index_map, values)
+        pop = demo.chain_triple_pop()
+        with pytest.raises(NonFiniteMoment, match=rf"clique 3: the moment at \(0, 0, 0, 6\) is {bad}"):
+            certify(y, pop.constraints, check_rip(y.cover))
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_moment_file_refused(self, tmp_path, token):
+        doc = io.moment_vector_to_dict(demo.chain_triple_moments())
+        k = [e["alpha"] for e in doc["entries"]].index([1, 1, 0, 0])  # in clique 1 alone
+        doc["entries"][k]["value"] = float(token)
+        text = json.dumps(doc)
+        assert f'"value": {token}' in text
+        path = tmp_path / "y.json"
+        path.write_text(text)
+        y = io.load_moment_vector(path)
+        assert io._read_table(text, False) is not None
+        pop = demo.chain_triple_pop()
+        with pytest.raises(NonFiniteMoment, match=r"clique 1: the moment at \(1, 1, 0, 0\)"):
+            certify(y, pop.constraints, check_rip(y.cover))
 
     def test_gap_fields(self, y_pair):
         cert = certify(y_pair, ((), ()), check_rip(y_pair.cover))

@@ -142,6 +142,18 @@ def test_certify_verdict_false_exit_two(tmp_path, capsys):
     assert report["certificate"]["verdict"] is False
 
 
+def test_certify_non_finite_moment_exit_one(files, capsys, tmp_path):
+    with open(files["pair"]) as fh:
+        text = fh.read()
+    cut = text.rindex('"value": ')
+    path = tmp_path / "inf.json"
+    path.write_text(text[:cut] + '"value": Infinity' + text[text.index("\n", cut):])
+    code, report = run_json(capsys, ["certify", "--input", str(path)])
+    assert code == 1
+    assert report["error"] == "NonFiniteMoment"
+    assert report["detail"].startswith("clique 2: the moment at (0, 0, 4) is inf")
+
+
 def test_relax_emits_sdpa(files, capsys, tmp_path):
     out = tmp_path / "prob.dat-s"
     code, report = run_json(

@@ -1,6 +1,9 @@
+import json
+import random
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from smk import demo, io
 from smk.core import CliqueCover, SparseMomentVector, index_map_of, sparse_exponents
@@ -53,10 +56,73 @@ def moment_doc(cover, omega, pairs) -> dict:
     }
 
 
+LAYOUTS = ("compact", "indent", "spaced")
+
+
+def dump(doc: dict, layout: str, seed: int = 0) -> str:
+    """``doc`` as JSON text: compact ``json.dumps``, ``indent=2``, or with
+    random JSON whitespace around every token."""
+    if layout == "compact":
+        return json.dumps(doc)
+    if layout == "indent":
+        return json.dumps(doc, indent=2)
+    rnd = random.Random(seed)
+
+    def ws():
+        return "".join(rnd.choice(" \t\n\r") for _ in range(rnd.randrange(3)))
+
+    def spaced(value):
+        if isinstance(value, dict):
+            items = (f"{ws()}{json.dumps(k)}{ws()}:{ws()}{spaced(v)}{ws()}" for k, v in value.items())
+            return "{" + ",".join(items) + ws() + "}"
+        if isinstance(value, list):
+            return "[" + ",".join(f"{ws()}{spaced(v)}{ws()}" for v in value) + ws() + "]"
+        return json.dumps(value)
+
+    return ws() + spaced(doc) + ws()
+
+
+def read_entry_by_entry(text: str, allow_missing_as_zero: bool = False) -> SparseMomentVector:
+    """The reference reader: ``json`` for the whole text, then every alpha
+    as a tuple through ``SparseMomentVector.build``."""
+    data = json.loads(text)
+    cover = CliqueCover(int(data["n"]), tuple(tuple(int(v) for v in c) for c in data["cliques"]))
+    pairs = [(tuple(item["alpha"]), item["value"]) for item in data["entries"]]
+    return SparseMomentVector.build(
+        cover, int(data["omega"]), pairs, allow_missing_as_zero=allow_missing_as_zero
+    )
+
+
+def outcome(read, *args, **kwargs):
+    """The values bytes, entry order and index map read, or the error
+    type and message raised."""
+    try:
+        y = read(*args, **kwargs)
+    except Exception as exc:  # every error is compared, whatever its type
+        return type(exc), str(exc)
+    return y.values.tobytes(), list(y.entries), y.index_map
+
+
+def assert_file_reads_as_reference(tmp_path, text: str, table: bool, **kwargs):
+    """Loading ``text`` from a file gives what the reference reader gives;
+    ``table`` says whether the file is read as one exponent table."""
+    path = tmp_path / "y.json"
+    path.write_text(text)
+    expected = outcome(read_entry_by_entry, text, **kwargs)
+    assert outcome(io.load_moment_vector, path, **kwargs) == expected
+    try:
+        read_as_table = io._read_table(text, kwargs.get("allow_missing_as_zero", False)) is not None
+    except Exception:  # the table read raised the error of record itself
+        read_as_table = True
+    assert read_as_table == table
+    return expected
+
+
 class TestMomentReader:
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(shuffled_chain_covers(), st.integers(1, 2), st.booleans(), st.integers(0, 2**32 - 1))
-    def test_shuffled_and_partial_entries(self, cover, omega, drop, seed):
+    def test_shuffled_and_partial_entries(self, tmp_path, cover, omega, drop, seed):
         rng = np.random.default_rng(seed)
         exponents = sparse_exponents(cover, 2 * omega)
         pairs = [(exponents[k], float(v)) for k, v in
@@ -64,10 +130,13 @@ class TestMomentReader:
         if drop:
             pairs = [pair for pair in pairs if rng.random() < 0.7]
         reference = SparseMomentVector.build(cover, omega, pairs, allow_missing_as_zero=True)
-        loaded = io.load_moment_vector(moment_doc(cover, omega, pairs), allow_missing_as_zero=True)
-        assert list(loaded.entries) == list(reference.entries)
-        assert loaded.values.tolist() == reference.values.tolist()
-        assert loaded.index_map is reference.index_map
+        doc = moment_doc(cover, omega, pairs)
+        expected = reference.values.tobytes(), list(reference.entries), reference.index_map
+        assert outcome(io.load_moment_vector, doc, allow_missing_as_zero=True) == expected
+        for layout in LAYOUTS:
+            text = dump(doc, layout, seed)
+            got = assert_file_reads_as_reference(tmp_path, text, bool(pairs), allow_missing_as_zero=True)
+            assert got == expected
 
     @pytest.mark.parametrize(
         "defect, error",
@@ -83,7 +152,7 @@ class TestMomentReader:
             ("missing", MissingEntries),
         ],
     )
-    def test_first_error_matches_build(self, defect, error):
+    def test_first_error_matches_build(self, tmp_path, defect, error):
         y = demo.chain_pair_moments()
         entries = [[list(a), v] for a, v in y.entries.items()]
         if defect.startswith("duplicate"):
@@ -100,9 +169,102 @@ class TestMomentReader:
             del entries[7:9]
         with pytest.raises(error) as expected:
             SparseMomentVector.build(y.cover, y.omega, entries)
+        doc = moment_doc(y.cover, y.omega, entries)
         with pytest.raises(error) as got:
-            io.load_moment_vector(moment_doc(y.cover, y.omega, entries))
+            io.load_moment_vector(doc)
         assert str(got.value) == str(expected.value)
+        for layout in LAYOUTS:
+            got = assert_file_reads_as_reference(tmp_path, dump(doc, layout), defect == "null value")
+            assert got == (error, str(expected.value))
+
+    @pytest.mark.parametrize("allow_missing_as_zero", [False, True])
+    @pytest.mark.parametrize(
+        "edits, table",
+        [
+            ((("[0, 0, 1]", "[0, 01]"),), False),
+            ((("[0, 0, 1]", "[0, 0, 01]"),), False),
+            ((("[0, 0, 1]", "[1 2, 0]"),), False),
+            ((("[0, 0, 1]", "[0,,1]"),), False),
+            ((("[0, 0, 1]", "[0, 0, 1,]"),), False),
+            ((("[0, 0, 1]", "[0, 0, 1.0]"),), False),
+            ((("[0, 0, 1]", "[0, 0, -0]"),), False),
+            ((("[0, 0, 1]", "[[0], 0, 1]"),), False),
+            ((("[0, 0, 1]", "[0, 0, 01]"), ('"n": 3', '"n": "three"')), False),
+            ((('"omega": 2', '"omega": -1'),), False),
+            ((("[[1, 2], [2, 3]]", "[[2, 1], [2, 3]]"),), False),
+            ((("[[1, 2], [2, 3]]", "[[1, 2], [2, 4]]"),), False),
+            ((('"n": 3, "cliques": [[1, 2], [2, 3]]', '"n": 0, "cliques": []'),), False),
+            ((("[[1, 2], [2, 3]]", "[[1, 2], [2, 4]]"), ("}]", '}, {"alpha": [0, 0, 0], "value": 1.0}]')),
+             False),
+            ((("[0, 0, 1]", "[0, 0, 1"),), False),
+            ((('"alpha": [0, 0, 1]', '"alpha": [9, 9, 9], "alpha": [0, 0, 1]'),), False),
+            ((('"alpha": [0, 0, 1]', '"alpha": [0, 0, 1], "alpha": [0, 0, 0]'),), False),
+            ((('"omega"', '"alpha": [1, 0, 0], "omega"'),), False),
+            ((('{"alpha": [0, 0, 1], "value": 0.0}, ', ""), ('"omega"', '"alpha": [0, 0, 1], "omega"')),
+             False),
+            ((('"alpha": [0, 0, 1]', '"alpha": 7'), ('"omega"', '"alpha": [0, 0, 1], "omega"')), False),
+            ((('"omega"', '"note": "\\"alpha\\": [1]", "omega"'),), False),
+            ((('"omega"', '"note": "\u00e9", "omega"'),), True),
+            ((("[0, 0, 1]", "[0, 0, \u00b9]"),), False),
+            ((('"entries": [{"alpha": [0, 0, 0]', '"alpha": [0, 0, 0], "entries": [{"\\u0061lpha": []'),),
+             False),
+            ((('"value": 1.0', '"value": null'), ('{"alpha": [0, 0, 1], "value": 0.0}', '{"alpha": [0, 0, 1]}')),
+             False),
+            ((('"value": 1.0', '"value": true'),), True),
+            ((('"value": 1.0', '"value": "1.0"'),), True),
+            ((('"value": 1.0', '"value": "one"'),), True),
+            ((('"value": 1.0', '"value": NaN'),), True),
+            ((('"value": 1.0', '"value": -Infinity'),), True),
+        ],
+    )
+    def test_adversarial_files_read_as_reference(self, tmp_path, edits, table, allow_missing_as_zero):
+        text = json.dumps(io.moment_vector_to_dict(demo.chain_pair_moments()))
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new, 1)
+        assert_file_reads_as_reference(tmp_path, text, table, allow_missing_as_zero=allow_missing_as_zero)
+
+    @pytest.mark.parametrize("cut", [1, 5, 20])
+    def test_truncated_file_reads_as_reference(self, tmp_path, cut):
+        text = json.dumps(io.moment_vector_to_dict(demo.chain_pair_moments()))
+        text = text[: text.rindex('"alpha": [') + len('"alpha": [') + cut]
+        assert assert_file_reads_as_reference(tmp_path, text, False)[0] is json.JSONDecodeError
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_multi_digit_exponents(self, tmp_path, layout):
+        # order 5 on the chain pair: exponents up to 10
+        y = demo.moments_of_atoms(demo.chain_pair_moments().cover, 5, [[0.5, -1.0, 1.5]], [1.0])
+        text = dump(io.moment_vector_to_dict(y), layout)
+        expected = assert_file_reads_as_reference(tmp_path, text, True)
+        assert expected[0] == y.values.tobytes()
+        # "1 0" is two tokens, never a 10
+        split = json.dumps(io.moment_vector_to_dict(y)).replace("[10, 0, 0]", "[1 0, 0, 0]")
+        assert "[1 0, 0, 0]" in split
+        assert assert_file_reads_as_reference(tmp_path, split, False)[0] is json.JSONDecodeError
+        # ":" follows "9" in ASCII, but is no digit
+        doc = io.moment_vector_to_dict(y)
+        doc["entries"] = [e for e in doc["entries"] if max(e["alpha"]) < 10]
+        colon = json.dumps(doc).replace("[9, 0, 0]", "[:, 0, 0]")
+        assert "[:, 0, 0]" in colon
+        got = assert_file_reads_as_reference(tmp_path, colon, False, allow_missing_as_zero=True)
+        assert got[0] is json.JSONDecodeError
+
+    @pytest.mark.parametrize("top, table", [(255, True), (256, False)])
+    def test_exponents_up_to_255_read_as_table(self, tmp_path, top, table):
+        cover = CliqueCover(1, ((1,),))
+        # no x^0 entry, so an exponent 256 read as 0 would be placed there
+        pairs = [((e,), float(e)) for e in range(1, top + 1)]
+        text = json.dumps(moment_doc(cover, 128, pairs))
+        expected = assert_file_reads_as_reference(tmp_path, text, table, allow_missing_as_zero=True)
+        assert np.frombuffer(expected[0])[:top + 1].tolist() == [float(e) for e in range(top + 1)]
+        # four digits are never three
+        got = assert_file_reads_as_reference(tmp_path, text.replace("[10]", "[1010]"), False,
+                                              allow_missing_as_zero=True)
+        assert got[0] is IndexOutOfPattern
+        # a list split in two and an empty one: as many digit runs as exponents
+        broken = text.replace("[10]", "[1 0]").replace("[45]", "[]")
+        got = assert_file_reads_as_reference(tmp_path, broken, False, allow_missing_as_zero=True)
+        assert got[0] is json.JSONDecodeError
 
     def test_fractional_exponent_named_as_written(self):
         y = demo.chain_pair_moments()
