@@ -41,9 +41,9 @@ def load_moment_vector(source, allow_missing_as_zero: bool = False) -> SparseMom
     ``allow_missing_as_zero`` is set. Each alpha is kept as written, so
     ``1.0`` reads as ``1`` and ``1.5`` is outside the pattern.
 
-    A file whose exponents are plain integers is read as one exponent table
-    (:func:`_read_table`); any other file, and a mapping, is read entry by
-    entry by :meth:`SparseMomentVector.build`, which raises every error.
+    A file whose exponents are one-digit integers is read as one exponent
+    table (:func:`_read_table`); any other file, and a mapping, is read entry
+    by entry by :meth:`SparseMomentVector.build`, which raises every error.
     """
     if isinstance(source, Mapping):
         data = dict(source)
@@ -66,7 +66,7 @@ _ALPHA = re.compile(r'"alpha"[ \t\n\r]*:[ \t\n\r]*\[')
 
 def _read_table(text: str, allow_missing_as_zero: bool) -> SparseMomentVector | None:
     """The vector of a moment document whose every ``alpha`` is a list of
-    n plain JSON integers from 0 to 255 inside the sparse pattern, with no
+    n one-digit JSON integers inside the sparse pattern, with no
     multi-index twice and none missing unless allowed; None for any other
     document. The list bodies are cut from the text and the rest is parsed
     by ``json``; the bodies become one exponent table, and the nonzeros of
@@ -92,10 +92,17 @@ def _read_table(text: str, allow_missing_as_zero: bool) -> SparseMomentVector | 
         or not all(1 <= v <= n for c in cover.cliques for v in c)
     ):
         return None
-    # a list holding another list, or running into the next one, fails the grammar
+    # each list holds n one-digit exponents, each followed by "," and the
+    # last by "]"; as digits and separators alternate, no whitespace split
+    # a token, and a list holding another list or running into the next fails
     raw = "".join([text[s : e + 1] for s, e in zip(starts, ends)]).encode()
-    table = _exponent_table(raw, len(starts), n)
-    if table is None:
+    body = np.frombuffer(raw.translate(None, b" \t\n\r"), dtype=np.uint8)
+    pattern = np.full(n, ord(","), dtype=np.uint8)
+    pattern[-1] = ord("]")
+    if len(body) != 2 * len(starts) * n or np.any(body[1::2].reshape(-1, n) != pattern):
+        return None
+    table = (body[::2] - np.uint8(ord("0"))).reshape(-1, n)
+    if table.max() > 9:
         return None
     rows, cols = np.divmod(np.flatnonzero(table), n)
     # each row's sparse key: (variable, -exponent) of its nonzeros in variable order
@@ -109,36 +116,6 @@ def _read_table(text: str, allow_missing_as_zero: bool) -> SparseMomentVector | 
     values = np.zeros(len(index_map.exponents))
     values[places] = [float(item["value"]) for item in entries]
     return SparseMomentVector.on_index_map(cover, omega, index_map, values)
-
-
-def _exponent_table(raw: bytes, rows: int, n: int) -> np.ndarray | None:
-    """The (rows, n) uint8 table of ``raw``, list bodies each followed by
-    its "]", or None unless each holds n plain JSON integers from 0 to 255
-    (no sign, fraction, exponent or leading zero) separated by commas, with
-    only JSON whitespace around them."""
-    s = np.frombuffer(raw.translate(None, b" \t\n\r"), dtype=np.uint8)
-    digit = s - ord("0") < 10
-    pattern = np.full(n, ord(","), dtype=np.uint8)
-    pattern[-1] = ord("]")
-    # one digit per token: no two digits meet, so no whitespace split a token
-    if len(s) == 2 * rows * n and digit[::2].all() and np.all(s[1::2].reshape(rows, n) == pattern):
-        return (s[::2] - ord("0")).reshape(rows, n)
-    separators = np.flatnonzero(~digit)
-    if len(separators) != rows * n or not np.all(s[separators].reshape(rows, n) == pattern):
-        return None
-    lengths = np.diff(separators, prepend=-1) - 1
-    starts = separators - lengths
-    if lengths.min() < 1 or lengths.max() > 3 or np.any((s[starts] == ord("0")) & (lengths > 1)):
-        return None
-    # whitespace inside a token joined its digits when it was stripped
-    unstripped = np.frombuffer(raw, dtype=np.uint8) - ord("0") < 10
-    if np.count_nonzero(unstripped[1:] & unstripped[:-1]) != len(s) - 2 * rows * n:
-        return None
-    values = s[separators - 1] - np.int16(ord("0"))
-    for k in (2, 3):
-        longer = lengths >= k
-        values[longer] += 10 ** (k - 1) * (s[separators[longer] - k] - np.int16(ord("0")))
-    return values.astype(np.uint8).reshape(rows, n) if values.max() <= 255 else None
 
 
 def moment_vector_to_dict(y: SparseMomentVector) -> dict:

@@ -184,6 +184,7 @@ class TestMomentReader:
             ((("[0, 0, 1]", "[0, 01]"),), False),
             ((("[0, 0, 1]", "[0, 0, 01]"),), False),
             ((("[0, 0, 1]", "[1 2, 0]"),), False),
+            ((("[0, 0, 1]", "[0 0 0 0 1]"),), False),
             ((("[0, 0, 1]", "[0,,1]"),), False),
             ((("[0, 0, 1]", "[0, 0, 1,]"),), False),
             ((("[0, 0, 1]", "[0, 0, 1.0]"),), False),
@@ -232,10 +233,10 @@ class TestMomentReader:
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_multi_digit_exponents(self, tmp_path, layout):
-        # order 5 on the chain pair: exponents up to 10
+        # order 5 on the chain pair: exponents up to 10, read entry by entry
         y = demo.moments_of_atoms(demo.chain_pair_moments().cover, 5, [[0.5, -1.0, 1.5]], [1.0])
         text = dump(io.moment_vector_to_dict(y), layout)
-        expected = assert_file_reads_as_reference(tmp_path, text, True)
+        expected = assert_file_reads_as_reference(tmp_path, text, False)
         assert expected[0] == y.values.tobytes()
         # "1 0" is two tokens, never a 10
         split = json.dumps(io.moment_vector_to_dict(y)).replace("[10, 0, 0]", "[1 0, 0, 0]")
@@ -249,14 +250,21 @@ class TestMomentReader:
         got = assert_file_reads_as_reference(tmp_path, colon, False, allow_missing_as_zero=True)
         assert got[0] is json.JSONDecodeError
 
-    @pytest.mark.parametrize("top, table", [(255, True), (256, False)])
-    def test_exponents_up_to_255_read_as_table(self, tmp_path, top, table):
-        cover = CliqueCover(1, ((1,),))
+    @staticmethod
+    def one_variable_text(top: int) -> str:
         # no x^0 entry, so an exponent 256 read as 0 would be placed there
         pairs = [((e,), float(e)) for e in range(1, top + 1)]
-        text = json.dumps(moment_doc(cover, 128, pairs))
-        expected = assert_file_reads_as_reference(tmp_path, text, table, allow_missing_as_zero=True)
+        return json.dumps(moment_doc(CliqueCover(1, ((1,),)), 128, pairs))
+
+    @pytest.mark.parametrize("top", [9, 10, 255, 256])
+    def test_exponents_up_to_top(self, tmp_path, top):
+        # only one-digit exponents are read as a table
+        text = self.one_variable_text(top)
+        expected = assert_file_reads_as_reference(tmp_path, text, top < 10, allow_missing_as_zero=True)
         assert np.frombuffer(expected[0])[:top + 1].tolist() == [float(e) for e in range(top + 1)]
+
+    def test_malformed_multi_digit_exponents(self, tmp_path):
+        text = self.one_variable_text(255)
         # four digits are never three
         got = assert_file_reads_as_reference(tmp_path, text.replace("[10]", "[1010]"), False,
                                               allow_missing_as_zero=True)
