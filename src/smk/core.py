@@ -216,6 +216,11 @@ class IndexMap:
         by_var.setflags(write=False)
         return by_var.T
 
+    @cached_property
+    def monomial_steps(self) -> list:
+        """:func:`monomial_steps` of :attr:`exponent_array`, scanned once per map."""
+        return monomial_steps(self.exponent_array)
+
     def positions(self, variables: tuple[int, ...], bound: int) -> np.ndarray:
         """Global position of each local exponent tuple of degree <= ``bound``
         on ``variables`` (in the order of :func:`local_exponents`), as a

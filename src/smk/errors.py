@@ -29,6 +29,10 @@ class ZeroVector(SmkError):
     """The moment vector is identically zero."""
 
 
+class MalformedInput(SmkError):
+    """An input file is not valid JSON, or holds a value that is not a number."""
+
+
 class NonFiniteMoment(SmkError):
     """A moment is NaN or infinite."""
 

@@ -401,15 +401,28 @@ def constraint_feasibility_check(
     """Evaluate every constraint at every atom and flag negative values.
 
     Constraints may live on a subset of the measure's variables; atoms are
-    projected onto the constraint's variables first.
+    projected onto the constraint's variables first. Equal constraints are
+    evaluated together, at every atom in one array pass, with the operations
+    of ``g(z)`` in its order, so the values are bitwise those of ``g(z)``.
     """
     values = np.zeros((mu.num_atoms, len(constraints)))
-    violations = []
+    column = {v: c for c, v in enumerate(mu.variables)}
+    shapes: dict[tuple, list[int]] = {}
     for ci, g in enumerate(constraints):
-        pos = [mu.variables.index(v) for v in g.variables]
-        for ai in range(mu.num_atoms):
-            val = g(mu.atoms[ai, pos])
-            values[ai, ci] = val
-            if val < -tol:
-                violations.append((ai, ci, float(val)))
+        shapes.setdefault((len(g.variables), tuple(g.coefficients.items())), []).append(ci)
+    for (width, terms), group in shapes.items():
+        cols = np.array([[column[v] for v in constraints[ci].variables] for ci in group], dtype=int)
+        z = mu.atoms[:, cols.reshape(len(group), width)]  # (atoms, constraints, width)
+        total = np.zeros(z.shape[:2])
+        for alpha, c in terms:
+            term = np.full(z.shape[:2], c)
+            for k, e in enumerate(alpha):
+                if e == 1:
+                    term *= z[..., k]
+                elif e:  # x ** e as the float64 scalar takes it; an array power may round otherwise
+                    term *= np.array([x**e for x in z[..., k].flat]).reshape(term.shape)
+            total += term
+        values[:, group] = total
+    con, atom = np.nonzero(values.T < -tol)  # constraint by constraint, atom by atom
+    violations = zip(atom.tolist(), con.tolist(), values[atom, con].tolist())
     return FeasibilityReport(values, tuple(violations))

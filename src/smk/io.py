@@ -11,6 +11,7 @@ from typing import Mapping
 import numpy as np
 
 from .core import CliqueCover, SparseMomentVector, index_map_of
+from .errors import MalformedInput
 from .extract import AtomicMeasure
 from .matrices import ConstraintPolynomial
 from .relax import PopProblem
@@ -44,6 +45,8 @@ def load_moment_vector(source, allow_missing_as_zero: bool = False) -> SparseMom
     A file whose exponents are one-digit integers is read as one exponent
     table (:func:`_read_table`); any other file, and a mapping, is read entry
     by entry by :meth:`SparseMomentVector.build`, which raises every error.
+    Text that ``json`` refuses, or a value that ``float`` refuses, raises
+    :class:`MalformedInput` on either read.
     """
     if isinstance(source, Mapping):
         data = dict(source)
@@ -52,12 +55,28 @@ def load_moment_vector(source, allow_missing_as_zero: bool = False) -> SparseMom
         y = _read_table(text, allow_missing_as_zero)
         if y is not None:
             return y
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise MalformedInput(f"not valid JSON: {exc}") from None
     cover = cover_from_dict(data)
     pairs = [(tuple(item["alpha"]), item["value"]) for item in data["entries"]]
+    pairs = zip([a for a, _ in pairs], _floats(v for _, v in pairs))
     return SparseMomentVector.build(
         cover, int(data["omega"]), pairs, allow_missing_as_zero=allow_missing_as_zero
     )
+
+
+def _floats(values) -> list[float]:
+    """The entries' values as floats; one that ``float`` refuses raises
+    :class:`MalformedInput` naming its entry."""
+    out = []
+    for k, value in enumerate(values):
+        try:
+            out.append(float(value))
+        except (TypeError, ValueError):
+            raise MalformedInput(f"entry {k}: value {value!r} is not a number") from None
+    return out
 
 
 # an "alpha" key and the opening bracket of its list
@@ -114,7 +133,7 @@ def _read_table(text: str, allow_missing_as_zero: bool) -> SparseMomentVector | 
     if hits[0] or hits.max() > 1 or (hits[1:].min() == 0 and not allow_missing_as_zero):
         return None
     values = np.zeros(len(index_map.exponents))
-    values[places] = [float(item["value"]) for item in entries]
+    values[places] = _floats([item["value"] for item in entries])
     return SparseMomentVector.on_index_map(cover, omega, index_map, values)
 
 

@@ -14,7 +14,7 @@ from smk.assemble import (
     verify_global,
 )
 from smk.certify import RankPolicy, certify
-from smk.core import CliqueCover, Projection, SparseMomentVector
+from smk.core import CliqueCover, Projection, SparseMomentVector, monomial_matrix
 from smk.errors import FinalMarginalCheckFailed, MarginalMismatch
 from smk.extract import AtomicMeasure, extract_clique_measures, lex_order_rows
 from smk.rip import RipWitnesses, check_rip
@@ -52,13 +52,13 @@ def cluster_reference(points, tol):
     return np.array(reps).reshape(len(reps), points.shape[1]), groups
 
 
-def glue_reference(measures, witnesses, policy=RankPolicy()):
+def glue_reference(measures, witnesses, policy=RankPolicy(), chosen=None):
     """The inductive gluing of ``assemble``, atom pair by atom pair, without
     the final marginal check."""
     current = measures[0]
     for i in range(2, len(measures) + 1):
         incoming = measures[i - 1]
-        j = min(witnesses.witness[i])
+        j = (chosen or {}).get(i, min(witnesses.witness[i]))
         overlap = tuple(v for v in measures[j - 1].variables if v in incoming.variables)
         groups = match_marginals(current, incoming, overlap, policy)
         union_vars = tuple(sorted(set(current.variables) | set(incoming.variables)))
@@ -72,6 +72,53 @@ def glue_reference(measures, witnesses, policy=RankPolicy()):
                     weights.append(current.weights[k] * incoming.weights[l] / theta)
         current = AtomicMeasure(union_vars, np.array(atoms), np.array(weights))
     return current
+
+
+def pushforward_reference(mu, variables, policy):
+    """The per-clique pushforward: pointwise clustering of the projected
+    atoms, and each cluster's weights summed."""
+    projected = mu.atoms[:, [mu.variables.index(v) for v in variables]]
+    reps, groups = cluster_reference(projected, policy.tol(np.abs(projected).max(initial=0.0)))
+    return AtomicMeasure(variables, reps, np.array([mu.weights[g].sum() for g in groups]))
+
+
+def measures_close_reference(a, b, policy):
+    """Atom by atom: each atom of a takes the first unused atom of b that is
+    within tolerance in coordinates and in weight."""
+    if a.variables != b.variables or a.num_atoms != b.num_atoms:
+        return False
+    tol = policy.tol(max(np.abs(a.atoms).max(initial=0.0), np.abs(b.atoms).max(initial=0.0)))
+    used = [False] * b.num_atoms
+    for k in range(a.num_atoms):
+        for l in range(b.num_atoms):
+            coord_ok = a.atoms.shape[1] == 0 or np.abs(a.atoms[k] - b.atoms[l]).max() <= tol
+            wa, wb = a.weights[k], b.weights[l]
+            if not used[l] and coord_ok and abs(wa - wb) <= policy.tol(max(abs(wa), abs(wb))):
+                used[l] = True
+                break
+        else:
+            return False
+    return True
+
+
+def assemble_reference(measures, witnesses, policy=RankPolicy(), chosen=None):
+    """``glue_reference``, then the final check clique by clique, in clique order."""
+    glued = glue_reference(measures, witnesses, policy, chosen)
+    for i, mu in enumerate(measures, start=1):
+        if not measures_close_reference(pushforward_reference(glued, mu.variables, policy), mu, policy):
+            raise FinalMarginalCheckFailed(
+                f"assembled measure does not reproduce the measure of clique at position {i}"
+            )
+    return glued
+
+
+def outcome(glue, *args, **kwargs):
+    """The glued atoms, weights and variables, or the error type and message."""
+    try:
+        mu = glue(*args, **kwargs)
+    except Exception as exc:  # every error is compared, whatever its type
+        return type(exc), str(exc)
+    return mu.variables, mu.atoms.tobytes(), mu.weights.tobytes()
 
 
 def product_chain_measures(rng, n):
@@ -154,6 +201,32 @@ class TestPushforward:
         assert out.mass == pytest.approx(1.0)
 
 
+    def test_weights_equal_per_cluster_sums(self, rng):
+        # clusters of 1 to 512 atoms, several sizes in one stack; each weight
+        # is bit for bit the per-cluster sum of the pointwise reference
+        product, _ = product_chain_measures(rng, 10)
+        mu = glue_reference(product, check_rip(CliqueCover(10, tuple((t, t + 1) for t in range(1, 10)))))
+        skewed = AtomicMeasure(mu.variables, np.round(mu.atoms * rng.integers(1, 4, mu.atoms.shape)), mu.weights)
+        for measure in (mu, skewed):
+            for target in ((1,), (1, 2), (3, 7, 9), (2, 4, 6, 8, 10)):
+                got = pushforward(measure, Projection(measure.variables, target))
+                ref = pushforward_reference(measure, target, RankPolicy())
+                assert got.atoms.tobytes() == ref.atoms.tobytes()
+                assert got.weights.tobytes() == ref.weights.tobytes()
+
+
+class TestMeasuresClose:
+    def test_each_atom_matches_once(self):
+        # both atoms of a are within tolerance of the first atom of b, and
+        # more than the tolerance apart from each other
+        t = RankPolicy().tol()
+        a = AtomicMeasure((1,), [[-0.9 * t], [0.9 * t]], [0.5, 0.5])
+        b = AtomicMeasure((1,), [[0.0], [5.0]], [0.5, 0.5])
+        assert pushforward(a, Projection((1,), (1,))).num_atoms == 2
+        assert not measures_close(a, b) and not measures_close_reference(a, b, RankPolicy())
+        assert measures_close(a, a) and measures_close(b, b)
+
+
 class TestMatchMarginals:
     def test_chain_pair(self):
         a, b = chain_pair_measures()
@@ -170,6 +243,19 @@ class TestMatchMarginals:
         assert len(groups.masses) == 2
         assert sorted(groups.points[:, 0]) == [-1.0, 1.0]
         assert np.allclose(groups.masses, 0.5)
+
+    def test_masses_equal_per_group_sums(self, rng):
+        # groups of 1 to 19 atoms: each mass is bit for bit the group's sum
+        for size in range(1, 20):
+            atoms = rng.integers(0, 2, (size, 2)).astype(float)
+            weights = rng.uniform(0.1, 1.0, size) * 10.0 ** rng.integers(-3, 8, size)
+            partial = AtomicMeasure((1, 2), atoms, weights)
+            groups = [np.flatnonzero(atoms[:, 1] == v) for v in np.unique(atoms[:, 1])]
+            incoming = AtomicMeasure((2, 3), [[atoms[g[0], 1], 0.0] for g in groups],
+                                     [partial.weights[g].sum() for g in groups])
+            matched = match_marginals(partial, incoming, (2,))
+            for g, mass in zip(matched.groups_a, matched.masses):
+                assert mass.tobytes() == partial.weights[list(g)].sum().tobytes()
 
     def test_mass_mismatch(self):
         a = AtomicMeasure((1,), [[1.0], [-1.0]], [0.5, 0.5])
@@ -207,22 +293,88 @@ class TestAssemble:
         for measures, cover in (
             (chain_triple_measures(), CliqueCover(4, ((1, 2), (2, 3), (3, 4)))),
             product_chain_measures(rng, 6),
+            long_chain_measures(rng, 100),
+            product_chain_measures(rng, 10),  # 1024 glued atoms
         ):
             wit = check_rip(cover)
             mu, ref = assemble(measures, wit), glue_reference(measures, wit)
             assert mu.variables == ref.variables
-            assert np.array_equal(mu.atoms, ref.atoms)
-            assert np.array_equal(mu.weights, ref.weights)
+            assert mu.atoms.tobytes() == ref.atoms.tobytes()
+            assert mu.weights.tobytes() == ref.weights.tobytes()
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(["chain", "forced"]),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.floats(0.25, 4.0),
+    )
+    def test_final_check_equals_per_clique_reference(self, case, seed, on_weight, c):
+        # one atom coordinate or one weight of one clique moved by c times its
+        # tolerance: assemble fails, with the same error, exactly when the
+        # per-clique reference does
+        rng, policy = np.random.default_rng(seed), RankPolicy()
+        chosen = None
+        if case == "chain":
+            measures, cover = long_chain_measures(rng, int(rng.integers(2, 7)))
+            witnesses = check_rip(cover)
+        else:
+            # cliques (1, 2), (3, 4), (2, 3), the last glued through variable 2
+            # only, so only the final check compares it on variable 3
+            measures, cover = product_chain_measures(rng, 4)
+            measures = [measures[0], measures[2], measures[1]]
+            witnesses = RipWitnesses((1, 2, 3), {2: frozenset({1}), 3: frozenset({1})})
+            chosen = {2: 1, 3: 1}
+        q = int(rng.integers(len(measures)))
+        mu = measures[q]
+        atoms, weights = mu.atoms.copy(), mu.weights.copy()
+        r = int(rng.integers(mu.num_atoms))
+        if on_weight:
+            weights[r] += c * policy.tol(weights[r])
+        else:
+            atoms[r, int(rng.integers(atoms.shape[1]))] += c * policy.tol(np.abs(atoms).max())
+        measures[q] = AtomicMeasure(mu.variables, atoms, weights)
+        expected = outcome(assemble_reference, measures, witnesses, policy, chosen)
+        assert outcome(assemble, measures, witnesses, policy, chosen) == expected
 
     def test_cluster_equals_pointwise_loop(self, rng):
         centres = rng.uniform(-1.0, 1.0, (4, 2))
         points = centres[rng.integers(0, 4, 60)] + rng.uniform(-2e-7, 2e-7, (60, 2))
         points[7] = np.nan
         for pts in (points, points[:, :0], points[:0]):
-            reps, groups = _cluster(pts, 1e-6)
+            labels, firsts = _cluster(pts[None], 1e-6)
+            groups = [np.flatnonzero(labels[0] == c).tolist() for c in range(firsts.shape[1])]
             ref_reps, ref_groups = cluster_reference(pts, 1e-6)
             assert groups == ref_groups
-            assert np.array_equal(reps, ref_reps, equal_nan=True)
+            assert np.array_equal(pts[firsts[0]], ref_reps, equal_nan=True)
+        # a stack: each set at its own tolerance, with its own number of clusters
+        stack = np.stack([points, points[::-1], np.repeat(points[:1], 60, axis=0)])
+        tols = np.array([1e-6, 1e-9, 1e-6])
+        labels, firsts = _cluster(stack, tols)
+        for pts, tol, lab, first in zip(stack, tols, labels, firsts):
+            ref_reps, ref_groups = cluster_reference(pts, tol)
+            assert [np.flatnonzero(lab == c).tolist() for c in range(len(ref_groups))] == ref_groups
+            assert lab.max() + 1 == len(ref_groups)
+            assert np.array_equal(pts[first[: len(ref_groups)]], ref_reps, equal_nan=True)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_final_check_names_first_failing_position(self, seed):
+        # cliques 3 and 4 are glued through one variable only and fail the
+        # final check; they sit in different (width, atom count) stacks, the
+        # later one in the stack checked first
+        rng = np.random.default_rng(seed)
+        atoms = rng.choice([-1.0, 1.0], (3, 5)) * rng.uniform(0.4, 1.6, (3, 5))
+        mu = AtomicMeasure((1, 2, 3, 4, 5), atoms, rng.uniform(0.2, 1.0, 3))
+        cliques = ((1, 2), (3, 4, 5), (2, 3, 4), (1, 5))
+        measures = [pushforward(mu, Projection(mu.variables, c)) for c in cliques]
+        forced = RipWitnesses((1, 2, 3, 4), {i: frozenset({1}) for i in (2, 3, 4)})
+        chosen = {2: 1, 3: 1, 4: 1}
+        expected = outcome(assemble_reference, measures, forced, RankPolicy(), chosen)
+        assert expected == (
+            FinalMarginalCheckFailed,
+            "assembled measure does not reproduce the measure of clique at position 3",
+        )
+        assert outcome(assemble, measures, forced, RankPolicy(), chosen) == expected
 
     def test_single_clique(self):
         mu0 = chain_pair_measures()[0]
@@ -349,6 +501,16 @@ class TestVerifyGlobal:
         y = demo.chain_pair_moments()
         mu = AtomicMeasure((1, 2, 3), np.zeros((0, 3)), np.zeros(0))
         assert verify_global(mu, y) == pytest.approx(1.0)  # max |y| entry
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_residual_of_a_fresh_scan(self, seed):
+        # the steps kept on the index map give the residual of a table read afresh
+        cover, atoms, weights, y = random_flat_instance(seed + 60)
+        atoms = atoms + np.random.default_rng(seed).normal(scale=1e-3, size=atoms.shape)
+        mu = AtomicMeasure(tuple(range(1, cover.n + 1)), atoms, weights)
+        fresh = np.array(y.index_map.exponent_array)
+        expected = float(np.abs(monomial_matrix(fresh, atoms) @ weights - y.values).max())
+        assert verify_global(mu, y) == expected
 
 
 class TestSolverNoise:

@@ -154,6 +154,21 @@ def test_certify_non_finite_moment_exit_one(files, capsys, tmp_path):
     assert report["detail"].startswith("clique 2: the moment at (0, 0, 4) is inf")
 
 
+@pytest.mark.parametrize("command", [["certify"], ["extract-assemble"], ["altmeasure", "--cost", "random:2"]])
+def test_malformed_moment_file_exit_one(files, capsys, tmp_path, command):
+    with open(files["pair"]) as fh:
+        text = fh.read()
+    truncated, null = tmp_path / "truncated.json", tmp_path / "null.json"
+    truncated.write_text(text[: len(text) // 2])
+    cut = text.rindex('"value": ')
+    null.write_text(text[:cut] + '"value": null' + text[text.index("\n", cut):])
+    for path, detail in ((truncated, "not valid JSON: "), (null, "entry 24: value None is not a number")):
+        code, report = run_json(capsys, [*command, "--input", str(path)])
+        assert code == 1
+        assert report["error"] == "MalformedInput"
+        assert report["detail"].startswith(detail)
+
+
 def test_relax_emits_sdpa(files, capsys, tmp_path):
     out = tmp_path / "prob.dat-s"
     code, report = run_json(

@@ -16,6 +16,7 @@ from smk.core import (
     lift,
     local_exponents,
     monomial_matrix,
+    monomial_steps,
     sparse_exponents,
     subvector_on,
     validate_cover,
@@ -75,6 +76,24 @@ class TestIndexMap:
         assert np.array_equal(
             index_map.exponent_array, np.array(reference, dtype=np.uint8).reshape(-1, cover.n)
         )
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_monomial_steps_equal_per_variable_scan(self, seed):
+        # covers with n up to 48 at degree bounds 0-4, against the dense lifts
+        rng = np.random.default_rng(seed)
+        cover = random_rip_cover(rng, max_cliques=16, max_clique_size=3)
+        index_map = IndexMap(cover, int(rng.integers(0, 5)))
+        dense = np.array(index_map.exponents, dtype=np.int64).reshape(-1, cover.n)
+        reference = [(t, np.flatnonzero(dense[:, t])) for t in range(cover.n) if dense[:, t].any()]
+        steps = index_map.monomial_steps
+        assert index_map.monomial_steps is steps
+        assert [t for t, *_ in steps] == [t for t, _ in reference]
+        for (t, rows, e, powers), (_, ref_rows) in zip(steps, reference):
+            assert rows.dtype == np.intp and np.array_equal(rows, ref_rows)
+            assert e.dtype == np.uint8 and np.array_equal(e, dense[ref_rows, t])
+            assert powers.shape == (int(e.max()) + 1, 1)
+            assert np.array_equal(powers[:, 0], np.arange(int(e.max()) + 1, dtype=float))
+        assert len(steps) == len(monomial_steps(index_map.exponent_array))
 
     def test_positions_follow_local_order(self):
         index_map = IndexMap(CHAIN_TRIPLE, 4)

@@ -423,6 +423,40 @@ class TestFeasibility:
         mu = AtomicMeasure((1, 2), [[2.0, 0.0]], [1.0])
         assert constraint_feasibility_check(mu, []).clean
 
+    @staticmethod
+    def pointwise(mu, constraints, tol):
+        """Each constraint at each atom through ``g(z)``, constraint by constraint."""
+        values = np.zeros((mu.num_atoms, len(constraints)))
+        violations = []
+        for ci, g in enumerate(constraints):
+            pos = [mu.variables.index(v) for v in g.variables]
+            for ai in range(mu.num_atoms):
+                values[ai, ci] = g(mu.atoms[ai, pos])
+                if values[ai, ci] < -tol:
+                    violations.append((ai, ci, float(values[ai, ci])))
+        return values, tuple(violations)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_values_bitwise_those_of_pointwise_calls(self, seed):
+        rng = np.random.default_rng(seed)
+        mu = AtomicMeasure((1, 2, 3, 4, 5), rng.normal(scale=1.5, size=(7, 5)), np.full(7, 1 / 7))
+        quartic = {(4, 0): 1.0, (0, 2): -2.5, (1, 1): 0.3, (0, 0): 2.0, (3, 1): -1.0}
+        constraints = [
+            ConstraintPolynomial((1, 2), {(0, 0): 3.0, (2, 0): -1.0, (0, 2): -1.0}),
+            ConstraintPolynomial((4, 2), quartic),  # a non-sorted subset of the variables
+            ConstraintPolynomial((2, 3), {(0, 0): 3.0, (2, 0): -1.0, (0, 2): -1.0}),
+            ConstraintPolynomial((5,), {(1,): 1.0, (3,): -0.5}),
+            ConstraintPolynomial((3, 1, 5), {(1, 1, 1): rng.normal(), (0, 0, 0): 0.5, (2, 0, 7): 1.0}),
+            ConstraintPolynomial((1, 3), quartic),
+            ConstraintPolynomial((4,), {}),
+        ]
+        for tol in (0.0, 1e-8, 1.0):
+            report = constraint_feasibility_check(mu, constraints, tol=tol)
+            values, violations = self.pointwise(mu, constraints, tol)
+            assert report.values.tobytes() == values.tobytes()
+            assert report.violations == violations
+        assert constraint_feasibility_check(mu, []).values.shape == (7, 0)
+
     def test_projection_onto_constraint_variables(self):
         g = ConstraintPolynomial((3,), {(1,): 1.0})  # x3 >= 0
         mu = AtomicMeasure((1, 2, 3), [[0.0, 0.0, -1.0]], [1.0])

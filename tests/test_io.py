@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from smk import demo, io
 from smk.core import CliqueCover, SparseMomentVector, index_map_of, sparse_exponents
-from smk.errors import DuplicateEntry, IndexOutOfPattern, MissingEntries
+from smk.errors import DuplicateEntry, IndexOutOfPattern, MalformedInput, MissingEntries
 from smk.extract import AtomicMeasure
 from smk.relax import build_relaxation
 
@@ -84,10 +85,19 @@ def dump(doc: dict, layout: str, seed: int = 0) -> str:
 
 def read_entry_by_entry(text: str, allow_missing_as_zero: bool = False) -> SparseMomentVector:
     """The reference reader: ``json`` for the whole text, then every alpha
-    as a tuple through ``SparseMomentVector.build``."""
-    data = json.loads(text)
+    as a tuple through ``SparseMomentVector.build``; text ``json`` refuses,
+    and a value ``float`` refuses, are :class:`MalformedInput`."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedInput(f"not valid JSON: {exc}") from None
     cover = CliqueCover(int(data["n"]), tuple(tuple(int(v) for v in c) for c in data["cliques"]))
     pairs = [(tuple(item["alpha"]), item["value"]) for item in data["entries"]]
+    for k, (_, value) in enumerate(pairs):
+        try:
+            float(value)
+        except (TypeError, ValueError):
+            raise MalformedInput(f"entry {k}: value {value!r} is not a number") from None
     return SparseMomentVector.build(
         cover, int(data["omega"]), pairs, allow_missing_as_zero=allow_missing_as_zero
     )
@@ -169,13 +179,16 @@ class TestMomentReader:
             del entries[7:9]
         with pytest.raises(error) as expected:
             SparseMomentVector.build(y.cover, y.omega, entries)
+        message = str(expected.value)
+        if defect == "null value":  # the reader names the entry where build names the type
+            error, message = MalformedInput, "entry 5: value None is not a number"
         doc = moment_doc(y.cover, y.omega, entries)
         with pytest.raises(error) as got:
             io.load_moment_vector(doc)
-        assert str(got.value) == str(expected.value)
+        assert str(got.value) == message
         for layout in LAYOUTS:
             got = assert_file_reads_as_reference(tmp_path, dump(doc, layout), defect == "null value")
-            assert got == (error, str(expected.value))
+            assert got == (error, message)
 
     @pytest.mark.parametrize("allow_missing_as_zero", [False, True])
     @pytest.mark.parametrize(
@@ -229,7 +242,7 @@ class TestMomentReader:
     def test_truncated_file_reads_as_reference(self, tmp_path, cut):
         text = json.dumps(io.moment_vector_to_dict(demo.chain_pair_moments()))
         text = text[: text.rindex('"alpha": [') + len('"alpha": [') + cut]
-        assert assert_file_reads_as_reference(tmp_path, text, False)[0] is json.JSONDecodeError
+        assert assert_file_reads_as_reference(tmp_path, text, False)[0] is MalformedInput
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_multi_digit_exponents(self, tmp_path, layout):
@@ -241,14 +254,14 @@ class TestMomentReader:
         # "1 0" is two tokens, never a 10
         split = json.dumps(io.moment_vector_to_dict(y)).replace("[10, 0, 0]", "[1 0, 0, 0]")
         assert "[1 0, 0, 0]" in split
-        assert assert_file_reads_as_reference(tmp_path, split, False)[0] is json.JSONDecodeError
+        assert assert_file_reads_as_reference(tmp_path, split, False)[0] is MalformedInput
         # ":" follows "9" in ASCII, but is no digit
         doc = io.moment_vector_to_dict(y)
         doc["entries"] = [e for e in doc["entries"] if max(e["alpha"]) < 10]
         colon = json.dumps(doc).replace("[9, 0, 0]", "[:, 0, 0]")
         assert "[:, 0, 0]" in colon
         got = assert_file_reads_as_reference(tmp_path, colon, False, allow_missing_as_zero=True)
-        assert got[0] is json.JSONDecodeError
+        assert got[0] is MalformedInput
 
     @staticmethod
     def one_variable_text(top: int) -> str:
@@ -272,7 +285,26 @@ class TestMomentReader:
         # a list split in two and an empty one: as many digit runs as exponents
         broken = text.replace("[10]", "[1 0]").replace("[45]", "[]")
         got = assert_file_reads_as_reference(tmp_path, broken, False, allow_missing_as_zero=True)
-        assert got[0] is json.JSONDecodeError
+        assert got[0] is MalformedInput
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("multi_digit", [False, True])
+    def test_malformed_input_names_its_entry(self, tmp_path, layout, multi_digit):
+        # one-digit exponents are read as a table, a 10 sends the file entry by entry
+        y = demo.chain_pair_moments()
+        pairs = list(y.entries.items()) + [((0, 0, 10), 0.0)] * multi_digit
+        doc = moment_doc(y.cover, y.omega, pairs)
+        path = tmp_path / "y.json"
+        for value, shown in ((None, "None"), ("one", "'one'"), ([1.0], "[1.0]")):
+            doc["entries"][4]["value"] = value
+            path.write_text(dump(doc, layout))
+            with pytest.raises(MalformedInput, match=rf"^entry 4: value {re.escape(shown)} is not a number$"):
+                io.load_moment_vector(path)
+        text = dump(io.moment_vector_to_dict(y), layout)
+        for cut in (1, len(text) // 2, len(text) - 2):
+            path.write_text(text[:cut])
+            with pytest.raises(MalformedInput, match="^not valid JSON: "):
+                io.load_moment_vector(path)
 
     def test_fractional_exponent_named_as_written(self):
         y = demo.chain_pair_moments()
