@@ -30,7 +30,7 @@ class ZeroVector(SmkError):
 
 
 class MalformedInput(SmkError):
-    """An input file is not valid JSON, or holds a value that is not a number."""
+    """An input file is not valid JSON, lacks a field, or holds a value of the wrong kind."""
 
 
 class NonFiniteMoment(SmkError):

@@ -30,8 +30,20 @@ def _dump(obj: dict, target=None) -> str:
     return text
 
 
+def _field(data, key: str, where: str = "", integer: bool = False):
+    """``data[key]``, as an ``int`` if ``integer``; a missing key, or a value
+    ``int`` refuses, raises :class:`MalformedInput` naming the field."""
+    if not isinstance(data, Mapping) or key not in data:
+        raise MalformedInput(f'{where}no "{key}"')
+    try:
+        return int(data[key]) if integer else data[key]
+    except (TypeError, ValueError, OverflowError):
+        raise MalformedInput(f"{key} {data[key]!r} is not an integer") from None
+
+
 def cover_from_dict(data: Mapping) -> CliqueCover:
-    return CliqueCover(int(data["n"]), tuple(tuple(int(v) for v in c) for c in data["cliques"]))
+    n = _field(data, "n", integer=True)
+    return CliqueCover(n, tuple(tuple(int(v) for v in c) for c in _field(data, "cliques")))
 
 
 def load_moment_vector(source, allow_missing_as_zero: bool = False) -> SparseMomentVector:
@@ -45,8 +57,8 @@ def load_moment_vector(source, allow_missing_as_zero: bool = False) -> SparseMom
     A file whose exponents are one-digit integers is read as one exponent
     table (:func:`_read_table`); any other file, and a mapping, is read entry
     by entry by :meth:`SparseMomentVector.build`, which raises every error.
-    Text that ``json`` refuses, or a value that ``float`` refuses, raises
-    :class:`MalformedInput` on either read.
+    Text that ``json`` refuses, a missing field, a value of the wrong kind
+    and an omega below 1 raise :class:`MalformedInput` on either read.
     """
     if isinstance(source, Mapping):
         data = dict(source)
@@ -60,10 +72,14 @@ def load_moment_vector(source, allow_missing_as_zero: bool = False) -> SparseMom
         except ValueError as exc:
             raise MalformedInput(f"not valid JSON: {exc}") from None
     cover = cover_from_dict(data)
-    pairs = [(tuple(item["alpha"]), item["value"]) for item in data["entries"]]
-    pairs = zip([a for a, _ in pairs], _floats(v for _, v in pairs))
+    pairs = [(_field(e, "alpha", f"entry {k}: "), _field(e, "value", f"entry {k}: "))
+             for k, e in enumerate(_field(data, "entries"))]
+    pairs = zip([tuple(a) for a, _ in pairs], _floats(v for _, v in pairs))
+    omega = _field(data, "omega", integer=True)
+    if omega < 1:
+        raise MalformedInput(f"omega {omega} is not >= 1")
     return SparseMomentVector.build(
-        cover, int(data["omega"]), pairs, allow_missing_as_zero=allow_missing_as_zero
+        cover, omega, pairs, allow_missing_as_zero=allow_missing_as_zero
     )
 
 
@@ -100,7 +116,7 @@ def _read_table(text: str, allow_missing_as_zero: bool) -> SparseMomentVector | 
     try:
         data = json.loads("".join(text[e:s] for e, s in zip([0, *ends], [*starts, len(text)])))
         entries, cover, omega = data["entries"], cover_from_dict(data), int(data["omega"])
-    except (KeyError, TypeError, ValueError, OverflowError):
+    except (KeyError, TypeError, ValueError, OverflowError, MalformedInput):
         return None
     n = cover.n
     # one cut list per entry, as its alpha, and clique variables in 1..n (an

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -69,12 +69,12 @@ class ConstraintPolynomial:
             if len(a) != len(self.variables):
                 raise ValueError(f"exponent {a} has wrong arity for variables {self.variables}")
 
-    @property
+    @cached_property
     def degree(self) -> int:
         degs = [sum(a) for a, c in self.coefficients.items() if c != 0.0]
         return max(degs, default=0)
 
-    @property
+    @cached_property
     def d_half(self) -> int:
         return max(1, math.ceil(self.degree / 2))
 

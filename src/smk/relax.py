@@ -68,7 +68,7 @@ class PopProblem:
                 if g.variables != self.cover.clique(i):
                     raise ValueError(f"constraint {g.variables} does not live on clique {i}")
 
-    @property
+    @cached_property
     def max_degree(self) -> int:
         objective = (sum(a) for obj in self.objectives for a, c in obj.items() if c != 0.0)
         return max([1, *objective, *(g.degree for gs in self.constraints for g in gs)])
@@ -202,19 +202,32 @@ def build_relaxation(pop: PopProblem, omega: int) -> SdpInstance:
     index_map = index_map_of(pop.cover, 2 * omega)
     # per clique: global position of each local exponent of degree <= 2*omega
     tables = [index_map.positions(cl, 2 * omega) for cl in pop.cover.cliques]
+    widths = [len(cl) for cl in pop.cover.cliques]
+    specs = [(i, "moment", None, None) for i in range(1, pop.cover.m + 1)] + [
+        (i, "localizing", gi, g)
+        for i, gs in enumerate(pop.constraints, start=1)
+        for gi, g in enumerate(gs, start=1)
+    ]
+    shapes: dict[tuple, list[int]] = {}
+    for b, (i, _, _, g) in enumerate(specs):
+        shape = (widths[i - 1], None if g is None else tuple(g.coefficients.items()))
+        shapes.setdefault(shape, []).append(b)
+    blocks = [None] * len(specs)
+    for (width, _), members in shapes.items():
+        labels, entry, position, coefficient = block_operator(width, omega, specs[members[0]][3])
+        rows = np.stack([tables[specs[b][0] - 1] for b in members])[:, position]
+        for b, row in zip(members, rows):
+            blocks[b] = SdpBlock(*specs[b][:3], len(labels), entry, row, coefficient)
+    # objective terms in clique order, then map order (a zero adds nothing to +0.0)
+    terms = [[(a, c) for a, c in obj.items() if c != 0.0] for obj in pop.objectives]
+    owner = np.repeat(np.arange(pop.cover.m), [len(t) for t in terms])
+    local = np.zeros(len(owner), dtype=np.int64)
+    for width in set(widths):
+        exps = [a for w, t in zip(widths, terms) if w == width for a, _ in t]
+        local[np.take(widths, owner) == width] = grlex_position(np.reshape(exps, (-1, width)))
     objective = np.zeros(len(index_map.exponents))
-    for table, clique, obj in zip(tables, pop.cover.cliques, pop.objectives):
-        local = grlex_position(np.array(list(obj), dtype=np.int64).reshape(len(obj), len(clique)))
-        for p, c in zip(table[local].tolist(), obj.values()):
-            objective[p] += c
-
-    def block(i, kind, gi, g=None):
-        labels, entry, position, coefficient = block_operator(len(pop.cover.clique(i)), omega, g)
-        return SdpBlock(i, kind, gi, len(labels), entry, tables[i - 1][position], coefficient)
-
-    blocks = [block(i, "moment", None) for i in range(1, pop.cover.m + 1)]
-    for i, gs in enumerate(pop.constraints, start=1):
-        blocks += [block(i, "localizing", gi, g) for gi, g in enumerate(gs, start=1)]
+    place = np.concatenate(tables)[np.cumsum([0, *map(len, tables)])[owner] + local]
+    np.add.at(objective, place, np.array([c for t in terms for _, c in t], dtype=float))
     return SdpInstance(pop.cover, omega, index_map.exponents, objective, tuple(blocks))
 
 
@@ -233,15 +246,20 @@ class SdpaData:
 
 
 def sdpa_text(data: SdpaData) -> str:
-    lines = [
-        str(data.m),
-        str(len(data.block_sizes)),
-        " ".join(str(s) for s in data.block_sizes),
-        " ".join(repr(v) for v in data.c),
-    ]
-    for matno, blk, i, j, v in data.entries:
-        lines.append(f"{matno} {blk} {i} {j} {v!r}")
-    return "\n".join(lines) + "\n"
+    table = np.array(data.entries, dtype=float).reshape(-1, 5).T
+    return _format_sdpa(data.m, data.block_sizes, data.c, table[:4].astype(np.int64), table[4])
+
+
+def _format_sdpa(m: int, sizes, c, index: np.ndarray, value: np.ndarray) -> str:
+    """SDPA text of entry columns (``index`` rows: matno, block, i, j): integers
+    from one table of decimal strings, floats from one ``repr`` per bit pattern."""
+    names = np.array(list(map(str, range(int(index.max(initial=0)) + 1))), dtype=object)
+    floats = np.concatenate([np.asarray(c, dtype=float), value])
+    bits, inverse = np.unique(floats.view(np.int64), return_inverse=True)
+    reprs = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)[inverse].tolist()
+    header = [str(m), str(len(sizes)), " ".join(map(str, sizes)), " ".join(reprs[: len(c)])]
+    lines = map(" ".join, zip(*names[index].tolist(), reprs[len(c) :]))
+    return "\n".join([*header, *lines]) + "\n"
 
 
 def parse_sdpa(text: str) -> SdpaData:
@@ -265,9 +283,9 @@ def parse_sdpa(text: str) -> SdpaData:
     return SdpaData(m, sizes, c, tuple(entries))
 
 
-def to_sdpa(instance: SdpInstance) -> SdpaData:
-    """Eliminate the pinned constant entry and lay the blocks out in order.
-
+def _sdpa_columns(instance: SdpInstance):
+    """Eliminate the pinned constant entry and lay the blocks out in order:
+    ``(m, block sizes, c, index, value)`` as :func:`_format_sdpa` reads them.
     Free variable k (1-based) is the (k+1)-th sparse exponent; constant
     contributions move into F_0 with flipped sign. Column k of the operator
     holds F_k with its rows in (block, row, column) order, so reading it by
@@ -280,18 +298,19 @@ def to_sdpa(instance: SdpInstance) -> SdpaData:
     matno = np.repeat(np.arange(A.shape[1]), np.diff(A.indptr))
     keep = (i <= j) & (A.data != 0.0)
     value = np.where(matno == 0, -A.data, A.data)
-    return SdpaData(
-        instance.num_vars - 1,
-        tuple(sizes.tolist()),
-        tuple(float(v) for v in instance.objective[1:]),
-        tuple(zip(*(a[keep].tolist() for a in (matno, block + 1, i + 1, j + 1, value)))),
-    )
+    index = np.stack([matno, block + 1, i + 1, j + 1])[:, keep]
+    return instance.num_vars - 1, sizes.tolist(), instance.objective[1:], index, value[keep]
+
+
+def to_sdpa(instance: SdpInstance) -> SdpaData:
+    m, sizes, c, index, value = _sdpa_columns(instance)
+    return SdpaData(m, tuple(sizes), tuple(c.tolist()), tuple(zip(*index.tolist(), value.tolist())))
 
 
 def emit_sdpa(instance: SdpInstance) -> str:
     """Deterministic SDPA sparse text for the instance (canonical variable,
     block, and entry order)."""
-    return sdpa_text(to_sdpa(instance))
+    return _format_sdpa(*_sdpa_columns(instance))
 
 
 # ---------------------------------------------------------------------------
@@ -464,13 +483,13 @@ def pipeline(
     A false verdict is a normal outcome: the result then carries the
     certificate and the relaxation bound only.
     """
-    order = tuple(range(1, pop.cover.m + 1))
+    order, pop_o = tuple(range(1, pop.cover.m + 1)), pop
     try:
-        check_rip(pop.cover)
+        witnesses = check_rip(pop.cover)
     except RipFailsAt:
         order = find_rip_order(pop.cover)
-    pop_o = pop.reorder(order) if order != tuple(range(1, pop.cover.m + 1)) else pop
-    witnesses = check_rip(pop_o.cover)
+        pop_o = pop.reorder(order)
+        witnesses = check_rip(pop_o.cover)
 
     instance = build_relaxation(pop_o, omega)
     report = None

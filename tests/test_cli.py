@@ -169,6 +169,25 @@ def test_malformed_moment_file_exit_one(files, capsys, tmp_path, command):
         assert report["detail"].startswith(detail)
 
 
+@pytest.mark.parametrize(
+    "edit, detail",
+    [
+        (lambda doc: doc["entries"][0].pop("value"), 'entry 0: no "value"'),
+        (lambda doc: doc.pop("cliques"), 'no "cliques"'),
+        (lambda doc: doc.update(omega=0), "omega 0 is not >= 1"),
+        (lambda doc: doc.update(n="three"), "n 'three' is not an integer"),
+    ],
+)
+def test_malformed_moment_structure_exit_one(capsys, tmp_path, edit, detail):
+    doc = io.moment_vector_to_dict(demo.chain_pair_moments())
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc, indent=2))
+    code, report = run_json(capsys, ["certify", "--input", str(path)])
+    assert code == 1
+    assert (report["error"], report["detail"]) == ("MalformedInput", detail)
+
+
 def test_relax_emits_sdpa(files, capsys, tmp_path):
     out = tmp_path / "prob.dat-s"
     code, report = run_json(

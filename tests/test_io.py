@@ -86,20 +86,40 @@ def dump(doc: dict, layout: str, seed: int = 0) -> str:
 def read_entry_by_entry(text: str, allow_missing_as_zero: bool = False) -> SparseMomentVector:
     """The reference reader: ``json`` for the whole text, then every alpha
     as a tuple through ``SparseMomentVector.build``; text ``json`` refuses,
-    and a value ``float`` refuses, are :class:`MalformedInput`."""
+    a missing field, a value ``float`` refuses, an integer field ``int``
+    refuses and an omega below 1 are :class:`MalformedInput`."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"not valid JSON: {exc}") from None
-    cover = CliqueCover(int(data["n"]), tuple(tuple(int(v) for v in c) for c in data["cliques"]))
-    pairs = [(tuple(item["alpha"]), item["value"]) for item in data["entries"]]
+
+    def field(obj, key, where=""):
+        if not isinstance(obj, dict) or key not in obj:
+            raise MalformedInput(f'{where}no "{key}"')
+        return obj[key]
+
+    def integer(obj, key):
+        try:
+            return int(field(obj, key))
+        except (TypeError, ValueError, OverflowError):
+            raise MalformedInput(f"{key} {obj[key]!r} is not an integer") from None
+
+    n = integer(data, "n")
+    cliques = tuple(tuple(int(v) for v in c) for c in field(data, "cliques"))
+    pairs = [
+        (tuple(field(item, "alpha", f"entry {k}: ")), field(item, "value", f"entry {k}: "))
+        for k, item in enumerate(field(data, "entries"))
+    ]
     for k, (_, value) in enumerate(pairs):
         try:
             float(value)
         except (TypeError, ValueError):
             raise MalformedInput(f"entry {k}: value {value!r} is not a number") from None
+    omega = integer(data, "omega")
+    if omega < 1:
+        raise MalformedInput(f"omega {omega} is not >= 1")
     return SparseMomentVector.build(
-        cover, int(data["omega"]), pairs, allow_missing_as_zero=allow_missing_as_zero
+        CliqueCover(n, cliques), omega, pairs, allow_missing_as_zero=allow_missing_as_zero
     )
 
 
@@ -305,6 +325,28 @@ class TestMomentReader:
             path.write_text(text[:cut])
             with pytest.raises(MalformedInput, match="^not valid JSON: "):
                 io.load_moment_vector(path)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc["entries"][0].pop("value"), 'entry 0: no "value"'),
+            (lambda doc: doc["entries"][3].pop("alpha"), 'entry 3: no "alpha"'),
+            (lambda doc: doc.pop("cliques"), 'no "cliques"'),
+            (lambda doc: doc.pop("entries"), 'no "entries"'),
+            (lambda doc: doc.update(omega=0), "omega 0 is not >= 1"),
+            (lambda doc: doc.update(omega="two"), "omega 'two' is not an integer"),
+            (lambda doc: doc.update(n="three"), "n 'three' is not an integer"),
+            (lambda doc: doc.update(omega=float("inf")), "omega inf is not an integer"),
+        ],
+    )
+    def test_malformed_structure_names_its_field(self, tmp_path, layout, edit, message):
+        doc = io.moment_vector_to_dict(demo.chain_pair_moments())
+        edit(doc)
+        with pytest.raises(MalformedInput) as got:
+            io.load_moment_vector(doc)
+        assert str(got.value) == message
+        assert assert_file_reads_as_reference(tmp_path, dump(doc, layout), False) == (MalformedInput, message)
 
     def test_fractional_exponent_named_as_written(self):
         y = demo.chain_pair_moments()

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 import warnings
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from smk.certify import RankPolicy
 from smk.core import CliqueCover, IndexMap, SparseMomentVector, local_exponents, sparse_exponents
 from smk.errors import BlockNotPsdWarning, DegreeTooLow, DimensionMismatch
-from smk.matrices import ConstraintPolynomial
+from smk.matrices import ConstraintPolynomial, block_operator
 from smk.relax import (
     PopProblem,
     SdpBlock,
@@ -24,7 +25,7 @@ from smk.relax import (
     solve_sdp_bundled,
     to_sdpa,
 )
-from smk import core, demo, io
+from smk import core, demo, io, relax
 
 
 def feasibility_pop(cover):
@@ -87,6 +88,112 @@ def sdpa_entries_reference(blocks):
     return tuple(e for e in merged if e[4] != 0.0)
 
 
+def sdpa_text_reference(data):
+    """SDPA text written line by line, one f-string per entry."""
+    lines = [
+        str(data.m),
+        str(len(data.block_sizes)),
+        " ".join(str(s) for s in data.block_sizes),
+        " ".join(repr(v) for v in data.c),
+    ]
+    for matno, blk, i, j, v in data.entries:
+        lines.append(f"{matno} {blk} {i} {j} {v!r}")
+    return "\n".join(lines) + "\n"
+
+
+def relaxation_reference(pop, omega):
+    """Per block (clique, kind, constraint, size, entry, position,
+    coefficient), one operator and one index per block, and the objective
+    summed term by term in clique order, then each map's order."""
+    index_map = IndexMap(pop.cover, 2 * omega)
+    tables = [index_map.positions(cl, 2 * omega) for cl in pop.cover.cliques]
+    objective = np.zeros(len(index_map.exponents))
+    for clique, table, obj in zip(pop.cover.cliques, tables, pop.objectives):
+        local = dict(zip(local_exponents(len(clique), 2 * omega), table.tolist()))
+        for a, c in obj.items():
+            objective[local[a]] += c
+    specs = [(i, "moment", None, None) for i in range(1, pop.cover.m + 1)]
+    specs += [(i, "localizing", gi, g) for i, gs in enumerate(pop.constraints, start=1)
+              for gi, g in enumerate(gs, start=1)]
+    blocks = []
+    for i, kind, gi, g in specs:
+        labels, entry, position, coefficient = block_operator(len(pop.cover.clique(i)), omega, g)
+        blocks.append((i, kind, gi, len(labels), entry, tables[i - 1][position], coefficient))
+    return blocks, objective
+
+
+def assert_bitwise(inst, pop, omega):
+    """Blocks, objective and SDPA text as the block-by-block build and the
+    line-by-line writer give them, bit for bit."""
+    blocks, objective = relaxation_reference(pop, omega)
+    assert inst.objective.tobytes() == objective.tobytes()
+    got = [(b.clique, b.kind, b.constraint, b.size, b.entry, b.position, b.coefficient)
+           for b in inst.blocks]
+    assert [b[:4] for b in got] == [b[:4] for b in blocks]
+    for a, b in zip(got, blocks):
+        assert all(x.dtype == y.dtype and x.tobytes() == y.tobytes() for x, y in zip(a[4:], b[4:]))
+    assert emit_sdpa(inst) == sdpa_text_reference(to_sdpa(inst))
+
+
+COEFFICIENTS = [0.0, -0.0, 1.0, -1.0, 3.0, 0.1, -2.5, 1e-300]
+
+
+def mixed_width_pop(m: int = 30, seed: int = 0) -> PopProblem:
+    """``m`` cliques of widths cycling 1, 2, 3 along a chain, every other
+    one sharing a variable with the next, with seeded quartic objectives
+    and zero to two constraints each: a ball shared by all cliques of one
+    width, or a seeded polynomial of their own."""
+    rng = np.random.default_rng(seed)
+    cliques, start = [], 1
+    for k in range(m):
+        width = 1 + k % 3
+        cliques.append(tuple(range(start, start + width)))
+        start += width - k % 2
+    cover = CliqueCover(max(c[-1] for c in cliques), tuple(cliques))
+
+    def poly(width, count):
+        exps = local_exponents(width, 4)
+        picks = rng.choice(len(exps), size=min(count, len(exps)), replace=False)
+        return {exps[p]: COEFFICIENTS[rng.integers(len(COEFFICIENTS))] for p in picks}
+
+    objectives, constraints = [], []
+    for clique in cliques:
+        width = len(clique)
+        ball = {(0,) * width: float(width + 1)}
+        ball.update({tuple(2 * (s == t) for s in range(width)): -1.0 for t in range(width)})
+        objectives.append(poly(width, 4))
+        gs = [ball if rng.random() < 0.5 else poly(width, 3) for _ in range(rng.integers(3))]
+        constraints.append(tuple(ConstraintPolynomial(clique, g) for g in gs))
+    return PopProblem(cover, tuple(objectives), tuple(constraints))
+
+
+@st.composite
+def mixed_width_pops(draw):
+    """A chain of 1-5 cliques of widths 1-3, each sharing one variable with
+    the next or none, with zero to two constraints per clique: one of two
+    shared per width, or one of its own; coefficients include -0.0 and
+    1e-300."""
+    omega = draw(st.integers(1, 2))
+    coef = st.sampled_from(COEFFICIENTS)
+    shared = {w: draw(st.lists(st.dictionaries(st.sampled_from(local_exponents(w, 2 * omega)), coef,
+                                               max_size=3), min_size=2, max_size=2))
+              for w in (1, 2, 3)}
+    cliques, start = [], 1
+    for _ in range(draw(st.integers(1, 5))):
+        width = draw(st.integers(1, 3))
+        cliques.append(tuple(range(start, start + width)))
+        start += width - draw(st.integers(0, 1))
+    cover = CliqueCover(max(c[-1] for c in cliques), tuple(cliques))
+    objectives, constraints = [], []
+    for clique in cliques:
+        exps = local_exponents(len(clique), 2 * omega)
+        polys = st.dictionaries(st.sampled_from(exps), coef, max_size=5)
+        objectives.append(draw(polys))
+        gs = draw(st.lists(st.one_of(st.sampled_from(shared[len(clique)]), polys), max_size=2))
+        constraints.append(tuple(ConstraintPolynomial(clique, g) for g in gs))
+    return PopProblem(cover, tuple(objectives), tuple(constraints)), omega
+
+
 @st.composite
 def chain_pops(draw):
     """A chain of 1-3 cliques of width 1-3 with random objectives and
@@ -121,6 +228,14 @@ class TestBlockOperator:
         for M, (size, terms) in zip(inst.block_matrices(values), reference):
             assert np.allclose(M, assemble_matrix_reference(size, terms, values), rtol=tol, atol=tol)
         assert to_sdpa(inst).entries == sdpa_entries_reference(reference)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(mixed_width_pops())
+    def test_per_shape_build_and_writer_match_block_by_block(self, case):
+        pop, omega = case
+        inst = build_relaxation(pop, omega)
+        assert_bitwise(inst, pop, omega)
+        assert to_sdpa(inst).entries == sdpa_entries_reference(terms_reference(pop, omega))
 
     def test_blocks_match_matrices_on_the_fixture(self, inst_triple):
         y = demo.chain_triple_moments()
@@ -195,6 +310,27 @@ class TestSdpa:
         pop = PopProblem(cover, ({}, {}), ((g,), ()))
         data = to_sdpa(build_relaxation(pop, 2))
         assert len(data.block_sizes) == 3  # two moment blocks + one localizing
+
+    @pytest.mark.parametrize(
+        "pop, omega, digest",
+        [
+            (demo.chain_triple_pop, 2, "23b86ea99cc5025bb7b320f579e376087fd4f0e706ceb3c8333574f942bfe505"),
+            (demo.chain_triple_pop, 3, "450a4d430a721bc4a523ebd551f7895f804e616f2048dd61950428bff7368acf"),
+            (mixed_width_pop, 2, "b493c36f3a54dd10a01d7ba64c9c7d2945c270e5b10a6acd9a4833ffdd23adca"),
+        ],
+    )
+    def test_pinned_text(self, pop, omega, digest):
+        inst = build_relaxation(pop(), omega)
+        assert_bitwise(inst, pop(), omega)
+        assert hashlib.sha256(emit_sdpa(inst).encode()).hexdigest() == digest
+
+    def test_writer_keeps_signed_zero_and_exact_reprs(self):
+        data = relax.SdpaData(2, (2,), (-0.0, 1e-300),
+                              ((0, 1, 1, 1, -0.0), (1, 1, 1, 2, 0.1), (2, 1, 2, 2, 0.0)))
+        assert sdpa_text(data) == sdpa_text_reference(data) == "2\n1\n2\n-0.0 1e-300\n" + (
+            "0 1 1 1 -0.0\n1 1 1 2 0.1\n2 1 2 2 0.0\n")
+        empty = relax.SdpaData(0, (), (), ())
+        assert sdpa_text(empty) == sdpa_text_reference(empty) == "0\n0\n\n\n"
 
     def test_comments_skipped(self, inst_triple):
         text = emit_sdpa(inst_triple)
@@ -416,6 +552,18 @@ class TestPipeline:
         y = demo.moments_of_atoms(pop.cover, 3, demo.chain_triple_minimizers(), np.full(8, 0.125))
         assert pipeline(pop, 3, solver="file", solution=y).certificate.verdict
         assert len(built) == 1
+
+    def test_ordered_cover_checks_rip_once(self, pop_triple, monkeypatch):
+        covers = []
+        check = relax.check_rip
+        monkeypatch.setattr(relax, "check_rip", lambda cover: covers.append(cover) or check(cover))
+        pipeline(pop_triple, 3, solver="file", solution=demo.chain_triple_moments())
+        assert covers == [pop_triple.cover]
+        covers.clear()
+        pop = pop_triple.reorder((1, 3, 2))
+        y = demo.moments_of_atoms(pop.cover, 3, demo.chain_triple_minimizers(), np.full(8, 0.125))
+        res = pipeline(pop, 3, solver="file", solution=y)
+        assert covers == [pop.cover, pop.reorder(res.clique_order).cover]
 
     def test_bundled_order_two_is_not_certified(self, pop_triple):
         # recorded outcome: the order-2 relaxation already attains the optimal
