@@ -17,13 +17,11 @@ from .certify import (
     ZeroPropagation,
     certify,
     d_half,
-    psd_check,
     zero_propagation_check,
 )
 from .core import (
     CliqueCover,
     CliqueSubvector,
-    Projection,
     SparseMomentVector,
     clique_subvector,
     sparse_exponents,
@@ -35,14 +33,7 @@ from .extract import (
     extract_atoms,
     extract_clique_measures,
 )
-from .matrices import (
-    ConstraintPolynomial,
-    LabeledSymMatrix,
-    localizing_block,
-    localizing_matrix,
-    moment_matrix,
-    overlap_moment_matrix,
-)
+from .matrices import ConstraintPolynomial, LabeledSymMatrix, moment_matrix
 from .relax import (
     PopProblem,
     SdpInstance,

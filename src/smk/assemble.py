@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .certify import RankPolicy
-from .core import CliqueCover, Projection, SparseMomentVector, monomial_matrix
+from .core import CliqueCover, SparseMomentVector, monomial_matrix
 from .errors import FinalMarginalCheckFailed, MarginalMismatch
 from .extract import AtomicMeasure, lex_order_rows
 from .rip import RipWitnesses
@@ -74,13 +74,16 @@ def _marginals(mu: AtomicMeasure, columns: np.ndarray, policy: RankPolicy):
     return reps, _cluster_sums(mu.weights, labels), labels.max(axis=1, initial=-1) + 1
 
 
-def pushforward(mu: AtomicMeasure, p: Projection, policy: RankPolicy = RankPolicy()) -> AtomicMeasure:
-    """Marginal of an atomic measure: project every atom and merge the ones
-    that coincide up to the policy tolerance (max-norm), summing their weights."""
-    if p.source != mu.variables:
-        raise ValueError(f"projection source {p.source} does not match measure on {mu.variables}")
-    reps, weights, (count,) = _marginals(mu, np.array([p.positions], dtype=int), policy)
-    return AtomicMeasure(p.target, reps[0, :count], weights[0, :count])
+def pushforward(mu: AtomicMeasure, target, policy: RankPolicy = RankPolicy()) -> AtomicMeasure:
+    """Marginal of an atomic measure on the ``target`` variables: project
+    every atom and merge the ones that coincide up to the policy tolerance
+    (max-norm), summing their weights."""
+    target = tuple(target)
+    if not set(target) <= set(mu.variables):
+        raise ValueError(f"target {target} is not a subset of the measure's variables {mu.variables}")
+    columns = np.array([[mu.variables.index(v) for v in target]], dtype=int)
+    reps, weights, (count,) = _marginals(mu, columns, policy)
+    return AtomicMeasure(target, reps[0, :count], weights[0, :count])
 
 
 @dataclass(frozen=True)

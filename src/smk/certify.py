@@ -91,14 +91,6 @@ def _psd(lo: float, hi: float, policy: RankPolicy) -> bool:
     return lo >= -policy.rel_tol * max(1.0, hi)
 
 
-def psd_check(M: LabeledSymMatrix, policy: RankPolicy = RankPolicy()) -> bool:
-    """True iff the smallest eigenvalue is above ``-rel_tol * max(1, lmax)``.
-
-    The empty matrix is PSD by convention.
-    """
-    return _psd(*_eig_ranges(M.data[None], policy)[0], policy)
-
-
 def _leading_size(width: int, d: int, omega: int) -> int:
     """Size of the order-``d`` moment matrix inside the order-``omega`` one
     on ``width`` variables: the labels are graded, so it is the leading

@@ -127,7 +127,7 @@ def _run_rip(args, report):
         return EXIT_ERROR
     order, reordered = tuple(range(1, cover.m + 1)), False
     try:
-        check_rip(cover)
+        wit = check_rip(cover)
     except RipFailsAt as exc:
         report["fails_at"] = exc.index
         report["overlap"] = list(exc.overlap)
@@ -137,7 +137,7 @@ def _run_rip(args, report):
             report["no_order_exists"] = True
             report["detail"] = str(exc)
             return EXIT_NEGATIVE
-    wit = check_rip(cover.reorder(order))
+        wit = check_rip(cover.reorder(order))
     report["order"] = list(order)
     report["witnesses"] = {str(i): sorted(js) for i, js in wit.witness.items()}
     report["reordered"] = reordered
@@ -153,8 +153,13 @@ def _load_constraints(args, cover):
     return tuple(() for _ in range(cover.m))
 
 
-def _certify_chain(args, report, want_measure: bool) -> int:
-    y = io.load_moment_vector(args.input, allow_missing_as_zero=args.allow_missing_as_zero)
+def _moments(args):
+    return io.load_moment_vector(args.input, allow_missing_as_zero=args.allow_missing_as_zero)
+
+
+def _certify_chain(args, y, report, want_measure: bool):
+    """The exit code and, if ``want_measure`` and the verdict is true, the
+    assembled measure (else None)."""
     constraints = _load_constraints(args, y.cover)
     policy = _policy(args)
     if policy.round_decimals is not None:
@@ -164,11 +169,11 @@ def _certify_chain(args, report, want_measure: bool) -> int:
     report["certificate"] = cert.to_dict()
     report["zero_propagation"] = zero_propagation_check(y, policy).value
     if not cert.verdict:
-        return EXIT_NEGATIVE
+        return EXIT_NEGATIVE, None
     measures = extract_clique_measures(cert, policy, args.seed)
     report["clique_measures"] = [io.measure_to_dict(mu) for mu in measures]
     if not want_measure:
-        return EXIT_OK
+        return EXIT_OK, None
     mu = assemble(measures, witnesses, policy, chosen=cert.witness_choice())
     mu = mu.sorted_by_atoms()
     report["measure"] = io.measure_to_dict(mu)
@@ -178,29 +183,29 @@ def _certify_chain(args, report, want_measure: bool) -> int:
     flat = [g for gs in constraints for g in gs]
     feas = constraint_feasibility_check(mu, flat, tol=policy.tol())
     report["feasibility_clean"] = feas.clean
-    return EXIT_OK
+    return EXIT_OK, mu
 
 
 def _run_certify(args, report):
-    return _certify_chain(args, report, want_measure=False)
+    return _certify_chain(args, _moments(args), report, want_measure=False)[0]
 
 
 def _run_extract_assemble(args, report):
-    code = _certify_chain(args, report, want_measure=True)
+    code, mu = _certify_chain(args, _moments(args), report, want_measure=True)
     if code == EXIT_OK and args.measure_output:
-        io.save_measure(io.load_measure(report["measure"]), args.measure_output)
+        io.save_measure(mu, args.measure_output)
     return code
 
 
 def _run_altmeasure(args, report):
-    y = io.load_moment_vector(args.input, allow_missing_as_zero=args.allow_missing_as_zero)
+    y = _moments(args)
     if args.measure:
         atoms = io.load_measure(args.measure).atoms
     else:
-        code = _certify_chain(args, report, want_measure=True)
+        code, mu = _certify_chain(args, y, report, want_measure=True)
         if code != EXIT_OK:
             return code
-        atoms = np.asarray(report["measure"]["atoms"], dtype=float)
+        atoms = mu.atoms
     atoms = atoms[lex_order_rows(atoms)]
     report["atoms"] = [[float(v) for v in a] for a in atoms]
     if isinstance(args.cost, int):
@@ -249,8 +254,7 @@ def _run_pipeline(args, report):
         with open(args.solution) as fh:
             text = fh.read()
         if text.lstrip().startswith("{"):
-            solution = io.load_moment_vector(args.solution,
-                                             allow_missing_as_zero=args.allow_missing_as_zero)
+            solution = io._moments_from_text(text, args.allow_missing_as_zero)
         else:
             solution = [float(t) for t in text.split()]
     with warnings.catch_warnings(record=True) as caught:

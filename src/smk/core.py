@@ -37,11 +37,6 @@ MultiIndex = tuple[int, ...]
 SparseKey = tuple[tuple[int, int], ...]
 
 
-def support(alpha: MultiIndex) -> tuple[int, ...]:
-    """1-based indices of the variables appearing in ``alpha``."""
-    return tuple(k + 1 for k, a in enumerate(alpha) if a > 0)
-
-
 def grlex_key(alpha: MultiIndex):
     """Sort key for the canonical order: by total degree, then
     lexicographically with earlier variables ranked higher (so x1 precedes
@@ -428,23 +423,3 @@ def subvector_on(y: SparseMomentVector, variables: tuple[int, ...]) -> CliqueSub
 def clique_subvector(y: SparseMomentVector, i: int) -> CliqueSubvector:
     """Subvector of ``y`` on clique ``i`` (1-based), re-indexed locally."""
     return subvector_on(y, y.cover.clique(i))
-
-
-@dataclass(frozen=True)
-class Projection:
-    """Coordinate selection from a source variable list onto a subset."""
-
-    source: tuple[int, ...]
-    target: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "source", tuple(self.source))
-        object.__setattr__(self, "target", tuple(self.target))
-        if not set(self.target) <= set(self.source):
-            raise ValueError(f"target {self.target} is not a subset of source {self.source}")
-
-    @property
-    def positions(self) -> tuple[int, ...]:
-        """0-based positions of the target variables within the source."""
-        return tuple(self.source.index(v) for v in self.target)
-

@@ -20,7 +20,14 @@ from .relax import PopProblem
 def _load(source) -> dict:
     if isinstance(source, Mapping):
         return dict(source)
-    return json.loads(Path(source).read_text())
+    return _parse(Path(source).read_text())
+
+
+def _parse(text: str):
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise MalformedInput(f"not valid JSON: {exc}") from None
 
 
 def _dump(obj: dict, target=None) -> str:
@@ -30,20 +37,27 @@ def _dump(obj: dict, target=None) -> str:
     return text
 
 
-def _field(data, key: str, where: str = "", integer: bool = False):
-    """``data[key]``, as an ``int`` if ``integer``; a missing key, or a value
-    ``int`` refuses, raises :class:`MalformedInput` naming the field."""
+_KINDS = {int: "an integer", float: "a number", tuple: "a list"}
+
+
+def _field(data, key: str, where: str = "", kind=None):
+    """``data[key]``, converted by ``kind`` (``int``, ``float`` or ``tuple``)
+    if given; a missing key, or a value ``kind`` refuses, raises
+    :class:`MalformedInput` naming the field."""
     if not isinstance(data, Mapping) or key not in data:
         raise MalformedInput(f'{where}no "{key}"')
     try:
-        return int(data[key]) if integer else data[key]
+        return data[key] if kind is None else kind(data[key])
     except (TypeError, ValueError, OverflowError):
-        raise MalformedInput(f"{key} {data[key]!r} is not an integer") from None
+        raise MalformedInput(f"{where}{key} {data[key]!r} is not {_KINDS[kind]}") from None
 
 
 def cover_from_dict(data: Mapping) -> CliqueCover:
-    n = _field(data, "n", integer=True)
-    return CliqueCover(n, tuple(tuple(int(v) for v in c) for c in _field(data, "cliques")))
+    n = _field(data, "n", kind=int)
+    try:
+        return CliqueCover(n, tuple(tuple(int(v) for v in c) for c in _field(data, "cliques")))
+    except (TypeError, ValueError, OverflowError):
+        raise MalformedInput(f"cliques {data['cliques']!r} is not a list of lists of integers") from None
 
 
 def load_moment_vector(source, allow_missing_as_zero: bool = False) -> SparseMomentVector:
@@ -61,21 +75,22 @@ def load_moment_vector(source, allow_missing_as_zero: bool = False) -> SparseMom
     and an omega below 1 raise :class:`MalformedInput` on either read.
     """
     if isinstance(source, Mapping):
-        data = dict(source)
-    else:
-        text = Path(source).read_text()
-        y = _read_table(text, allow_missing_as_zero)
-        if y is not None:
-            return y
-        try:
-            data = json.loads(text)
-        except ValueError as exc:
-            raise MalformedInput(f"not valid JSON: {exc}") from None
+        return _moments_from_dict(source, allow_missing_as_zero)
+    return _moments_from_text(Path(source).read_text(), allow_missing_as_zero)
+
+
+def _moments_from_text(text: str, allow_missing_as_zero: bool) -> SparseMomentVector:
+    """:func:`load_moment_vector` on the text of a moment file."""
+    y = _read_table(text, allow_missing_as_zero)
+    return y if y is not None else _moments_from_dict(_parse(text), allow_missing_as_zero)
+
+
+def _moments_from_dict(data, allow_missing_as_zero: bool) -> SparseMomentVector:
     cover = cover_from_dict(data)
-    pairs = [(_field(e, "alpha", f"entry {k}: "), _field(e, "value", f"entry {k}: "))
-             for k, e in enumerate(_field(data, "entries"))]
-    pairs = zip([tuple(a) for a, _ in pairs], _floats(v for _, v in pairs))
-    omega = _field(data, "omega", integer=True)
+    pairs = [(_field(e, "alpha", f"entry {k}: ", tuple), _field(e, "value", f"entry {k}: "))
+             for k, e in enumerate(_field(data, "entries", kind=tuple))]
+    pairs = zip([a for a, _ in pairs], _floats(v for _, v in pairs))
+    omega = _field(data, "omega", kind=int)
     if omega < 1:
         raise MalformedInput(f"omega {omega} is not >= 1")
     return SparseMomentVector.build(
@@ -167,10 +182,15 @@ def save_moment_vector(y: SparseMomentVector, target=None) -> str:
 
 
 def load_measure(source) -> AtomicMeasure:
+    """Read ``{"variables", "atoms", "weights"}``, one atom per weight."""
     data = _load(source)
-    variables = tuple(int(v) for v in data["variables"])
-    atoms = np.asarray(data["atoms"], dtype=float).reshape(len(data["weights"]), len(variables))
-    return AtomicMeasure(variables, atoms, np.asarray(data["weights"], dtype=float))
+    try:
+        variables = tuple(int(v) for v in _field(data, "variables"))
+        weights = np.asarray(_field(data, "weights"), dtype=float)
+        atoms = np.asarray(_field(data, "atoms"), dtype=float).reshape(len(weights), len(variables))
+        return AtomicMeasure(variables, atoms, weights)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MalformedInput(f"not a measure: {exc}") from None
 
 
 def measure_to_dict(mu: AtomicMeasure) -> dict:
@@ -188,25 +208,43 @@ def save_measure(mu: AtomicMeasure, target=None) -> str:
 def load_pop(source) -> PopProblem:
     """Read ``{"n", "cliques", "objectives": [{"clique", "terms"}],
     "constraints": [{"clique", "terms"}]}`` where each term is
-    ``{"coef", "alpha_local"}`` in the clique's local variables."""
+    ``{"coef", "alpha_local"}`` in the clique's local variables. A missing
+    field, a value of the wrong kind or a clique number outside 1..m raises
+    :class:`MalformedInput` naming the item."""
     data = _load(source)
     cover = cover_from_dict(data)
     objectives = [dict() for _ in range(cover.m)]
-    for obj in data.get("objectives", []):
-        _add_terms(objectives[int(obj["clique"]) - 1], obj["terms"])
+    for i, where, terms in _by_clique(data, "objectives", cover):
+        _add_terms(objectives[i - 1], terms, len(cover.clique(i)), where)
     constraints = [[] for _ in range(cover.m)]
-    for con in data.get("constraints", []):
-        i = int(con["clique"])
-        g = ConstraintPolynomial(cover.clique(i), _add_terms({}, con["terms"]))
+    for i, where, terms in _by_clique(data, "constraints", cover):
+        g = ConstraintPolynomial(cover.clique(i), _add_terms({}, terms, len(cover.clique(i)), where))
         constraints[i - 1].append(g)
     return PopProblem(cover, tuple(objectives), tuple(tuple(gs) for gs in constraints))
 
 
-def _add_terms(coefficients: dict, terms) -> dict:
+def _by_clique(data: Mapping, key: str, cover: CliqueCover):
+    """Clique number, place and terms of each item of the list ``data[key]``."""
+    for k, item in enumerate(_field(data, key, kind=tuple) if key in data else ()):
+        where = f"{key[:-1]} {k}: "
+        i = _field(item, "clique", where, kind=int)
+        if not 1 <= i <= cover.m:
+            raise MalformedInput(f"{where}clique {i} is not in 1..{cover.m}")
+        yield i, where, _field(item, "terms", where, kind=tuple)
+
+
+def _add_terms(coefficients: dict, terms, width: int, where: str) -> dict:
     """Add each ``{"coef", "alpha_local"}`` term into ``coefficients``."""
-    for term in terms:
-        alpha = tuple(int(a) for a in term["alpha_local"])
-        coefficients[alpha] = coefficients.get(alpha, 0.0) + float(term["coef"])
+    for t, term in enumerate(terms):
+        at = f"{where}term {t}: "
+        alpha = _field(term, "alpha_local", at, kind=tuple)
+        try:
+            alpha = tuple(int(a) for a in alpha)
+        except (TypeError, ValueError, OverflowError):
+            alpha = None
+        if alpha is None or len(alpha) != width:
+            raise MalformedInput(f"{at}alpha_local {term['alpha_local']!r} is not {width} integers")
+        coefficients[alpha] = coefficients.get(alpha, 0.0) + _field(term, "coef", at, kind=float)
     return coefficients
 
 

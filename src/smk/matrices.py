@@ -1,4 +1,4 @@
-"""Moment, localizing, and overlap moment matrices.
+"""Moment and localizing matrices, compiled once per clique shape.
 
 Each of these matrices is a fixed linear image of one clique's moments, and
 :func:`block_operator` is the one place that image is built: it compiles a
@@ -8,7 +8,7 @@ of the list up to 2*omega for every omega >= d, and a compiled block does not
 depend on omega. It is compiled once per shape (width, order, constraint
 coefficients) and shared as read-only arrays. :func:`gather` applies it to
 a stack of moment arrays at once (certification stacks the cliques of one
-shape), and the matrices here are the stack of one subvector; the
+shape), and :func:`moment_matrix` is the stack of one subvector; the
 relaxation maps its positions to global ones and stacks the blocks.
 
 All matrices are dense, exactly symmetric by construction, and labeled by
@@ -25,20 +25,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import (
-    CliqueSubvector, MultiIndex, SparseMomentVector, grlex_position, local_exponents, subvector_on,
-)
+from .core import CliqueSubvector, MultiIndex, grlex_position, local_exponents
 from .errors import IndexOutOfPattern, OrderTooHigh
 
 
 @dataclass(frozen=True)
 class LabeledSymMatrix:
-    """Symmetric matrix with monomial row/column labels.
-
-    ``variables`` are the global 1-based variables the local exponents refer
-    to. For block-diagonal localizing matrices the labels are
-    ``(constraint_position, local_exponent)`` pairs so they stay distinct.
-    """
+    """Symmetric matrix with monomial row/column labels; ``variables`` are
+    the global 1-based variables the local exponents refer to."""
 
     variables: tuple[int, ...]
     labels: tuple
@@ -147,23 +141,18 @@ def block_diagonal(blocks: Sequence[np.ndarray], count: int) -> np.ndarray:
     return data
 
 
-def _gather(y_sub: CliqueSubvector, block) -> LabeledSymMatrix:
-    """A compiled block on one subvector, read by position from its moment
-    array; a moment the block needs but the subvector lacks raises
-    :class:`IndexOutOfPattern` naming its local exponent."""
-    labels, _, position, _ = block
+def moment_matrix(y_sub: CliqueSubvector, d: int) -> LabeledSymMatrix:
+    """Moment matrix of order ``d``: entry (alpha, beta) is the moment at
+    alpha + beta, over all local labels of degree <= d, read by position
+    from the subvector's moment array. A moment it needs but the subvector
+    lacks raises :class:`IndexOutOfPattern` naming its local exponent."""
+    if d < 0 or 2 * d > 2 * y_sub.omega:
+        raise OrderTooHigh(f"moment matrix of order {d} needs degrees up to {2*d} > {2*y_sub.omega}")
+    labels, _, position, _ = block = block_operator(len(y_sub.clique), d)
     missing = y_sub.absent[np.isin(y_sub.absent, position)] if y_sub.absent.size else ()
     if len(missing):
         raise IndexOutOfPattern(local_exponents(len(y_sub.clique), 2 * y_sub.omega)[missing[0]])
     return LabeledSymMatrix(y_sub.clique, labels, gather(block, y_sub.moments[None])[0])
-
-
-def moment_matrix(y_sub: CliqueSubvector, d: int) -> LabeledSymMatrix:
-    """Moment matrix of order ``d``: entry (alpha, beta) is the moment at
-    alpha + beta, over all local labels of degree <= d."""
-    if d < 0 or 2 * d > 2 * y_sub.omega:
-        raise OrderTooHigh(f"moment matrix of order {d} needs degrees up to {2*d} > {2*y_sub.omega}")
-    return _gather(y_sub, block_operator(len(y_sub.clique), d))
 
 
 def localizing_operator(
@@ -179,34 +168,3 @@ def localizing_operator(
     if d > omega:
         raise OrderTooHigh(f"localizing order {d} exceeds relaxation order {omega}")
     return block_operator(len(clique), d, g)
-
-
-def localizing_matrix(y_sub: CliqueSubvector, g: ConstraintPolynomial, d: int) -> LabeledSymMatrix:
-    """Localizing matrix of ``g`` at order ``d``: entry (alpha, beta) is
-    sum_gamma g_gamma * y[alpha + beta + gamma], over labels of degree
-    <= d - d_half."""
-    return _gather(y_sub, localizing_operator(y_sub.clique, y_sub.omega, g, d))
-
-
-def localizing_block(
-    y_sub: CliqueSubvector, g_vec: Sequence[ConstraintPolynomial], d: int
-) -> LabeledSymMatrix:
-    """Block-diagonal localizing matrix, one block per constraint in order.
-
-    An empty constraint list gives the 0x0 matrix (PSD by convention).
-    Labels are (constraint_position, local_exponent) pairs.
-    """
-    blocks = [localizing_matrix(y_sub, g, d) for g in g_vec]
-    labels = tuple((pos, lab) for pos, blk in enumerate(blocks, start=1) for lab in blk.labels)
-    data = block_diagonal([blk.data for blk in blocks], 1)[0]
-    return LabeledSymMatrix(y_sub.clique, labels, data)
-
-
-def overlap_moment_matrix(y: SparseMomentVector, i: int, j: int, d: int) -> LabeledSymMatrix:
-    """Moment matrix of order ``d`` on the variables shared by cliques i and j.
-
-    A disjoint pair shares only the constant monomial, giving the 1x1 matrix
-    holding the total mass.
-    """
-    shared = tuple(sorted(set(y.cover.clique(i)) & set(y.cover.clique(j))))
-    return moment_matrix(subvector_on(y, shared), d)

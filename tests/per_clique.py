@@ -1,7 +1,8 @@
 """Reference implementations of certification and atom extraction, one
 clique and one matrix at a time: the loops that ``certify`` and
-``extract_clique_measures`` ran before cliques of one shape were stacked.
-The stacked code must match them bit for bit."""
+``extract_clique_measures`` ran before cliques of one shape were stacked,
+and the per-clique localizing and overlap matrices they read. The stacked
+code must match them bit for bit."""
 
 from __future__ import annotations
 
@@ -11,10 +12,47 @@ import numpy as np
 import scipy.optimize
 
 from smk.certify import CliqueCheck, FlatnessCertificate, OverlapCheck, RankPolicy, d_half
-from smk.core import clique_subvector, local_exponents, monomial_matrix
-from smk.errors import FlatnessViolated, NonPhysicalWeights, OrderTooHigh, ReconstructionFailed
+from smk.core import clique_subvector, local_exponents, monomial_matrix, subvector_on
+from smk.errors import (
+    FlatnessViolated, IndexOutOfPattern, NonPhysicalWeights, OrderTooHigh, ReconstructionFailed,
+)
 from smk.extract import MAX_REDRAWS, AtomicMeasure
-from smk.matrices import localizing_block, moment_matrix, overlap_moment_matrix
+from smk.matrices import LabeledSymMatrix, block_diagonal, gather, localizing_operator, moment_matrix
+
+
+def localizing_matrix(y_sub, g, d) -> LabeledSymMatrix:
+    """Localizing matrix of ``g`` at order ``d``: entry (alpha, beta) is
+    sum_gamma g_gamma * y[alpha + beta + gamma], over labels of degree
+    <= d - d_half. A moment it needs but the subvector lacks raises
+    :class:`IndexOutOfPattern`, as in ``moment_matrix``."""
+    block = localizing_operator(y_sub.clique, y_sub.omega, g, d)
+    needed = set(block[2].tolist())
+    missing = [p for p in y_sub.absent.tolist() if p in needed]
+    if missing:
+        raise IndexOutOfPattern(local_exponents(len(y_sub.clique), 2 * y_sub.omega)[missing[0]])
+    return LabeledSymMatrix(y_sub.clique, block[0], gather(block, y_sub.moments[None])[0])
+
+
+def localizing_block(y_sub, g_vec, d) -> LabeledSymMatrix:
+    """Block-diagonal localizing matrix, one block per constraint in order.
+
+    An empty constraint list gives the 0x0 matrix (PSD by convention).
+    Labels are (constraint_position, local_exponent) pairs.
+    """
+    blocks = [localizing_matrix(y_sub, g, d) for g in g_vec]
+    labels = tuple((pos, lab) for pos, blk in enumerate(blocks, start=1) for lab in blk.labels)
+    data = block_diagonal([blk.data for blk in blocks], 1)[0]
+    return LabeledSymMatrix(y_sub.clique, labels, data)
+
+
+def overlap_moment_matrix(y, i, j, d) -> LabeledSymMatrix:
+    """Moment matrix of order ``d`` on the variables shared by cliques i and j.
+
+    A disjoint pair shares only the constant monomial, giving the 1x1 matrix
+    holding the total mass.
+    """
+    shared = tuple(sorted(set(y.cover.clique(i)) & set(y.cover.clique(j))))
+    return moment_matrix(subvector_on(y, shared), d)
 
 
 def rank_and_gap(data, policy):

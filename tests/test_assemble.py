@@ -14,7 +14,7 @@ from smk.assemble import (
     verify_global,
 )
 from smk.certify import RankPolicy, certify
-from smk.core import CliqueCover, Projection, SparseMomentVector, monomial_matrix
+from smk.core import CliqueCover, SparseMomentVector, monomial_matrix
 from smk.errors import FinalMarginalCheckFailed, MarginalMismatch
 from smk.extract import AtomicMeasure, extract_clique_measures, lex_order_rows
 from smk.rip import RipWitnesses, check_rip
@@ -129,7 +129,7 @@ def product_chain_measures(rng, n):
     p = rng.uniform(0.3, 0.7, n)
     mu = AtomicMeasure(tuple(range(1, n + 1)), atoms, np.prod(np.where(bits == 1, p, 1 - p), axis=1))
     cover = CliqueCover(n, tuple((t, t + 1) for t in range(1, n)))
-    return [pushforward(mu, Projection(mu.variables, c)) for c in cover.cliques], cover
+    return [pushforward(mu, c) for c in cover.cliques], cover
 
 
 def support_reference(clique_measures, cover, tol=1e-6):
@@ -165,7 +165,7 @@ def long_chain_measures(rng, m, num_atoms=3):
     atoms[1, : n // 2] = atoms[0, : n // 2]  # marginals with fewer points than atoms
     mu = AtomicMeasure(tuple(range(1, n + 1)), atoms, rng.uniform(0.5, 1.0, num_atoms))
     cover = CliqueCover(n, tuple((s, s + 1, s + 2) for s in range(1, n - 1, 2)))
-    return [pushforward(mu, Projection(mu.variables, c)) for c in cover.cliques], cover
+    return [pushforward(mu, c) for c in cover.cliques], cover
 
 
 def triangle_measures():
@@ -179,27 +179,39 @@ def triangle_measures():
 class TestPushforward:
     def test_diagonal_pair(self):
         mu = AtomicMeasure((1, 2), [[1, 1], [-1, -1]], [0.5, 0.5])
-        out = pushforward(mu, Projection((1, 2), (2,)))
+        out = pushforward(mu, (2,))
         assert measures_close(out, AtomicMeasure((2,), [[1.0], [-1.0]], [0.5, 0.5]))
 
     def test_atoms_merge(self):
         mu = chain_pair_measures()[0]
-        out = pushforward(mu, Projection((1, 2), (2,)))
+        out = pushforward(mu, (2,))
         assert out.num_atoms == 1
         assert out.atoms[0, 0] == 0.0
         assert out.weights[0] == pytest.approx(1.0)
 
     def test_identity(self):
         mu = chain_pair_measures()[0]
-        out = pushforward(mu, Projection((1, 2), (1, 2)))
+        out = pushforward(mu, (1, 2))
         assert measures_close(out, mu)
 
     def test_empty_target(self):
         mu = chain_pair_measures()[0]
-        out = pushforward(mu, Projection((1, 2), ()))
+        out = pushforward(mu, ())
         assert out.num_atoms == 1
         assert out.mass == pytest.approx(1.0)
 
+    def test_target_order_kept(self):
+        mu = AtomicMeasure((1, 2), [[1.0, 2.0], [-1.0, 3.0]], [0.25, 0.75])
+        out = pushforward(mu, [2, 1])
+        assert out.variables == (2, 1)
+        assert np.array_equal(out.atoms, mu.atoms[:, ::-1])
+
+    def test_target_outside_measure(self):
+        mu = chain_pair_measures()[0]
+        with pytest.raises(ValueError, match=r"target \(3,\) is not a subset"):
+            pushforward(mu, (3,))
+        with pytest.raises(ValueError):
+            pushforward(mu, (2, 3))
 
     def test_weights_equal_per_cluster_sums(self, rng):
         # clusters of 1 to 512 atoms, several sizes in one stack; each weight
@@ -209,7 +221,7 @@ class TestPushforward:
         skewed = AtomicMeasure(mu.variables, np.round(mu.atoms * rng.integers(1, 4, mu.atoms.shape)), mu.weights)
         for measure in (mu, skewed):
             for target in ((1,), (1, 2), (3, 7, 9), (2, 4, 6, 8, 10)):
-                got = pushforward(measure, Projection(measure.variables, target))
+                got = pushforward(measure, target)
                 ref = pushforward_reference(measure, target, RankPolicy())
                 assert got.atoms.tobytes() == ref.atoms.tobytes()
                 assert got.weights.tobytes() == ref.weights.tobytes()
@@ -222,7 +234,7 @@ class TestMeasuresClose:
         t = RankPolicy().tol()
         a = AtomicMeasure((1,), [[-0.9 * t], [0.9 * t]], [0.5, 0.5])
         b = AtomicMeasure((1,), [[0.0], [5.0]], [0.5, 0.5])
-        assert pushforward(a, Projection((1,), (1,))).num_atoms == 2
+        assert pushforward(a, (1,)).num_atoms == 2
         assert not measures_close(a, b) and not measures_close_reference(a, b, RankPolicy())
         assert measures_close(a, a) and measures_close(b, b)
 
@@ -366,7 +378,7 @@ class TestAssemble:
         atoms = rng.choice([-1.0, 1.0], (3, 5)) * rng.uniform(0.4, 1.6, (3, 5))
         mu = AtomicMeasure((1, 2, 3, 4, 5), atoms, rng.uniform(0.2, 1.0, 3))
         cliques = ((1, 2), (3, 4, 5), (2, 3, 4), (1, 5))
-        measures = [pushforward(mu, Projection(mu.variables, c)) for c in cliques]
+        measures = [pushforward(mu, c) for c in cliques]
         forced = RipWitnesses((1, 2, 3, 4), {i: frozenset({1}) for i in (2, 3, 4)})
         chosen = {2: 1, 3: 1, 4: 1}
         expected = outcome(assemble_reference, measures, forced, RankPolicy(), chosen)
@@ -399,7 +411,7 @@ class TestAssemble:
         wit = check_rip(CliqueCover(4, ((1, 2), (2, 3), (3, 4))))
         mu = assemble(measures, wit)
         for mu_i in measures:
-            marg = pushforward(mu, Projection(mu.variables, mu_i.variables))
+            marg = pushforward(mu, mu_i.variables)
             assert measures_close(marg, mu_i)
 
     def test_atom_set_invariant_across_valid_orders(self):
@@ -420,9 +432,8 @@ class TestAssemble:
             cover, atoms, weights, y = random_flat_instance(seed + 40)
             measures = []
             for i in range(1, cover.m + 1):
-                proj = Projection(tuple(range(1, cover.n + 1)), cover.clique(i))
                 measures.append(
-                    pushforward(AtomicMeasure(tuple(range(1, cover.n + 1)), atoms, weights), proj)
+                    pushforward(AtomicMeasure(tuple(range(1, cover.n + 1)), atoms, weights), cover.clique(i))
                 )
             wit = check_rip(cover)
             mu = assemble(measures, wit)

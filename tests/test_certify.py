@@ -9,17 +9,17 @@ from smk.certify import (
     certify,
     _ranks_and_gaps,
     d_half,
-    psd_check,
     zero_propagation_check,
 )
-from smk.core import CliqueCover, SparseMomentVector, clique_subvector, support
+from smk.core import CliqueCover, SparseMomentVector, clique_subvector
 from smk.errors import NonFiniteMoment, SmkError, ZeroVector
-from smk.matrices import ConstraintPolynomial, LabeledSymMatrix, moment_matrix, overlap_moment_matrix
+from smk.matrices import ConstraintPolynomial, LabeledSymMatrix, moment_matrix
 from smk.rip import check_rip
 from smk import demo, io
 
 import per_clique
 from conftest import random_flat_instance
+from per_clique import eig_range, overlap_moment_matrix, psd
 
 
 def labeled(data, variables=(1,)):
@@ -66,17 +66,6 @@ class TestNumericalRank:
         M = labeled([[1.0, 0.0], [0.0, 1e-5]])
         assert rank(M, RankPolicy()) == 2
         assert rank(M, RankPolicy(round_decimals=4)) == 1
-
-
-class TestPsdCheck:
-    def test_chain_pair_moment(self, y_pair):
-        assert psd_check(moment_matrix(clique_subvector(y_pair, 1), 2))
-
-    def test_indefinite(self):
-        assert not psd_check(labeled([[1.0, 0.0], [0.0, -1.0]]))
-
-    def test_empty(self):
-        assert psd_check(LabeledSymMatrix((1,), (), np.zeros((0, 0))))
 
 
 def test_d_half():
@@ -198,7 +187,7 @@ class TestZeroPropagation:
     def test_inconsistent(self, y_pair):
         # zero out everything supported on clique 1 (keeps pure-x3 entries)
         entries = {
-            a: (0.0 if set(support(a)) <= {1, 2} else v) for a, v in y_pair.entries.items()
+            a: (0.0 if not any(a[2:]) else v) for a, v in y_pair.entries.items()
         }
         y = SparseMomentVector(y_pair.cover, 2, entries)
         assert zero_propagation_check(y) is ZeroPropagation.INCONSISTENT
@@ -212,7 +201,7 @@ class TestZeroMassBoundary:
         cover = CliqueCover(2, ((1, 2),))
         zero = SparseMomentVector.build(cover, 2, {}, allow_missing_as_zero=True)
         M = moment_matrix(clique_subvector(zero, 1), 2)
-        assert psd_check(M)
+        assert psd(*eig_range(M.data, RankPolicy()), RankPolicy())
         assert rank(M) == rank(moment_matrix(clique_subvector(zero, 1), 1))
         assert clique_subvector(zero, 1).max_abs() == 0.0
 
@@ -224,7 +213,8 @@ class TestZeroMassBoundary:
             cover, 2, {a: plus.entries[a] - minus.entries[a] for a in plus.entries}
         )
         assert abs(signed.mass) < 1e-15
-        assert not psd_check(moment_matrix(clique_subvector(signed, 1), 2))
+        M = moment_matrix(clique_subvector(signed, 1), 2)
+        assert not psd(*eig_range(M.data, RankPolicy()), RankPolicy())
 
 
 class TestShapeErrors:

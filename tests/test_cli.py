@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from smk import demo, io
+from smk import cli, demo, io
 from smk.cli import run
 
 
@@ -186,6 +186,72 @@ def test_malformed_moment_structure_exit_one(capsys, tmp_path, edit, detail):
     code, report = run_json(capsys, ["certify", "--input", str(path)])
     assert code == 1
     assert (report["error"], report["detail"]) == ("MalformedInput", detail)
+
+
+@pytest.mark.parametrize(
+    "command", [["relax", "--omega", "3"], ["solve", "--omega", "3"], ["pipeline", "--omega", "3"]]
+)
+@pytest.mark.parametrize(
+    "edit, detail",
+    [
+        (lambda doc: doc["objectives"][2].update(clique=0), "objective 2: clique 0 is not in 1..3"),
+        (lambda doc: doc["constraints"][0].pop("clique"), 'constraint 0: no "clique"'),
+        (lambda doc: doc["objectives"][0]["terms"][0].pop("coef"), 'objective 0: term 0: no "coef"'),
+    ],
+)
+def test_malformed_problem_exit_one(capsys, tmp_path, command, edit, detail):
+    doc = io.pop_to_dict(demo.chain_triple_pop())
+    edit(doc)
+    path = tmp_path / "bad_pop.json"
+    path.write_text(json.dumps(doc, indent=2))
+    code, report = run_json(capsys, [*command, "--pop", str(path)])
+    assert code == 1
+    assert (report["error"], report["detail"]) == ("MalformedInput", detail)
+
+
+def test_altmeasure_loads_moments_once(files, capsys, monkeypatch):
+    calls = []
+    load = io.load_moment_vector
+    monkeypatch.setattr(io, "load_moment_vector", lambda *a, **k: calls.append(a) or load(*a, **k))
+    code, report = run_json(capsys, ["altmeasure", "--input", files["pair"], "--cost", "random:2"])
+    assert code == 0 and report["weights"]
+    assert len(calls) == 1
+
+
+def test_pipeline_reads_solution_file_once(files, capsys, monkeypatch):
+    opened = []
+    real_open = open
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(str(path))
+        return real_open(path, *args, **kwargs)
+
+    # ``Path.read_text`` opens through ``io.open``, the builtin under another name
+    monkeypatch.setattr("builtins.open", counting_open)
+    monkeypatch.setattr("io.open", counting_open)
+    code, report = run_json(
+        capsys,
+        ["pipeline", "--pop", files["triple_pop"], "--omega", "3", "--solution", files["triple_y"], "--round", "4"],
+    )
+    assert code == 0 and len(report["minimizers"]) == 8
+    assert opened.count(files["triple_y"]) == 1
+
+
+def test_rip_checks_an_ordered_cover_once(files, capsys, monkeypatch):
+    covers = []
+    check = cli.check_rip
+    monkeypatch.setattr(cli, "check_rip", lambda cover: covers.append(cover) or check(cover))
+    code, report = run_json(capsys, ["rip", "--input", files["pair"]])
+    assert code == 0 and report["reordered"] is False
+    assert report["witnesses"] == {"2": [1]}
+    assert len(covers) == 1
+
+
+def test_measure_output_is_the_reported_measure(files, capsys, tmp_path):
+    out = tmp_path / "mu.json"
+    code, report = run_json(capsys, ["extract-assemble", "--input", files["pair"], "--measure-output", str(out)])
+    assert code == 0
+    assert out.read_text() == json.dumps(report["measure"], indent=2) + "\n"
 
 
 def test_relax_emits_sdpa(files, capsys, tmp_path):

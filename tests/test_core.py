@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from smk.core import (
     CliqueCover,
     IndexMap,
-    Projection,
     SparseMomentVector,
     clique_subvector,
     grlex_key,
@@ -171,14 +170,12 @@ def test_local_exponents_zero_vars():
 
 
 def test_lift_restrict_inverse():
-    from smk.core import support
-
     clique = (2, 4)
     for loc in local_exponents(2, 3):
         alpha = lift(loc, clique, 5)
         assert tuple(alpha[var - 1] for var in clique) == loc
         assert sum(alpha) == sum(loc)
-        assert set(support(alpha)) <= set(clique)
+        assert {k + 1 for k, a in enumerate(alpha) if a > 0} <= set(clique)
 
 
 @pytest.fixture
@@ -335,31 +332,6 @@ class TestCliqueSubvector:
             sub = clique_subvector(y_triangle, i)
             for loc, v in sub.values.items():
                 assert y_triangle.entries[lift(loc, clique, 3)] == v
-
-
-class TestProjection:
-    def test_selects_coordinates(self):
-        p = Projection((1, 2, 3), (2,))
-        assert p.positions == (1,)
-
-    def test_identity(self):
-        assert Projection((2, 3), (2, 3)).positions == (0, 1)
-
-    def test_pair(self):
-        assert Projection((2, 3), (3, 2)).positions == (1, 0)
-
-    def test_target_not_subset(self):
-        with pytest.raises(ValueError):
-            Projection((1, 2), (3,))
-
-    def test_composition(self, rng):
-        source = (1, 3, 4, 6)
-        mid = (3, 6)
-        target = (6,)
-        x = rng.standard_normal(4)
-        direct = x[list(Projection(source, target).positions)]
-        threaded = x[list(Projection(source, mid).positions)][list(Projection(mid, target).positions)]
-        assert np.array_equal(direct, threaded)
 
 
 class TestValidateCover:

@@ -87,7 +87,8 @@ def read_entry_by_entry(text: str, allow_missing_as_zero: bool = False) -> Spars
     """The reference reader: ``json`` for the whole text, then every alpha
     as a tuple through ``SparseMomentVector.build``; text ``json`` refuses,
     a missing field, a value ``float`` refuses, an integer field ``int``
-    refuses and an omega below 1 are :class:`MalformedInput`."""
+    refuses, a list field ``tuple`` refuses, cliques that are not lists of
+    integers and an omega below 1 are :class:`MalformedInput`."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -104,11 +105,20 @@ def read_entry_by_entry(text: str, allow_missing_as_zero: bool = False) -> Spars
         except (TypeError, ValueError, OverflowError):
             raise MalformedInput(f"{key} {obj[key]!r} is not an integer") from None
 
+    def sequence(obj, key, where=""):
+        try:
+            return tuple(field(obj, key, where))
+        except TypeError:
+            raise MalformedInput(f"{where}{key} {obj[key]!r} is not a list") from None
+
     n = integer(data, "n")
-    cliques = tuple(tuple(int(v) for v in c) for c in field(data, "cliques"))
+    try:
+        cliques = tuple(tuple(int(v) for v in c) for c in field(data, "cliques"))
+    except (TypeError, ValueError):
+        raise MalformedInput(f"cliques {data['cliques']!r} is not a list of lists of integers") from None
     pairs = [
-        (tuple(field(item, "alpha", f"entry {k}: ")), field(item, "value", f"entry {k}: "))
-        for k, item in enumerate(field(data, "entries"))
+        (sequence(item, "alpha", f"entry {k}: "), field(item, "value", f"entry {k}: "))
+        for k, item in enumerate(sequence(data, "entries"))
     ]
     for k, (_, value) in enumerate(pairs):
         try:
@@ -338,6 +348,13 @@ class TestMomentReader:
             (lambda doc: doc.update(omega="two"), "omega 'two' is not an integer"),
             (lambda doc: doc.update(n="three"), "n 'three' is not an integer"),
             (lambda doc: doc.update(omega=float("inf")), "omega inf is not an integer"),
+            (lambda doc: doc.update(cliques=5), "cliques 5 is not a list of lists of integers"),
+            (lambda doc: doc["cliques"][1].__setitem__(0, "x"),
+             "cliques [[1, 2], ['x', 3]] is not a list of lists of integers"),
+            (lambda doc: doc["cliques"].__setitem__(0, 1), "cliques [1, [2, 3]] is not a list of lists of integers"),
+            (lambda doc: doc.update(entries=5), "entries 5 is not a list"),
+            (lambda doc: doc["entries"][2].update(alpha=5), "entry 2: alpha 5 is not a list"),
+            (lambda doc: doc["entries"][2].update(alpha=None), "entry 2: alpha None is not a list"),
         ],
     )
     def test_malformed_structure_names_its_field(self, tmp_path, layout, edit, message):
@@ -400,3 +417,78 @@ def test_pop_round_trip(tmp_path):
         for a, b in zip(gs_a, gs_b):
             assert a.variables == b.variables
             assert a.coefficients == b.coefficients
+
+
+def test_pop_clique_zero_is_not_the_last_clique():
+    # a 0 read as a Python index would load the terms onto clique 3
+    for key in ("objectives", "constraints"):
+        doc = io.pop_to_dict(demo.chain_triple_pop())
+        doc[key][-1]["clique"] = 0
+        with pytest.raises(MalformedInput, match=rf"^{key[:-1]} \d+: clique 0 is not in 1\.\.3$"):
+            io.load_pop(doc)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc["objectives"][0].pop("clique"), 'objective 0: no "clique"'),
+        (lambda doc: doc["constraints"][1].pop("clique"), 'constraint 1: no "clique"'),
+        (lambda doc: doc["objectives"][1].update(clique=9), "objective 1: clique 9 is not in 1..3"),
+        (lambda doc: doc["constraints"][0].update(clique=-1), "constraint 0: clique -1 is not in 1..3"),
+        (lambda doc: doc["objectives"][0].update(clique="one"), "objective 0: clique 'one' is not an integer"),
+        (lambda doc: doc["objectives"][2].pop("terms"), 'objective 2: no "terms"'),
+        (lambda doc: doc["objectives"][0]["terms"][1].pop("coef"), 'objective 0: term 1: no "coef"'),
+        (lambda doc: doc["constraints"][0]["terms"][2].pop("alpha_local"),
+         'constraint 0: term 2: no "alpha_local"'),
+        (lambda doc: doc["objectives"][0]["terms"][0].update(coef=None),
+         "objective 0: term 0: coef None is not a number"),
+        (lambda doc: doc["objectives"][0]["terms"][0].update(alpha_local=4),
+         "objective 0: term 0: alpha_local 4 is not a list"),
+        (lambda doc: doc["objectives"][0]["terms"][0].update(alpha_local=[4]),
+         "objective 0: term 0: alpha_local [4] is not 2 integers"),
+        (lambda doc: doc["constraints"][0]["terms"][0].update(alpha_local=["x", 0]),
+         "constraint 0: term 0: alpha_local ['x', 0] is not 2 integers"),
+        (lambda doc: doc.update(objectives=5), "objectives 5 is not a list"),
+        (lambda doc: doc.update(cliques=[[1, 2], "x"]), "cliques [[1, 2], 'x'] is not a list of lists of integers"),
+        (lambda doc: doc.pop("n"), 'no "n"'),
+    ],
+)
+def test_malformed_problem_names_its_field(tmp_path, edit, message):
+    doc = io.pop_to_dict(demo.chain_triple_pop())
+    edit(doc)
+    path = tmp_path / "pop.json"
+    path.write_text(json.dumps(doc, indent=2))
+    for source in (doc, path):
+        with pytest.raises(MalformedInput) as got:
+            io.load_pop(source)
+        assert str(got.value) == message
+
+
+def test_problem_without_objectives_or_constraints_loads():
+    pop = io.load_pop({"n": 2, "cliques": [[1, 2]]})
+    assert pop.objectives == ({},) and pop.constraints == ((),)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc.pop("atoms"), 'no "atoms"'),
+        (lambda doc: doc.pop("weights"), 'no "weights"'),
+        (lambda doc: doc.update(atoms=[[1.0, -1.0]]), "not a measure: "),
+        (lambda doc: doc.update(variables=["x", 3]), "not a measure: "),
+        (lambda doc: doc.update(weights=[0.25, "x"]), "not a measure: "),
+    ],
+)
+def test_malformed_measure_names_its_field(edit, message):
+    doc = io.measure_to_dict(AtomicMeasure((1, 3), [[1.0, -1.0], [0.5, 2.0]], [0.25, 0.75]))
+    edit(doc)
+    with pytest.raises(MalformedInput, match="^" + re.escape(message)):
+        io.load_measure(doc)
+
+
+@pytest.mark.parametrize("load", [io.load_pop, io.load_measure])
+def test_problem_and_measure_text_json_refuses(tmp_path, load):
+    path = tmp_path / "doc.json"
+    path.write_text('{"n": 2, "cliques": [[1, 2]')
+    with pytest.raises(MalformedInput, match="^not valid JSON: "):
+        load(path)

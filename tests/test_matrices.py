@@ -4,15 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from smk.core import CliqueCover, CliqueSubvector, SparseMomentVector, clique_subvector, local_exponents, subvector_on
 from smk.errors import IndexOutOfPattern, OrderTooHigh
-from smk.matrices import (
-    ConstraintPolynomial,
-    block_operator,
-    localizing_block,
-    localizing_matrix,
-    moment_matrix,
-    overlap_moment_matrix,
-)
+from smk.matrices import ConstraintPolynomial, block_operator, moment_matrix
 from smk import demo
+
+from per_clique import localizing_block, localizing_matrix, overlap_moment_matrix
 
 from conftest import (
     CHAIN_PAIR_M1,
