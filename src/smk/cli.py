@@ -256,7 +256,7 @@ def _run_pipeline(args, report):
         if text.lstrip().startswith("{"):
             solution = io._moments_from_text(text, args.allow_missing_as_zero)
         else:
-            solution = [float(t) for t in text.split()]
+            solution = io._floats(text.split())
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = pipeline(

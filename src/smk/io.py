@@ -37,12 +37,30 @@ def _dump(obj: dict, target=None) -> str:
     return text
 
 
-_KINDS = {int: "an integer", float: "a number", tuple: "a list"}
+def _integer(value) -> int:
+    """``value`` as an int if it is a number with an integral value; a bool,
+    a string or a fraction raises ``ValueError``."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(value)
+
+
+def _list(value) -> tuple:
+    """``value`` as a tuple if it is a sequence; a string, a mapping or a
+    scalar raises ``TypeError``."""
+    if isinstance(value, (str, bytes, Mapping)):
+        raise TypeError(value)
+    return tuple(value)
+
+
+_KINDS = {_integer: "an integer", float: "a number", _list: "a list"}
 
 
 def _field(data, key: str, where: str = "", kind=None):
-    """``data[key]``, converted by ``kind`` (``int``, ``float`` or ``tuple``)
-    if given; a missing key, or a value ``kind`` refuses, raises
+    """``data[key]``, converted by ``kind`` (``_integer``, ``float`` or
+    ``_list``) if given; a missing key, or a value ``kind`` refuses, raises
     :class:`MalformedInput` naming the field."""
     if not isinstance(data, Mapping) or key not in data:
         raise MalformedInput(f'{where}no "{key}"')
@@ -53,11 +71,12 @@ def _field(data, key: str, where: str = "", kind=None):
 
 
 def cover_from_dict(data: Mapping) -> CliqueCover:
-    n = _field(data, "n", kind=int)
+    n = _field(data, "n", kind=_integer)
+    cliques = _field(data, "cliques")
     try:
-        return CliqueCover(n, tuple(tuple(int(v) for v in c) for c in _field(data, "cliques")))
+        return CliqueCover(n, tuple(tuple(map(_integer, _list(c))) for c in _list(cliques)))
     except (TypeError, ValueError, OverflowError):
-        raise MalformedInput(f"cliques {data['cliques']!r} is not a list of lists of integers") from None
+        raise MalformedInput(f"cliques {cliques!r} is not a list of lists of integers") from None
 
 
 def load_moment_vector(source, allow_missing_as_zero: bool = False) -> SparseMomentVector:
@@ -87,10 +106,10 @@ def _moments_from_text(text: str, allow_missing_as_zero: bool) -> SparseMomentVe
 
 def _moments_from_dict(data, allow_missing_as_zero: bool) -> SparseMomentVector:
     cover = cover_from_dict(data)
-    pairs = [(_field(e, "alpha", f"entry {k}: ", tuple), _field(e, "value", f"entry {k}: "))
-             for k, e in enumerate(_field(data, "entries", kind=tuple))]
+    pairs = [(_field(e, "alpha", f"entry {k}: ", _list), _field(e, "value", f"entry {k}: "))
+             for k, e in enumerate(_field(data, "entries", kind=_list))]
     pairs = zip([a for a, _ in pairs], _floats(v for _, v in pairs))
-    omega = _field(data, "omega", kind=int)
+    omega = _field(data, "omega", kind=_integer)
     if omega < 1:
         raise MalformedInput(f"omega {omega} is not >= 1")
     return SparseMomentVector.build(
@@ -130,7 +149,7 @@ def _read_table(text: str, allow_missing_as_zero: bool) -> SparseMomentVector | 
     ends = [text.find("]", s) for s in starts]
     try:
         data = json.loads("".join(text[e:s] for e, s in zip([0, *ends], [*starts, len(text)])))
-        entries, cover, omega = data["entries"], cover_from_dict(data), int(data["omega"])
+        entries, cover, omega = data["entries"], cover_from_dict(data), _integer(data["omega"])
     except (KeyError, TypeError, ValueError, OverflowError, MalformedInput):
         return None
     n = cover.n
@@ -182,12 +201,15 @@ def save_moment_vector(y: SparseMomentVector, target=None) -> str:
 
 
 def load_measure(source) -> AtomicMeasure:
-    """Read ``{"variables", "atoms", "weights"}``, one atom per weight."""
+    """Read ``{"variables", "atoms", "weights"}``, one atom per weight; a
+    non-finite (or null) atom coordinate or weight raises :class:`MalformedInput`."""
     data = _load(source)
     try:
-        variables = tuple(int(v) for v in _field(data, "variables"))
+        variables = tuple(map(_integer, _list(_field(data, "variables"))))
         weights = np.asarray(_field(data, "weights"), dtype=float)
         atoms = np.asarray(_field(data, "atoms"), dtype=float).reshape(len(weights), len(variables))
+        if not (np.isfinite(atoms).all() and np.isfinite(weights).all()):
+            raise MalformedInput("not a measure: an atom coordinate or weight is not finite")
         return AtomicMeasure(variables, atoms, weights)
     except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedInput(f"not a measure: {exc}") from None
@@ -225,21 +247,21 @@ def load_pop(source) -> PopProblem:
 
 def _by_clique(data: Mapping, key: str, cover: CliqueCover):
     """Clique number, place and terms of each item of the list ``data[key]``."""
-    for k, item in enumerate(_field(data, key, kind=tuple) if key in data else ()):
+    for k, item in enumerate(_field(data, key, kind=_list) if key in data else ()):
         where = f"{key[:-1]} {k}: "
-        i = _field(item, "clique", where, kind=int)
+        i = _field(item, "clique", where, kind=_integer)
         if not 1 <= i <= cover.m:
             raise MalformedInput(f"{where}clique {i} is not in 1..{cover.m}")
-        yield i, where, _field(item, "terms", where, kind=tuple)
+        yield i, where, _field(item, "terms", where, kind=_list)
 
 
 def _add_terms(coefficients: dict, terms, width: int, where: str) -> dict:
     """Add each ``{"coef", "alpha_local"}`` term into ``coefficients``."""
     for t, term in enumerate(terms):
         at = f"{where}term {t}: "
-        alpha = _field(term, "alpha_local", at, kind=tuple)
+        alpha = _field(term, "alpha_local", at, kind=_list)
         try:
-            alpha = tuple(int(a) for a in alpha)
+            alpha = tuple(map(_integer, alpha))
         except (TypeError, ValueError, OverflowError):
             alpha = None
         if alpha is None or len(alpha) != width:

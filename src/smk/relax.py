@@ -380,6 +380,9 @@ class SolveReport:
     converged: bool
 
 
+ANDERSON_MEMORY = 20  # differences kept for the mixing weights; 5 and 10 need more sweeps
+
+
 def solve_sdp_bundled(
     instance: SdpInstance, max_iters: int = 20000, tol: float = 1e-7
 ) -> SolveReport:
@@ -392,6 +395,13 @@ def solve_sdp_bundled(
     (c) the dual update. Convergence is not guaranteed; the report flags it.
     The normal matrix of the least-squares step is sparse and factored once;
     the projection runs one batched eigendecomposition per block size.
+
+    The sweep is a fixed-point map T on the state x = (free moments, U),
+    sped up by type-II Anderson acceleration (Walker & Ni 2011): least-squares
+    weights on the last :data:`ANDERSON_MEMORY` differences of the residual
+    T(x) - x mix the stored values of T. An accelerated point whose residual
+    exceeds that of the point it came from is refused for the plain iterate
+    T(x); a refusal and every change of ``rho`` clear the memory.
     """
     nfree = instance.num_vars - 1
     A = instance.operator[:, 1:]
@@ -402,38 +412,62 @@ def solve_sdp_bundled(
     f_free = instance.objective[1:]
     scale = max(1.0, float(np.abs(instance.objective).max()))
 
-    yfree = np.zeros(nfree)
+    x = np.zeros(nfree + A.shape[0])  # the state: free moments, then U
     X = np.zeros(A.shape[0])
-    U = np.zeros(A.shape[0])
+    yfree = x[:nfree]
+    dG = np.zeros((ANDERSON_MEMORY, x.size))  # ring buffers of residual and T differences
+    dT = np.zeros_like(dG)
+    count, last = 0, None  # differences stored; (residual, T) at the last kept point
+    trial = None  # (residual to beat, plain iterate) while an accelerated point is on trial
+    accepted = refused = 0
     rho = 1.0
     primal = dual = np.inf
     it = 0
     for it in range(1, max_iters + 1):
-        Xnew = project_psd(A @ yfree + const + U, groups)
+        U = x[nfree:]
+        Xnew = project_psd(A @ x[:nfree] + const + U, groups)
         step = Xnew - X
         X = Xnew
         yfree = lu.solve(-f_free / rho + AT @ (X - U - const))
         resid = A @ yfree + const - X
-        U += resid
         primal = float(np.sqrt(resid @ resid))
         dual = float(rho * np.sqrt(step @ step))
         if primal <= tol * scale and dual <= tol * scale:
             break
-        if it % 100 == 0:
-            if primal > 10 * dual and rho < 1e6:
-                rho *= 2.0
-                U /= 2.0
-            elif dual > 10 * primal and rho > 1e-6:
-                rho /= 2.0
-                U *= 2.0
+        Tx = np.concatenate([yfree, U + resid])
+        g = Tx - x
+        gnorm = float(np.sqrt(g @ g))
+        if trial is not None and gnorm > trial[0]:
+            refused += 1
+            x, count, last = trial[1], 0, None
+        else:
+            accepted += trial is not None
+            if last is not None:
+                dG[count % ANDERSON_MEMORY], dT[count % ANDERSON_MEMORY] = g - last[0], Tx - last[1]
+                count += 1
+            x, last = Tx, (g, Tx)
+        trial = None
+        if it % 100 == 0 and primal > 10 * dual and rho < 1e6:
+            rho *= 2.0
+            x[nfree:] /= 2.0
+            count, last = 0, None
+        elif it % 100 == 0 and dual > 10 * primal and rho > 1e-6:
+            rho /= 2.0
+            x[nfree:] *= 2.0
+            count, last = 0, None
+        elif count:
+            k = min(count, ANDERSON_MEMORY)
+            gamma = np.linalg.lstsq(dG[:k] @ dG[:k].T, dG[:k] @ g, rcond=None)[0]
+            trial, x = (gnorm, x), x - gamma @ dT[:k]
 
     values = np.concatenate([[1.0], yfree])
     y = instance.moment_vector(values)
     min_eig = float(instance.block_eig_range(values)[0].min(initial=0.0))
     converged = primal <= tol * scale and dual <= tol * scale
     log.info(
-        "bundled solve: %d iterations, primal %.2e, dual %.2e, converged=%s",
-        it, primal, dual, converged,
+        "bundled solve: %d iterations, primal %.2e, dual %.2e, converged=%s, "
+        "accelerated steps accepted %d, refused %d",
+        it, primal, dual, converged, accepted, refused,
     )
     return SolveReport(
         y=y,

@@ -110,6 +110,17 @@ def test_pipeline_primal_vector_file(files, capsys, tmp_path):
     assert len(report["minimizers"]) == 8
 
 
+def test_pipeline_primal_vector_bad_token_exit_one(files, capsys, tmp_path):
+    vec = tmp_path / "primal.txt"
+    vec.write_text("1.0 abc 2.0\n")
+    code, report = run_json(
+        capsys,
+        ["pipeline", "--pop", files["triple_pop"], "--omega", "3", "--solution", str(vec)],
+    )
+    assert code == 1
+    assert (report["error"], report["detail"]) == ("MalformedInput", "entry 1: value 'abc' is not a number")
+
+
 def test_pipeline_solution_on_reordered_cover(capsys, tmp_path):
     # the problem's clique order fails running intersection; the solution
     # file keeps that order while the pipeline solves a reordered relaxation

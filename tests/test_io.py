@@ -86,9 +86,9 @@ def dump(doc: dict, layout: str, seed: int = 0) -> str:
 def read_entry_by_entry(text: str, allow_missing_as_zero: bool = False) -> SparseMomentVector:
     """The reference reader: ``json`` for the whole text, then every alpha
     as a tuple through ``SparseMomentVector.build``; text ``json`` refuses,
-    a missing field, a value ``float`` refuses, an integer field ``int``
-    refuses, a list field ``tuple`` refuses, cliques that are not lists of
-    integers and an omega below 1 are :class:`MalformedInput`."""
+    a missing field, a value ``float`` refuses, an integer field that is no
+    integral number, a list field that is no list, cliques that are not
+    lists of integers and an omega below 1 are :class:`MalformedInput`."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -99,23 +99,24 @@ def read_entry_by_entry(text: str, allow_missing_as_zero: bool = False) -> Spars
             raise MalformedInput(f'{where}no "{key}"')
         return obj[key]
 
+    def is_integer(value):
+        return type(value) is int or type(value) is float and value.is_integer()
+
     def integer(obj, key):
-        try:
-            return int(field(obj, key))
-        except (TypeError, ValueError, OverflowError):
-            raise MalformedInput(f"{key} {obj[key]!r} is not an integer") from None
+        if not is_integer(field(obj, key)):
+            raise MalformedInput(f"{key} {obj[key]!r} is not an integer")
+        return int(obj[key])
 
     def sequence(obj, key, where=""):
-        try:
-            return tuple(field(obj, key, where))
-        except TypeError:
-            raise MalformedInput(f"{where}{key} {obj[key]!r} is not a list") from None
+        if not isinstance(field(obj, key, where), list):
+            raise MalformedInput(f"{where}{key} {obj[key]!r} is not a list")
+        return tuple(obj[key])
 
     n = integer(data, "n")
-    try:
-        cliques = tuple(tuple(int(v) for v in c) for c in field(data, "cliques"))
-    except (TypeError, ValueError):
-        raise MalformedInput(f"cliques {data['cliques']!r} is not a list of lists of integers") from None
+    cliques = field(data, "cliques")
+    if not (isinstance(cliques, list) and all(isinstance(c, list) and all(map(is_integer, c)) for c in cliques)):
+        raise MalformedInput(f"cliques {cliques!r} is not a list of lists of integers")
+    cliques = tuple(tuple(int(v) for v in c) for c in cliques)
     pairs = [
         (sequence(item, "alpha", f"entry {k}: "), field(item, "value", f"entry {k}: "))
         for k, item in enumerate(sequence(data, "entries"))
@@ -355,6 +356,15 @@ class TestMomentReader:
             (lambda doc: doc.update(entries=5), "entries 5 is not a list"),
             (lambda doc: doc["entries"][2].update(alpha=5), "entry 2: alpha 5 is not a list"),
             (lambda doc: doc["entries"][2].update(alpha=None), "entry 2: alpha None is not a list"),
+            (lambda doc: doc["entries"][2].update(alpha="001"), "entry 2: alpha '001' is not a list"),
+            (lambda doc: doc.update(entries="[]"), "entries '[]' is not a list"),
+            (lambda doc: doc.update(omega=2.7), "omega 2.7 is not an integer"),
+            (lambda doc: doc.update(omega=True), "omega True is not an integer"),
+            (lambda doc: doc.update(n=3.5), "n 3.5 is not an integer"),
+            (lambda doc: doc.update(cliques="12"), "cliques '12' is not a list of lists of integers"),
+            (lambda doc: doc["cliques"][1].__setitem__(0, 1.9),
+             "cliques [[1, 2], [1.9, 3]] is not a list of lists of integers"),
+            (lambda doc: doc["cliques"].__setitem__(0, "12"), "cliques ['12', [2, 3]] is not a list of lists of integers"),
         ],
     )
     def test_malformed_structure_names_its_field(self, tmp_path, layout, edit, message):
@@ -451,6 +461,14 @@ def test_pop_clique_zero_is_not_the_last_clique():
         (lambda doc: doc.update(objectives=5), "objectives 5 is not a list"),
         (lambda doc: doc.update(cliques=[[1, 2], "x"]), "cliques [[1, 2], 'x'] is not a list of lists of integers"),
         (lambda doc: doc.pop("n"), 'no "n"'),
+        (lambda doc: doc.update(n=4.5), "n 4.5 is not an integer"),
+        (lambda doc: doc["objectives"][0].update(clique=1.9), "objective 0: clique 1.9 is not an integer"),
+        (lambda doc: doc["constraints"][2].update(clique="1"), "constraint 2: clique '1' is not an integer"),
+        (lambda doc: doc.update(cliques="12"), "cliques '12' is not a list of lists of integers"),
+        (lambda doc: doc["objectives"][0]["terms"][0].update(alpha_local=[1.5, 0]),
+         "objective 0: term 0: alpha_local [1.5, 0] is not 2 integers"),
+        (lambda doc: doc.update(constraints="ab"), "constraints 'ab' is not a list"),
+        (lambda doc: doc["objectives"][1].update(terms="xy"), "objective 1: terms 'xy' is not a list"),
     ],
 )
 def test_malformed_problem_names_its_field(tmp_path, edit, message):
@@ -477,6 +495,12 @@ def test_problem_without_objectives_or_constraints_loads():
         (lambda doc: doc.update(atoms=[[1.0, -1.0]]), "not a measure: "),
         (lambda doc: doc.update(variables=["x", 3]), "not a measure: "),
         (lambda doc: doc.update(weights=[0.25, "x"]), "not a measure: "),
+        (lambda doc: doc.update(variables=[1.5, 3]), "not a measure: "),
+        (lambda doc: doc.update(variables="13"), "not a measure: "),
+        (lambda doc: doc["atoms"][1].__setitem__(0, None), "not a measure: an atom coordinate or weight is not finite"),
+        (lambda doc: doc["weights"].__setitem__(0, None), "not a measure: an atom coordinate or weight is not finite"),
+        (lambda doc: doc["atoms"][0].__setitem__(1, float("inf")),
+         "not a measure: an atom coordinate or weight is not finite"),
     ],
 )
 def test_malformed_measure_names_its_field(edit, message):

@@ -1,10 +1,13 @@
 import hashlib
+import logging
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import scipy.sparse
+import scipy.sparse.linalg
+from hypothesis import assume, given, settings, strategies as st
 
 from smk.certify import RankPolicy
 from smk.core import CliqueCover, IndexMap, SparseMomentVector, local_exponents, sparse_exponents
@@ -14,6 +17,7 @@ from smk.relax import (
     PopProblem,
     SdpBlock,
     SdpInstance,
+    SolveReport,
     build_relaxation,
     emit_sdpa,
     ingest_solution,
@@ -423,6 +427,81 @@ def project_psd_reference(blocks):
     return out
 
 
+def admm_reference(instance, max_iters: int = 20000, tol: float = 1e-7) -> SolveReport:
+    """The plain consensus ADMM sweep that :func:`solve_sdp_bundled`
+    accelerates: the same update order, stopping test and ``rho`` schedule,
+    each sweep's output taken as the next point."""
+    nfree = instance.num_vars - 1
+    A = instance.operator[:, 1:]
+    AT = A.T.tocsr()
+    const = instance.operator[:, 0].toarray().ravel()
+    groups = size_groups([blk.size for blk in instance.blocks])
+    lu = scipy.sparse.linalg.splu((AT @ A + 1e-12 * scipy.sparse.identity(nfree)).tocsc())
+    f_free = instance.objective[1:]
+    scale = max(1.0, float(np.abs(instance.objective).max()))
+
+    yfree = np.zeros(nfree)
+    X = np.zeros(A.shape[0])
+    U = np.zeros(A.shape[0])
+    rho = 1.0
+    primal = dual = np.inf
+    it = 0
+    for it in range(1, max_iters + 1):
+        Xnew = project_psd(A @ yfree + const + U, groups)
+        step = Xnew - X
+        X = Xnew
+        yfree = lu.solve(-f_free / rho + AT @ (X - U - const))
+        resid = A @ yfree + const - X
+        U += resid
+        primal = float(np.sqrt(resid @ resid))
+        dual = float(rho * np.sqrt(step @ step))
+        if primal <= tol * scale and dual <= tol * scale:
+            break
+        if it % 100 == 0:
+            if primal > 10 * dual and rho < 1e6:
+                rho *= 2.0
+                U /= 2.0
+            elif dual > 10 * primal and rho > 1e-6:
+                rho /= 2.0
+                U *= 2.0
+
+    values = np.concatenate([[1.0], yfree])
+    converged = primal <= tol * scale and dual <= tol * scale
+    return SolveReport(
+        y=instance.moment_vector(values),
+        objective=float(instance.objective @ values),
+        iterations=it,
+        primal_residual=primal,
+        dual_residual=dual,
+        min_block_eig=float(instance.block_eig_range(values)[0].min(initial=0.0)),
+        converged=converged,
+    )
+
+
+@st.composite
+def ball_pops(draw):
+    """A chain of 1-4 cliques of widths 1-3, each sharing one variable with
+    the next or none, with a ball constraint per clique and a random
+    objective of degree at most 2*omega: a feasible, bounded relaxation."""
+    omega = draw(st.integers(1, 2))
+    cliques, start = [], 1
+    for _ in range(draw(st.integers(1, 4))):
+        width = draw(st.integers(1, 3))
+        cliques.append(tuple(range(start, start + width)))
+        start += width - draw(st.integers(0, 1))
+    cover = CliqueCover(max(c[-1] for c in cliques), tuple(cliques))
+    coef = st.sampled_from([1.0, -1.0, 0.5, -2.0, 3.0])
+    objectives, constraints = [], []
+    for clique in cliques:
+        width = len(clique)
+        ball = {(0,) * width: float(width + 1)}
+        ball.update({tuple(2 * (s == t) for s in range(width)): -1.0 for t in range(width)})
+        objectives.append(draw(st.dictionaries(st.sampled_from(local_exponents(width, 2 * omega)), coef,
+                                               max_size=5)))
+        constraints.append((ConstraintPolynomial(clique, ball),))
+    return PopProblem(cover, tuple(objectives), tuple(constraints)), omega
+
+
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(sizes=st.lists(st.integers(0, 6), min_size=1, max_size=9), seed=st.integers(0, 2**32 - 1))
 def test_batched_projection_matches_per_block(sizes, seed):
@@ -454,9 +533,31 @@ def test_size_groups_cover_every_entry_once():
 class TestBundledSolver:
     @pytest.mark.parametrize("omega,iterations", [(2, 273), (3, 355), (4, 616)])
     def test_chain_triple_iteration_counts(self, omega, iterations):
-        rep = solve_sdp_bundled(build_relaxation(demo.chain_triple_pop(), omega))
+        # ``iterations`` is the plain sweep's count; acceleration at least halves it
+        inst = build_relaxation(demo.chain_triple_pop(), omega)
+        assert admm_reference(inst).iterations == iterations
+        rep = solve_sdp_bundled(inst)
         assert rep.converged
-        assert rep.iterations == iterations
+        assert rep.iterations == {2: 48, 3: 153, 4: 274}[omega]
+        assert 2 * rep.iterations <= iterations
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(ball_pops())
+    def test_accelerated_solve_matches_reference(self, case):
+        pop, omega = case
+        inst = build_relaxation(pop, omega)
+        ref = admm_reference(inst, max_iters=3000, tol=1e-8)
+        assume(ref.converged)
+        rep = solve_sdp_bundled(inst, tol=1e-8)
+        assert rep.converged
+        scale = max(1.0, float(np.abs(inst.objective).max()))
+        assert abs(rep.objective - ref.objective) <= 1e-6 * scale
+        assert rep.min_block_eig >= -1e-6
+
+    def test_log_counts_accelerated_steps(self, caplog):
+        with caplog.at_level(logging.INFO, logger="smk.relax"):
+            solve_sdp_bundled(build_relaxation(demo.chain_triple_pop(), 2))
+        assert caplog.messages[-1].endswith("accelerated steps accepted 39, refused 2")
 
     def test_long_chain_memory(self):
         # 100 width-3 cliques with a ball constraint each: nfree = 3004, so
