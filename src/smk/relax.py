@@ -396,12 +396,14 @@ def solve_sdp_bundled(
     The normal matrix of the least-squares step is sparse and factored once;
     the projection runs one batched eigendecomposition per block size.
 
-    The sweep is a fixed-point map T on the state x = (free moments, U),
+    The sweep is a fixed-point map T on the state x = (free moments y, U),
     sped up by type-II Anderson acceleration (Walker & Ni 2011): least-squares
     weights on the last :data:`ANDERSON_MEMORY` differences of the residual
-    T(x) - x mix the stored values of T. An accelerated point whose residual
-    exceeds that of the point it came from is refused for the plain iterate
-    T(x); a refusal and every change of ``rho`` clear the memory.
+    T(x) - x mix the stored values of T. The residual is measured as
+    (A dy, dU), the norm in which a plain sweep never increases it at a fixed
+    ``rho`` (He & Yuan 2015). An accelerated point whose residual exceeds that
+    of the point it came from is refused for the plain iterate T(x); a refusal
+    and every change of ``rho`` clear the memory.
     """
     nfree = instance.num_vars - 1
     A = instance.operator[:, 1:]
@@ -415,31 +417,33 @@ def solve_sdp_bundled(
     x = np.zeros(nfree + A.shape[0])  # the state: free moments, then U
     X = np.zeros(A.shape[0])
     yfree = x[:nfree]
-    dG = np.zeros((ANDERSON_MEMORY, x.size))  # ring buffers of residual and T differences
-    dT = np.zeros_like(dG)
+    dG = np.zeros((ANDERSON_MEMORY, 2 * A.shape[0]))  # ring buffers of residual and T differences
+    dT = np.zeros((ANDERSON_MEMORY, x.size))
     count, last = 0, None  # differences stored; (residual, T) at the last kept point
-    trial = None  # (residual to beat, plain iterate) while an accelerated point is on trial
+    trial = None  # (residual to beat, plain iterate, its X) while an accelerated point is on trial
     accepted = refused = 0
     rho = 1.0
     primal = dual = np.inf
     it = 0
     for it in range(1, max_iters + 1):
         U = x[nfree:]
-        Xnew = project_psd(A @ x[:nfree] + const + U, groups)
+        Ay = A @ x[:nfree]
+        Xnew = project_psd(Ay + const + U, groups)
         step = Xnew - X
         X = Xnew
         yfree = lu.solve(-f_free / rho + AT @ (X - U - const))
-        resid = A @ yfree + const - X
+        Aynew = A @ yfree
+        resid = Aynew + const - X
         primal = float(np.sqrt(resid @ resid))
         dual = float(rho * np.sqrt(step @ step))
         if primal <= tol * scale and dual <= tol * scale:
             break
         Tx = np.concatenate([yfree, U + resid])
-        g = Tx - x
+        g = np.concatenate([Aynew - Ay, resid])
         gnorm = float(np.sqrt(g @ g))
         if trial is not None and gnorm > trial[0]:
             refused += 1
-            x, count, last = trial[1], 0, None
+            x, X, count, last = trial[1], trial[2], 0, None
         else:
             accepted += trial is not None
             if last is not None:
@@ -458,7 +462,7 @@ def solve_sdp_bundled(
         elif count:
             k = min(count, ANDERSON_MEMORY)
             gamma = np.linalg.lstsq(dG[:k] @ dG[:k].T, dG[:k] @ g, rcond=None)[0]
-            trial, x = (gnorm, x), x - gamma @ dT[:k]
+            trial, x = (gnorm, x, X), x - gamma @ dT[:k]
 
     values = np.concatenate([[1.0], yfree])
     y = instance.moment_vector(values)

@@ -478,6 +478,20 @@ def admm_reference(instance, max_iters: int = 20000, tol: float = 1e-7) -> Solve
     )
 
 
+def ball_chain(m: int, seed: int) -> PopProblem:
+    """m width-3 cliques in a chain, the ball 3 - x^2 - y^2 - z^2 >= 0 on
+    each, and the objective x1^2 + u x1 x2 + v x3 per clique with u and v
+    drawn uniform in [-1, 1] from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    cover = CliqueCover(2 * m + 1, tuple((2 * i + 1, 2 * i + 2, 2 * i + 3) for i in range(m)))
+    ball = {(0, 0, 0): 3.0, (2, 0, 0): -1.0, (0, 2, 0): -1.0, (0, 0, 2): -1.0}
+    objectives = tuple(
+        {(2, 0, 0): 1.0, (1, 1, 0): float(rng.uniform(-1, 1)), (0, 0, 1): float(rng.uniform(-1, 1))}
+        for _ in range(m)
+    )
+    return PopProblem(cover, objectives, tuple((ConstraintPolynomial(c, ball),) for c in cover.cliques))
+
+
 @st.composite
 def ball_pops(draw):
     """A chain of 1-4 cliques of widths 1-3, each sharing one variable with
@@ -538,38 +552,44 @@ class TestBundledSolver:
         assert admm_reference(inst).iterations == iterations
         rep = solve_sdp_bundled(inst)
         assert rep.converged
-        assert rep.iterations == {2: 48, 3: 153, 4: 274}[omega]
+        assert rep.iterations == {2: 35, 3: 99, 4: 137}[omega]
         assert 2 * rep.iterations <= iterations
+
+    def test_ball_chain_converges_no_later_than_plain(self):
+        # a safeguard that measures the residual on (dy, dU), not (A dy, dU),
+        # stops unconverged at 20000 iterations on this chain
+        inst = build_relaxation(ball_chain(10, 7), 2)
+        ref = admm_reference(inst)
+        rep = solve_sdp_bundled(inst)
+        assert ref.converged and ref.iterations == 11757
+        assert rep.converged
+        assert rep.iterations <= ref.iterations
+        scale = max(1.0, float(np.abs(inst.objective).max()))
+        assert abs(rep.objective - ref.objective) <= 1e-6 * scale
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(ball_pops())
     def test_accelerated_solve_matches_reference(self, case):
         pop, omega = case
         inst = build_relaxation(pop, omega)
-        ref = admm_reference(inst, max_iters=3000, tol=1e-8)
+        ref = admm_reference(inst, tol=1e-8)
         assume(ref.converged)
         rep = solve_sdp_bundled(inst, tol=1e-8)
         assert rep.converged
+        assert rep.iterations <= ref.iterations
         scale = max(1.0, float(np.abs(inst.objective).max()))
         assert abs(rep.objective - ref.objective) <= 1e-6 * scale
         assert rep.min_block_eig >= -1e-6
 
     def test_log_counts_accelerated_steps(self, caplog):
         with caplog.at_level(logging.INFO, logger="smk.relax"):
-            solve_sdp_bundled(build_relaxation(demo.chain_triple_pop(), 2))
-        assert caplog.messages[-1].endswith("accelerated steps accepted 39, refused 2")
+            solve_sdp_bundled(build_relaxation(demo.chain_triple_pop(), 4))
+        assert caplog.messages[-1].endswith("accelerated steps accepted 126, refused 2")
 
     def test_long_chain_memory(self):
         # 100 width-3 cliques with a ball constraint each: nfree = 3004, so
         # a dense normal matrix alone would take 72 MB
-        m = 100
-        cover = CliqueCover(2 * m + 1, tuple((2 * i + 1, 2 * i + 2, 2 * i + 3) for i in range(m)))
-        ball = {(0, 0, 0): 3.0, (2, 0, 0): -1.0, (0, 2, 0): -1.0, (0, 0, 2): -1.0}
-        pop = PopProblem(
-            cover,
-            tuple({(2, 0, 0): 1.0} for _ in range(m)),
-            tuple((ConstraintPolynomial(c, ball),) for c in cover.cliques),
-        )
+        pop = ball_chain(100, 0)
         tracemalloc.start()
         try:
             rep = solve_sdp_bundled(build_relaxation(pop, 2), max_iters=1)
