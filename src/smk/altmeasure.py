@@ -7,9 +7,9 @@ the vertices of this polytope; each one is found by minimizing a linear cost
 with a two-phase revised simplex method. It prices by Dantzig's rule (most
 negative reduced cost) and falls back to Bland's rule for the pivot after a
 degenerate one, which rules out cycling and takes far fewer pivots than
-Bland's rule alone. Only phase 2 depends on the cost: the matrix is built
-and reduced to full row rank, and phase 1 finds a feasible basis, once per
-atom set.
+Bland's rule alone. Only phase 2 depends on the cost: the matrix is built,
+its independent rows are chosen by blocked elimination, and phase 1 finds a
+feasible basis, once per atom set.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .errors import Infeasible
 
 PIVOT_TOL = 1e-9  # the simplex's numerical guard, not a data tolerance
 REFACTOR_EVERY = 50
+ELIMINATION_BLOCK = 64  # columns brought up to date by one product in _row_reduce
 
 
 @dataclass(frozen=True)
@@ -41,35 +42,63 @@ class WeightLP:
 
 def build_weight_lp(atoms, y: SparseMomentVector, cost) -> WeightLP:
     atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
-    A = monomial_matrix(y.index_map.exponent_array, atoms)
+    A = monomial_matrix(y.index_map.exponent_array, atoms, y.index_map.monomial_steps)
     return WeightLP(atoms, A, y.values, np.asarray(cost, dtype=float))
 
 
 def _row_reduce(A: np.ndarray, b: np.ndarray, policy: RankPolicy) -> tuple[np.ndarray, np.ndarray]:
-    """Reduce [A | b] to full row rank by Gaussian elimination with partial
-    pivoting. A pivot at or below ``policy.tol(scale)`` counts as zero, so a
-    row that differs from a combination of others only by noise of the
-    data's accuracy is dropped; a dropped row with rhs above that tolerance
-    raises Infeasible."""
-    M = np.hstack([A, b[:, None]]).astype(float)
+    """The rows of ``A`` and ``b`` that Gaussian elimination with partial
+    pivoting keeps, as given: columns are taken in order, each pivoting on
+    the largest remaining entry of the rows not yet chosen. An entry at or
+    below ``policy.tol(scale)`` counts as zero, so a row that differs from a
+    combination of others only by noise of the data's accuracy is dropped;
+    a dropped row with rhs residual above that tolerance raises Infeasible.
+
+    The elimination is lazy and blocked: each block of ``ELIMINATION_BLOCK``
+    columns is brought up to date, on the rows not yet chosen, by one matrix
+    product against the chosen rows (kept eliminated to the identity on the
+    pivot columns), and the next pivot column is found by one scan of the
+    block, so a block of zero columns costs one product."""
     rows, cols = A.shape
-    scale = max(1.0, np.abs(M).max())
-    rank = 0
-    for col in range(cols):
-        if rank >= rows:
+    tol = policy.tol(max(1.0, A.max(initial=0.0), -A.min(initial=0.0), np.abs(b).max(initial=0.0)))
+    free = np.arange(rows)  # rows not yet chosen
+    chosen: list[int] = []
+    at_pivots = np.empty((rows, min(rows, cols)))  # column r: A at the r-th pivot column
+    # row r: [A | b] of chosen row r minus the earlier chosen rows, with the
+    # identity on the pivot columns; columns left of the current block go stale
+    reduced = np.empty((min(rows, cols), cols + 1))
+    for start in range(0, cols, ELIMINATION_BLOCK):
+        if not free.size:
             break
-        k = rank + int(np.argmax(np.abs(M[rank:, col])))
-        if abs(M[k, col]) <= policy.tol(scale):
-            continue
-        M[[rank, k]] = M[[k, rank]]
-        factors = M[:, col] / M[rank, col]
-        factors[rank] = 0.0  # eliminate col from every other row
-        M -= np.outer(factors, M[rank])
-        rank += 1
-    for i in range(rank, rows):
-        if abs(M[i, -1]) > policy.tol(scale):
-            raise Infeasible(f"inconsistent moment equation, residual {M[i, -1]:.3e}")
-    return M[:rank, :-1], M[:rank, -1]
+        r = len(chosen)
+        block = A[free, start:start + ELIMINATION_BLOCK]
+        block -= at_pivots[free, :r] @ reduced[:r, start:start + block.shape[1]]
+        taken = []  # rows of the block chosen; the update leaves them zero right of the pivot
+        j = 0
+        while True:
+            above = np.flatnonzero((np.abs(block[:, j:]) > tol).any(axis=0))
+            if not above.size:
+                break
+            j += int(above[0])
+            k = int(np.argmax(np.abs(block[:, j])))
+            row, r = int(free[k]), len(chosen)
+            new = reduced[r, start:]
+            new[:-1], new[-1] = A[row, start:], b[row]
+            new -= at_pivots[row, :r] @ reduced[:r, start:]
+            new /= new[j]
+            reduced[:r, start:] -= reduced[:r, start + j, None] * new
+            block[:, j + 1:] -= (block[:, j] / block[k, j])[:, None] * block[k, j + 1:]
+            at_pivots[:, r] = A[:, start + j]
+            chosen.append(row)
+            taken.append(k)
+            j += 1
+        free = np.delete(free, taken)
+    residual = b[free] - at_pivots[free, :len(chosen)] @ reduced[:len(chosen), -1]
+    inconsistent = np.flatnonzero(np.abs(residual) > tol)
+    if inconsistent.size:
+        raise Infeasible(f"inconsistent moment equation, residual {residual[inconsistent[0]]:.3e}")
+    chosen.sort()
+    return A[chosen], b[chosen]
 
 
 def _pivot(Binv: np.ndarray, d: np.ndarray, row: int) -> None:

@@ -98,10 +98,12 @@ def monomial_steps(exps: np.ndarray) -> list:
 
 def monomial_matrix(exponents, atoms, steps: list | None = None) -> np.ndarray:
     """``A[k, j] = prod_t atoms[j, t] ** exponents[k, t]``, one variable at a
-    time from a table of its powers, so no float temporary exceeds the result.
-    Exponents are held as uint8 (below 256); tuples are read as bytes.
-    ``steps``, from :func:`monomial_steps` of the same exponents, saves
-    reading them again."""
+    time from a table of powers. Each power is taken once per distinct
+    coordinate value (by bit pattern, so ``-0.0`` stays apart from ``0.0``),
+    as atoms glued from clique atoms repeat their coordinates; the result is
+    bit for bit the product of the powers. Exponents are held as uint8
+    (below 256); tuples are read as bytes. ``steps``, from
+    :func:`monomial_steps` of the same exponents, saves reading them again."""
     atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
     count = len(exponents)
     if steps is None:
@@ -109,8 +111,13 @@ def monomial_matrix(exponents, atoms, steps: list | None = None) -> np.ndarray:
             exponents = np.frombuffer(b"".join(bytes(tuple(e)) for e in exponents), dtype=np.uint8)
         steps = monomial_steps(np.asarray(exponents, dtype=np.uint8).reshape(count, atoms.shape[1]))
     out = np.ones((count, atoms.shape[0]))
-    for t, rows, e, degrees in steps:
-        out[rows] *= (atoms[:, t] ** degrees)[e]
+    if not steps:
+        return out
+    codes, where = np.unique(np.ascontiguousarray(atoms).view(np.uint64), return_inverse=True)
+    powers = codes.view(float) ** np.arange(max(len(step[3]) for step in steps), dtype=float)[:, None]
+    table = powers[:, where.reshape(atoms.shape).T].swapaxes(0, 1)  # [t, degree, atom]
+    for t, rows, e, _ in steps:
+        out[rows] *= table[t][e]
     return out
 
 

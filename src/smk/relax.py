@@ -29,7 +29,7 @@ import scipy.sparse.linalg
 from .assemble import assemble, verify_global
 from .certify import FlatnessCertificate, RankPolicy, certify
 from .core import CliqueCover, IndexMap, MultiIndex, SparseMomentVector, grlex_position, index_map_of
-from .errors import BlockNotPsdWarning, DegreeTooLow, DimensionMismatch
+from .errors import BlockNotPsdWarning, DegreeTooLow, DimensionMismatch, NonFiniteMoment
 from .extract import AtomicMeasure, constraint_feasibility_check, extract_clique_measures
 from .matrices import ConstraintPolynomial, block_operator
 from .rip import RipFailsAt, check_rip, find_rip_order
@@ -328,7 +328,9 @@ def ingest_solution(
     ``num_vars - 1``, canonical order), a full moment mapping, or an existing
     moment vector on the same cliques in any order. Blocks that fail the PSD
     check at the policy tolerance are reported as :class:`BlockNotPsdWarning`,
-    not errors.
+    not errors. A NaN or infinite value raises :class:`NonFiniteMoment`
+    naming its entry: its canonical position (for a vector of free
+    coordinates, the 1-based coordinate) and multi-index.
     """
     if isinstance(source, SparseMomentVector):
         same_cliques = set(source.cover.cliques) == set(instance.cover.cliques)
@@ -340,8 +342,6 @@ def ingest_solution(
         )
     elif isinstance(source, Mapping):
         y = SparseMomentVector.build(instance.cover, instance.omega, source)
-        if abs(y.mass - 1.0) > policy.tol():
-            raise DimensionMismatch(f"ingested mass {y.mass} != 1")
     else:
         free = np.asarray(list(source), dtype=float)
         if free.shape != (instance.num_vars - 1,):
@@ -351,6 +351,14 @@ def ingest_solution(
         values = np.concatenate([[1.0], free])
         y = instance.moment_vector(values)
 
+    bad = np.flatnonzero(~np.isfinite(y.values))
+    if bad.size:  # checked before any eigenvalue call, which would fail untyped
+        p = int(bad[0])
+        raise NonFiniteMoment(
+            f"solution entry {p} (the moment at {y.index_map.exponents[p]}) is {y.values[p]}"
+        )
+    if isinstance(source, Mapping) and abs(y.mass - 1.0) > policy.tol():
+        raise DimensionMismatch(f"ingested mass {y.mass} != 1")
     lo, hi = instance.block_eig_range(y.values)
     for bno, (blk, low, high) in enumerate(zip(instance.blocks, lo, hi), start=1):
         if low < -policy.rel_tol * max(1.0, high):

@@ -6,10 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from smk import altmeasure
 from smk.altmeasure import build_weight_lp, enumerate_extreme_measures, solve_weight_lp
+from smk.certify import RankPolicy
 from smk.core import CliqueCover, SparseMomentVector
 from smk.errors import Infeasible
 from smk import demo
 
+import gauss_jordan
 from conftest import CHAIN_PAIR_ATOMS
 
 
@@ -56,6 +58,33 @@ def product_lps(draw, costs=st.floats(-1.0, 1.0)):
     atoms, y = two_point_product(-draw(coords), draw(coords), draw(probs), draw(st.integers(1, 2)))
     cost = draw(st.lists(costs, min_size=2**n, max_size=2**n))
     return atoms, y, np.array(cost)
+
+
+@st.composite
+def redundant_lps(draw):
+    """A :func:`product_lps` weight program with 1 to 4 rows appended: copies
+    of its own rows, as they are, scaled, or with noise a thousand times
+    below or above the elimination tolerance, on the whole row or on its
+    right-hand side alone."""
+    atoms, y, cost = draw(product_lps())
+    lp = build_weight_lp(atoms, y, cost)
+    A, b = lp.matrix, lp.rhs
+    tol = RankPolicy().tol(max(1.0, np.abs(A).max(), np.abs(b).max()))
+    rows = [np.column_stack([A, b])]
+    for _ in range(draw(st.integers(1, 4))):
+        row = rows[0][draw(st.integers(0, len(b) - 1))].copy()
+        kind = draw(st.sampled_from(["duplicate", "scaled", "noise below", "noise above"]))
+        if kind == "scaled":
+            row *= draw(st.sampled_from([-2.5, -1.0, 0.5, 3.0]))
+        elif kind != "duplicate":
+            seed = draw(st.integers(0, 2**16))
+            noise = np.random.default_rng(seed).uniform(-1.0, 1.0, len(row))
+            if draw(st.booleans()):
+                noise[:-1] = 0.0  # the right-hand side alone
+            row += noise * tol * (1e-3 if kind == "noise below" else 1e3)
+        rows.append(row[None])
+    M = np.vstack(rows)
+    return M[:, :-1], M[:, -1], cost
 
 
 @pytest.fixture
@@ -143,6 +172,56 @@ class TestSolveWeightLp:
             w = solve_weight_lp(CHAIN_PAIR_ATOMS, y_pair, rng.standard_normal(4))
             assert w.min() >= -1e-10
             assert np.abs(lp.matrix @ w - lp.rhs).max() <= 1e-8 * scale
+
+
+class TestRowReduce:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(redundant_lps())
+    def test_same_row_space_and_optimum_as_gauss_jordan(self, case):
+        A, b, cost = case
+        policy = RankPolicy()
+        scale = max(1.0, np.abs(A).max(), np.abs(b).max())
+
+        def outcome(reduce):
+            try:
+                return reduce(A, b, policy)
+            except Infeasible:
+                return None
+
+        blocked, reference = outcome(altmeasure._row_reduce), outcome(gauss_jordan.row_reduce)
+        assert (blocked is None) == (reference is None)
+        if reference is None:
+            return
+        rank = len(reference[1])
+        assert len(blocked[1]) == rank
+        stacked = np.vstack([np.column_stack(blocked), np.column_stack(reference)])
+        assert np.linalg.matrix_rank(stacked, tol=policy.tol(scale)) == rank
+
+        def optimum(reduced):
+            try:
+                start = altmeasure._feasible_start(*reduced, policy)
+            except Infeasible:
+                return None
+            return cost @ altmeasure._optimal_weights(start, cost)
+
+        found, expected = optimum(blocked), optimum(reference)
+        assert (found is None) == (expected is None)
+        if expected is not None:
+            assert abs(found - expected) <= 1e-9 * scale
+
+    def test_pivots_in_every_block(self):
+        # 256 atoms make four elimination blocks, and the 16 pivot columns
+        # (0-4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192) fall in each
+        rng = np.random.default_rng(8)
+        atoms, y = two_point_product(
+            -rng.uniform(0.4, 1.2, 8), rng.uniform(0.4, 1.2, 8), rng.uniform(0.3, 0.7, 8), 3
+        )
+        lp = build_weight_lp(atoms, y, 0.0)
+        A, b = altmeasure._row_reduce(lp.matrix, lp.rhs, RankPolicy())
+        ref_A, ref_b = gauss_jordan.row_reduce(lp.matrix, lp.rhs, RankPolicy())
+        assert len(b) == len(ref_b) == np.linalg.matrix_rank(lp.matrix)
+        assert np.linalg.matrix_rank(np.vstack([A, ref_A])) == len(b)
+        assert all(any(np.array_equal(row, full) for full in lp.matrix) for row in A)
 
 
 class TestEnumerate:

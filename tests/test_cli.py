@@ -121,6 +121,29 @@ def test_pipeline_primal_vector_bad_token_exit_one(files, capsys, tmp_path):
     assert (report["error"], report["detail"]) == ("MalformedInput", "entry 1: value 'abc' is not a number")
 
 
+@pytest.mark.parametrize("kind", ["moment JSON", "primal vector"])
+def test_pipeline_non_finite_solution_exit_one(files, capsys, tmp_path, kind):
+    from smk.relax import build_relaxation
+
+    exponents = build_relaxation(demo.chain_triple_pop(), 3).exponents
+    path = tmp_path / "solution"
+    if kind == "moment JSON":
+        doc = io.moment_vector_to_dict(demo.chain_triple_moments())
+        doc["entries"][5]["value"] = float("nan")
+        path.write_text(json.dumps(doc))
+        detail = f"solution entry 5 (the moment at {exponents[5]}) is nan"
+    else:
+        free = demo.chain_triple_moments().values[1:].tolist()
+        free[3] = float("inf")
+        path.write_text(" ".join(repr(v) for v in free))
+        detail = f"solution entry 4 (the moment at {exponents[4]}) is inf"
+    code, report = run_json(
+        capsys, ["pipeline", "--pop", files["triple_pop"], "--omega", "3", "--solution", str(path)]
+    )
+    assert code == report["exit_code"] == 1
+    assert (report["error"], report["detail"]) == ("NonFiniteMoment", detail)
+
+
 def test_pipeline_solution_on_reordered_cover(capsys, tmp_path):
     # the problem's clique order fails running intersection; the solution
     # file keeps that order while the pipeline solves a reordered relaxation

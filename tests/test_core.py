@@ -203,6 +203,30 @@ class TestMonomialMatrix:
         assert np.array_equal(monomial_matrix(exponents, atoms), loop)
         assert np.array_equal(monomial_matrix(np.array(exponents), atoms), loop)
 
+    @pytest.mark.parametrize("case", ["glued", "negative zero", "single atom"])
+    def test_bitwise_product_loop(self, rng, case):
+        # powers are taken once per distinct coordinate: glued atoms repeat
+        # coordinates, and -0.0 equals 0.0 but its odd powers are -0.0
+        cover = CliqueCover(5, ((1, 2), (2, 3), (3, 4), (4, 5)))
+        if case == "glued":  # every sign pattern of two values per variable
+            bits = (np.arange(32)[:, None] >> np.arange(5)) & 1
+            atoms = np.where(bits == 1, rng.uniform(0.4, 1.2, 5), rng.uniform(-1.2, -0.4, 5))
+        elif case == "negative zero":
+            atoms = rng.uniform(-1.5, 1.5, (4, 5))
+            atoms[0, 1], atoms[1, 1], atoms[2, 3] = -0.0, 0.0, -0.0
+        else:
+            atoms = rng.uniform(-1.5, 1.5, (1, 5))
+        index_map = IndexMap(cover, 6)
+        loop = np.array([np.prod(atoms ** np.asarray(a, dtype=float), axis=1) for a in index_map.exponents])
+        for A in (
+            monomial_matrix(index_map.exponents, atoms),
+            monomial_matrix(index_map.exponent_array, atoms, index_map.monomial_steps),
+        ):
+            assert A.tobytes() == loop.tobytes()
+        if case == "negative zero":
+            zeros = loop[loop == 0.0]
+            assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+
     def test_empty_shapes(self):
         assert monomial_matrix([()], np.zeros((3, 0))).tolist() == [[1.0, 1.0, 1.0]]
         assert monomial_matrix([], np.ones((2, 4))).shape == (0, 2)

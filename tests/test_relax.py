@@ -1,5 +1,6 @@
 import hashlib
 import logging
+import re
 import tracemalloc
 import warnings
 
@@ -11,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from smk.certify import RankPolicy
 from smk.core import CliqueCover, IndexMap, SparseMomentVector, local_exponents, sparse_exponents
-from smk.errors import BlockNotPsdWarning, DegreeTooLow, DimensionMismatch
+from smk.errors import BlockNotPsdWarning, DegreeTooLow, DimensionMismatch, NonFiniteMoment
 from smk.matrices import ConstraintPolynomial, block_operator
 from smk.relax import (
     PopProblem,
@@ -408,6 +409,28 @@ class TestIngest:
             warnings.simplefilter("always")
             ingest_solution(inst, free)
         assert [str(w.message) for w in caught if w.category is BlockNotPsdWarning] == expected
+
+    @pytest.mark.parametrize("kind", ["vector", "mapping", "free coordinates"])
+    @pytest.mark.parametrize("position, value", [(5, np.nan), (22, -np.inf)])
+    def test_non_finite_value_named_before_eigenvalues(self, inst_triple, monkeypatch, kind, position, value):
+        # eigvalsh on a non-finite block raises an untyped LinAlgError
+        values = demo.chain_triple_moments().values.copy()
+        values[position] = value
+        source = {
+            "vector": inst_triple.moment_vector(values),
+            "mapping": dict(zip(inst_triple.exponents, values.tolist())),
+            "free coordinates": values[1:],
+        }[kind]
+        monkeypatch.setattr(SdpInstance, "block_eig_range", lambda *args: pytest.fail("eigenvalues taken"))
+        alpha = inst_triple.exponents[position]
+        with pytest.raises(NonFiniteMoment, match=rf"^solution entry {position} \(the moment at {re.escape(str(alpha))}\) is {value}$"):
+            ingest_solution(inst_triple, source)
+
+    def test_infinite_mass_is_non_finite_not_a_mass_mismatch(self, inst_triple):
+        entries = dict(demo.chain_triple_moments().entries)
+        entries[inst_triple.exponents[0]] = np.inf
+        with pytest.raises(NonFiniteMoment, match=r"^solution entry 0 "):
+            ingest_solution(inst_triple, entries)
 
     def test_other_cliques_rejected(self, inst_triple):
         merged = CliqueCover(4, ((1, 2), (2, 3, 4)))
