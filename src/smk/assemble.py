@@ -1,14 +1,14 @@
 """Merging clique measures into a global atomic measure.
 
-The construction is inductive: starting from the first clique's measure,
-each subsequent clique measure is glued on through the marginal it shares
-with its witness clique. Pairwise marginal consistency is necessary but not
-sufficient without the running intersection property, so a full marginal
-verification of the result against every clique measure is mandatory.
-
-Point sets are clustered and compared as stacks: the final check runs one
-pass per clique width and atom count, and :func:`pushforward`,
-:func:`match_marginals` and :func:`measures_close` are stacks of one.
+Running intersection makes the cliques a join tree: clique i >= 2 meets the
+earlier ones only inside its witness j. So each clique measure is matched
+against its witness's measure on their overlap, the pairs of one shape in one
+stacked pass, and the glued atoms are then composed along the witness tree as
+index arrays, one atom per clique. Pairwise marginal consistency is necessary
+but not sufficient without the running intersection property, so every clique
+marginal of the result is verified too, one stacked pass per clique shape.
+:func:`pushforward`, :func:`match_marginals` and :func:`measures_close` are
+stacks of one.
 """
 
 from __future__ import annotations
@@ -30,14 +30,14 @@ def _tols(policy: RankPolicy, scale):
     return policy.tol() * np.fmax(1.0, np.abs(scale))
 
 
-def _cluster(points: np.ndarray, tol, free: np.ndarray | None = None):
+def _cluster(points: np.ndarray, tol):
     """Greedy max-norm clustering of each set of a stack (sets, points,
     coordinates) at its tolerance, one pass per cluster: the first free point
     of each set takes every free point within ``tol`` of it, and itself, NaN
-    or not. Points ``free`` marks False stay out (label -1). Returns each
-    point's cluster, in first-appearance order, and per set and pass the
-    point that took the others, the cluster's representative (0 once done)."""
-    free = np.ones(points.shape[:2], dtype=bool) if free is None else free.copy()
+    or not. Returns each point's cluster, in first-appearance order, and per
+    set and pass the point that took the others, the cluster's representative
+    (0 once done)."""
+    free = np.ones(points.shape[:2], dtype=bool)
     labels, firsts = np.full(free.shape, -1), []
     rows, tol = np.arange(len(free)), np.asarray(tol).reshape(-1, 1)
     while np.count_nonzero(free):
@@ -52,11 +52,15 @@ def _cluster(points: np.ndarray, tol, free: np.ndarray | None = None):
 
 
 def _cluster_sums(weights: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Each cluster's weight, added as ``weights[members].sum()`` adds it:
-    the clusters of one size are summed as the rows of one array."""
+    """Each cluster's weight, added as ``weights[members].sum()`` adds it: one
+    ``bincount`` below 8 points per set, as numpy too adds fewer than 8 one by
+    one from 0; else the clusters of one size are summed as rows of one array."""
     count = labels.max(initial=-1) + 1
     key = (labels + count * np.arange(len(labels))[:, None]).ravel()
-    members = np.broadcast_to(weights, labels.shape).ravel()[np.argsort(key, kind="stable")]
+    members = np.broadcast_to(weights, labels.shape).ravel()
+    if labels.shape[1] < 8:
+        return np.bincount(key, members, len(labels) * count).reshape(len(labels), count)
+    members = members[np.argsort(key, kind="stable")]
     sizes = np.bincount(key, minlength=len(labels) * count)
     out = np.zeros(len(sizes))
     for size in set(sizes.tolist()):
@@ -102,51 +106,45 @@ class MarginalGroups:
     groups_b: tuple[tuple[int, ...], ...]
 
 
-def _sums(weights: np.ndarray, labels: np.ndarray, count: int) -> list[float]:
-    """``weights[labels == g].sum()`` for each g < count, in one ``bincount``
-    for fewer than 8 weights, which numpy too adds one by one from 0."""
-    if len(labels) < 8:
-        return np.bincount(labels, weights, count).tolist()
-    return [float(weights[labels == g].sum()) for g in range(count)]
-
-
-def _match(proj_a, weights_a, proj_b, weights_b, overlap, policy):
-    """:func:`match_marginals` on projected atoms, clustered as a stack of two:
-    each atom's marginal point, numbered by side a, and each point's mass."""
-    points = np.zeros((2, max(len(proj_a), len(proj_b)), len(overlap)))
-    points[0, : len(proj_a)], points[1, : len(proj_b)] = proj_a, proj_b
-    free = np.ones(points.shape[:2], dtype=bool)  # the padding is not clustered
-    free[0, len(proj_a) :] = free[1, len(proj_b) :] = False
-    scales = np.maximum.reduce(np.abs(points).reshape(2, -1), axis=1, initial=0.0)
-    tol = policy.tol(max(scales.tolist()))
-    labels, firsts = _cluster(points, tol, free)
-    labels_a, labels_b = labels[0, : len(proj_a)], labels[1, : len(proj_b)]
-    na, nb = np.maximum.reduce(labels, axis=1, initial=-1) + 1
-    if na != nb:
-        raise MarginalMismatch(
-            f"overlap {overlap}: {na} marginal atoms on one side, {nb} on the other"
+def _match(points_a, weights_a, points_b, weights_b, policy):
+    """:func:`match_marginals` on stacks of pairs, points (pairs, atoms, width)
+    and weights (pairs, atoms), each side clustered at each pair's tolerance.
+    Per pair: each a atom's point, numbered by first appearance in a, each b
+    atom's point in that numbering, each point's mass in a; and the first
+    pair that fails a check, with the check's diagnostic, or None."""
+    scale = [np.maximum.reduce(np.abs(x), axis=(1, 2), initial=0.0) for x in (points_a, points_b)]
+    tol = _tols(policy, np.where(scale[1] > scale[0], scale[1], scale[0]))  # max(a, b) reads NaN so
+    (labels_a, firsts_a), (labels_b, firsts_b) = _cluster(points_a, tol), _cluster(points_b, tol)
+    rows, span = np.arange(len(tol))[:, None], np.arange(firsts_a.shape[1])
+    count_a, count_b = (np.maximum.reduce(x, axis=1, initial=-1) + 1 for x in (labels_a, labels_b))
+    reps, used = points_a[rows, firsts_a], np.arange(firsts_b.shape[1]) >= count_b[:, None]
+    gap = np.abs(reps[:, :, None] - points_b[rows, firsts_b][:, None]).max(axis=3, initial=0.0)
+    gap[~(gap < np.inf)] = np.inf  # NaN and inf match none
+    order, found = np.zeros(gap.shape[:2], dtype=int), np.zeros(gap.shape[:2], dtype=bool)
+    for p in span if gap.shape[2] else ():  # the nearest b point not matched yet, the first of equals
+        near = np.where(used, np.inf, gap[:, p])
+        order[:, p] = pick = near.argmin(axis=1)
+        found[:, p] = near[rows[:, 0], pick] <= tol
+        used[rows[:, 0], pick] |= found[:, p]
+    ma, mb = _cluster_sums(weights_a, labels_a), _cluster_sums(weights_b, labels_b)
+    mb = mb[rows, order] if mb.shape[1] else np.zeros_like(ma)  # no b point: the counts differ
+    live, off = span < count_a[:, None], abs(ma - mb) > _tols(policy, np.fmax(abs(ma), abs(mb)))
+    lost, off, light = live & ~found, live & off, live & (ma <= policy.tol())
+    bad, failure = (count_a != count_b) | (lost | off | light).any(axis=1), None
+    if bad.any():
+        g = int(bad.argmax())
+        p = (np.flatnonzero(lost[g]).tolist() or np.flatnonzero(off[g] | light[g]).tolist() or [0])[0]
+        failure = g, (
+            f"{count_a[g]} marginal atoms on one side, {count_b[g]} on the other"
+            if count_a[g] != count_b[g] else
+            f"marginal atom {tuple(reps[g, p])} has no counterpart within {tol[g]}"
+            if lost[g].any() else
+            f"mass {ma[g, p]:.6g} vs {mb[g, p]:.6g} at point {tuple(reps[g, p])}"
+            if off[g, p] else f"degenerate mass {ma[g, p]:.3e} at a marginal atom"
         )
-    reps_a, order_b, floor = points[0, firsts[0]], [], policy.tol()
-    gap = np.abs(reps_a[:, None] - points[1, firsts[1]][None])
-    for ra, row in zip(reps_a, np.maximum.reduce(gap, axis=2, initial=0.0).tolist()):
-        # the nearest point not matched yet, the first of equals; NaN and inf match none
-        near = [(d, b) for b, d in enumerate(row) if d < np.inf and b not in order_b]
-        d, bi = min(near, default=(0, None))
-        if bi is None or d > tol:
-            raise MarginalMismatch(
-                f"overlap {overlap}: marginal atom {tuple(ra)} has no counterpart within {tol}"
-            )
-        order_b.append(bi)
-    sums_a, sums_b = _sums(weights_a, labels_a, na), _sums(weights_b, labels_b, nb)
-    for gi, (ma, bi) in enumerate(zip(sums_a, order_b)):
-        mb = sums_b[bi]
-        if abs(ma - mb) > policy.tol(max(abs(ma), abs(mb))):
-            raise MarginalMismatch(
-                f"overlap {overlap}: mass {ma:.6g} vs {mb:.6g} at point {tuple(reps_a[gi])}"
-            )
-        if ma <= floor:
-            raise MarginalMismatch(f"overlap {overlap}: degenerate mass {ma:.3e} at a marginal atom")
-    return labels_a, np.array(order_b, dtype=int).argsort()[labels_b], np.array(sums_a)
+    inverse = np.zeros((len(tol), firsts_b.shape[1] + 1), dtype=int)
+    inverse[rows, np.where(live, order, firsts_b.shape[1])] = span
+    return labels_a, inverse[rows, labels_b], ma, failure
 
 
 def match_marginals(
@@ -160,10 +158,14 @@ def match_marginals(
     overlap = tuple(overlap)
     proj_a = partial.atoms[:, [partial.variables.index(v) for v in overlap]]
     proj_b = incoming.atoms[:, [incoming.variables.index(v) for v in overlap]]
-    *labels, masses = _match(proj_a, partial.weights, proj_b, incoming.weights, overlap, policy)
-    a, b = (tuple(tuple(np.flatnonzero(lab == g).tolist()) for g in range(len(masses)))
-            for lab in labels)
-    return MarginalGroups(proj_a[[g[0] for g in a]], masses, a, b)
+    *labels, masses, failure = _match(
+        proj_a[None], partial.weights[None], proj_b[None], incoming.weights[None], policy
+    )
+    if failure:
+        raise MarginalMismatch(f"overlap {overlap}: {failure[1]}")
+    count = labels[0].max(initial=-1) + 1
+    a, b = (tuple(tuple(np.flatnonzero(lab[0] == g).tolist()) for g in range(count)) for lab in labels)
+    return MarginalGroups(proj_a[[g[0] for g in a]], masses[0, :count], a, b)
 
 
 def _close(atoms_a, weights_a, atoms_b, weights_b, policy: RankPolicy) -> np.ndarray:
@@ -203,10 +205,10 @@ def assemble(
 
     ``chosen`` optionally fixes the witness position j used at each position
     i >= 2 (e.g. the one recorded in a certificate); by default the smallest
-    admissible witness is used. After the inductive construction, every
-    clique marginal of the result is verified; a failure raises
-    :class:`FinalMarginalCheckFailed`, which catches glueings that were
-    pairwise consistent but globally contradictory.
+    admissible witness is used. The first clique in clique order that does
+    not match its witness raises :class:`MarginalMismatch`; a clique marginal
+    of the result that differs raises :class:`FinalMarginalCheckFailed`,
+    which catches glueings pairwise consistent but globally contradictory.
     """
     if len(clique_measures) != len(witnesses.order):
         raise ValueError("need exactly one measure per clique")
@@ -215,42 +217,75 @@ def assemble(
         variables = tuple(sorted(set().union(*(mu.variables for mu in clique_measures))))
     column = np.zeros(max(variables, default=0) + 1, dtype=int)  # variable -> column of ``atoms``
     column[list(variables)] = np.arange(len(variables))
-    assigned = np.zeros(len(variables), dtype=bool)
-    for i, incoming in enumerate(clique_measures, start=1):
-        cols = column[list(incoming.variables)]
-        spread = np.zeros((incoming.num_atoms, len(variables)))  # incoming atoms in those columns
-        spread[:, cols] = incoming.atoms
-        if i == 1:
-            atoms, weights = spread, incoming.weights
+    # every clique's atoms and weights as one padded stack, filled per shape (width, atom
+    # count), and each variable's first clique and column there
+    kinds, parent, shapes = {}, {}, {}
+    for c, mu in enumerate(clique_measures):
+        kinds.setdefault(mu.atoms.shape[::-1], []).append(c)
+    holder = {v: (c, t) for c in reversed(range(len(clique_measures)))
+              for t, v in enumerate(clique_measures[c].variables)}
+    table = np.zeros((len(clique_measures), *np.max([mu.atoms.shape for mu in clique_measures], 0)))
+    masses = np.zeros(table.shape[:2])
+    for (width, rank), members in kinds.items():
+        table[members, :rank, :width] = np.stack([clique_measures[c].atoms for c in members])
+        masses[members, :rank] = np.stack([clique_measures[c].weights for c in members])
+    for i, mu in enumerate(clique_measures[1:], start=2):  # match phase, one stack per shape
+        j = (chosen or {}).get(i)
+        parent[i] = j = min(witnesses.witness[i]) if j is None else j
+        if not 1 <= j < i:
+            raise ValueError(f"witness {j} of position {i} is not an earlier position")
+        local = {v: t for t, v in enumerate(mu.variables)}
+        cols = [(t, local[v]) for t, v in enumerate(clique_measures[j - 1].variables) if v in local]
+        key = (len(cols), clique_measures[j - 1].num_atoms, mu.num_atoms)
+        shapes.setdefault(key, []).append((j - 1, i - 1, cols))
+    factors, matched, failures = masses.copy(), {}, []  # w_1, then w_i over its point's mass
+    for (w, na, nb), members in shapes.items():
+        j, i, cols = (np.array(x, dtype=int) for x in zip(*members))
+        cols, sides = cols.reshape(len(i), 1, w, 2), []
+        for c, k, t in ((j, np.arange(na), cols[..., 0]), (i, np.arange(nb), cols[..., 1])):
+            sides += [table[c[:, None, None], k[:, None], t], masses[c[:, None], k]]
+        labels_a, labels_b, point_mass, failure = _match(*sides, policy)
+        if failure:
+            g, message = failure
+            failures.append((i[g] + 1, j[g], cols[g, 0, :, 0].tolist(), message))
         else:
-            j = (chosen or {}).get(i)
-            j = min(witnesses.witness[i]) if j is None else j
-            overlap = tuple(v for v in clique_measures[j - 1].variables if v in incoming.variables)
-            shared = column[list(overlap)]
-            labels_a, labels_b, masses = _match(
-                atoms[:, shared], weights, spread[:, shared], incoming.weights, overlap, policy
-            )
-            # every pair (k, l) of atoms over the same marginal point, by point, then k, then l
-            by_point = labels_a.argsort(kind="stable")
-            pair, l = (labels_a[by_point, None] == labels_b).nonzero()
-            k = by_point[pair]
-            atoms = np.where(assigned, atoms[k], spread[l])
-            weights = weights[k] * incoming.weights[l] / masses[labels_a[k]]
-        assigned[cols] = True
+            point_mass = np.take_along_axis(point_mass, labels_b, 1)  # of each atom of i
+            factors[i[:, None], np.arange(nb)] = sides[3] / point_mass
+        matched.update(zip((i + 1).tolist(), labels_a[:, :, None] == labels_b[:, None]))
+    if failures:
+        _, j, cols, message = min(failures, key=lambda failure: failure[0])
+        overlap = tuple(clique_measures[j].variables[t] for t in cols)
+        raise MarginalMismatch(f"overlap {overlap}: {message}")
 
-    glued, failed, shapes = AtomicMeasure(variables, atoms, weights), [], {}
-    for i, mu in enumerate(clique_measures, start=1):
-        shapes.setdefault((len(mu.variables), mu.num_atoms), []).append(i)
-    for (width, rank), members in shapes.items():  # one stacked check per clique shape
-        mus = [clique_measures[i - 1] for i in members]
-        columns = column[np.array([mu.variables for mu in mus], dtype=int).reshape(-1, width)]
-        reps, sums, count = _marginals(glued, columns, policy)
+    # compose phase: a row keeps its atom of each clique witnessing a later one; a step expands
+    # each row by the atoms of i over its atom of j, by point in first-appearance order, then row
+    last = {j: i for i, j in sorted(parent.items())}
+    live, steps = {1: np.arange(clique_measures[0].num_atoms)}, []
+    for i in range(2, len(clique_measures) + 1):
+        near = matched[i][live[parent[i]]]
+        k, l = near.nonzero()
+        by_point = near.argmax(axis=0)[l].argsort(kind="stable")
+        k, l = k[by_point], l[by_point]
+        live = {c: rows[k] for c, rows in live.items() if last.get(c, 0) > i}
+        live[i] = l
+        steps.append((k, l))
+    index = [np.arange(len(steps[-1][0]) if steps else clique_measures[0].num_atoms)]
+    for k, l in reversed(steps):
+        index[:1] = k[index[0]], l[index[0]]
+    index = np.array(index)  # clique, row -> atom
+    weights = np.prod(factors[np.arange(len(index))[:, None], index], axis=0)
+    f, t = np.array([holder[v] for v in variables], dtype=int).reshape(-1, 2).T
+    atoms = np.ascontiguousarray(table[f[:, None], index[f], t[:, None]].T)
+
+    glued, failed = AtomicMeasure(variables, atoms, weights), []
+    for (width, rank), members in kinds.items():  # one stacked check per clique shape
+        columns = column[np.array([clique_measures[i].variables for i in members], dtype=int)]
+        reps, sums, count = _marginals(glued, columns.reshape(-1, width), policy)
         ok = count == rank
         if ok.any():
-            atoms_b = np.stack([mu.atoms for mu in mus])[ok]
-            weights_b = np.stack([mu.weights for mu in mus])[ok]
+            atoms_b, weights_b = table[members, :rank, :width][ok], masses[members, :rank][ok]
             ok[ok] = _close(reps[ok, :rank], sums[ok, :rank], atoms_b, weights_b, policy)
-        failed += [i for i, good in zip(members, ok) if not good]
+        failed += [i + 1 for i, good in zip(members, ok) if not good]
     if failed:
         raise FinalMarginalCheckFailed(
             f"assembled measure does not reproduce the measure of clique at position {min(failed)}"

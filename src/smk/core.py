@@ -85,14 +85,14 @@ def grlex_position(exps: np.ndarray) -> np.ndarray:
 def monomial_steps(exps: np.ndarray) -> list:
     """What :func:`monomial_matrix` reads of a uint8 exponent array of shape
     (monomials, variables): per variable t with a positive exponent in some
-    row, (t, those rows, their exponents of x_t, the powers 0..max as a
-    float column). Worth keeping when one table meets many atom sets."""
+    row, (t, those rows, their exponents of x_t, the number of degrees 0..max
+    they span). Worth keeping when one table meets many atom sets."""
     steps = []
     for t in range(exps.shape[1]):
         rows = exps[:, t].nonzero()[0]
         if rows.size:
             e = exps[rows, t]
-            steps.append((t, rows, e, np.arange(int(e.max()) + 1, dtype=float)[:, None]))
+            steps.append((t, rows, e, int(e.max()) + 1))
     return steps
 
 
@@ -114,7 +114,7 @@ def monomial_matrix(exponents, atoms, steps: list | None = None) -> np.ndarray:
     if not steps:
         return out
     codes, where = np.unique(np.ascontiguousarray(atoms).view(np.uint64), return_inverse=True)
-    powers = codes.view(float) ** np.arange(max(len(step[3]) for step in steps), dtype=float)[:, None]
+    powers = codes.view(float) ** np.arange(max(step[3] for step in steps), dtype=float)[:, None]
     table = powers[:, where.reshape(atoms.shape).T].swapaxes(0, 1)  # [t, degree, atom]
     for t, rows, e, _ in steps:
         out[rows] *= table[t][e]

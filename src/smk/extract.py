@@ -142,7 +142,7 @@ def _label_table(labels: tuple, nvars: int):
     degree = exponents.sum(axis=1, dtype=np.int64)
     omega = int(degree.max(initial=0))
     steps = monomial_steps(exponents)
-    for a in (shift, exponents, *(a for step in steps for a in step[1:])):
+    for a in (shift, exponents, *(a for step in steps for a in step[1:3])):
         a.setflags(write=False)
     return omega, np.flatnonzero(degree < omega).tolist(), exponents, steps, shift
 

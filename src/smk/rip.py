@@ -44,15 +44,22 @@ class RipWitnesses:
 
 
 def _witnesses(cliques: list[set]) -> tuple[dict[int, frozenset[int]], int | None, tuple]:
-    """Witness map for cliques in list order; also the first failing position."""
+    """Witness map for cliques in list order; also the first failing position.
+    A running union of the earlier cliques gives each overlap, and the earlier
+    positions holding each variable give the witnesses: those holding all of it."""
     witness: dict[int, frozenset[int]] = {}
-    for i in range(2, len(cliques) + 1):
-        earlier_union = set().union(*cliques[: i - 1])
-        overlap = cliques[i - 1] & earlier_union
-        js = frozenset(j for j in range(1, i) if overlap <= cliques[j - 1])
-        if not js:
-            return witness, i, tuple(sorted(overlap))
-        witness[i] = js
+    earlier: set = set()
+    holders: dict = {}  # variable -> earlier positions whose clique holds it
+    for i, clique in enumerate(cliques, start=1):
+        overlap = clique & earlier
+        if i > 1:
+            js = set.intersection(*(holders[v] for v in overlap)) if overlap else range(1, i)
+            if not js:
+                return witness, i, tuple(sorted(overlap))
+            witness[i] = frozenset(js)
+        for v in clique:
+            holders.setdefault(v, set()).add(i)
+        earlier |= clique
     return witness, None, ()
 
 

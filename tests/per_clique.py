@@ -1,8 +1,9 @@
-"""Reference implementations of certification and atom extraction, one
-clique and one matrix at a time: the loops that ``certify`` and
-``extract_clique_measures`` ran before cliques of one shape were stacked,
-and the per-clique localizing and overlap matrices they read. The stacked
-code must match them bit for bit."""
+"""Reference implementations of certification, atom extraction and gluing,
+one clique and one matrix at a time: the loops that ``certify``,
+``extract_clique_measures`` and ``assemble`` ran before cliques of one shape
+were stacked, and the per-clique localizing and overlap matrices they read.
+The stacked code must match them bit for bit, except that glued weights may
+move in their last digits (see :func:`assemble_reference`)."""
 
 from __future__ import annotations
 
@@ -11,10 +12,12 @@ import dataclasses
 import numpy as np
 import scipy.optimize
 
+from smk.assemble import _cluster, measures_close, pushforward
 from smk.certify import CliqueCheck, FlatnessCertificate, OverlapCheck, RankPolicy, d_half
 from smk.core import clique_subvector, local_exponents, monomial_matrix, subvector_on
 from smk.errors import (
-    FlatnessViolated, IndexOutOfPattern, NonPhysicalWeights, OrderTooHigh, ReconstructionFailed,
+    FinalMarginalCheckFailed, FlatnessViolated, IndexOutOfPattern, MarginalMismatch,
+    NonPhysicalWeights, OrderTooHigh, ReconstructionFailed,
 )
 from smk.extract import MAX_REDRAWS, AtomicMeasure
 from smk.matrices import LabeledSymMatrix, block_diagonal, gather, localizing_operator, moment_matrix
@@ -215,3 +218,89 @@ def extract_atoms(M, r, policy=RankPolicy(), seed=0):
     if err > policy.tol(scale):
         raise ReconstructionFailed(f"moment matrix residual {err:.3e} exceeds tolerance")
     return AtomicMeasure(M.variables, atoms, weights), draws
+
+
+def _sums(weights, labels, count):
+    """``weights[labels == g].sum()`` for each g < count, in one ``bincount``
+    for fewer than 8 weights, which numpy too adds one by one from 0."""
+    if len(labels) < 8:
+        return np.bincount(labels, weights, count).tolist()
+    return [float(weights[labels == g].sum()) for g in range(count)]
+
+
+def _match(proj_a, weights_a, proj_b, weights_b, overlap, policy):
+    """One gluing step's matching, each side clustered on its own: each
+    atom's marginal point, numbered by side a, and each point's mass."""
+    scales = [np.maximum.reduce(np.abs(p).ravel(), initial=0.0) for p in (proj_a, proj_b)]
+    tol = policy.tol(max(scales))
+    (labels_a, firsts_a), (labels_b, firsts_b) = (_cluster(p[None], tol) for p in (proj_a, proj_b))
+    labels_a, labels_b = labels_a[0], labels_b[0]
+    na, nb = (np.maximum.reduce(labels, initial=-1) + 1 for labels in (labels_a, labels_b))
+    if na != nb:
+        raise MarginalMismatch(
+            f"overlap {overlap}: {na} marginal atoms on one side, {nb} on the other"
+        )
+    reps_a, order_b, floor = proj_a[firsts_a[0]], [], policy.tol()
+    gap = np.abs(reps_a[:, None] - proj_b[firsts_b[0]][None])
+    for ra, row in zip(reps_a, np.maximum.reduce(gap, axis=2, initial=0.0).tolist()):
+        # the nearest point not matched yet, the first of equals; NaN and inf match none
+        near = [(d, b) for b, d in enumerate(row) if d < np.inf and b not in order_b]
+        d, bi = min(near, default=(0, None))
+        if bi is None or d > tol:
+            raise MarginalMismatch(
+                f"overlap {overlap}: marginal atom {tuple(ra)} has no counterpart within {tol}"
+            )
+        order_b.append(bi)
+    sums_a, sums_b = _sums(weights_a, labels_a, na), _sums(weights_b, labels_b, nb)
+    for gi, (ma, bi) in enumerate(zip(sums_a, order_b)):
+        mb = sums_b[bi]
+        if abs(ma - mb) > policy.tol(max(abs(ma), abs(mb))):
+            raise MarginalMismatch(
+                f"overlap {overlap}: mass {ma:.6g} vs {mb:.6g} at point {tuple(reps_a[gi])}"
+            )
+        if ma <= floor:
+            raise MarginalMismatch(f"overlap {overlap}: degenerate mass {ma:.3e} at a marginal atom")
+    return labels_a, np.array(order_b, dtype=int).argsort()[labels_b], np.array(sums_a)
+
+
+def assemble_reference(clique_measures, witnesses, policy=RankPolicy(), chosen=None):
+    """``assemble`` as one gluing step per clique: the measure glued so far is
+    matched against each incoming clique measure on their overlap and
+    extended by the atom pairs over each shared point, by point in
+    first-appearance order, then k, then l. Masses are those of the measure
+    glued so far, where ``assemble`` takes them from the witness's measure,
+    so weights agree to rounding only. Then the final check, clique by
+    clique in clique order."""
+    variables = clique_measures[0].variables
+    if len(clique_measures) > 1:
+        variables = tuple(sorted(set().union(*(mu.variables for mu in clique_measures))))
+    column = np.zeros(max(variables, default=0) + 1, dtype=int)  # variable -> column of ``atoms``
+    column[list(variables)] = np.arange(len(variables))
+    assigned = np.zeros(len(variables), dtype=bool)
+    for i, incoming in enumerate(clique_measures, start=1):
+        cols = column[list(incoming.variables)]
+        spread = np.zeros((incoming.num_atoms, len(variables)))  # incoming atoms in those columns
+        spread[:, cols] = incoming.atoms
+        if i == 1:
+            atoms, weights = spread, incoming.weights
+        else:
+            j = (chosen or {}).get(i)
+            j = min(witnesses.witness[i]) if j is None else j
+            overlap = tuple(v for v in clique_measures[j - 1].variables if v in incoming.variables)
+            shared = column[list(overlap)]
+            labels_a, labels_b, masses = _match(
+                atoms[:, shared], weights, spread[:, shared], incoming.weights, overlap, policy
+            )
+            by_point = labels_a.argsort(kind="stable")
+            pair, l = (labels_a[by_point, None] == labels_b).nonzero()
+            k = by_point[pair]
+            atoms = np.where(assigned, atoms[k], spread[l])
+            weights = weights[k] * incoming.weights[l] / masses[labels_a[k]]
+        assigned[cols] = True
+    glued = AtomicMeasure(variables, atoms, weights)
+    for i, mu in enumerate(clique_measures, start=1):
+        if not measures_close(pushforward(glued, mu.variables, policy), mu, policy):
+            raise FinalMarginalCheckFailed(
+                f"assembled measure does not reproduce the measure of clique at position {i}"
+            )
+    return glued

@@ -20,7 +20,8 @@ from smk.extract import AtomicMeasure, extract_clique_measures, lex_order_rows
 from smk.rip import RipWitnesses, check_rip
 from smk import demo
 
-from conftest import CHAIN_PAIR_ATOMS, TRIANGLE_CLIQUE_ATOMS, random_flat_instance
+import per_clique
+from conftest import CHAIN_PAIR_ATOMS, TRIANGLE_CLIQUE_ATOMS, random_flat_instance, random_rip_cover
 
 
 def chain_pair_measures():
@@ -101,7 +102,7 @@ def measures_close_reference(a, b, policy):
     return True
 
 
-def assemble_reference(measures, witnesses, policy=RankPolicy(), chosen=None):
+def pointwise_assemble_reference(measures, witnesses, policy=RankPolicy(), chosen=None):
     """``glue_reference``, then the final check clique by clique, in clique order."""
     glued = glue_reference(measures, witnesses, policy, chosen)
     for i, mu in enumerate(measures, start=1):
@@ -113,12 +114,26 @@ def assemble_reference(measures, witnesses, policy=RankPolicy(), chosen=None):
 
 
 def outcome(glue, *args, **kwargs):
-    """The glued atoms, weights and variables, or the error type and message."""
+    """The glued variables, atoms and weights, or the error type and message."""
     try:
         mu = glue(*args, **kwargs)
     except Exception as exc:  # every error is compared, whatever its type
         return type(exc), str(exc)
-    return mu.variables, mu.atoms.tobytes(), mu.weights.tobytes()
+    return mu.variables, mu.atoms.tobytes(), mu.weights
+
+
+def assert_same_outcome(got, expected, rtol=1e-12):
+    """The same error, or the same variables and atoms bit for bit and
+    weights within ``rtol``: ``assemble`` takes each point's mass from the
+    witness's measure, the references from the measure glued so far."""
+    assert got[:2] == expected[:2]
+    if len(expected) == 3:
+        np.testing.assert_allclose(got[2], expected[2], rtol=rtol, atol=0.0)
+
+
+def overlap_named(message):
+    """The ``overlap (...)`` a :class:`MarginalMismatch` message starts with."""
+    return message.split(":")[0]
 
 
 def product_chain_measures(rng, n):
@@ -281,6 +296,13 @@ class TestMatchMarginals:
         with pytest.raises(MarginalMismatch):
             match_marginals(a, b, (1,))
 
+    def test_no_atoms_on_one_side(self):
+        empty, one = AtomicMeasure((1,), np.zeros((0, 1)), []), AtomicMeasure((1,), [[1.0]], [1.0])
+        for a, b, counts in ((empty, one, "0 marginal atoms on one side, 1"),
+                             (one, empty, "1 marginal atoms on one side, 0")):
+            with pytest.raises(MarginalMismatch, match=counts):
+                match_marginals(a, b, (1,))
+
 
 class TestAssemble:
     def test_chain_pair(self):
@@ -312,7 +334,7 @@ class TestAssemble:
             mu, ref = assemble(measures, wit), glue_reference(measures, wit)
             assert mu.variables == ref.variables
             assert mu.atoms.tobytes() == ref.atoms.tobytes()
-            assert mu.weights.tobytes() == ref.weights.tobytes()
+            np.testing.assert_allclose(mu.weights, ref.weights, rtol=1e-12, atol=0.0)
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(
@@ -324,7 +346,8 @@ class TestAssemble:
     def test_final_check_equals_per_clique_reference(self, case, seed, on_weight, c):
         # one atom coordinate or one weight of one clique moved by c times its
         # tolerance: assemble fails, with the same error, exactly when the
-        # per-clique reference does
+        # per-clique reference does. A moved weight that passes reaches the
+        # glued weights through the witness's masses, by up to c tolerances
         rng, policy = np.random.default_rng(seed), RankPolicy()
         chosen = None
         if case == "chain":
@@ -346,8 +369,9 @@ class TestAssemble:
         else:
             atoms[r, int(rng.integers(atoms.shape[1]))] += c * policy.tol(np.abs(atoms).max())
         measures[q] = AtomicMeasure(mu.variables, atoms, weights)
-        expected = outcome(assemble_reference, measures, witnesses, policy, chosen)
-        assert outcome(assemble, measures, witnesses, policy, chosen) == expected
+        expected = outcome(pointwise_assemble_reference, measures, witnesses, policy, chosen)
+        got = outcome(assemble, measures, witnesses, policy, chosen)
+        assert_same_outcome(got, expected, 8 * policy.tol() if on_weight else 1e-12)
 
     def test_cluster_equals_pointwise_loop(self, rng):
         centres = rng.uniform(-1.0, 1.0, (4, 2))
@@ -381,12 +405,114 @@ class TestAssemble:
         measures = [pushforward(mu, c) for c in cliques]
         forced = RipWitnesses((1, 2, 3, 4), {i: frozenset({1}) for i in (2, 3, 4)})
         chosen = {2: 1, 3: 1, 4: 1}
-        expected = outcome(assemble_reference, measures, forced, RankPolicy(), chosen)
+        expected = outcome(pointwise_assemble_reference, measures, forced, RankPolicy(), chosen)
         assert expected == (
             FinalMarginalCheckFailed,
             "assembled measure does not reproduce the measure of clique at position 3",
         )
         assert outcome(assemble, measures, forced, RankPolicy(), chosen) == expected
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.booleans())
+    def test_equals_sequential_reference(self, seed, num_atoms, noisy):
+        # random covers, whose witness trees branch; atoms that share
+        # coordinates, so marginal points hold several atoms; coordinate noise
+        # below the tolerance; a random admissible witness per position. The
+        # weights are exact pushforwards: noise on them would part the
+        # witness's masses from those of the measure glued so far by itself
+        rng, policy = np.random.default_rng(seed), RankPolicy()
+        cover = random_rip_cover(rng, max_cliques=7, max_clique_size=3)
+        shape = (num_atoms, cover.n)
+        atoms = rng.choice([-1.0, 1.0], shape) * rng.uniform(0.4, 1.6, shape)
+        atoms = np.where(rng.random(atoms.shape) < 0.4, atoms[:1], atoms)
+        mu = AtomicMeasure(tuple(range(1, cover.n + 1)), atoms, rng.uniform(0.2, 1.0, num_atoms))
+        measures = [pushforward(mu, c, policy) for c in cover.cliques]
+        if noisy:
+            measures = [
+                AtomicMeasure(m.variables, m.atoms + rng.uniform(-1e-3, 1e-3, m.atoms.shape)
+                              * policy.tol(np.abs(m.atoms).max()), m.weights)
+                for m in measures
+            ]
+        witnesses = check_rip(cover)
+        chosen = {i: int(rng.choice(sorted(js))) for i, js in witnesses.witness.items()}
+        expected = outcome(per_clique.assemble_reference, measures, witnesses, policy, chosen)
+        assert len(expected) == 3
+        assert_same_outcome(outcome(assemble, measures, witnesses, policy, chosen), expected)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("fault", ["moved", "mass", "extra", "degenerate"])
+    def test_mismatch_equals_sequential_reference(self, seed, fault):
+        # one fault in clique q on the variable it shares with its witness
+        # q - 1 (its column 0): the same error type, naming the same overlap
+        rng, policy, tiny = np.random.default_rng(seed), RankPolicy(), 1e-8
+        measures, cover = long_chain_measures(rng, 6)
+        q = int(rng.integers(2, 7))
+        mu, before = measures[q - 1], measures[q - 2]
+        atoms, weights = mu.atoms.copy(), mu.weights.copy()
+        r = int(rng.integers(mu.num_atoms))
+        if fault == "moved":
+            atoms[r, 0] += 0.1
+        elif fault == "mass":
+            weights[r] += 10 * policy.tol(weights[r])
+        elif fault == "extra":
+            atoms, weights = np.vstack([atoms, [2.0, 0.0, 0.0]]), np.append(weights, 0.1)
+        else:
+            # a point of mass below the floor on both sides; the witness's
+            # extra atom sits on a point it already has for its own witness
+            extra = [before.atoms[0, 0], before.atoms[0, 1], 2.0]
+            measures[q - 2] = AtomicMeasure(before.variables, np.vstack([before.atoms, extra]),
+                                            np.append(before.weights, tiny))
+            atoms, weights = np.vstack([atoms, [2.0, 0.0, 0.0]]), np.append(weights, tiny)
+        measures[q - 1] = AtomicMeasure(mu.variables, atoms, weights)
+        witnesses = check_rip(cover)
+        expected = outcome(per_clique.assemble_reference, measures, witnesses, policy)
+        got = outcome(assemble, measures, witnesses, policy)
+        assert expected[0] is got[0] is MarginalMismatch
+        assert overlap_named(got[1]) == overlap_named(expected[1]) == f"overlap ({2 * q - 1},)"
+        if fault == "degenerate":
+            assert "degenerate mass" in got[1]
+
+    def test_chosen_witness_is_the_one_matched(self):
+        # position 3 lists witnesses 1 and 2, and clique 1 shares none of its
+        # variables: an atom of clique 3 moved on variable 3 fails the match
+        # against clique 2, but only the final check when glued through 1
+        measures = chain_triple_measures()
+        moved = measures[2].atoms.copy()
+        moved[0, 0] += 0.5
+        measures[2] = AtomicMeasure(measures[2].variables, moved, measures[2].weights)
+        forced = RipWitnesses((1, 2, 3), {2: frozenset({1}), 3: frozenset({1, 2})})
+        for chosen, error in (({3: 2}, MarginalMismatch), (None, FinalMarginalCheckFailed)):
+            expected = outcome(per_clique.assemble_reference, measures, forced, chosen=chosen)
+            assert expected[0] is error
+            assert outcome(assemble, measures, forced, chosen=chosen) == expected
+
+    def test_chosen_witness_must_come_earlier(self):
+        witnesses = check_rip(CliqueCover(4, ((1, 2), (2, 3), (3, 4))))
+        for chosen in ({2: 3}, {3: 0}, {3: 5}):
+            with pytest.raises(ValueError, match="is not an earlier position"):
+                assemble(chain_triple_measures(), witnesses, chosen=chosen)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mismatch_names_first_failing_clique_across_shapes(self, seed):
+        # pair shapes (overlap width, witness atoms, clique atoms): positions
+        # 2 and 5 are (1, 2, 3) and matched in the first stack, 3 is
+        # (1, 3, 3). Cliques 3 and 5 each move an atom on the variable they
+        # share with their witness: clique 3 is named, as the loop names it
+        rng = np.random.default_rng(seed)
+        atoms = rng.choice([-1.0, 1.0], (3, 6)) * rng.uniform(0.4, 1.6, (3, 6))
+        atoms[1, [0, 1, 3, 4]] = atoms[0, [0, 1, 3, 4]]
+        mu = AtomicMeasure(tuple(range(1, 7)), atoms, rng.uniform(0.2, 1.0, 3))
+        cover = CliqueCover(6, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6)))
+        measures = [pushforward(mu, c) for c in cover.cliques]
+        assert [m.num_atoms for m in measures] == [2, 3, 3, 2, 3]
+        for q in (3, 5):
+            nu = measures[q - 1]
+            moved = nu.atoms.copy()
+            moved[0, 0] += 0.1
+            measures[q - 1] = AtomicMeasure(nu.variables, moved, nu.weights)
+        expected = outcome(per_clique.assemble_reference, measures, check_rip(cover))
+        assert expected[0] is MarginalMismatch and overlap_named(expected[1]) == "overlap (3,)"
+        assert outcome(assemble, measures, check_rip(cover)) == expected
 
     def test_single_clique(self):
         mu0 = chain_pair_measures()[0]

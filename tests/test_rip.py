@@ -2,9 +2,12 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smk.core import CliqueCover
-from smk.rip import NoOrderExists, RipFailsAt, check_rip, find_rip_order
+from smk.rip import NoOrderExists, RipFailsAt, _witnesses, check_rip, find_rip_order
+
+from conftest import random_rip_cover
 
 CHAIN_TRIPLE = CliqueCover(4, ((1, 2), (2, 3), (3, 4)))
 TRIANGLE = CliqueCover(3, ((1, 2), (2, 3), (1, 3)))
@@ -25,6 +28,31 @@ def brute_force_order(cover):
         if rip_holds([cover.clique(i) for i in perm]):
             return perm
     return None
+
+
+def witnesses_reference(cliques):
+    """``_witnesses`` as the union of every earlier clique, each earlier
+    clique tested against the overlap, position by position."""
+    witness = {}
+    for i in range(2, len(cliques) + 1):
+        overlap = cliques[i - 1] & set().union(*cliques[: i - 1])
+        js = frozenset(j for j in range(1, i) if overlap <= cliques[j - 1])
+        if not js:
+            return witness, i, tuple(sorted(overlap))
+        witness[i] = js
+    return witness, None, ()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_witnesses_equal_union_loop(seed, shuffle):
+    # random covers in their own order, which holds the property, or
+    # shuffled, which may fail it at some position
+    rng = np.random.default_rng(seed)
+    cliques = [set(c) for c in random_rip_cover(rng, max_cliques=9, max_clique_size=4).cliques]
+    if shuffle:
+        cliques = [cliques[k] for k in rng.permutation(len(cliques))]
+    assert _witnesses(cliques) == witnesses_reference(cliques)
 
 
 def test_chain_witnesses():
