@@ -6,9 +6,10 @@ against its witness's measure on their overlap, the pairs of one shape in one
 stacked pass, and the glued atoms are then composed along the witness tree as
 index arrays, one atom per clique. Pairwise marginal consistency is necessary
 but not sufficient without the running intersection property, so every clique
-marginal of the result is verified too, one stacked pass per clique shape.
-:func:`pushforward`, :func:`match_marginals` and :func:`measures_close` are
-stacks of one.
+marginal of the result is matched against its clique's measure by the same
+matcher too, one stacked pass per clique shape. :func:`match_marginals` and
+:func:`measures_close` run that matcher, :func:`pushforward` its clustering,
+on a stack of one.
 """
 
 from __future__ import annotations
@@ -69,15 +70,6 @@ def _cluster_sums(weights: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return out.reshape(len(labels), count)
 
 
-def _marginals(mu: AtomicMeasure, columns: np.ndarray, policy: RankPolicy):
-    """Pushforwards of ``mu`` onto each row of ``columns``: representatives,
-    weights (sets, clusters) and the number of clusters."""
-    points = mu.atoms[:, columns].transpose(1, 0, 2)
-    labels, firsts = _cluster(points, _tols(policy, np.abs(points).max(axis=(1, 2), initial=0.0)))
-    reps = points[np.arange(len(points))[:, None], firsts]
-    return reps, _cluster_sums(mu.weights, labels), labels.max(axis=1, initial=-1) + 1
-
-
 def pushforward(mu: AtomicMeasure, target, policy: RankPolicy = RankPolicy()) -> AtomicMeasure:
     """Marginal of an atomic measure on the ``target`` variables: project
     every atom and merge the ones that coincide up to the policy tolerance
@@ -85,9 +77,9 @@ def pushforward(mu: AtomicMeasure, target, policy: RankPolicy = RankPolicy()) ->
     target = tuple(target)
     if not set(target) <= set(mu.variables):
         raise ValueError(f"target {target} is not a subset of the measure's variables {mu.variables}")
-    columns = np.array([[mu.variables.index(v) for v in target]], dtype=int)
-    reps, weights, (count,) = _marginals(mu, columns, policy)
-    return AtomicMeasure(target, reps[0, :count], weights[0, :count])
+    points = mu.atoms[None, :, [mu.variables.index(v) for v in target]]
+    labels, firsts = _cluster(points, _tols(policy, np.abs(points).max(initial=0.0)))
+    return AtomicMeasure(target, points[0, firsts[0]], _cluster_sums(mu.weights, labels)[0])
 
 
 @dataclass(frozen=True)
@@ -106,12 +98,13 @@ class MarginalGroups:
     groups_b: tuple[tuple[int, ...], ...]
 
 
-def _match(points_a, weights_a, points_b, weights_b, policy):
+def _match(points_a, weights_a, points_b, weights_b, policy, floor=True):
     """:func:`match_marginals` on stacks of pairs, points (pairs, atoms, width)
     and weights (pairs, atoms), each side clustered at each pair's tolerance.
     Per pair: each a atom's point, numbered by first appearance in a, each b
     atom's point in that numbering, each point's mass in a; and the first
-    pair that fails a check, with the check's diagnostic, or None."""
+    pair that fails a check, with the check's diagnostic, or None. A point
+    of mass at most ``policy.tol()`` fails only with ``floor``."""
     scale = [np.maximum.reduce(np.abs(x), axis=(1, 2), initial=0.0) for x in (points_a, points_b)]
     tol = _tols(policy, np.where(scale[1] > scale[0], scale[1], scale[0]))  # max(a, b) reads NaN so
     (labels_a, firsts_a), (labels_b, firsts_b) = _cluster(points_a, tol), _cluster(points_b, tol)
@@ -129,7 +122,7 @@ def _match(points_a, weights_a, points_b, weights_b, policy):
     ma, mb = _cluster_sums(weights_a, labels_a), _cluster_sums(weights_b, labels_b)
     mb = mb[rows, order] if mb.shape[1] else np.zeros_like(ma)  # no b point: the counts differ
     live, off = span < count_a[:, None], abs(ma - mb) > _tols(policy, np.fmax(abs(ma), abs(mb)))
-    lost, off, light = live & ~found, live & off, live & (ma <= policy.tol())
+    lost, off, light = live & ~found, live & off, live & (ma <= policy.tol()) & floor
     bad, failure = (count_a != count_b) | (lost | off | light).any(axis=1), None
     if bad.any():
         g = int(bad.argmax())
@@ -168,29 +161,11 @@ def match_marginals(
     return MarginalGroups(proj_a[[g[0] for g in a]], masses[0, :count], a, b)
 
 
-def _close(atoms_a, weights_a, atoms_b, weights_b, policy: RankPolicy) -> np.ndarray:
-    """:func:`measures_close` on stacks of measures with equal atom counts: atom
-    k of a takes the first unused atom of b near it in coordinates and weight."""
-    scale_a, scale_b = (np.abs(x).max(axis=(1, 2), initial=0.0) for x in (atoms_a, atoms_b))
-    tol = _tols(policy, np.where(scale_b > scale_a, scale_b, scale_a))  # max(a, b) as max reads NaN
-    wa, wb = weights_a[:, :, None], weights_b[:, None]
-    gap = np.abs(atoms_a[:, :, None] - atoms_b[:, None]).max(axis=3, initial=0.0)
-    near = (gap <= tol[:, None, None]) & (abs(wa - wb) <= _tols(policy, np.fmax(abs(wa), abs(wb))))
-    used, close = np.zeros(weights_b.shape, dtype=bool), np.ones(len(near), dtype=bool)
-    rows = np.arange(len(near))
-    for k in range(near.shape[1]):
-        free = near[:, k] & ~used
-        pick = free.argmax(axis=1)
-        close &= free[rows, pick]
-        used[rows, pick] |= free[rows, pick]
-    return close
-
-
 def measures_close(a: AtomicMeasure, b: AtomicMeasure, policy: RankPolicy = RankPolicy()) -> bool:
     """Same variable set, same atoms and weights, up to order and the policy tolerance."""
     if a.variables != b.variables or a.num_atoms != b.num_atoms:
         return False
-    return bool(_close(a.atoms[None], a.weights[None], b.atoms[None], b.weights[None], policy)[0])
+    return not _match(a.atoms[None], a.weights[None], b.atoms[None], b.weights[None], policy, floor=False)[3]
 
 
 def assemble(
@@ -278,14 +253,12 @@ def assemble(
     atoms = np.ascontiguousarray(table[f[:, None], index[f], t[:, None]].T)
 
     glued, failed = AtomicMeasure(variables, atoms, weights), []
-    for (width, rank), members in kinds.items():  # one stacked check per clique shape
-        columns = column[np.array([clique_measures[i].variables for i in members], dtype=int)]
-        reps, sums, count = _marginals(glued, columns.reshape(-1, width), policy)
-        ok = count == rank
-        if ok.any():
-            atoms_b, weights_b = table[members, :rank, :width][ok], masses[members, :rank][ok]
-            ok[ok] = _close(reps[ok, :rank], sums[ok, :rank], atoms_b, weights_b, policy)
-        failed += [i + 1 for i, good in zip(members, ok) if not good]
+    for (width, rank), members in kinds.items():  # one stacked match per clique shape
+        cols = column[np.array([clique_measures[c].variables for c in members], dtype=int)]
+        points = atoms[:, cols].transpose(1, 0, 2)
+        failure = _match(points, weights, table[members, :rank, :width], masses[members, :rank],
+                         policy, floor=False)[3]
+        failed += [members[failure[0]] + 1] if failure else []
     if failed:
         raise FinalMarginalCheckFailed(
             f"assembled measure does not reproduce the measure of clique at position {min(failed)}"

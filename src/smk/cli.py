@@ -23,7 +23,7 @@ from .altmeasure import enumerate_extreme_measures, solve_weight_lp
 from .assemble import assemble, maximal_support_set, verify_global
 from .certify import RankPolicy, certify, zero_propagation_check
 from .core import validate_cover
-from .errors import SmkError
+from .errors import MalformedInput, SmkError
 from .extract import constraint_feasibility_check, extract_clique_measures, lex_order_rows
 from .relax import build_relaxation, emit_sdpa, pipeline, solve_sdp_bundled
 from .rip import NoOrderExists, RipFailsAt, check_rip, find_rip_order
@@ -88,7 +88,8 @@ def _build_parser() -> _Parser:
     p = add("altmeasure", "extreme representing measures over the maximal atoms")
     p.add_argument("--input", required=True)
     p.add_argument("--constraints", default=None)
-    p.add_argument("--measure", default=None, help="measure JSON supplying the atoms (default: run the chain)")
+    p.add_argument("--measure", default=None,
+                   help="measure JSON on variables 1..n supplying the atoms (default: run the chain)")
     p.add_argument("--cost", required=True, type=_cost,
                    help="comma-separated cost vector, or random:N")
 
@@ -200,7 +201,10 @@ def _run_extract_assemble(args, report):
 def _run_altmeasure(args, report):
     y = _moments(args)
     if args.measure:
-        atoms = io.load_measure(args.measure).atoms
+        mu, variables = io.load_measure(args.measure), tuple(range(1, y.cover.n + 1))
+        if mu.variables != variables:
+            raise MalformedInput(f"measure variables {mu.variables} are not the moment file's {variables}")
+        atoms = mu.atoms
     else:
         code, mu = _certify_chain(args, y, report, want_measure=True)
         if code != EXIT_OK:

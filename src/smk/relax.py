@@ -80,18 +80,6 @@ class PopProblem:
             tuple(self.constraints[i - 1] for i in order),
         )
 
-    def objective_value(self, x) -> float:
-        """Evaluate the full objective at a global point."""
-        total = 0.0
-        for i, obj in enumerate(self.objectives, start=1):
-            clique = self.cover.clique(i)
-            for a, c in obj.items():
-                term = c
-                for var, e in zip(clique, a):
-                    term *= x[var - 1] ** e
-                total += term
-        return total
-
 
 @dataclass(frozen=True, eq=False)
 class SdpBlock:
@@ -142,14 +130,6 @@ class SdpInstance:
             (np.concatenate(coefficients), (np.concatenate(rows), np.concatenate(columns))),
             shape=(self.offsets[-1], self.num_vars),
         )
-
-    def block_matrices(self, values: np.ndarray) -> list[np.ndarray]:
-        """Every block's matrix at ``values``, from one product with the operator."""
-        flat = self.operator @ values
-        return [
-            flat[lo : lo + blk.size**2].reshape(blk.size, blk.size)
-            for lo, blk in zip(self.offsets, self.blocks)
-        ]
 
     def block_eig_range(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Smallest and largest eigenvalue of every block's matrix at
@@ -300,11 +280,6 @@ def _sdpa_columns(instance: SdpInstance):
     value = np.where(matno == 0, -A.data, A.data)
     index = np.stack([matno, block + 1, i + 1, j + 1])[:, keep]
     return instance.num_vars - 1, sizes.tolist(), instance.objective[1:], index, value[keep]
-
-
-def to_sdpa(instance: SdpInstance) -> SdpaData:
-    m, sizes, c, index, value = _sdpa_columns(instance)
-    return SdpaData(m, tuple(sizes), tuple(c.tolist()), tuple(zip(*index.tolist(), value.tolist())))
 
 
 def emit_sdpa(instance: SdpInstance) -> str:

@@ -21,6 +21,7 @@ from smk.rip import RipWitnesses, check_rip
 from smk import demo
 
 import per_clique
+from per_clique import cluster_reference, measures_close_reference, pushforward_reference
 from conftest import CHAIN_PAIR_ATOMS, TRIANGLE_CLIQUE_ATOMS, random_flat_instance, random_rip_cover
 
 
@@ -37,20 +38,6 @@ def chain_triple_measures():
         AtomicMeasure((2, 3), [[1.0, 0.0], [-1.0, 0.0]], [0.5, 0.5]),
         AtomicMeasure((3, 4), [[0.0, 1.0], [0.0, -1.0]], [0.5, 0.5]),
     ]
-
-
-def cluster_reference(points, tol):
-    """Greedy max-norm clustering, point by point."""
-    reps, groups = [], []
-    for k, p in enumerate(points):
-        for gi, rep in enumerate(reps):
-            if p.size == 0 or np.abs(p - rep).max() <= tol:
-                groups[gi].append(k)
-                break
-        else:
-            reps.append(p)
-            groups.append([k])
-    return np.array(reps).reshape(len(reps), points.shape[1]), groups
 
 
 def glue_reference(measures, witnesses, policy=RankPolicy(), chosen=None):
@@ -73,33 +60,6 @@ def glue_reference(measures, witnesses, policy=RankPolicy(), chosen=None):
                     weights.append(current.weights[k] * incoming.weights[l] / theta)
         current = AtomicMeasure(union_vars, np.array(atoms), np.array(weights))
     return current
-
-
-def pushforward_reference(mu, variables, policy):
-    """The per-clique pushforward: pointwise clustering of the projected
-    atoms, and each cluster's weights summed."""
-    projected = mu.atoms[:, [mu.variables.index(v) for v in variables]]
-    reps, groups = cluster_reference(projected, policy.tol(np.abs(projected).max(initial=0.0)))
-    return AtomicMeasure(variables, reps, np.array([mu.weights[g].sum() for g in groups]))
-
-
-def measures_close_reference(a, b, policy):
-    """Atom by atom: each atom of a takes the first unused atom of b that is
-    within tolerance in coordinates and in weight."""
-    if a.variables != b.variables or a.num_atoms != b.num_atoms:
-        return False
-    tol = policy.tol(max(np.abs(a.atoms).max(initial=0.0), np.abs(b.atoms).max(initial=0.0)))
-    used = [False] * b.num_atoms
-    for k in range(a.num_atoms):
-        for l in range(b.num_atoms):
-            coord_ok = a.atoms.shape[1] == 0 or np.abs(a.atoms[k] - b.atoms[l]).max() <= tol
-            wa, wb = a.weights[k], b.weights[l]
-            if not used[l] and coord_ok and abs(wa - wb) <= policy.tol(max(abs(wa), abs(wb))):
-                used[l] = True
-                break
-        else:
-            return False
-    return True
 
 
 def pointwise_assemble_reference(measures, witnesses, policy=RankPolicy(), chosen=None):
@@ -183,6 +143,15 @@ def long_chain_measures(rng, m, num_atoms=3):
     return [pushforward(mu, c) for c in cover.cliques], cover
 
 
+def tiny_weight_measures():
+    """A chain pair whose first clique holds an atom of weight 1e-9, below the
+    mass floor, on a marginal point of mass 0.5 + 1e-9."""
+    return [
+        AtomicMeasure((1, 2), [[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0]], [0.5, 1e-9, 0.5 - 1e-9]),
+        AtomicMeasure((2, 3), [[1.0, 2.0], [-1.0, 3.0]], [0.5 + 1e-9, 0.5 - 1e-9]),
+    ]
+
+
 def triangle_measures():
     return [
         AtomicMeasure((1, 2), *TRIANGLE_CLIQUE_ATOMS[1]),
@@ -252,6 +221,9 @@ class TestMeasuresClose:
         assert pushforward(a, (1,)).num_atoms == 2
         assert not measures_close(a, b) and not measures_close_reference(a, b, RankPolicy())
         assert measures_close(a, a) and measures_close(b, b)
+        # an atom of weight 1e-9 is no degenerate mass here
+        tiny = tiny_weight_measures()[0]
+        assert measures_close(tiny, tiny) and measures_close_reference(tiny, tiny, RankPolicy())
 
 
 class TestMatchMarginals:
@@ -533,12 +505,30 @@ class TestAssemble:
         assert mu.mass == pytest.approx(1.0, abs=1e-10)
 
     def test_clique_marginals_reproduced(self):
-        measures = chain_triple_measures()
-        wit = check_rip(CliqueCover(4, ((1, 2), (2, 3), (3, 4))))
+        for measures, cover, count in (
+            (chain_triple_measures(), CliqueCover(4, ((1, 2), (2, 3), (3, 4))), 8),
+            (tiny_weight_measures(), CliqueCover(3, ((1, 2), (2, 3))), 3),
+        ):
+            mu = assemble(measures, check_rip(cover))
+            assert mu.num_atoms == count
+            for mu_i in measures:
+                marg = pushforward(mu, mu_i.variables)
+                assert measures_close(marg, mu_i)
+
+    def test_final_check_merges_coinciding_clique_atoms(self):
+        # clique 1 holds one point as two atoms 0.1 tolerance apart, against
+        # AtomicMeasure's rule: the final check compares it merged, as the
+        # witness match does; the atom-by-atom reference refuses it
+        t = RankPolicy().tol()
+        measures = [
+            AtomicMeasure((1, 2), [[1.0, 1.0], [1.0, 1.0 + 0.1 * t], [-1.0, -1.0]], [0.25, 0.25, 0.5]),
+            AtomicMeasure((2, 3), [[1.0, 0.0], [-1.0, 0.0]], [0.5, 0.5]),
+        ]
+        wit = check_rip(CliqueCover(3, ((1, 2), (2, 3))))
         mu = assemble(measures, wit)
-        for mu_i in measures:
-            marg = pushforward(mu, mu_i.variables)
-            assert measures_close(marg, mu_i)
+        assert mu.num_atoms == 3
+        assert measures_close(pushforward(mu, (1, 2)), pushforward(measures[0], (1, 2)))
+        assert outcome(pointwise_assemble_reference, measures, wit)[0] is FinalMarginalCheckFailed
 
     def test_atom_set_invariant_across_valid_orders(self):
         cover = CliqueCover(4, ((1, 2), (2, 3), (3, 4)))

@@ -243,6 +243,21 @@ def test_malformed_problem_exit_one(capsys, tmp_path, command, edit, detail):
     assert (report["error"], report["detail"]) == ("MalformedInput", detail)
 
 
+@pytest.mark.parametrize("variables", [[1, 2], [3, 2, 1]])
+def test_altmeasure_measure_on_other_variables_exit_one(files, capsys, tmp_path, variables):
+    # the atom columns are read as variables 1..n of the moment file, so a
+    # measure on fewer or permuted variables is refused before the LP
+    path = tmp_path / "measure.json"
+    atoms = [[1.0] * len(variables), [-1.0] * len(variables)]
+    path.write_text(json.dumps({"variables": variables, "atoms": atoms, "weights": [0.5, 0.5]}))
+    code, report = run_json(capsys, ["altmeasure", "--input", files["pair"], "--measure", str(path),
+                                     "--cost", "random:2"])
+    assert code == 1
+    assert (report["error"], report["detail"]) == (
+        "MalformedInput", f"measure variables {tuple(variables)} are not the moment file's (1, 2, 3)"
+    )
+
+
 def test_altmeasure_loads_moments_once(files, capsys, monkeypatch):
     calls = []
     load = io.load_moment_vector

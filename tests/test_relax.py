@@ -18,6 +18,7 @@ from smk.relax import (
     PopProblem,
     SdpBlock,
     SdpInstance,
+    SdpaData,
     SolveReport,
     build_relaxation,
     emit_sdpa,
@@ -28,9 +29,36 @@ from smk.relax import (
     sdpa_text,
     size_groups,
     solve_sdp_bundled,
-    to_sdpa,
 )
 from smk import core, demo, io, relax
+
+
+def objective_value(pop, x):
+    """The full objective at a global point, term by term."""
+    total = 0.0
+    for i, obj in enumerate(pop.objectives, start=1):
+        clique = pop.cover.clique(i)
+        for a, c in obj.items():
+            term = c
+            for var, e in zip(clique, a):
+                term *= x[var - 1] ** e
+            total += term
+    return total
+
+
+def block_matrices(instance, values):
+    """Every block's matrix at ``values``, from one product with the operator."""
+    flat = instance.operator @ values
+    return [
+        flat[lo : lo + blk.size**2].reshape(blk.size, blk.size)
+        for lo, blk in zip(instance.offsets, instance.blocks)
+    ]
+
+
+def to_sdpa(instance):
+    """The instance as :class:`SdpaData`, from the columns ``emit_sdpa`` formats."""
+    m, sizes, c, index, value = relax._sdpa_columns(instance)
+    return SdpaData(m, tuple(sizes), tuple(c.tolist()), tuple(zip(*index.tolist(), value.tolist())))
 
 
 def feasibility_pop(cover):
@@ -230,7 +258,7 @@ class TestBlockOperator:
         # the operator sums an entry's terms by position, the reference in the
         # order of the constraint's coefficients: a few roundings apart at most
         tol = 64 * np.finfo(float).eps
-        for M, (size, terms) in zip(inst.block_matrices(values), reference):
+        for M, (size, terms) in zip(block_matrices(inst, values), reference):
             assert np.allclose(M, assemble_matrix_reference(size, terms, values), rtol=tol, atol=tol)
         assert to_sdpa(inst).entries == sdpa_entries_reference(reference)
 
@@ -245,7 +273,7 @@ class TestBlockOperator:
     def test_blocks_match_matrices_on_the_fixture(self, inst_triple):
         y = demo.chain_triple_moments()
         reference = terms_reference(demo.chain_triple_pop(), 3)
-        for M, (size, terms) in zip(inst_triple.block_matrices(y.values), reference):
+        for M, (size, terms) in zip(block_matrices(inst_triple, y.values), reference):
             assert np.array_equal(M, assemble_matrix_reference(size, terms, y.values))
 
 
@@ -289,7 +317,7 @@ class TestBuildRelaxation:
         for _ in range(20):
             x = rng.standard_normal(4)
             mono = np.array([np.prod(x ** np.array(a)) for a in inst.exponents])
-            assert inst.objective @ mono == pytest.approx(pop_triple.objective_value(x), rel=1e-12)
+            assert inst.objective @ mono == pytest.approx(objective_value(pop_triple, x), rel=1e-12)
 
 
 class TestSdpa:
@@ -398,7 +426,7 @@ class TestIngest:
         free = rng.normal(size=inst.num_vars - 1)
         expected = []
         values = np.concatenate([[1.0], free])
-        for bno, (blk, M) in enumerate(zip(inst.blocks, inst.block_matrices(values)), start=1):
+        for bno, (blk, M) in enumerate(zip(inst.blocks, block_matrices(inst, values)), start=1):
             eigs = np.linalg.eigvalsh(M)
             if eigs[0] < -1e-6 * max(1.0, eigs[-1]):
                 expected.append(
@@ -629,7 +657,7 @@ class TestBundledSolver:
         assert rep.converged
         assert rep.min_block_eig >= -1e-6
         values = np.array([rep.y.entries[a] for a in inst.exponents])
-        for M in inst.block_matrices(values):
+        for M in block_matrices(inst, values):
             assert np.linalg.eigvalsh(M)[0] >= -1e-6
 
     def test_chain_triple_reaches_optimum(self, inst_triple):
@@ -736,7 +764,7 @@ class TestPipeline:
             for gs in pop_triple.constraints:
                 for g in gs:
                     assert g(x[[v - 1 for v in g.variables]]) >= -1e-6
-            assert pop_triple.objective_value(x) - res.objective <= 1e-5 * (1 + abs(res.objective))
+            assert objective_value(pop_triple, x) - res.objective <= 1e-5 * (1 + abs(res.objective))
 
     def test_lower_bound_against_sampled_feasible_points(self, pop_triple, rng):
         res = pipeline(pop_triple, 3, solver="file", solution=demo.chain_triple_moments())
@@ -746,7 +774,7 @@ class TestPipeline:
             x = rng.uniform(-1.2, 1.2, 4)
             if all(g(x[[v - 1 for v in g.variables]]) >= 0
                    for gs in pop_triple.constraints for g in gs):
-                assert pop_triple.objective_value(x) >= f_omega - 1e-6
+                assert objective_value(pop_triple, x) >= f_omega - 1e-6
                 count += 1
 
     def test_trivial_single_variable_pop(self):
