@@ -6,12 +6,13 @@ the shifted order, and each clique after the first has a witness whose
 overlap moment matrix is also rank-flat. Such a vector is represented by an
 atomic measure whose atoms can be recovered clique by clique.
 
-The checks run once per clique shape, not once per clique: cliques of one
-width and constraint coefficients are gathered as one stack of matrices
-with one read of the moment values, and each rank and PSD decision is one
-batched SVD or ``eigvalsh`` over the stack; overlaps are stacked by width.
-A batched LAPACK call gives each matrix bit for bit what a call on it alone
-gives, so certificates do not depend on how the cliques were stacked.
+Clique and overlap moment matrices go through one path. They are stacked
+by width, with one read of the moment values per stack: one batched SVD
+gives the full ranks, one per (width, shifted order) the shifted ranks, and
+one ``eigvalsh`` per width the cliques' eigenvalue ranges. Localizing
+matrices are stacked per (width, constraint coefficients), one ``eigvalsh``
+each. A batched LAPACK call gives each matrix bit for bit what a call on it
+alone gives, so certificates do not depend on how the matrices were stacked.
 """
 
 from __future__ import annotations
@@ -24,14 +25,7 @@ import numpy as np
 
 from .core import SparseMomentVector, clique_subvector, local_exponents
 from .errors import NonFiniteMoment, OrderTooHigh, ZeroVector
-from .matrices import (
-    ConstraintPolynomial,
-    LabeledSymMatrix,
-    block_diagonal,
-    block_operator,
-    gather,
-    localizing_operator,
-)
+from .matrices import ConstraintPolynomial, LabeledSymMatrix, block_operator, gather
 from .rip import RipWitnesses
 
 
@@ -81,7 +75,7 @@ def _ranks_and_gaps(data: np.ndarray, policy: RankPolicy) -> list[tuple[int, tup
 
 def _eig_ranges(data: np.ndarray, policy: RankPolicy) -> list[tuple[float, float]]:
     """Extreme eigenvalues per matrix of a stack, from one batched ``eigvalsh``."""
-    if data.shape[-1] == 0:
+    if data.size == 0:
         return [(0.0, 0.0)] * len(data)
     eigs = np.linalg.eigvalsh(policy.prepare(data))
     return list(zip(eigs[:, 0].tolist(), eigs[:, -1].tolist()))
@@ -91,22 +85,21 @@ def _psd(lo: float, hi: float, policy: RankPolicy) -> bool:
     return lo >= -policy.rel_tol * max(1.0, hi)
 
 
-def _leading_size(width: int, d: int, omega: int) -> int:
-    """Size of the order-``d`` moment matrix inside the order-``omega`` one
-    on ``width`` variables: the labels are graded, so it is the leading
-    principal block of that size."""
-    if d < 0:
-        raise OrderTooHigh(f"moment matrix of order {d} needs degrees up to {2*d} > {2*omega}")
-    return len(local_exponents(width, d))
-
-
-def _moment_stack(y: SparseMomentVector, variable_sets: list[tuple[int, ...]], d: int):
-    """Labels and the order-``d`` moment matrices of ``y`` on variable sets
-    of one width, as a (k, s, s) stack read from ``y.values`` at once."""
-    block = block_operator(len(variable_sets[0]), d)
+def _stack(y: SparseMomentVector, variable_sets: list[tuple[int, ...]], g=None):
+    """Labels and the order-omega moment matrices of ``y`` on variable sets
+    of one width, or with ``g`` its localizing matrices, as a (k, s, s)
+    stack read from ``y.values`` at once."""
+    block = block_operator(len(variable_sets[0]), y.omega, g)
     positions = np.stack([y.index_map.positions(v, 2 * y.omega) for v in variable_sets])
-    moments = y.values[positions]
-    return block[0], moments, gather(block, moments)
+    return block[0], gather(block, y.values[positions])
+
+
+def _grouped(keys) -> dict:
+    """The places of each distinct key, in order of first appearance."""
+    groups: dict = {}
+    for k, key in enumerate(keys):
+        groups.setdefault(key, []).append(k)
+    return groups
 
 
 def d_half(constraints: Sequence[ConstraintPolynomial]) -> int:
@@ -230,24 +223,21 @@ def certify(
     """
     if y.is_zero():
         raise ZeroVector("certification assumes a nonzero moment vector")
-    m = y.cover.m
+    m, omega = y.cover.m, y.omega
     if len(constraints) != m:
         raise ValueError(f"need one constraint list per clique ({m}), got {len(constraints)}")
     if witnesses.order != tuple(range(1, m + 1)):
         raise ValueError("witnesses must be computed for the cover's own clique order")
-
-    omega = y.omega
-    # cliques of one shape (width and constraint coefficients) are decided
-    # as one stack; every shape is checked, in clique order, before any
-    # decision, so an order or constraint error names the first bad clique
-    stacks: dict[tuple, list[int]] = {}
-    for i in range(1, m + 1):
-        clique, gs = y.cover.clique(i), constraints[i - 1]
-        _leading_size(len(clique), omega - d_half(gs), omega)
+    # every clique is checked, in clique order, before any decision, so an
+    # order or constraint error names the first bad clique
+    di = [d_half(gs) for gs in constraints]
+    for clique, gs, d_i in zip(y.cover.cliques, constraints, di):
+        if d_i > omega:
+            d = omega - d_i
+            raise OrderTooHigh(f"moment matrix of order {d} needs degrees up to {2*d} > {2*omega}")
         for g in gs:
-            localizing_operator(clique, omega, g, omega)
-        shape = (len(clique), tuple(tuple(g.coefficients.items()) for g in gs))
-        stacks.setdefault(shape, []).append(i)
+            if g.variables != clique:
+                raise ValueError(f"constraint on {g.variables} does not match clique {clique}")
     if not np.isfinite(y.values).all():  # every sparse index lies in some clique
         for i in range(1, m + 1):
             positions = y.index_map.positions(y.cover.clique(i), 2 * omega)
@@ -255,87 +245,54 @@ def certify(
             if bad.size:
                 alpha, value = y.index_map.exponents[bad[0]], float(y.values[bad[0]])
                 raise NonFiniteMoment(f"clique {i}: the moment at {alpha} is {value}")
-    clique_checks: dict[int, CliqueCheck] = {}
-    for members in stacks.values():
-        checks = _clique_stack(y, members, constraints[members[0] - 1], policy)
-        clique_checks.update(zip(members, checks))
 
     # for every witness j of position i, C_i & C_j is all that C_i shares
     # with the earlier cliques, so the candidates give one overlap matrix:
-    # the first one's, stacked by overlap width. A position where it is not
-    # flat keeps its ranks for diagnostics but has no witness.
+    # the first one's. The cliques and then the overlaps are one list of
+    # variable sets, stacked by width, each flat against its shifted order.
     candidates = {i: tuple(sorted(witnesses.witness[i])) for i in range(2, m + 1)}
-    shared = {i: _shared(y, i, candidates[i][0]) for i in candidates}
-    by_width: dict[int, list[int]] = {}
-    for i in candidates:
-        by_width.setdefault(len(shared[i]), []).append(i)
-    overlaps: dict[int, OverlapCheck] = {}
-    for positions in by_width.values():
-        ranks = _overlap_stack(y, [shared[i] for i in positions], policy)
-        for i, r in zip(positions, ranks):
-            record = OverlapCheck(i, candidates[i][0], *r, candidates[i])
-            overlaps[i] = record if record.flat else replace(record, witness_j=None)
-    overlap_checks = [overlaps[i] for i in candidates]
+    shared = [sorted(set(y.cover.clique(i)) & set(y.cover.clique(js[0]))) for i, js in candidates.items()]
+    sets = [*y.cover.cliques, *map(tuple, shared)]
+    orders = [omega - d_i for d_i in di] + [omega - 1] * len(candidates)
+    full, shifted, eig_range, moment = {}, {}, {}, {}
+    for width, members in _grouped(len(v) for v in sets).items():
+        labels, data = _stack(y, [sets[k] for k in members])
+        full.update(zip(members, _ranks_and_gaps(data, policy)))
+        for d, rows in _grouped(orders[k] for k in members).items():
+            size = len(local_exponents(width, d))  # the labels are graded
+            ranks = _ranks_and_gaps(data[rows, :size, :size], policy)
+            shifted.update(zip([members[r] for r in rows], ranks))
+        on_cliques = data[: sum(k < m for k in members)]  # the cliques come first
+        eig_range.update(zip(members, _eig_ranges(on_cliques, policy)))
+        moment.update({k: LabeledSymMatrix(sets[k], labels, M) for k, M in zip(members, on_cliques)})
 
-    cliques = tuple(clique_checks[i] for i in range(1, m + 1))
-    verdict = all(c.ok for c in cliques) and all(o.flat for o in overlap_checks)
-    r_bound = max(c.rank_full for c in cliques)
-    return FlatnessCertificate(cliques, tuple(overlap_checks), verdict, r_bound)
+    # localizing blocks are stacked per (width, constraint coefficients), as
+    # the relaxation compiles them; a clique's range spans its blocks'
+    blocks = [(k, g) for k, gs in enumerate(constraints) for g in gs]
+    loc_range: dict[int, tuple[float, float]] = {}
+    for places in _grouped((len(g.variables), tuple(g.coefficients.items())) for _, g in blocks).values():
+        owners = [blocks[p][0] for p in places]
+        _, data = _stack(y, [sets[k] for k in owners], blocks[places[0]][1])
+        for k, (lo, hi) in zip(owners, _eig_ranges(data, policy)):
+            lo_k, hi_k = loc_range.get(k, (lo, hi))
+            loc_range[k] = min(lo, lo_k), max(hi, hi_k)
 
-
-def _clique_stack(
-    y: SparseMomentVector,
-    members: list[int],
-    gs: Sequence[ConstraintPolynomial],
-    policy: RankPolicy,
-) -> list[CliqueCheck]:
-    """The checks of cliques of one shape with constraints like ``gs``:
-    one gather per matrix kind, one SVD per rank decision and one
-    ``eigvalsh`` per PSD range over the whole stack."""
-    omega, di = y.omega, d_half(gs)
-    cliques = [y.cover.clique(i) for i in members]
-    labels, moments, full = _moment_stack(y, cliques, omega)
-    size = _leading_size(len(cliques[0]), omega - di, omega)
-    ranks_full = _ranks_and_gaps(full, policy)
-    ranks_shifted = _ranks_and_gaps(full[:, :size, :size], policy)
-    eig_ranges = _eig_ranges(full, policy)
-    psd_loc = [True] * len(members)
-    if gs:
-        operators = [localizing_operator(cliques[0], omega, g, omega) for g in gs]
-        loc = block_diagonal([gather(op, moments) for op in operators], len(members))
-        psd_loc = [_psd(*e, policy) for e in _eig_ranges(loc, policy)]
-    return [
+    cliques = tuple(
         CliqueCheck(
-            clique=i,
-            psd_moment=_psd(*eig_range, policy),
-            psd_localizing=loc_ok,
-            rank_full=rank_full,
-            rank_shifted=rank_shifted,
-            d_i=di,
-            gap_full=gap_full,
-            gap_shifted=gap_shifted,
-            eig_range=eig_range,
-            moment=LabeledSymMatrix(clique, labels, data),
+            k + 1, _psd(*eig_range[k], policy), k not in loc_range or _psd(*loc_range[k], policy),
+            full[k][0], shifted[k][0], di[k], full[k][1], shifted[k][1],
+            eig_range[k], moment[k],
         )
-        for i, clique, data, (rank_full, gap_full), (rank_shifted, gap_shifted), eig_range, loc_ok
-        in zip(members, cliques, full, ranks_full, ranks_shifted, eig_ranges, psd_loc)
-    ]
-
-
-def _shared(y: SparseMomentVector, i: int, j: int) -> tuple[int, ...]:
-    return tuple(sorted(set(y.cover.clique(i)) & set(y.cover.clique(j))))
-
-
-def _overlap_stack(y: SparseMomentVector, shared: list[tuple[int, ...]], policy: RankPolicy):
-    """(rank_full, rank_shifted, gap_full, gap_shifted) of the overlap
-    moment matrix on each variable set of one width."""
-    _, _, full = _moment_stack(y, shared, y.omega)
-    size = _leading_size(len(shared[0]), y.omega - 1, y.omega)
-    return [
-        (rank_full, rank_shifted, gap_full, gap_shifted)
-        for (rank_full, gap_full), (rank_shifted, gap_shifted)
-        in zip(_ranks_and_gaps(full, policy), _ranks_and_gaps(full[:, :size, :size], policy))
-    ]
+        for k in range(m)
+    )
+    # a position whose overlap is not flat keeps its ranks but has no witness
+    overlaps = []
+    for k, (i, js) in enumerate(candidates.items(), start=m):
+        record = OverlapCheck(i, js[0], full[k][0], shifted[k][0], full[k][1], shifted[k][1], js)
+        overlaps.append(record if record.flat else replace(record, witness_j=None))
+    verdict = all(c.ok for c in cliques) and all(o.flat for o in overlaps)
+    r_bound = max(c.rank_full for c in cliques)
+    return FlatnessCertificate(cliques, tuple(overlaps), verdict, r_bound)
 
 
 class ZeroPropagation(enum.Enum):

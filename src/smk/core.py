@@ -159,30 +159,34 @@ class CliqueCover:
 
 def validate_cover(cover: CliqueCover) -> list[str]:
     """Check all cover invariants and return a list of violations (empty = ok)."""
-    report = []
-    if cover.n < 1:
-        report.append(f"ambient dimension n = {cover.n} must be positive")
-    if not cover.cliques:
-        report.append("cover has no cliques")
-    for i, cl in enumerate(cover.cliques, start=1):
-        if not cl:
-            report.append(f"clique {i} is empty")
-            continue
-        if list(cl) != sorted(set(cl)):
-            report.append(f"clique {i} = {cl} is not strictly increasing")
-        if cl[0] < 1 or cl[-1] > cover.n:
-            report.append(f"clique {i} = {cl} has variables outside 1..{cover.n}")
-    covered = set()
-    for cl in cover.cliques:
-        covered.update(cl)
-    for v in range(1, cover.n + 1):
-        if v not in covered:
-            report.append(f"variable {v} uncovered")
+    report = list(_cover_violations(cover))
     for i, ci in enumerate(cover.cliques, start=1):
         for j, cj in enumerate(cover.cliques, start=1):
             if i != j and set(ci) <= set(cj):
                 report.append(f"clique {i} ⊆ clique {j}")
     return report
+
+
+def _cover_violations(cover: CliqueCover):
+    """The violations of every cover invariant but nesting, in the order of
+    :func:`validate_cover`, one at a time; finding each is linear in the
+    size of the cover."""
+    if cover.n < 1:
+        yield f"ambient dimension n = {cover.n} must be positive"
+    if not cover.cliques:
+        yield "cover has no cliques"
+    for i, cl in enumerate(cover.cliques, start=1):
+        if not cl:
+            yield f"clique {i} is empty"
+            continue
+        if list(cl) != sorted(set(cl)):
+            yield f"clique {i} = {cl} is not strictly increasing"
+        if cl[0] < 1 or cl[-1] > cover.n:
+            yield f"clique {i} = {cl} has variables outside 1..{cover.n}"
+    covered = set().union(*cover.cliques)
+    for v in range(1, cover.n + 1):
+        if v not in covered:
+            yield f"variable {v} uncovered"
 
 
 class IndexMap:
@@ -284,6 +288,13 @@ class _LazyEntries(UserDict):
         return dict(zip(self._keys, self._values.tolist()))
 
 
+class _Unhashable(tuple):
+    """An alpha that holds a list or a mapping, hashed by identity so that
+    it can wait in the supplied entries to be named as out of pattern."""
+
+    __hash__ = object.__hash__
+
+
 def _canonical_values(
     index_map: IndexMap, supplied: dict, allow_missing_as_zero: bool = False
 ) -> list:
@@ -334,7 +345,11 @@ class SparseMomentVector:
         pairs = [(tuple(a), float(v)) for a, v in items]
         supplied: dict[MultiIndex, float] = {}
         for alpha, v in pairs:
-            if alpha in supplied:
+            try:
+                duplicate = alpha in supplied
+            except TypeError:  # a list or a mapping in alpha: outside the pattern
+                alpha, duplicate = _Unhashable(alpha), False
+            if duplicate:
                 raise DuplicateEntry(f"multi-index {alpha} supplied twice")
             supplied[alpha] = v
         index_map = index_map_of(cover, 2 * omega)

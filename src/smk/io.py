@@ -10,7 +10,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import CliqueCover, SparseMomentVector, index_map_of
+from .core import CliqueCover, SparseMomentVector, _cover_violations, index_map_of
 from .errors import MalformedInput
 from .extract import AtomicMeasure
 from .matrices import ConstraintPolynomial
@@ -79,6 +79,16 @@ def cover_from_dict(data: Mapping) -> CliqueCover:
         raise MalformedInput(f"cliques {cliques!r} is not a list of lists of integers") from None
 
 
+def _cover(data: Mapping) -> CliqueCover:
+    """:func:`cover_from_dict`, refusing with :class:`MalformedInput` the
+    first violation of a cover invariant; nested cliques are accepted."""
+    cover = cover_from_dict(data)
+    problem = next(_cover_violations(cover), None)
+    if problem is not None:
+        raise MalformedInput(problem)
+    return cover
+
+
 def load_moment_vector(source, allow_missing_as_zero: bool = False) -> SparseMomentVector:
     """Read ``{"n", "cliques", "omega", "entries": [{"alpha", "value"}]}``.
 
@@ -90,8 +100,10 @@ def load_moment_vector(source, allow_missing_as_zero: bool = False) -> SparseMom
     A file whose exponents are one-digit integers is read as one exponent
     table (:func:`_read_table`); any other file, and a mapping, is read entry
     by entry by :meth:`SparseMomentVector.build`, which raises every error.
-    Text that ``json`` refuses, a missing field, a value of the wrong kind
-    and an omega below 1 raise :class:`MalformedInput` on either read.
+    Text that ``json`` refuses, a missing field, a value of the wrong kind,
+    a cover that breaks a rule of :func:`~smk.core.validate_cover` other
+    than nesting, and an omega below 1 raise :class:`MalformedInput` on
+    either read.
     """
     if isinstance(source, Mapping):
         return _moments_from_dict(source, allow_missing_as_zero)
@@ -105,7 +117,7 @@ def _moments_from_text(text: str, allow_missing_as_zero: bool) -> SparseMomentVe
 
 
 def _moments_from_dict(data, allow_missing_as_zero: bool) -> SparseMomentVector:
-    cover = cover_from_dict(data)
+    cover = _cover(data)
     pairs = [(_field(e, "alpha", f"entry {k}: ", _list), _field(e, "value", f"entry {k}: "))
              for k, e in enumerate(_field(data, "entries", kind=_list))]
     pairs = zip([a for a, _ in pairs], _floats(v for _, v in pairs))
@@ -149,16 +161,14 @@ def _read_table(text: str, allow_missing_as_zero: bool) -> SparseMomentVector | 
     ends = [text.find("]", s) for s in starts]
     try:
         data = json.loads("".join(text[e:s] for e, s in zip([0, *ends], [*starts, len(text)])))
-        entries, cover, omega = data["entries"], cover_from_dict(data), _integer(data["omega"])
+        entries, cover, omega = data["entries"], _cover(data), _integer(data["omega"])
     except (KeyError, TypeError, ValueError, OverflowError, MalformedInput):
         return None
     n = cover.n
-    # one cut list per entry, as its alpha, and clique variables in 1..n (an
-    # index map on others fails to build)
+    # one cut list per entry, as its alpha
     if (
-        omega < 1 or n < 1 or not isinstance(entries, list) or len(entries) != len(starts)
+        omega < 1 or not isinstance(entries, list) or len(entries) != len(starts)
         or not all(isinstance(e, dict) and e.get("alpha") == [] and "value" in e for e in entries)
-        or not all(1 <= v <= n for c in cover.cliques for v in c)
     ):
         return None
     # each list holds n one-digit exponents, each followed by "," and the
@@ -231,10 +241,11 @@ def load_pop(source) -> PopProblem:
     """Read ``{"n", "cliques", "objectives": [{"clique", "terms"}],
     "constraints": [{"clique", "terms"}]}`` where each term is
     ``{"coef", "alpha_local"}`` in the clique's local variables. A missing
-    field, a value of the wrong kind or a clique number outside 1..m raises
-    :class:`MalformedInput` naming the item."""
+    field, a value of the wrong kind, a cover that breaks a rule of
+    :func:`~smk.core.validate_cover` other than nesting, or a clique number
+    outside 1..m raises :class:`MalformedInput` naming the item."""
     data = _load(source)
-    cover = cover_from_dict(data)
+    cover = _cover(data)
     objectives = [dict() for _ in range(cover.m)]
     for i, where, terms in _by_clique(data, "objectives", cover):
         _add_terms(objectives[i - 1], terms, len(cover.clique(i)), where)

@@ -7,9 +7,11 @@ exponent list. That list is graded, so its part up to degree 2d is a prefix
 of the list up to 2*omega for every omega >= d, and a compiled block does not
 depend on omega. It is compiled once per shape (width, order, constraint
 coefficients) and shared as read-only arrays. :func:`gather` applies it to
-a stack of moment arrays at once (certification stacks the cliques of one
-shape), and :func:`moment_matrix` is the stack of one subvector; the
-relaxation maps its positions to global ones and stacks the blocks.
+a stack of moment arrays at once: certification stacks the clique and
+overlap moment matrices per width and the localizing matrices per (width,
+constraint coefficients). :func:`moment_matrix` is the stack of one
+subvector; the relaxation maps its positions to global ones and stacks the
+blocks.
 
 All matrices are dense, exactly symmetric by construction, and labeled by
 local multi-indices in canonical order. An entry whose multi-index falls
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -128,19 +130,6 @@ def gather(block, moments: np.ndarray) -> np.ndarray:
     return data.reshape(len(moments), size, size)
 
 
-def block_diagonal(blocks: Sequence[np.ndarray], count: int) -> np.ndarray:
-    """Stacks of ``count`` square blocks as one stack of block-diagonal
-    matrices, the blocks in order; no blocks give ``count`` 0x0 matrices."""
-    total = sum(b.shape[-1] for b in blocks)
-    data = np.zeros((count, total, total))
-    at = 0
-    for b in blocks:
-        size = b.shape[-1]
-        data[:, at : at + size, at : at + size] = b
-        at += size
-    return data
-
-
 def moment_matrix(y_sub: CliqueSubvector, d: int) -> LabeledSymMatrix:
     """Moment matrix of order ``d``: entry (alpha, beta) is the moment at
     alpha + beta, over all local labels of degree <= d, read by position
@@ -154,17 +143,3 @@ def moment_matrix(y_sub: CliqueSubvector, d: int) -> LabeledSymMatrix:
         raise IndexOutOfPattern(local_exponents(len(y_sub.clique), 2 * y_sub.omega)[missing[0]])
     return LabeledSymMatrix(y_sub.clique, labels, gather(block, y_sub.moments[None])[0])
 
-
-def localizing_operator(
-    clique: tuple[int, ...], omega: int, g: ConstraintPolynomial, d: int
-):
-    """The compiled localizing block of ``g`` at order ``d`` on ``clique``,
-    after checking that ``g`` lives on the clique and that ``d`` lies
-    between ``g``'s minimal order and the relaxation order ``omega``."""
-    if g.variables != clique:
-        raise ValueError(f"constraint on {g.variables} does not match clique {clique}")
-    if d < g.d_half:
-        raise OrderTooHigh(f"localizing order {d} is below the minimal order {g.d_half}")
-    if d > omega:
-        raise OrderTooHigh(f"localizing order {d} exceeds relaxation order {omega}")
-    return block_operator(len(clique), d, g)

@@ -27,7 +27,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .assemble import assemble, verify_global
-from .certify import FlatnessCertificate, RankPolicy, certify
+from .certify import FlatnessCertificate, RankPolicy, _psd, certify
 from .core import CliqueCover, IndexMap, MultiIndex, SparseMomentVector, grlex_position, index_map_of
 from .errors import BlockNotPsdWarning, DegreeTooLow, DimensionMismatch, NonFiniteMoment
 from .extract import AtomicMeasure, constraint_feasibility_check, extract_clique_measures
@@ -336,7 +336,7 @@ def ingest_solution(
         raise DimensionMismatch(f"ingested mass {y.mass} != 1")
     lo, hi = instance.block_eig_range(y.values)
     for bno, (blk, low, high) in enumerate(zip(instance.blocks, lo, hi), start=1):
-        if low < -policy.rel_tol * max(1.0, high):
+        if not _psd(low, high, policy):
             warnings.warn(
                 f"block {bno} (clique {blk.clique}, {blk.kind}) has eigenvalue {low:.3e}",
                 BlockNotPsdWarning,

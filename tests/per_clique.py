@@ -22,7 +22,33 @@ from smk.errors import (
     NonPhysicalWeights, OrderTooHigh, ReconstructionFailed,
 )
 from smk.extract import MAX_REDRAWS, AtomicMeasure
-from smk.matrices import LabeledSymMatrix, block_diagonal, gather, localizing_operator, moment_matrix
+from smk.matrices import LabeledSymMatrix, block_operator, gather, moment_matrix
+
+
+def localizing_operator(clique, omega, g, d):
+    """The compiled localizing block of ``g`` at order ``d`` on ``clique``,
+    after checking that ``g`` lives on the clique and that ``d`` lies
+    between ``g``'s minimal order and the relaxation order ``omega``."""
+    if g.variables != clique:
+        raise ValueError(f"constraint on {g.variables} does not match clique {clique}")
+    if d < g.d_half:
+        raise OrderTooHigh(f"localizing order {d} is below the minimal order {g.d_half}")
+    if d > omega:
+        raise OrderTooHigh(f"localizing order {d} exceeds relaxation order {omega}")
+    return block_operator(len(clique), d, g)
+
+
+def block_diagonal(blocks, count):
+    """Stacks of ``count`` square blocks as one stack of block-diagonal
+    matrices, the blocks in order; no blocks give ``count`` 0x0 matrices."""
+    total = sum(b.shape[-1] for b in blocks)
+    data = np.zeros((count, total, total))
+    at = 0
+    for b in blocks:
+        size = b.shape[-1]
+        data[:, at : at + size, at : at + size] = b
+        at += size
+    return data
 
 
 def localizing_matrix(y_sub, g, d) -> LabeledSymMatrix:

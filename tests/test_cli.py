@@ -1,12 +1,15 @@
+import copy
 import gc
 import json
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from smk import cli, demo, io
 from smk.cli import run
+from smk.errors import SmkError
 
 
 @pytest.fixture
@@ -404,3 +407,116 @@ def test_output_file_written(files, capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out.read_text())["certificate"]["verdict"] is True
+
+
+def test_clique_order_is_taken_as_given(files, capsys, tmp_path):
+    # clique order 1, 3, 2 of the chain triple lacks running intersection:
+    # certify refuses it, rip prints an admissible order
+    doc = io.moment_vector_to_dict(demo.chain_triple_moments())
+    doc["cliques"] = [doc["cliques"][k] for k in (0, 2, 1)]
+    path = tmp_path / "reordered.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_json(capsys, ["certify", "--input", str(path)])
+    assert (code, report["error"]) == (1, "RipFailsAt")
+    code, report = run_json(capsys, ["rip", "--input", str(path)])
+    assert (code, report["order"]) == (0, [1, 3, 2])
+    code, report = run_json(capsys, ["certify", "--input", files["triangle"]])
+    assert (code, report["error"]) == (1, "RipFailsAt")
+
+
+# the documents the malformed-input property mutates, and every subcommand
+# that reads each one ("{doc}" is the mutated file)
+MUTABLE = {
+    "moments": lambda: io.moment_vector_to_dict(demo.chain_pair_moments()),
+    "problem": lambda: io.pop_to_dict(demo.chain_triple_pop()),
+    "measure": lambda: {
+        "variables": [1, 2, 3],
+        "atoms": [[1.0, 0.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 0.0, 1.0], [-1.0, 0.0, -1.0]],
+        "weights": [0.25, 0.25, 0.25, 0.25],
+    },
+}
+READERS = {
+    "moments": [
+        ["rip", "--input", "{doc}"],
+        ["certify", "--input", "{doc}"],
+        ["extract-assemble", "--input", "{doc}"],
+        ["altmeasure", "--input", "{doc}", "--cost", "random:2"],
+        ["pipeline", "--pop", "{pair_pop}", "--omega", "2", "--solution", "{doc}"],
+    ],
+    "problem": [
+        ["rip", "--input", "{doc}"],
+        ["relax", "--pop", "{doc}", "--omega", "3"],
+        ["solve", "--pop", "{doc}", "--omega", "3", "--max-iters", "20"],
+        ["pipeline", "--pop", "{doc}", "--omega", "3", "--max-iters", "20"],
+        ["certify", "--input", "{triple_y}", "--constraints", "{doc}"],
+        ["extract-assemble", "--input", "{triple_y}", "--constraints", "{doc}"],
+        ["altmeasure", "--input", "{triple_y}", "--constraints", "{doc}", "--cost", "random:2"],
+    ],
+    "measure": [["altmeasure", "--input", "{pair}", "--measure", "{doc}", "--cost", "random:2"]],
+}
+REPLACEMENTS = ["x", "", [], [1, 2], {}, {"a": 1}, None, 0, 1, -1, 3, 0.5, -2.5, True, False]
+
+
+@pytest.mark.parametrize(
+    "command, kind, edit, detail",
+    [
+        (["certify", "--input"], "moments", {"n": 2}, "clique 2 = (2, 3) has variables outside 1..2"),
+        (["relax", "--omega", "3", "--pop"], "problem", {"cliques": [[1, 2], [], [3, 4]]}, "clique 2 is empty"),
+        (["pipeline", "--omega", "3", "--pop"], "problem", {"n": 5}, "variable 5 uncovered"),
+        (["relax", "--omega", "3", "--pop"], "problem", {"cliques": [[0, 1], [1, 2], [3, 4]]},
+         "clique 1 = (0, 1) has variables outside 1..4"),
+        (["certify", "--input"], "moments", {"cliques": [[1, 1, 2], [2, 3]]},
+         "clique 1 = (1, 1, 2) is not strictly increasing"),
+    ],
+)
+def test_invalid_cover_exit_one(capsys, tmp_path, command, kind, edit, detail):
+    doc = MUTABLE[kind]()
+    doc.update(edit)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_json(capsys, [*command, str(path)])
+    assert (code, report["error"], report["detail"]) == (1, "MalformedInput", detail)
+
+
+def mutate(doc, draw):
+    """Drop or replace one value of a JSON document, walking down from the
+    top: each level is the last with probability 1/2, so the few top-level
+    fields are drawn as often as the many entries."""
+    node = doc
+    while True:
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if not isinstance(child, (dict, list)) or not child or draw(st.booleans()):
+            break
+        node = child
+    replacement = draw(st.sampled_from(["drop", *REPLACEMENTS]))
+    if replacement == "drop":
+        del node[key]
+    else:
+        node[key] = copy.deepcopy(replacement)
+
+
+def error_types(base=SmkError):
+    return {base.__name__}.union(*(error_types(sub) for sub in base.__subclasses__()))
+
+
+SMK_ERRORS = error_types()
+
+
+@pytest.mark.parametrize("kind", list(MUTABLE))
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_malformed_input_never_escapes(files, capsys, tmp_path, kind, data):
+    doc = MUTABLE[kind]()
+    mutate(doc, data.draw)
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc))
+    pair_pop = tmp_path / "pair_pop.json"
+    pair_pop.write_text(json.dumps({"n": 3, "cliques": [[1, 2], [2, 3]]}))
+    names = {**files, "doc": str(path), "pair_pop": str(pair_pop)}
+    for command in READERS[kind]:
+        argv = [arg.format(**names) for arg in command]
+        code, report = run_json(capsys, argv)  # no exception escapes
+        refused = "cover_violations" in report or report.get("error") in SMK_ERRORS
+        assert report["exit_code"] == code and (code in (0, 2) or code == 1 and refused), (argv, report)

@@ -88,7 +88,8 @@ def read_entry_by_entry(text: str, allow_missing_as_zero: bool = False) -> Spars
     as a tuple through ``SparseMomentVector.build``; text ``json`` refuses,
     a missing field, a value ``float`` refuses, an integer field that is no
     integral number, a list field that is no list, cliques that are not
-    lists of integers and an omega below 1 are :class:`MalformedInput`."""
+    lists of integers, a cover that is not one of 1..n (nested cliques
+    pass) and an omega below 1 are :class:`MalformedInput`."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -117,6 +118,20 @@ def read_entry_by_entry(text: str, allow_missing_as_zero: bool = False) -> Spars
     if not (isinstance(cliques, list) and all(isinstance(c, list) and all(map(is_integer, c)) for c in cliques)):
         raise MalformedInput(f"cliques {cliques!r} is not a list of lists of integers")
     cliques = tuple(tuple(int(v) for v in c) for c in cliques)
+    if n < 1:
+        raise MalformedInput(f"ambient dimension n = {n} must be positive")
+    if not cliques:
+        raise MalformedInput("cover has no cliques")
+    for i, c in enumerate(cliques, start=1):
+        if not c:
+            raise MalformedInput(f"clique {i} is empty")
+        if any(b <= a for a, b in zip(c, c[1:])):
+            raise MalformedInput(f"clique {i} = {c} is not strictly increasing")
+        if not all(1 <= v <= n for v in c):
+            raise MalformedInput(f"clique {i} = {c} has variables outside 1..{n}")
+    uncovered = set(range(1, n + 1)).difference(*cliques)
+    if uncovered:
+        raise MalformedInput(f"variable {min(uncovered)} uncovered")
     pairs = [
         (sequence(item, "alpha", f"entry {k}: "), field(item, "value", f"entry {k}: "))
         for k, item in enumerate(sequence(data, "entries"))
@@ -516,3 +531,50 @@ def test_problem_and_measure_text_json_refuses(tmp_path, load):
     path.write_text('{"n": 2, "cliques": [[1, 2]')
     with pytest.raises(MalformedInput, match="^not valid JSON: "):
         load(path)
+
+
+@pytest.mark.parametrize(
+    "n, cliques, message",
+    [
+        (2, [[1, 2], [2, 3]], "clique 2 = (2, 3) has variables outside 1..2"),
+        (3, [[1, 2], []], "clique 2 is empty"),
+        (4, [[1, 2], [2, 3]], "variable 4 uncovered"),
+        (3, [[0, 1], [1, 2]], "clique 1 = (0, 1) has variables outside 1..3"),
+        (3, [[1, 1, 2], [2, 3]], "clique 1 = (1, 1, 2) is not strictly increasing"),
+        (3, [[2, 1], [2, 3]], "clique 1 = (2, 1) is not strictly increasing"),
+        (0, [[1, 2], [2, 3]], "ambient dimension n = 0 must be positive"),
+        (3, [], "cover has no cliques"),
+    ],
+)
+def test_readers_refuse_a_cover_that_is_not_one_of_1_to_n(tmp_path, n, cliques, message):
+    moments = io.moment_vector_to_dict(demo.chain_pair_moments())
+    pop = io.pop_to_dict(demo.chain_triple_pop())
+    for doc, load in ((moments, io.load_moment_vector), (pop, io.load_pop)):
+        doc.update(n=n, cliques=cliques)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        for source in (doc, path):
+            with pytest.raises(MalformedInput) as got:
+                load(source)
+            assert str(got.value) == message
+
+
+def test_readers_accept_nested_cliques(tmp_path):
+    cover = CliqueCover(3, ((1, 2), (1, 2, 3)))
+    y = demo.moments_of_atoms(cover, 2, [[0.5, -1.0, 1.5]], [1.0])
+    path = tmp_path / "nested.json"
+    io.save_moment_vector(y, path)
+    assert io.load_moment_vector(path).values.tobytes() == y.values.tobytes()
+    assert io.load_pop({"n": 3, "cliques": [[1, 2], [1, 2, 3]]}).cover == cover
+
+
+@pytest.mark.parametrize("alpha", [[[0], 0, 1], [{"a": 1}, 0, 0]])
+def test_alpha_holding_a_list_or_object_is_out_of_pattern(alpha):
+    doc = io.moment_vector_to_dict(demo.chain_pair_moments())
+    doc["entries"].insert(1, {"alpha": alpha, "value": 0.0})
+    with pytest.raises(IndexOutOfPattern) as got:
+        io.load_moment_vector(doc)
+    assert str(got.value) == f"multi-index {tuple(alpha)} is not in the sparse pattern"
+    doc["entries"].append(dict(doc["entries"][3]))  # a duplicate is still named first
+    with pytest.raises(DuplicateEntry):
+        io.load_moment_vector(doc)
