@@ -60,7 +60,7 @@ def _row_reduce(A: np.ndarray, b: np.ndarray, policy: RankPolicy) -> tuple[np.nd
     pivot columns), and the next pivot column is found by one scan of the
     block, so a block of zero columns costs one product."""
     rows, cols = A.shape
-    tol = policy.tol(max(1.0, A.max(initial=0.0), -A.min(initial=0.0), np.abs(b).max(initial=0.0)))
+    tol = policy.tol(max(A.max(initial=0.0), -A.min(initial=0.0), np.abs(b).max(initial=0.0)))
     free = np.arange(rows)  # rows not yet chosen
     chosen: list[int] = []
     at_pivots = np.empty((rows, min(rows, cols)))  # column r: A at the r-th pivot column

@@ -26,11 +26,6 @@ from .extract import AtomicMeasure, lex_order_rows
 from .rip import RipWitnesses
 
 
-def _tols(policy: RankPolicy, scale):
-    """``policy.tol`` at each entry of ``scale``, reading NaN as ``max(1.0, nan)`` does."""
-    return policy.tol() * np.fmax(1.0, np.abs(scale))
-
-
 def _cluster(points: np.ndarray, tol):
     """Greedy max-norm clustering of each set of a stack (sets, points,
     coordinates) at its tolerance, one pass per cluster: the first free point
@@ -78,7 +73,7 @@ def pushforward(mu: AtomicMeasure, target, policy: RankPolicy = RankPolicy()) ->
     if not set(target) <= set(mu.variables):
         raise ValueError(f"target {target} is not a subset of the measure's variables {mu.variables}")
     points = mu.atoms[None, :, [mu.variables.index(v) for v in target]]
-    labels, firsts = _cluster(points, _tols(policy, np.abs(points).max(initial=0.0)))
+    labels, firsts = _cluster(points, policy.tol(np.abs(points).max(initial=0.0)))
     return AtomicMeasure(target, points[0, firsts[0]], _cluster_sums(mu.weights, labels)[0])
 
 
@@ -106,7 +101,7 @@ def _match(points_a, weights_a, points_b, weights_b, policy, floor=True):
     pair that fails a check, with the check's diagnostic, or None. A point
     of mass at most ``policy.tol()`` fails only with ``floor``."""
     scale = [np.maximum.reduce(np.abs(x), axis=(1, 2), initial=0.0) for x in (points_a, points_b)]
-    tol = _tols(policy, np.where(scale[1] > scale[0], scale[1], scale[0]))  # max(a, b) reads NaN so
+    tol = policy.tol(np.where(scale[1] > scale[0], scale[1], scale[0]))  # max(a, b) reads NaN so
     (labels_a, firsts_a), (labels_b, firsts_b) = _cluster(points_a, tol), _cluster(points_b, tol)
     rows, span = np.arange(len(tol))[:, None], np.arange(firsts_a.shape[1])
     count_a, count_b = (np.maximum.reduce(x, axis=1, initial=-1) + 1 for x in (labels_a, labels_b))
@@ -121,7 +116,7 @@ def _match(points_a, weights_a, points_b, weights_b, policy, floor=True):
         used[rows[:, 0], pick] |= found[:, p]
     ma, mb = _cluster_sums(weights_a, labels_a), _cluster_sums(weights_b, labels_b)
     mb = mb[rows, order] if mb.shape[1] else np.zeros_like(ma)  # no b point: the counts differ
-    live, off = span < count_a[:, None], abs(ma - mb) > _tols(policy, np.fmax(abs(ma), abs(mb)))
+    live, off = span < count_a[:, None], abs(ma - mb) > policy.tol(np.fmax(abs(ma), abs(mb)))
     lost, off, light = live & ~found, live & off, live & (ma <= policy.tol()) & floor
     bad, failure = (count_a != count_b) | (lost | off | light).any(axis=1), None
     if bad.any():

@@ -31,8 +31,8 @@ from .rip import RipWitnesses
 
 @dataclass(frozen=True)
 class RankPolicy:
-    """The one tolerance model: ``rel_tol`` is the relative singular-value /
-    eigenvalue threshold of the rank cut and the PSD tests; ``round_decimals``,
+    """The one tolerance model: ``rel_tol``, in (0, 1), is the relative
+    threshold of the rank cut and of the PSD test :meth:`psd`; ``round_decimals``,
     when set, rounds matrix entries before any decomposition (mirrors rounding
     solver output). Every other numerical decision compares against
     :meth:`tol` at the scale of the numbers it compares."""
@@ -41,20 +41,25 @@ class RankPolicy:
     round_decimals: int | None = None
 
     def __post_init__(self):
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
+        if not 0 < self.rel_tol < 1:  # a cut at or above the top singular value makes every rank 0
+            raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
         if self.round_decimals is not None and self.round_decimals < 0:
-            raise ValueError("round_decimals must be nonnegative")
+            raise ValueError(f"round_decimals must be nonnegative, got {self.round_decimals}")
 
     def prepare(self, data: np.ndarray) -> np.ndarray:
         if self.round_decimals is None:
             return data
         return np.round(data, self.round_decimals)
 
-    def tol(self, scale: float = 1.0) -> float:
-        """``rel_tol``, or the rounding unit if coarser, times ``max(1, |scale|)``."""
+    def tol(self, scale: float | np.ndarray = 1.0) -> float | np.ndarray:
+        """``rel_tol``, or the rounding unit if coarser, times ``max(1, |scale|)``
+        at each entry of ``scale``, a number or an array; a NaN scale counts as 1."""
         unit = 0.0 if self.round_decimals is None else 10.0 ** -self.round_decimals
-        return max(self.rel_tol, unit) * max(1.0, abs(scale))
+        return max(self.rel_tol, unit) * np.fmax(1.0, np.abs(scale))
+
+    def psd(self, lo: float, hi: float) -> bool:
+        """Whether a matrix with eigenvalues from ``lo`` to ``hi`` passes as PSD."""
+        return lo >= -self.rel_tol * max(1.0, hi)
 
 
 def _ranks_and_gaps(data: np.ndarray, policy: RankPolicy) -> list[tuple[int, tuple[float, float]]]:
@@ -79,10 +84,6 @@ def _eig_ranges(data: np.ndarray, policy: RankPolicy) -> list[tuple[float, float
         return [(0.0, 0.0)] * len(data)
     eigs = np.linalg.eigvalsh(policy.prepare(data))
     return list(zip(eigs[:, 0].tolist(), eigs[:, -1].tolist()))
-
-
-def _psd(lo: float, hi: float, policy: RankPolicy) -> bool:
-    return lo >= -policy.rel_tol * max(1.0, hi)
 
 
 def _stack(y: SparseMomentVector, variable_sets: list[tuple[int, ...]], g=None):
@@ -279,7 +280,7 @@ def certify(
 
     cliques = tuple(
         CliqueCheck(
-            k + 1, _psd(*eig_range[k], policy), k not in loc_range or _psd(*loc_range[k], policy),
+            k + 1, policy.psd(*eig_range[k]), k not in loc_range or policy.psd(*loc_range[k]),
             full[k][0], shifted[k][0], di[k], full[k][1], shifted[k][1],
             eig_range[k], moment[k],
         )

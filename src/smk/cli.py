@@ -46,15 +46,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _cost(text: str):
-    """``--cost``: ``random:N`` gives the budget N, anything else one cost per atom."""
+    """``--cost``: ``random:N`` gives the budget N, anything else one finite cost per atom."""
     try:
         if text.startswith("random:"):
             return int(text.split(":", 1)[1])
-        return np.array([float(t) for t in text.split(",")])
+        cost = np.array([float(t) for t in text.split(",")])
+        if np.isfinite(cost).all():
+            return cost
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers or random:N, got {text!r}"
-        ) from None
+        pass
+    raise argparse.ArgumentTypeError(f"expected comma-separated finite numbers or random:N, got {text!r}")
 
 
 def _build_parser() -> _Parser:
@@ -115,10 +116,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _policy(args) -> RankPolicy:
-    return RankPolicy(rel_tol=args.rel_tol, round_decimals=args.round)
-
-
 def _run_rip(args, report):
     data = io._load(args.input)
     cover = io.cover_from_dict(data)
@@ -162,7 +159,7 @@ def _certify_chain(args, y, report, want_measure: bool):
     """The exit code and, if ``want_measure`` and the verdict is true, the
     assembled measure (else None)."""
     constraints = _load_constraints(args, y.cover)
-    policy = _policy(args)
+    policy = args.policy
     if policy.round_decimals is not None:
         y = y.rounded(policy.round_decimals)
     witnesses = check_rip(y.cover)
@@ -213,13 +210,13 @@ def _run_altmeasure(args, report):
     atoms = atoms[lex_order_rows(atoms)]
     report["atoms"] = [[float(v) for v in a] for a in atoms]
     if isinstance(args.cost, int):
-        solutions = enumerate_extreme_measures(atoms, y, args.cost, args.seed, _policy(args))
+        solutions = enumerate_extreme_measures(atoms, y, args.cost, args.seed, args.policy)
         report["weights"] = [[float(w) for w in s] for s in solutions]
     else:
         cost = args.cost
         if cost.shape[0] != atoms.shape[0]:
             raise SmkError(f"cost has {cost.shape[0]} entries for {atoms.shape[0]} atoms")
-        w = solve_weight_lp(atoms, y, cost, _policy(args))
+        w = solve_weight_lp(atoms, y, cost, args.policy)
         report["weights"] = [[float(v) for v in w]]
     return EXIT_OK
 
@@ -250,7 +247,6 @@ def _run_solve(args, report):
 
 def _run_pipeline(args, report):
     pop = io.load_pop(args.pop)
-    policy = _policy(args)
     solution = None
     solver = "bundled"
     if args.solution:
@@ -264,7 +260,7 @@ def _run_pipeline(args, report):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = pipeline(
-            pop, args.omega, policy, solver=solver, solution=solution,
+            pop, args.omega, args.policy, solver=solver, solution=solution,
             seed=args.seed, max_iters=args.max_iters, solve_tol=args.tol,
         )
     report["warnings"] = [str(w.message) for w in caught]
@@ -309,7 +305,10 @@ def run(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
+        args.policy = RankPolicy(rel_tol=args.rel_tol, round_decimals=args.round)
+        if getattr(args, "max_iters", 1) < 1:
+            raise _UsageError(f"--max-iters must be at least 1, got {args.max_iters}")
+    except (_UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     report = {"command": args.command, "seed": args.seed}

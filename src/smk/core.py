@@ -183,10 +183,11 @@ def _cover_violations(cover: CliqueCover):
             yield f"clique {i} = {cl} is not strictly increasing"
         if cl[0] < 1 or cl[-1] > cover.n:
             yield f"clique {i} = {cl} has variables outside 1..{cover.n}"
-    covered = set().union(*cover.cliques)
-    for v in range(1, cover.n + 1):
-        if v not in covered:
-            yield f"variable {v} uncovered"
+    covered = {v for cl in cover.cliques for v in cl if 1 <= v <= cover.n}
+    if len(covered) < cover.n:  # the first uncovered variable is at most len(covered) + 1
+        yield f"variable {next(v for v in range(1, cover.n + 1) if v not in covered)} uncovered"
+    if len(covered) + 1 < cover.n:
+        yield f"{cover.n - len(covered) - 1} more variables uncovered"
 
 
 class IndexMap:

@@ -176,22 +176,21 @@ def _subset(mask: np.ndarray, *arrays):
     return arrays if np.count_nonzero(mask) == len(mask) else tuple(a[mask] for a in arrays)
 
 
-def _separate(keep, values, P, operators, r: int, unit: float):
+def _separate(keep, values, P, operators, r: int, policy: RankPolicy):
     """For a stack of combinations numbered ``keep``, with eigenvalues
     ``values`` and eigenvectors ``P`` (one dtype for all) of the
     multiplication ``operators`` (k, nvars, r, r): the numbers of those whose
     eigenvalues are apart, whose diagonalized operators are real and whose
-    atoms are apart, and those atoms, shape (found, r, nvars). ``unit`` is
-    the policy tolerance at scale 1."""
+    atoms are apart, and those atoms, shape (found, r, nvars)."""
     if r > 1:
         gaps = np.abs(values[:, :, None] - values[:, None, :]).reshape(-1, r * r)
         gaps[:, :: r + 1] = np.inf  # the diagonals
-        apart = ~(gaps.min(axis=1) < unit * np.fmax(np.abs(values).max(axis=1), 1.0))
+        apart = ~(gaps.min(axis=1) < policy.tol(np.abs(values).max(axis=1)))
         keep, P, operators = _subset(apart, keep, P, operators)
     # diags[b, t]: the diagonal of operator t in the eigenbasis of combination b
     diags = (np.linalg.inv(P)[:, None] @ operators @ P[:, None]).diagonal(axis1=2, axis2=3)
     if np.iscomplexobj(diags):  # a real diagonal passes this check whatever its values
-        imag = np.abs(diags.imag).max(axis=2) > unit * np.fmax(np.abs(diags).max(axis=2), 1.0)
+        imag = np.abs(diags.imag).max(axis=2) > policy.tol(np.abs(diags).max(axis=2))
         real = ~imag.any(axis=1)
         keep, diags = keep[real], diags[real].real
     atoms = diags.transpose(0, 2, 1)
@@ -199,7 +198,7 @@ def _separate(keep, values, P, operators, r: int, unit: float):
         dist = np.abs(atoms[:, :, None, :] - atoms[:, None, :, :]).max(axis=3).reshape(-1, r * r)
         dist[:, :: r + 1] = np.inf
         peak = np.abs(atoms).reshape(len(atoms), r * atoms.shape[2]).max(axis=1)
-        apart = ~(dist.min(axis=1) <= unit * np.fmax(peak, 1.0))
+        apart = ~(dist.min(axis=1) <= policy.tol(peak))
         keep, atoms = _subset(apart, keep, atoms)
     return keep, atoms
 
@@ -220,9 +219,7 @@ def _extract_stack(
     if r == 0:
         return [(np.zeros((0, nvars)), np.zeros(0)) for _ in range(k)]
     omega, columns, exponents, steps, shift = _label_table(labels, nvars)
-    # policy.tol(s) is unit * max(1, s); the scales are at least 1 (1 for a NaN peak)
-    unit = policy.tol()
-    scales = np.fmax(np.abs(data).max(axis=(1, 2), initial=0.0), 1.0)
+    scales = np.abs(data).max(axis=(1, 2), initial=0.0)
     out: list = [None] * k
     live = np.arange(k)
 
@@ -239,7 +236,7 @@ def _extract_stack(
     R = eigvecs.transpose(0, 2, 1)[at[: len(live)], idx] * np.sqrt(top)[:, :, None]
     pivots = np.empty((len(live), r), dtype=np.int64)
     pivots.fill(-1)
-    _column_echelon_bases(R, pivots, columns, unit * np.sqrt(scales))
+    _column_echelon_bases(R, pivots, columns, policy.tol(np.sqrt(scales)))
 
     # multiplication operator of each variable: operators[b, t, :, j] holds
     # the coordinates of x_t * basis[j] in the basis of matrix b; a missing
@@ -277,7 +274,7 @@ def _extract_stack(
         values, P = np.linalg.eig(combo)
         done = 0
         for part, vals, vecs in _dtype_parts(values, P):
-            found, found_atoms = _separate(pending[part], vals, vecs, operators[part], r, unit)
+            found, found_atoms = _separate(pending[part], vals, vecs, operators[part], r, policy)
             atoms[found] = found_atoms
             separated[found] = True
             done += len(found)
@@ -299,11 +296,11 @@ def _extract_stack(
     for q in range(len(live)):
         weights[q] = scipy.optimize.nnls(A[q], data[q, 0])[0]
     lightest = weights.min(axis=1)
-    light = lightest <= unit * np.fmax(weights.max(axis=1), 1.0)
+    light = lightest <= policy.tol(weights.max(axis=1))
     recon = (A * weights[:, None, :]) @ A.transpose(0, 2, 1)
     errs = np.abs(recon - data).max(axis=(1, 2))
     live, atoms, weights = _drop(
-        out, live, light | (errs > unit * scales),
+        out, live, light | (errs > policy.tol(scales)),
         lambda q: NonPhysicalWeights(f"weight {lightest[q]:.3e} is not strictly positive")
         if light[q]
         else ReconstructionFailed(f"moment matrix residual {errs[q]:.3e} exceeds tolerance"),

@@ -277,7 +277,10 @@ def _add_terms(coefficients: dict, terms, width: int, where: str) -> dict:
             alpha = None
         if alpha is None or len(alpha) != width:
             raise MalformedInput(f"{at}alpha_local {term['alpha_local']!r} is not {width} integers")
-        coefficients[alpha] = coefficients.get(alpha, 0.0) + _field(term, "coef", at, kind=float)
+        coef = _field(term, "coef", at, kind=float)
+        if not np.isfinite(coef):
+            raise MalformedInput(f"{at}coef {coef!r} is not a finite number")
+        coefficients[alpha] = coefficients.get(alpha, 0.0) + coef
     return coefficients
 
 

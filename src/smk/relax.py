@@ -27,7 +27,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .assemble import assemble, verify_global
-from .certify import FlatnessCertificate, RankPolicy, _psd, certify
+from .certify import FlatnessCertificate, RankPolicy, certify
 from .core import CliqueCover, IndexMap, MultiIndex, SparseMomentVector, grlex_position, index_map_of
 from .errors import BlockNotPsdWarning, DegreeTooLow, DimensionMismatch, NonFiniteMoment
 from .extract import AtomicMeasure, constraint_feasibility_check, extract_clique_measures
@@ -301,11 +301,12 @@ def ingest_solution(
 
     ``source`` may be a sequence of free-coordinate values (length
     ``num_vars - 1``, canonical order), a full moment mapping, or an existing
-    moment vector on the same cliques in any order. Blocks that fail the PSD
-    check at the policy tolerance are reported as :class:`BlockNotPsdWarning`,
+    moment vector on the same cliques in any order. Blocks that fail
+    :meth:`RankPolicy.psd` are reported as :class:`BlockNotPsdWarning`,
     not errors. A NaN or infinite value raises :class:`NonFiniteMoment`
     naming its entry: its canonical position (for a vector of free
-    coordinates, the 1-based coordinate) and multi-index.
+    coordinates, the 1-based coordinate) and multi-index. A total mass that
+    is not 1 within ``policy.tol()`` raises :class:`DimensionMismatch`.
     """
     if isinstance(source, SparseMomentVector):
         same_cliques = set(source.cover.cliques) == set(instance.cover.cliques)
@@ -332,11 +333,11 @@ def ingest_solution(
         raise NonFiniteMoment(
             f"solution entry {p} (the moment at {y.index_map.exponents[p]}) is {y.values[p]}"
         )
-    if isinstance(source, Mapping) and abs(y.mass - 1.0) > policy.tol():
+    if abs(y.mass - 1.0) > policy.tol():  # the relaxation pins the constant moment to 1
         raise DimensionMismatch(f"ingested mass {y.mass} != 1")
     lo, hi = instance.block_eig_range(y.values)
     for bno, (blk, low, high) in enumerate(zip(instance.blocks, lo, hi), start=1):
-        if not _psd(low, high, policy):
+        if not policy.psd(low, high):
             warnings.warn(
                 f"block {bno} (clique {blk.clique}, {blk.kind}) has eigenvalue {low:.3e}",
                 BlockNotPsdWarning,

@@ -176,6 +176,38 @@ class TestCertify:
             assert all(c.psd_localizing for c in cert.cliques)
 
 
+class TestRankPolicy:
+    @pytest.mark.parametrize("rel_tol", [0.0, -1.0, 1.0, 2.0, float("nan"), float("inf")])
+    def test_rel_tol_outside_the_unit_interval_is_refused(self, rel_tol):
+        # a cut at or above the largest singular value would make every rank 0
+        with pytest.raises(ValueError, match=r"rel_tol must lie in \(0, 1\)"):
+            RankPolicy(rel_tol=rel_tol)
+
+    def test_negative_round_decimals_is_refused(self):
+        with pytest.raises(ValueError, match="round_decimals"):
+            RankPolicy(round_decimals=-1)
+
+    @pytest.mark.parametrize(
+        "policy", [RankPolicy(), RankPolicy(rel_tol=1e-4), RankPolicy(round_decimals=3)]
+    )
+    def test_tol_on_an_array_is_tol_per_entry(self, policy):
+        scale = np.array([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 3.0, -7.25, 1e300, np.nan, np.inf, -np.inf])
+        rounding = 0.0 if policy.round_decimals is None else 10.0 ** -policy.round_decimals
+        unit = max(policy.rel_tol, rounding)
+        formula = np.array([unit * max(1.0, abs(s)) for s in scale.tolist()])  # max(1.0, nan) is 1.0
+        per_entry = np.array([policy.tol(s) for s in scale.tolist()])
+        assert per_entry.tobytes() == formula.tobytes()
+        assert policy.tol(scale).tobytes() == per_entry.tobytes()
+        grid = scale.reshape(3, 4)
+        assert policy.tol(grid).tobytes() == per_entry.reshape(3, 4).tobytes()
+
+    def test_psd_cut_is_relative_to_the_top_eigenvalue(self):
+        policy = RankPolicy(rel_tol=1e-6)
+        assert policy.psd(-0.9e-6, 0.5) and not policy.psd(-1.1e-6, 0.5)
+        assert policy.psd(-0.9e-4, 100.0) and not policy.psd(-1.1e-4, 100.0)
+        assert not policy.psd(float("nan"), 1.0)
+
+
 class TestZeroPropagation:
     def test_all_nonzero(self, y_pair):
         assert zero_propagation_check(y_pair) is ZeroPropagation.ALL_NONZERO

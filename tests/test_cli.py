@@ -27,10 +27,15 @@ def files(tmp_path):
     return {k: str(v) for k, v in paths.items()}
 
 
+def _not_json(token):
+    raise ValueError(f"{token} is not a JSON number")
+
+
 def run_json(capsys, argv):
+    """Exit code and report; a NaN or Infinity token in the report fails."""
     code = run(argv)
     out = capsys.readouterr().out
-    return code, json.loads(out)
+    return code, json.loads(out, parse_constant=_not_json)
 
 
 def test_certify_pair(files, capsys):
@@ -367,12 +372,70 @@ def test_altmeasure_on_bundled_solver_moments(files, capsys, tmp_path, extra):
     assert len(report["atoms"]) == 8 and report["weights"]
 
 
-@pytest.mark.parametrize("cost", ["1,a,0,0", "random:x"])
+@pytest.mark.parametrize("cost", ["1,a,0,0", "random:x", "nan,0,0,0", "1,0,-inf,0"])
 def test_altmeasure_bad_cost_is_usage_error(files, capsys, cost):
     assert run(["altmeasure", "--input", files["pair"], "--cost", cost]) == 64
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("usage error: argument --cost:") and repr(cost) in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--input", "{pair}", "--rel-tol", "1"],
+        ["certify", "--input", "{pair}", "--rel-tol", "inf"],
+        ["certify", "--input", "{pair}", "--rel-tol", "nan"],
+        ["certify", "--input", "{pair}", "--rel-tol", "0"],
+        ["certify", "--input", "{pair}", "--rel-tol", "-1"],
+        ["certify", "--input", "{pair}", "--round", "-1"],
+        ["extract-assemble", "--input", "{pair}", "--rel-tol", "inf"],
+        ["pipeline", "--pop", "{triple_pop}", "--omega", "3", "--solution", "{triple_y}", "--rel-tol", "1"],
+        ["solve", "--pop", "{triple_pop}", "--omega", "3", "--max-iters", "0"],
+        ["pipeline", "--pop", "{triple_pop}", "--omega", "3", "--max-iters", "0"],
+        ["pipeline", "--pop", "{triple_pop}", "--omega", "3", "--max-iters", "-3"],
+    ],
+)
+def test_unusable_flag_value_is_usage_error(files, capsys, argv):
+    assert run([arg.format(**files) for arg in argv]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage error: ")
+
+
+def test_pipeline_solution_of_mass_two_exit_one(files, capsys, tmp_path):
+    doc = io.moment_vector_to_dict(demo.chain_triple_moments())
+    for entry in doc["entries"]:
+        entry["value"] *= 2
+    path = tmp_path / "doubled.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_json(
+        capsys, ["pipeline", "--pop", files["triple_pop"], "--omega", "3", "--solution", str(path)]
+    )
+    assert (code, report["error"], report["detail"]) == (1, "DimensionMismatch", "ingested mass 2.0 != 1")
+
+
+@pytest.mark.parametrize("coef", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize(
+    "command",
+    [["relax"], ["solve", "--max-iters", "20"], ["pipeline", "--solution", "{triple_y}"]],
+)
+def test_non_finite_coefficient_exit_one(files, capsys, tmp_path, coef, command):
+    doc = io.pop_to_dict(demo.chain_triple_pop())
+    doc["constraints"][0]["terms"][0]["coef"] = coef
+    path = tmp_path / "pop.json"
+    path.write_text(json.dumps(doc))
+    argv = [command[0], "--pop", str(path), "--omega", "3", *(a.format(**files) for a in command[1:])]
+    code, report = run_json(capsys, argv)
+    detail = f"constraint 0: term 0: coef {coef} is not a finite number"
+    assert (code, report["error"], report["detail"]) == (1, "MalformedInput", detail)
+
+
+def test_rip_reports_a_count_of_uncovered_variables(capsys, tmp_path):
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps({"n": 10**9, "cliques": [[1, 2], [2, 3]]}))
+    code, report = run_json(capsys, ["rip", "--input", str(path)])
+    assert code == report["exit_code"] == 1
+    assert report["cover_violations"] == ["variable 4 uncovered", "999999996 more variables uncovered"]
 
 
 def test_usage_error_exit_64(capsys):
@@ -454,7 +517,10 @@ READERS = {
     ],
     "measure": [["altmeasure", "--input", "{pair}", "--measure", "{doc}", "--cost", "random:2"]],
 }
-REPLACEMENTS = ["x", "", [], [1, 2], {}, {"a": 1}, None, 0, 1, -1, 3, 0.5, -2.5, True, False]
+REPLACEMENTS = [
+    "x", "", [], [1, 2], {}, {"a": 1}, None, 0, 1, -1, 3, 0.5, -2.5, True, False,
+    float("nan"), float("inf"), -float("inf"),
+]
 
 
 @pytest.mark.parametrize(

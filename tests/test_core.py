@@ -369,6 +369,14 @@ class TestValidateCover:
         report = validate_cover(CliqueCover(3, ((1, 2),)))
         assert any("variable 3 uncovered" in r for r in report)
 
+    def test_uncovered_report_does_not_grow_with_n(self):
+        # the first uncovered variable, then a count; no line per variable
+        report = validate_cover(CliqueCover(10**9, ((1, 2), (2, 3))))
+        assert report == ["variable 4 uncovered", "999999996 more variables uncovered"]
+        report = validate_cover(CliqueCover(10**9, ((2, 3), (3, 10**9))))
+        assert report == ["variable 1 uncovered", "999999996 more variables uncovered"]
+        assert validate_cover(CliqueCover(4, ((1, 2), (2, 4)))) == ["variable 3 uncovered"]
+
     def test_unsorted_clique(self):
         report = validate_cover(CliqueCover(2, ((2, 1),)))
         assert any("not strictly increasing" in r for r in report)

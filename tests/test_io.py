@@ -467,6 +467,12 @@ def test_pop_clique_zero_is_not_the_last_clique():
          'constraint 0: term 2: no "alpha_local"'),
         (lambda doc: doc["objectives"][0]["terms"][0].update(coef=None),
          "objective 0: term 0: coef None is not a number"),
+        (lambda doc: doc["constraints"][0]["terms"][0].update(coef=float("nan")),
+         "constraint 0: term 0: coef nan is not a finite number"),
+        (lambda doc: doc["objectives"][1]["terms"][0].update(coef=float("inf")),
+         "objective 1: term 0: coef inf is not a finite number"),
+        (lambda doc: doc["constraints"][2]["terms"][1].update(coef=-float("inf")),
+         "constraint 2: term 1: coef -inf is not a finite number"),
         (lambda doc: doc["objectives"][0]["terms"][0].update(alpha_local=4),
          "objective 0: term 0: alpha_local 4 is not a list"),
         (lambda doc: doc["objectives"][0]["terms"][0].update(alpha_local=[4]),

@@ -399,6 +399,17 @@ class TestIngest:
         y = ingest_solution(inst_triple, dict(y_fix.entries))
         assert y.entries == y_fix.entries
 
+    @pytest.mark.parametrize("kind", ["moment vector", "mapping"])
+    def test_mass_other_than_one_is_refused(self, pop_triple, inst_triple, kind):
+        # the relaxation pins the constant moment to 1, whatever the source
+        y = demo.chain_triple_moments()
+        doubled = SparseMomentVector.on_index_map(y.cover, y.omega, y.index_map, 2.0 * y.values)
+        source = doubled if kind == "moment vector" else dict(doubled.entries)
+        with pytest.raises(DimensionMismatch, match=r"^ingested mass 2\.0 != 1$"):
+            ingest_solution(inst_triple, source)
+        with pytest.raises(DimensionMismatch, match=r"^ingested mass 2\.0 != 1$"):
+            pipeline(pop_triple, 3, solver="file", solution=source)
+
     def test_permuted_cover_rebuilt_on_instance_cover(self, inst_triple):
         y_fix = demo.chain_triple_moments()
         permuted = SparseMomentVector(y_fix.cover.reorder((2, 3, 1)), 3, y_fix.entries)
