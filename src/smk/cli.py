@@ -46,16 +46,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _cost(text: str):
-    """``--cost``: ``random:N`` gives the budget N, anything else one finite cost per atom."""
+    """``--cost``: ``random:N`` gives the budget N >= 1, anything else one finite cost per atom."""
     try:
         if text.startswith("random:"):
-            return int(text.split(":", 1)[1])
-        cost = np.array([float(t) for t in text.split(",")])
-        if np.isfinite(cost).all():
-            return cost
+            budget = int(text.split(":", 1)[1])
+            if budget >= 1:
+                return budget
+        else:
+            cost = np.array([float(t) for t in text.split(",")])
+            if np.isfinite(cost).all():
+                return cost
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"expected comma-separated finite numbers or random:N, got {text!r}")
+    raise argparse.ArgumentTypeError(
+        f"expected comma-separated finite numbers or random:N with N >= 1, got {text!r}"
+    )
 
 
 def _build_parser() -> _Parser:
@@ -308,6 +313,10 @@ def run(argv=None) -> int:
         args.policy = RankPolicy(rel_tol=args.rel_tol, round_decimals=args.round)
         if getattr(args, "max_iters", 1) < 1:
             raise _UsageError(f"--max-iters must be at least 1, got {args.max_iters}")
+        if not 0 <= getattr(args, "tol", 0.0) < np.inf:
+            raise _UsageError(f"--tol must be a finite non-negative number, got {args.tol}")
+        if args.seed < 0:
+            raise _UsageError(f"--seed must be non-negative, got {args.seed}")
     except (_UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

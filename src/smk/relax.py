@@ -389,6 +389,8 @@ def solve_sdp_bundled(
     of the point it came from is refused for the plain iterate T(x); a refusal
     and every change of ``rho`` clear the memory.
     """
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be a finite non-negative number, got {tol}")
     nfree = instance.num_vars - 1
     A = instance.operator[:, 1:]
     AT = A.T.tocsr()

@@ -7,6 +7,7 @@ earlier cliques is contained in a single earlier clique (the witness).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .core import CliqueCover
@@ -75,68 +76,38 @@ def check_rip(cover: CliqueCover) -> RipWitnesses:
     return RipWitnesses(tuple(range(1, cover.m + 1)), witness)
 
 
-def _max_weight_spanning_forest(cliques: list[set]) -> list[set]:
-    """Kruskal on the clique intersection graph, weights |intersection|,
-    ties broken by lexicographic edge index. Returns adjacency sets."""
-    m = len(cliques)
-    edges = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            w = len(cliques[i] & cliques[j])
-            if w > 0:
-                edges.append((-w, i, j))
-    edges.sort()
-    parent = list(range(m))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    adj = [set() for _ in range(m)]
-    for _, i, j in edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            adj[i].add(j)
-            adj[j].add(i)
-    return adj
-
-
 def find_rip_order(cover: CliqueCover) -> tuple[int, ...]:
     """Search for a clique order satisfying the running intersection property.
 
-    Builds a maximum-weight spanning forest of the clique intersection graph
-    and emits cliques in breadth-first order, rooting each tree at the clique
-    containing the smallest uncovered variable. A maximum-weight spanning
-    tree has the junction-tree property whenever any spanning tree does, so
-    the verified failure of this order proves no order exists.
+    Maximum cardinality search (Tarjan & Yannakakis 1984): place the cliques
+    one at a time, next the clique holding the most variables already placed,
+    ties to the lower cover position. A clique holding no placed variable
+    starts a new connected part; it is the one holding the smallest variable
+    not yet placed. Some order has the property iff this one has it, so the
+    verified failure of this order proves no order exists.
 
     Returns a permutation of 1-based clique indices; raises
     :class:`NoOrderExists` if verification fails.
     """
-    cliques = [set(c) for c in cover.cliques]
-    m = len(cliques)
-    adj = _max_weight_spanning_forest(cliques)
-    visited = [False] * m
+    holders: dict = {}  # variable -> cover positions of the cliques holding it
+    for k, clique in enumerate(cover.cliques):
+        for v in clique:
+            holders.setdefault(v, []).append(k)
+    count = [0] * cover.m  # placed variables per clique; -1 once the clique is placed
+    heap = [(0, min(clique, default=0), k) for k, clique in enumerate(cover.cliques)]
+    heapq.heapify(heap)
     order: list[int] = []
-    while len(order) < m:
-        # root: clique containing the smallest variable not yet emitted
-        remaining_vars = sorted(set().union(*(cliques[k] for k in range(m) if not visited[k])))
-        root = min(
-            (k for k in range(m) if not visited[k] and remaining_vars[0] in cliques[k]),
-            default=next(k for k in range(m) if not visited[k]),
-        )
-        queue = [root]
-        visited[root] = True
-        while queue:
-            k = queue.pop(0)
-            order.append(k + 1)
-            for nb in sorted(adj[k]):
-                if not visited[nb]:
-                    visited[nb] = True
-                    queue.append(nb)
+    while heap:
+        neg, _, k = heapq.heappop(heap)
+        if -neg != count[k]:
+            continue  # stale entry: the clique is placed or its count has grown
+        count[k] = -1
+        order.append(k + 1)
+        for v in cover.cliques[k]:
+            for h in holders.pop(v, ()):  # v is now placed; count it once per holder
+                if count[h] >= 0:
+                    count[h] += 1
+                    heapq.heappush(heap, (-count[h], 0, h))
     try:
         check_rip(cover.reorder(order))
     except RipFailsAt as exc:

@@ -372,7 +372,7 @@ def test_altmeasure_on_bundled_solver_moments(files, capsys, tmp_path, extra):
     assert len(report["atoms"]) == 8 and report["weights"]
 
 
-@pytest.mark.parametrize("cost", ["1,a,0,0", "random:x", "nan,0,0,0", "1,0,-inf,0"])
+@pytest.mark.parametrize("cost", ["1,a,0,0", "random:x", "nan,0,0,0", "1,0,-inf,0", "random:0", "random:-3"])
 def test_altmeasure_bad_cost_is_usage_error(files, capsys, cost):
     assert run(["altmeasure", "--input", files["pair"], "--cost", cost]) == 64
     captured = capsys.readouterr()
@@ -394,12 +394,27 @@ def test_altmeasure_bad_cost_is_usage_error(files, capsys, cost):
         ["solve", "--pop", "{triple_pop}", "--omega", "3", "--max-iters", "0"],
         ["pipeline", "--pop", "{triple_pop}", "--omega", "3", "--max-iters", "0"],
         ["pipeline", "--pop", "{triple_pop}", "--omega", "3", "--max-iters", "-3"],
+        ["certify", "--input", "{pair}", "--seed", "-5"],
+        ["extract-assemble", "--input", "{pair}", "--seed", "-1"],
+        ["altmeasure", "--input", "{pair}", "--cost", "random:2", "--seed", "-5"],
+        ["pipeline", "--pop", "{triple_pop}", "--omega", "3", "--solution", "{triple_y}", "--seed", "-5"],
+        ["solve", "--pop", "{triple_pop}", "--omega", "3", "--tol", "inf"],
+        ["solve", "--pop", "{triple_pop}", "--omega", "3", "--tol", "nan"],
+        ["solve", "--pop", "{triple_pop}", "--omega", "3", "--tol", "-1"],
+        ["pipeline", "--pop", "{triple_pop}", "--omega", "3", "--tol", "inf"],
+        ["pipeline", "--pop", "{triple_pop}", "--omega", "3", "--tol", "nan"],
     ],
 )
 def test_unusable_flag_value_is_usage_error(files, capsys, argv):
     assert run([arg.format(**files) for arg in argv]) == 64
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("usage error: ")
+
+
+def test_zero_tol_runs_every_iteration(files, capsys):
+    code, report = run_json(capsys, ["solve", "--pop", files["triple_pop"], "--omega", "3",
+                                     "--tol", "0", "--max-iters", "5"])
+    assert (code, report["iterations"], report["converged"]) == (0, 5, False)
 
 
 def test_pipeline_solution_of_mass_two_exit_one(files, capsys, tmp_path):
@@ -544,17 +559,30 @@ def test_invalid_cover_exit_one(capsys, tmp_path, command, kind, edit, detail):
     assert (code, report["error"], report["detail"]) == (1, "MalformedInput", detail)
 
 
+def slots(node):
+    """Every (container, key) pair of a JSON document, at every depth."""
+    for key in list(node) if isinstance(node, dict) else range(len(node)):
+        yield node, key
+        if isinstance(node[key], (dict, list)):
+            yield from slots(node[key])
+
+
 def mutate(doc, draw):
-    """Drop or replace one value of a JSON document, walking down from the
-    top: each level is the last with probability 1/2, so the few top-level
-    fields are drawn as often as the many entries."""
-    node = doc
-    while True:
-        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
-        child = node[key]
-        if not isinstance(child, (dict, list)) or not child or draw(st.booleans()):
-            break
-        node = child
+    """Drop or replace one value of a JSON document. Half the draws pick the
+    value uniformly among all values at every depth, so most of them land in
+    the long lists (problem terms, moment entries). The other half walk down
+    from the top, each level the last with probability 1/2, so the few
+    top-level fields are drawn as often as the many entries."""
+    if draw(st.booleans()):
+        node, key = draw(st.sampled_from(list(slots(doc))))
+    else:
+        node = doc
+        while True:
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+            child = node[key]
+            if not isinstance(child, (dict, list)) or not child or draw(st.booleans()):
+                break
+            node = child
     replacement = draw(st.sampled_from(["drop", *REPLACEMENTS]))
     if replacement == "drop":
         del node[key]

@@ -690,6 +690,14 @@ class TestBundledSolver:
         assert not rep.converged
         assert rep.primal_residual > 1e-3
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+    def test_unusable_tol_is_refused(self, inst_triple, pop_triple, tol):
+        # an infinite tol would stop after one sweep and report convergence
+        with pytest.raises(ValueError, match="tol must be a finite non-negative number"):
+            solve_sdp_bundled(inst_triple, tol=tol)
+        with pytest.raises(ValueError, match="tol must be a finite non-negative number"):
+            pipeline(pop_triple, 3, solve_tol=tol)
+
     def test_empty_block_is_ignored(self):
         cover = CliqueCover(1, ((1,),))
         exponents = ((0,), (1,), (2,))

@@ -88,7 +88,7 @@ def test_find_order_for_shuffled_chain():
 
 
 def test_triangle_has_no_order():
-    with pytest.raises(NoOrderExists):
+    with pytest.raises(NoOrderExists, match=r"best candidate \(1, 2, 3\) fails at position 3"):
         find_rip_order(TRIANGLE)
     assert brute_force_order(TRIANGLE) is None
 
@@ -133,6 +133,52 @@ def test_find_order_agrees_with_brute_force():
         except NoOrderExists:
             assert expected is None, f"missed order {expected} for {cover}"
     assert hits > 20  # the sample covers both outcomes
+
+
+@st.composite
+def covers_with_nesting(draw):
+    """Covers of up to 7 cliques, some nested in or equal to another: the
+    readers accept both, and ``validate_cover`` only reports them."""
+    n = draw(st.integers(3, 6))
+    cliques = draw(st.lists(st.sets(st.integers(1, n), min_size=2, max_size=3), min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, min(2, 7 - len(cliques))))):
+        parent = sorted(draw(st.sampled_from(cliques)))
+        cliques.append(draw(st.sets(st.sampled_from(parent), min_size=1)))
+    return CliqueCover(n, tuple(tuple(sorted(c)) for c in draw(st.permutations(cliques))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(covers_with_nesting())
+def test_find_order_agrees_with_brute_force_on_nested_covers(cover):
+    expected = brute_force_order(cover)
+    try:
+        order = find_rip_order(cover)
+    except NoOrderExists:
+        assert expected is None, f"missed order {expected} for {cover}"
+        return
+    assert sorted(order) == list(range(1, cover.m + 1))
+    check_rip(cover.reorder(order))
+    assert expected is not None, f"false positive on {cover}"
+
+
+def shuffled_chain(m, seed):
+    """Chain of ``m`` width-3 cliques in natural order, and the same chain shuffled."""
+    chain = [(i, i + 1, i + 2) for i in range(1, m + 1)]
+    perm = np.random.default_rng(seed).permutation(m)
+    return chain, CliqueCover(m + 2, tuple(chain[k] for k in perm))
+
+
+def test_shuffled_chain_comes_back_in_natural_order():
+    # the tie rule: with no variable placed, the clique holding variable 1 goes first
+    chain, cover = shuffled_chain(50, seed=3)
+    assert [cover.clique(i) for i in find_rip_order(cover)] == chain
+
+
+def test_long_shuffled_chain_gets_an_order():
+    _, cover = shuffled_chain(2000, seed=5)
+    order = find_rip_order(cover)
+    assert sorted(order) == list(range(1, 2001))
+    check_rip(cover.reorder(order))
 
 
 def test_witnesses_monotone_under_removing_last_clique():
