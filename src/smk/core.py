@@ -160,9 +160,15 @@ class CliqueCover:
 def validate_cover(cover: CliqueCover) -> list[str]:
     """Check all cover invariants and return a list of violations (empty = ok)."""
     report = list(_cover_violations(cover))
+    sets = [set(c) for c in cover.cliques]
+    holding: dict[int, list[int]] = {}  # variable -> the cliques that hold it, ascending
+    for j, cj in enumerate(sets, start=1):
+        for v in cj:
+            holding.setdefault(v, []).append(j)
+    # a clique that contains clique i holds its first variable; the empty clique is in all
     for i, ci in enumerate(cover.cliques, start=1):
-        for j, cj in enumerate(cover.cliques, start=1):
-            if i != j and set(ci) <= set(cj):
+        for j in holding[ci[0]] if ci else range(1, len(sets) + 1):
+            if i != j and sets[i - 1] <= sets[j - 1]:
                 report.append(f"clique {i} ⊆ clique {j}")
     return report
 

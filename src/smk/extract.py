@@ -9,11 +9,11 @@ convex combination.
 
 Extraction runs on stacks: the moment matrices of cliques with the same
 labels and rank go through each step together, with one ``eigh``, one
-``eig`` and one ``inv`` per step over the stack and, per clique, the
-arithmetic of an extraction on its own, so the atoms do not depend on how
-the cliques were stacked. Neither do the errors: each is kept with its
-clique, a ``LinAlgError`` included, and the first failing clique raises.
-:func:`extract_atoms` is the stack of one.
+``eig``, one ``inv`` and one ``pinv`` per step over the stack and, per
+clique, the arithmetic of an extraction on its own, so the atoms and
+weights do not depend on how the cliques were stacked. Neither do the
+errors: each is kept with its clique, a ``LinAlgError`` included, and the
+first failing clique raises. :func:`extract_atoms` is the stack of one.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-import scipy.optimize
 
 from .certify import FlatnessCertificate, RankPolicy
 from .core import monomial_matrix, monomial_steps
@@ -288,13 +287,11 @@ def _extract_stack(
             out[live[q]] = ReconstructionFailed(error)
         live, data, scales, atoms = _subset(separated, live, data, scales, atoms)
 
-    # weights from the degree-<=omega moments by nonnegative least squares;
-    # the moments of the labels are row 0, as labels are in matrix order
+    # weights from the degree-<=omega moments by least squares, one solve per
+    # stack; the moments of the labels are row 0, as labels are in matrix order
     A = monomial_matrix(exponents, atoms.reshape(-1, nvars), steps)
     A = A.reshape(len(labels), len(live), r).transpose(1, 0, 2).copy()
-    weights = np.empty((len(live), r))
-    for q in range(len(live)):
-        weights[q] = scipy.optimize.nnls(A[q], data[q, 0])[0]
+    weights = (np.linalg.pinv(A) @ data[:, 0, :, None])[:, :, 0]
     lightest = weights.min(axis=1)
     light = lightest <= policy.tol(weights.max(axis=1))
     recon = (A * weights[:, None, :]) @ A.transpose(0, 2, 1)

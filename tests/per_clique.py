@@ -174,8 +174,10 @@ def column_echelon_basis(vt, allowed, tol):
     return pivots, R
 
 
-def extract_atoms(M, r, policy=RankPolicy(), seed=0):
-    """(measure, number of random combinations drawn)."""
+def extract_atoms(M, r, policy=RankPolicy(), seed=0, nonnegative=False):
+    """(measure, number of random combinations drawn). The weights solve the
+    least-squares problem of the first row, or with ``nonnegative`` its
+    nonnegative version (Lawson & Hanson's NNLS)."""
     nvars = len(M.variables)
     scale = max(1.0, float(np.abs(M.data).max())) if M.size else 1.0
     if r == 0:
@@ -238,7 +240,7 @@ def extract_atoms(M, r, policy=RankPolicy(), seed=0):
         raise ReconstructionFailed("could not separate atoms after redrawing combinations")
 
     A = monomial_matrix(labels, atoms)
-    weights, _ = scipy.optimize.nnls(A, M.data[0])
+    weights = scipy.optimize.nnls(A, M.data[0])[0] if nonnegative else np.linalg.pinv(A) @ M.data[0]
     if weights.min() <= policy.tol(weights.max()):
         raise NonPhysicalWeights(f"weight {weights.min():.3e} is not strictly positive")
     recon = (A * weights) @ A.T

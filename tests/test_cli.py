@@ -1,6 +1,8 @@
 import copy
 import gc
 import json
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -614,3 +616,16 @@ def test_malformed_input_never_escapes(files, capsys, tmp_path, kind, data):
         code, report = run_json(capsys, argv)  # no exception escapes
         refused = "cover_violations" in report or report.get("error") in SMK_ERRORS
         assert report["exit_code"] == code and (code in (0, 2) or code == 1 and refused), (argv, report)
+
+
+def test_import_loads_no_scipy_subpackage_but_sparse_and_linalg():
+    """A fresh interpreter importing smk and its CLI loads, of scipy's
+    public subpackages, only scipy.sparse, the scipy.linalg that
+    scipy.sparse.linalg needs, and scipy.version: no scipy.optimize."""
+    code = (
+        "import json, sys, smk, smk.cli; "
+        "print(json.dumps(sorted({m.split('.')[1] for m in sys.modules if m.startswith('scipy.')})))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    public = [name for name in json.loads(out) if not name.startswith("_")]
+    assert public == ["linalg", "sparse", "version"]

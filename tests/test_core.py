@@ -380,3 +380,38 @@ class TestValidateCover:
     def test_unsorted_clique(self):
         report = validate_cover(CliqueCover(2, ((2, 1),)))
         assert any("not strictly increasing" in r for r in report)
+
+
+@st.composite
+def nesting_covers(draw):
+    """Covers of 1-8 cliques on 1..n, each a fresh subset, an earlier clique
+    again, a part of an earlier clique, or a list of variables in any order
+    and maybe repeated; some cliques are empty or disjoint from the rest."""
+    n = draw(st.integers(1, 8))
+    cliques = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["fresh", "equal", "part", "unsorted"] if cliques else ["fresh"]))
+        if kind == "fresh":
+            clique = sorted(draw(st.sets(st.integers(1, n), min_size=1, max_size=4)))
+        elif kind == "unsorted":
+            clique = draw(st.lists(st.integers(1, n), min_size=1, max_size=5))
+        else:
+            clique = draw(st.sampled_from(cliques))
+            if kind == "part" and clique:
+                clique = draw(st.lists(st.sampled_from(clique), unique=True))
+        cliques.append(tuple(clique))
+    return CliqueCover(n, tuple(cliques))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(cover=nesting_covers())
+def test_validate_cover_reports_nesting_as_the_all_pairs_loop(cover):
+    nested = [
+        f"clique {i} ⊆ clique {j}"
+        for i, ci in enumerate(cover.cliques, start=1)
+        for j, cj in enumerate(cover.cliques, start=1)
+        if i != j and set(ci) <= set(cj)
+    ]
+    report = validate_cover(cover)
+    assert report[len(report) - len(nested) :] == nested
+    assert not any("⊆" in line for line in report[: len(report) - len(nested)])

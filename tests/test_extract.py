@@ -404,6 +404,62 @@ class TestStackedExtraction:
             assert mu.weights.tobytes() == ref.weights.tobytes()
 
 
+# ---------------------------------------------------------------------------
+# least-squares weights against nonnegative least squares
+
+
+def nnls_outcome(M, r, policy, seed):
+    """Weights of the per-clique path with NNLS weights, or the class of
+    the error it raises."""
+    try:
+        return per_clique.extract_atoms(M, r, policy, seed, nonnegative=True)[0].weights
+    except (SmkError, np.linalg.LinAlgError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**16), round_decimals=st.sampled_from([None, 4, 3]))
+def test_least_squares_weights_agree_with_nnls(seed, round_decimals):
+    """On flat atoms the weights solve a full-column-rank system, so least
+    squares and NNLS give one verdict and one error class, and on every
+    extraction that succeeds the same weights to 1e-12 of the largest."""
+    policy = RankPolicy(round_decimals=round_decimals)
+    _, _, _, y = random_flat_instance(seed)
+    if round_decimals is not None:
+        y = y.rounded(round_decimals)
+    cert = certify(y, tuple(() for _ in range(y.cover.m)), check_rip(y.cover), policy)
+    oracle = [nnls_outcome(c.moment, c.rank_full, policy, seed + c.clique) for c in cert.cliques]
+    for c, expected in zip(cert.cliques, oracle):
+        try:
+            mu = extract_atoms(c.moment, c.rank_full, policy, seed + c.clique)
+        except (SmkError, np.linalg.LinAlgError) as exc:
+            assert type(exc) is expected
+        else:
+            assert isinstance(expected, np.ndarray)
+            assert np.abs(mu.weights - expected).max() <= 1e-12 * expected.max()
+    failures = [e for e in oracle if not isinstance(e, np.ndarray)]
+    try:
+        extract_clique_measures(cert, policy, seed)
+    except (SmkError, np.linalg.LinAlgError) as exc:
+        assert failures and type(exc) is failures[0]
+    else:
+        assert not failures
+
+
+def test_negative_least_squares_weight_is_named():
+    """A PSD rank-2 matrix (not a moment matrix) whose atoms are 0 and 1 and
+    whose first row (1, 2, 2) needs the weights (-1, 2): the error names the
+    negative weight, where NNLS would stop at a zero one."""
+    M = LabeledSymMatrix((1,), ((0,), (1,), (2,)), np.array([[1.0, 2, 2], [2, 5, 5], [2, 5, 5]]))
+    A = monomial_matrix(M.labels, np.array([[0.0], [1.0]]))
+    lightest = np.linalg.lstsq(A, M.data[0], rcond=None)[0].min()
+    assert lightest == pytest.approx(-1.0)
+    with pytest.raises(NonPhysicalWeights) as info:
+        extract_atoms(M, 2)
+    assert str(info.value) == f"weight {lightest:.3e} is not strictly positive"
+    assert nnls_outcome(M, 2, RankPolicy(), 0) is NonPhysicalWeights
+
+
 class TestFeasibility:
     BALL = ConstraintPolynomial((1, 2), {(0, 0): 3.0, (2, 0): -1.0, (0, 2): -1.0})
 
