@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SparseMomentVector, clique_subvector, local_exponents
+from .core import SparseMomentVector, local_exponents
 from .errors import NonFiniteMoment, OrderTooHigh, ZeroVector
 from .matrices import ConstraintPolynomial, LabeledSymMatrix, block_operator, gather
 from .rip import RipWitnesses
@@ -310,8 +310,9 @@ def zero_propagation_check(
     """Under the flatness rank conditions a single zero clique subvector
     forces the whole vector to zero; a mixed outcome therefore flags a
     rank-policy (tolerance) failure."""
-    tol = policy.tol(np.abs(y.values).max(initial=0.0))
-    zero_flags = [clique_subvector(y, i).max_abs() <= tol for i in range(1, y.cover.m + 1)]
+    size, bound = np.abs(y.values), 2 * y.omega
+    tol = policy.tol(size.max(initial=0.0))
+    zero_flags = [size[y.index_map.positions(c, bound)].max() <= tol for c in y.cover.cliques]
     if all(zero_flags):
         return ZeroPropagation.ALL_ZERO
     if not any(zero_flags):

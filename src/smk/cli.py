@@ -122,8 +122,7 @@ def _build_parser() -> _Parser:
 
 
 def _run_rip(args, report):
-    data = io._load(args.input)
-    cover = io.cover_from_dict(data)
+    cover = io.load_cover(args.input)
     problems = validate_cover(cover)
     if problems:
         report["cover_violations"] = problems
@@ -252,16 +251,9 @@ def _run_solve(args, report):
 
 def _run_pipeline(args, report):
     pop = io.load_pop(args.pop)
-    solution = None
-    solver = "bundled"
+    solution, solver = None, "bundled"
     if args.solution:
-        solver = "file"
-        with open(args.solution) as fh:
-            text = fh.read()
-        if text.lstrip().startswith("{"):
-            solution = io._moments_from_text(text, args.allow_missing_as_zero)
-        else:
-            solution = io._floats(text.split())
+        solution, solver = io.load_solution(args.solution, args.allow_missing_as_zero), "file"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = pipeline(

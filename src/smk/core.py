@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections import UserDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
 from typing import Iterable, Mapping
@@ -411,42 +411,29 @@ class SparseMomentVector:
 class CliqueSubvector:
     """Dense restriction of a moment vector to one clique, in local variables.
 
-    ``values`` maps every local multi-index of degree <= 2*omega to its
-    moment; ``moments`` holds them as a read-only array in the order of
-    ``local_exponents(width, 2*omega)``, 0.0 at the positions in ``absent``.
+    ``moments`` holds every moment of degree <= 2*omega as a read-only float
+    array in the order of ``local_exponents(width, 2*omega)``; an array of
+    any other length raises ``ValueError``. Subvectors compare by ``clique``
+    and ``omega`` only.
     """
 
     clique: tuple[int, ...]
     omega: int
-    values: Mapping[MultiIndex, float]
+    moments: np.ndarray = field(compare=False)
 
-    @cached_property
-    def moments(self) -> np.ndarray:
-        local = _local_exponents(len(self.clique), 2 * self.omega)
-        moments = np.array([self.values.get(a, 0.0) for a in local], dtype=float)
+    def __post_init__(self):
+        moments = np.array(self.moments, dtype=float)
+        if moments.shape != (len(_local_exponents(len(self.clique), 2 * self.omega)),):
+            raise ValueError(f"{moments.shape} moments for clique {self.clique} at order {self.omega}")
         moments.setflags(write=False)
-        return moments
-
-    @cached_property
-    def absent(self) -> np.ndarray:
-        local = _local_exponents(len(self.clique), 2 * self.omega)
-        return np.array([p for p, a in enumerate(local) if a not in self.values], dtype=np.int64)
-
-    def max_abs(self) -> float:
-        return float(np.abs(self.moments).max(initial=0.0))
+        object.__setattr__(self, "moments", moments)
 
 
 def subvector_on(y: SparseMomentVector, variables: tuple[int, ...]) -> CliqueSubvector:
     """Dense subvector of ``y`` on an arbitrary variable subset contained in
     some clique (e.g. a clique intersection)."""
     variables = tuple(variables)
-    bound = 2 * y.omega
-    moments = y.values[y.index_map.positions(variables, bound)]
-    moments.setflags(write=False)
-    locs = _local_exponents(len(variables), bound)
-    sub = CliqueSubvector(variables, y.omega, _LazyEntries(locs, moments))
-    sub.__dict__.update(moments=moments, absent=np.zeros(0, dtype=np.int64))
-    return sub
+    return CliqueSubvector(variables, y.omega, y.values[y.index_map.positions(variables, 2 * y.omega)])
 
 
 def clique_subvector(y: SparseMomentVector, i: int) -> CliqueSubvector:

@@ -79,6 +79,12 @@ def cover_from_dict(data: Mapping) -> CliqueCover:
         raise MalformedInput(f"cliques {cliques!r} is not a list of lists of integers") from None
 
 
+def load_cover(source) -> CliqueCover:
+    """The cover ``{"n", "cliques"}`` of a file or a mapping as written, even
+    one that :func:`~smk.core.validate_cover` would refuse."""
+    return cover_from_dict(_load(source))
+
+
 def _cover(data: Mapping) -> CliqueCover:
     """:func:`cover_from_dict`, refusing with :class:`MalformedInput` the
     first violation of a cover invariant; nested cliques are accepted."""
@@ -108,6 +114,16 @@ def load_moment_vector(source, allow_missing_as_zero: bool = False) -> SparseMom
     if isinstance(source, Mapping):
         return _moments_from_dict(source, allow_missing_as_zero)
     return _moments_from_text(Path(source).read_text(), allow_missing_as_zero)
+
+
+def load_solution(source, allow_missing_as_zero: bool = False) -> SparseMomentVector | list[float]:
+    """A solution file for ``pipeline``: text whose first non-blank character
+    is ``{`` as by :func:`load_moment_vector`, any other as whitespace-separated
+    free coordinates; a token ``float`` refuses raises :class:`MalformedInput`."""
+    text = Path(source).read_text()
+    if text.lstrip().startswith("{"):
+        return _moments_from_text(text, allow_missing_as_zero)
+    return _floats(text.split())
 
 
 def _moments_from_text(text: str, allow_missing_as_zero: bool) -> SparseMomentVector:

@@ -14,8 +14,8 @@ subvector; the relaxation maps its positions to global ones and stacks the
 blocks.
 
 All matrices are dense, exactly symmetric by construction, and labeled by
-local multi-indices in canonical order. An entry whose multi-index falls
-outside the stored moment data is a construction error, never silently zero.
+local multi-indices in canonical order. A subvector holds every moment up
+to its degree, so no entry can fall outside the stored moment data.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Mapping
 import numpy as np
 
 from .core import CliqueSubvector, MultiIndex, grlex_position, local_exponents
-from .errors import IndexOutOfPattern, OrderTooHigh
+from .errors import OrderTooHigh
 
 
 @dataclass(frozen=True)
@@ -133,13 +133,8 @@ def gather(block, moments: np.ndarray) -> np.ndarray:
 def moment_matrix(y_sub: CliqueSubvector, d: int) -> LabeledSymMatrix:
     """Moment matrix of order ``d``: entry (alpha, beta) is the moment at
     alpha + beta, over all local labels of degree <= d, read by position
-    from the subvector's moment array. A moment it needs but the subvector
-    lacks raises :class:`IndexOutOfPattern` naming its local exponent."""
+    from the subvector's moment array."""
     if d < 0 or 2 * d > 2 * y_sub.omega:
         raise OrderTooHigh(f"moment matrix of order {d} needs degrees up to {2*d} > {2*y_sub.omega}")
-    labels, _, position, _ = block = block_operator(len(y_sub.clique), d)
-    missing = y_sub.absent[np.isin(y_sub.absent, position)] if y_sub.absent.size else ()
-    if len(missing):
-        raise IndexOutOfPattern(local_exponents(len(y_sub.clique), 2 * y_sub.omega)[missing[0]])
-    return LabeledSymMatrix(y_sub.clique, labels, gather(block, y_sub.moments[None])[0])
-
+    block = block_operator(len(y_sub.clique), d)
+    return LabeledSymMatrix(y_sub.clique, block[0], gather(block, y_sub.moments[None])[0])

@@ -504,9 +504,14 @@ def pipeline(
     """Solve (or ingest), certify, and, on a true verdict, extract and
     assemble the minimizing atoms.
 
-    A false verdict is a normal outcome: the result then carries the
-    certificate and the relaxation bound only.
+    ``solver="file"`` needs a ``solution`` and ``"bundled"`` takes none, else
+    ``ValueError``. A false verdict is a normal outcome: the result then
+    carries the certificate and the relaxation bound only.
     """
+    if solver not in ("bundled", "file"):
+        raise ValueError(f"unknown solver {solver!r}")
+    if (solver == "file") != (solution is not None):
+        raise ValueError(f"solver {solver!r} {'needs a' if solution is None else 'takes no'} solution")
     order, pop_o = tuple(range(1, pop.cover.m + 1)), pop
     try:
         witnesses = check_rip(pop.cover)
@@ -520,10 +525,8 @@ def pipeline(
     if solver == "bundled":
         report = solve_sdp_bundled(instance, max_iters=max_iters, tol=solve_tol)
         y = report.y
-    elif solver == "file":
-        y = ingest_solution(instance, solution, policy)
     else:
-        raise ValueError(f"unknown solver {solver!r}")
+        y = ingest_solution(instance, solution, policy)
     if policy.round_decimals is not None:
         y = y.rounded(policy.round_decimals)
 

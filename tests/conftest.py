@@ -117,6 +117,11 @@ CHAIN_TRIPLE_OVERLAP_23 = np.array(
 )
 
 
+def keyed(sub) -> dict:
+    """A clique subvector's moments keyed by their local exponent tuples."""
+    return dict(zip(local_exponents(len(sub.clique), 2 * sub.omega), sub.moments.tolist()))
+
+
 def ingest_reference_matrices() -> SparseMomentVector:
     """Rebuild the chain-triple moment vector from the three reference
     matrices, checking that repeated entries are consistent."""

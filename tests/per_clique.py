@@ -18,7 +18,7 @@ from smk.assemble import _cluster
 from smk.certify import CliqueCheck, FlatnessCertificate, OverlapCheck, RankPolicy, d_half
 from smk.core import clique_subvector, local_exponents, monomial_matrix, subvector_on
 from smk.errors import (
-    FinalMarginalCheckFailed, FlatnessViolated, IndexOutOfPattern, MarginalMismatch,
+    FinalMarginalCheckFailed, FlatnessViolated, MarginalMismatch,
     NonPhysicalWeights, OrderTooHigh, ReconstructionFailed,
 )
 from smk.extract import MAX_REDRAWS, AtomicMeasure
@@ -54,13 +54,8 @@ def block_diagonal(blocks, count):
 def localizing_matrix(y_sub, g, d) -> LabeledSymMatrix:
     """Localizing matrix of ``g`` at order ``d``: entry (alpha, beta) is
     sum_gamma g_gamma * y[alpha + beta + gamma], over labels of degree
-    <= d - d_half. A moment it needs but the subvector lacks raises
-    :class:`IndexOutOfPattern`, as in ``moment_matrix``."""
+    <= d - d_half."""
     block = localizing_operator(y_sub.clique, y_sub.omega, g, d)
-    needed = set(block[2].tolist())
-    missing = [p for p in y_sub.absent.tolist() if p in needed]
-    if missing:
-        raise IndexOutOfPattern(local_exponents(len(y_sub.clique), 2 * y_sub.omega)[missing[0]])
     return LabeledSymMatrix(y_sub.clique, block[0], gather(block, y_sub.moments[None])[0])
 
 

@@ -13,6 +13,8 @@ from smk import cli, demo, io
 from smk.cli import run
 from smk.errors import SmkError
 
+from conftest import random_flat_instance
+
 
 @pytest.fixture
 def files(tmp_path):
@@ -629,3 +631,22 @@ def test_import_loads_no_scipy_subpackage_but_sparse_and_linalg():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
     public = [name for name in json.loads(out) if not name.startswith("_")]
     assert public == ["linalg", "sparse", "version"]
+
+
+def test_pipeline_and_extract_assemble_agree(files, capsys, tmp_path):
+    """``relax.pipeline`` and the CLI's certify chain glue a moment vector
+    each; on the same moments and problem they report the same certificate
+    and the same measure."""
+    cases = [(files["triple_y"], files["triple_pop"], 3)]
+    for seed in range(4):
+        cover, _, _, y = random_flat_instance(seed)
+        moments, pop = tmp_path / f"y{seed}.json", tmp_path / f"pop{seed}.json"
+        io.save_moment_vector(y, moments)
+        pop.write_text(json.dumps({"n": cover.n, "cliques": [list(c) for c in cover.cliques]}))
+        cases.append((str(moments), str(pop), y.omega))
+    for moments, pop, omega in cases:
+        code_p, piped = run_json(capsys, ["pipeline", "--pop", pop, "--omega", str(omega), "--solution", moments])
+        code_e, chained = run_json(capsys, ["extract-assemble", "--input", moments, "--constraints", pop])
+        assert code_p == code_e == 0
+        assert piped["certificate"] == chained["certificate"]
+        assert piped["measure"] == chained["measure"]

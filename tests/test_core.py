@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from smk.core import (
     CliqueCover,
+    CliqueSubvector,
     IndexMap,
     SparseMomentVector,
     clique_subvector,
@@ -27,7 +28,10 @@ from smk.matrices import moment_matrix
 from smk.rip import check_rip
 from smk import demo
 
-from conftest import CHAIN_PAIR_ENTRIES, TRIANGLE_ENTRIES, random_rip_cover, shuffled_chain_covers
+from conftest import (
+    CHAIN_PAIR_ENTRIES, TRIANGLE_ENTRIES, keyed, random_flat_instance, random_rip_cover,
+    shuffled_chain_covers,
+)
 
 CHAIN_PAIR = CliqueCover(3, ((1, 2), (2, 3)))
 TRIANGLE = CliqueCover(3, ((1, 2), (2, 3), (1, 3)))
@@ -321,27 +325,61 @@ class TestCliqueSubvector:
     def test_pair_clique_one(self, y_pair):
         sub = clique_subvector(y_pair, 1)
         assert sub.clique == (1, 2)
-        assert sub.values[(4, 0)] == 1.0
-        assert sub.values[(0, 4)] == 0.0
-        assert len(sub.values) == len(local_exponents(2, 4))
+        assert keyed(sub)[(4, 0)] == 1.0
+        assert keyed(sub)[(0, 4)] == 0.0
+        assert len(sub.moments) == len(local_exponents(2, 4))
 
     def test_zero_vector(self):
         y = SparseMomentVector.build(CHAIN_PAIR, 1, {}, allow_missing_as_zero=True)
-        assert clique_subvector(y, 2).max_abs() == 0.0
+        assert not clique_subvector(y, 2).moments.any()
 
     def test_triangle_clique_three(self, y_triangle):
         sub = clique_subvector(y_triangle, 3)
         assert sub.clique == (1, 3)
-        assert sub.values[(1, 1)] == -1.0
+        assert keyed(sub)[(1, 1)] == -1.0
 
     def test_subvectors_equal_dense_reference(self):
         y = demo.chain_triple_moments()
         for i in range(1, y.cover.m + 1):
             sub = clique_subvector(y, i)
-            assert list(sub.values.items()) == subvector_reference(y, y.cover.clique(i))
+            assert list(keyed(sub).items()) == subvector_reference(y, y.cover.clique(i))
         for variables in ((2,), (3, 4), (4, 3), ()):
             sub = subvector_on(y, variables)
-            assert list(sub.values.items()) == subvector_reference(y, variables)
+            assert list(keyed(sub).items()) == subvector_reference(y, variables)
+
+    def test_moments_are_a_read_only_gather_of_the_vector(self):
+        for y in (demo.chain_pair_moments(), demo.chain_triple_moments(), demo.triangle_moments()):
+            for i, clique in enumerate(y.cover.cliques, start=1):
+                sub = clique_subvector(y, i)
+                expected = y.values[y.index_map.positions(clique, 2 * y.omega)]
+                assert sub.moments.tobytes() == expected.tobytes()
+                with pytest.raises(ValueError):
+                    sub.moments[0] = 0.0
+
+    def test_constructor_refuses_an_array_of_another_length(self):
+        size = len(local_exponents(2, 4))
+        sub = CliqueSubvector((1, 2), 2, np.arange(size))
+        assert sub.moments.dtype == float and not sub.moments.flags.writeable
+        for length in (0, size - 1, size + 1):
+            with pytest.raises(ValueError, match="moments for clique"):
+                CliqueSubvector((1, 2), 2, np.zeros(length))
+        with pytest.raises(ValueError):
+            CliqueSubvector((1, 2), 2, np.zeros((1, size)))
+
+    def test_subvectors_compare_without_their_arrays(self, y_pair):
+        a, b = clique_subvector(y_pair, 1), clique_subvector(y_pair, 1)
+        assert a == b and hash(a) == hash(b)
+        assert a != clique_subvector(y_pair, 2)
+
+    def test_moment_matrix_equals_the_certificate_bitwise(self):
+        instances = [demo.chain_pair_moments(), demo.chain_triple_moments()]
+        instances += [random_flat_instance(seed)[3] for seed in range(8)]
+        for y in instances:
+            cert = certify(y, [()] * y.cover.m, check_rip(y.cover))
+            for i, check in enumerate(cert.cliques, start=1):
+                M = moment_matrix(clique_subvector(y, i), y.omega)
+                assert M.labels == check.moment.labels
+                assert M.data.tobytes() == check.moment.data.tobytes()
 
     def test_variables_outside_every_clique(self):
         y = demo.chain_triple_moments()
@@ -353,7 +391,7 @@ class TestCliqueSubvector:
         for i in (1, 2, 3):
             clique = TRIANGLE.clique(i)
             sub = clique_subvector(y_triangle, i)
-            for loc, v in sub.values.items():
+            for loc, v in keyed(sub).items():
                 assert y_triangle.entries[lift(loc, clique, 3)] == v
 
 

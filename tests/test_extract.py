@@ -31,11 +31,11 @@ from conftest import random_flat_instance, shuffled_chain_covers
 def measure_subvector(variables, atoms, weights, omega):
     atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
     weights = np.asarray(weights, dtype=float)
-    values = {}
-    for alpha in local_exponents(len(variables), 2 * omega):
-        vals = np.prod(atoms ** np.asarray(alpha, dtype=float), axis=1)
-        values[alpha] = float(weights @ vals)
-    return CliqueSubvector(tuple(variables), omega, values)
+    moments = [
+        float(weights @ np.prod(atoms ** np.asarray(alpha, dtype=float), axis=1))
+        for alpha in local_exponents(len(variables), 2 * omega)
+    ]
+    return CliqueSubvector(tuple(variables), omega, moments)
 
 
 def match_atoms(mu: AtomicMeasure, atoms, weights, tol=1e-8):
@@ -156,7 +156,7 @@ class TestExtractAtoms:
             sub = measure_subvector((1, 2, 3), atoms, weights, 2)
             M = moment_matrix(sub, 2)
             mu = extract_atoms(M, r, seed=trial)
-            bound = 1e-8 * (1 + max(abs(v) for v in sub.values.values()))
+            bound = 1e-8 * (1 + np.abs(sub.moments).max())
             moments = monomial_matrix(local_exponents(3, 4), mu.atoms) @ mu.weights
             assert np.abs(moments - sub.moments).max() <= bound
 

@@ -584,3 +584,39 @@ def test_alpha_holding_a_list_or_object_is_out_of_pattern(alpha):
     doc["entries"].append(dict(doc["entries"][3]))  # a duplicate is still named first
     with pytest.raises(DuplicateEntry):
         io.load_moment_vector(doc)
+
+
+def test_load_solution_reads_a_moment_document_or_free_coordinates(tmp_path):
+    y = demo.chain_triple_moments()
+    free = [y.entries[a] for a in build_relaxation(demo.chain_triple_pop(), 3).exponents[1:]]
+    moments, primal, bad = tmp_path / "y.json", tmp_path / "y.txt", tmp_path / "bad.txt"
+    io.save_moment_vector(y, moments)
+    moments.write_text("\n \t" + moments.read_text())  # leading blanks still make a document
+    primal.write_text(" ".join(map(repr, free[:5])) + "\n" + " ".join(map(repr, free[5:])))
+    bad.write_text("1.0 abc 2.0\n")
+    loaded = io.load_solution(moments)
+    assert loaded.index_map is y.index_map and loaded.values.tobytes() == y.values.tobytes()
+    assert io.load_solution(primal) == free
+    with pytest.raises(MalformedInput, match="^entry 1: value 'abc' is not a number$"):
+        io.load_solution(bad)
+    doc = io.moment_vector_to_dict(y)
+    doc["entries"].pop()
+    moments.write_text(json.dumps(doc))
+    with pytest.raises(MissingEntries):
+        io.load_solution(moments)
+    assert io.load_solution(moments, allow_missing_as_zero=True).values[-1] == 0.0
+    with pytest.raises(FileNotFoundError):
+        io.load_solution(tmp_path / "absent.txt")
+
+
+def test_load_cover_keeps_what_the_cover_breaks(tmp_path):
+    path = tmp_path / "cover.json"
+    io.save_moment_vector(demo.chain_pair_moments(), path)
+    assert io.load_cover(path) == demo.chain_pair_moments().cover
+    broken = {"n": 4, "cliques": [[1, 2], [1, 2], []]}
+    path.write_text(json.dumps(broken))
+    for source in (broken, path):
+        assert io.load_cover(source) == CliqueCover(4, ((1, 2), (1, 2), ()))
+    path.write_text('{"n": 4, "cliques": 5}')
+    with pytest.raises(MalformedInput, match="is not a list of lists of integers"):
+        io.load_cover(path)

@@ -723,6 +723,25 @@ class TestPipeline:
         assert res.global_residual <= 1e-10
         assert res.feasibility_clean
 
+    @pytest.mark.parametrize(
+        "solver,solution,detail",
+        [
+            ("bundled", "moments", "solver 'bundled' takes no solution"),
+            ("file", None, "solver 'file' needs a solution"),
+            ("scs", None, "unknown solver 'scs'"),
+            ("scs", "moments", "unknown solver 'scs'"),
+        ],
+    )
+    def test_solver_and_solution_are_checked_first(self, pop_triple, monkeypatch, solver, solution, detail):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("pipeline went past its argument check")
+
+        for name in ("check_rip", "find_rip_order", "build_relaxation", "solve_sdp_bundled"):
+            monkeypatch.setattr(relax, name, unreachable)
+        solution = demo.chain_triple_moments() if solution == "moments" else solution
+        with pytest.raises(ValueError, match=f"^{re.escape(detail)}$"):
+            pipeline(pop_triple, 3, solver=solver, solution=solution)
+
     def test_reordered_problem_takes_solution_in_given_order(self, pop_triple):
         # the cover fails running intersection, so the relaxation is built on
         # a reordered cover while the solution keeps the given clique order
