@@ -69,5 +69,9 @@ class DimensionMismatch(SmkError):
     """A solution vector does not match the relaxation it is ingested into."""
 
 
+class SolverDiverged(SmkError):
+    """The bundled solver's residual overflowed to a non-finite value."""
+
+
 class BlockNotPsdWarning(UserWarning):
     """An ingested solution has a block that is not PSD at tolerance."""

@@ -6,9 +6,11 @@ PSD moment block per clique, and one PSD localizing block per constraint
 polynomial. Each block is compiled by ``matrices.block_operator`` once per
 clique shape, shared as read-only arrays by every clique of that shape, and
 mapped to global positions by the clique's index table. The instance
-stacks the blocks into one sparse operator from the moment values to the
-concatenated row-major block matrices; the SDPA export, the PSD checks and
-the bundled solver all read it. The supported high-accuracy path is
+stacks the blocks into one operator from the moment values to the
+concatenated row-major block matrices, held as numpy term arrays; the SDPA
+export, the PSD checks and the bundled solver all read it. Only the bundled
+solver needs scipy, for a sparse LU, and imports it when called. The
+supported high-accuracy path is
 exporting the instance in SDPA sparse format, solving externally, and
 ingesting the solution; the bundled first-order solver is a best-effort
 fallback whose non-convergence is always reported, never silent.
@@ -23,13 +25,13 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .assemble import assemble, verify_global
 from .certify import FlatnessCertificate, RankPolicy, certify
 from .core import CliqueCover, IndexMap, MultiIndex, SparseMomentVector, grlex_position, index_map_of
-from .errors import BlockNotPsdWarning, DegreeTooLow, DimensionMismatch, NonFiniteMoment
+from .errors import (
+    BlockNotPsdWarning, DegreeTooLow, DimensionMismatch, NonFiniteMoment, SolverDiverged,
+)
 from .extract import AtomicMeasure, constraint_feasibility_check, extract_clique_measures
 from .matrices import ConstraintPolynomial, block_operator
 from .rip import RipFailsAt, check_rip, find_rip_order
@@ -114,27 +116,29 @@ class SdpInstance:
     def index_map(self) -> IndexMap:
         return index_map_of(self.cover, 2 * self.omega)
 
-    @property
+    @cached_property
     def offsets(self) -> np.ndarray:
         """Where each block's rows start in :attr:`operator`, then the total."""
         return np.cumsum([0] + [blk.size**2 for blk in self.blocks])
 
     @cached_property
-    def operator(self) -> scipy.sparse.csr_matrix:
-        """The stacked block operator: ``operator @ values`` is the
-        concatenation of every block's matrix, row-major, at ``values``."""
-        rows = [lo + np.asarray(blk.entry) for lo, blk in zip(self.offsets, self.blocks)]
-        columns = [blk.position for blk in self.blocks]
-        coefficients = [blk.coefficient for blk in self.blocks]
-        return scipy.sparse.csr_matrix(
-            (np.concatenate(coefficients), (np.concatenate(rows), np.concatenate(columns))),
-            shape=(self.offsets[-1], self.num_vars),
-        )
+    def operator(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The stacked block operator as terms ``(row, column, coefficient)``:
+        row r of the concatenation of every block's row-major matrix gains
+        ``coefficient`` times ``values[column]``. A relaxation repeats no
+        (row, column) pair; the terms are sorted by row, then column, the
+        order in which a CSR matrix stores and sums them."""
+        row = np.concatenate([lo + np.asarray(blk.entry) for lo, blk in zip(self.offsets, self.blocks)])
+        column = np.concatenate([blk.position for blk in self.blocks])
+        order = np.argsort(row * self.num_vars + column, kind="stable")
+        coefficient = np.concatenate([blk.coefficient for blk in self.blocks])
+        return row[order], column[order], coefficient[order]
 
     def block_eig_range(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Smallest and largest eigenvalue of every block's matrix at
         ``values`` (0 for an empty block), one ``eigvalsh`` per block size."""
-        flat = self.operator @ values
+        row, column, coefficient = self.operator
+        flat = np.bincount(row, coefficient * values[column], minlength=self.offsets[-1])
         lo, hi = np.zeros(len(self.blocks)), np.zeros(len(self.blocks))
         for blocks, index in size_groups([blk.size for blk in self.blocks]):
             eigs = np.linalg.eigvalsh(flat[index])
@@ -268,16 +272,16 @@ def _sdpa_columns(instance: SdpInstance):
     ``(m, block sizes, c, index, value)`` as :func:`_format_sdpa` reads them.
     Free variable k (1-based) is the (k+1)-th sparse exponent; constant
     contributions move into F_0 with flipped sign. Column k of the operator
-    holds F_k with its rows in (block, row, column) order, so reading it by
-    columns gives the entries in canonical order.
+    holds F_k with its rows in (block, row, column) order, so reading the
+    terms by column, then row, gives the entries in canonical order.
     """
-    A = instance.operator.tocsc()
+    row, matno, data = instance.operator
     sizes = np.array([blk.size for blk in instance.blocks], dtype=np.int64)
-    block = np.repeat(np.arange(len(sizes)), sizes**2)[A.indices]  # 0-based, per stored entry
-    i, j = np.divmod(A.indices - instance.offsets[block], sizes[block])
-    matno = np.repeat(np.arange(A.shape[1]), np.diff(A.indptr))
-    keep = (i <= j) & (A.data != 0.0)
-    value = np.where(matno == 0, -A.data, A.data)
+    block = np.repeat(np.arange(len(sizes)), sizes**2)[row]  # 0-based, per term
+    i, j = np.divmod(row - instance.offsets[block], sizes[block])
+    keep = np.flatnonzero((i <= j) & (data != 0.0))
+    keep = keep[np.argsort(matno[keep] * instance.offsets[-1] + row[keep], kind="stable")]
+    value = np.where(matno == 0, -data, data)
     index = np.stack([matno, block + 1, i + 1, j + 1])[:, keep]
     return instance.num_vars - 1, sizes.tolist(), instance.objective[1:], index, value[keep]
 
@@ -391,10 +395,17 @@ def solve_sdp_bundled(
     """
     if not 0 <= tol < np.inf:
         raise ValueError(f"tol must be a finite non-negative number, got {tol}")
+    import scipy.sparse  # only this solver's sparse LU needs scipy: importing smk loads none
+    import scipy.sparse.linalg
+
     nfree = instance.num_vars - 1
-    A = instance.operator[:, 1:]
+    row, column, coefficient = instance.operator
+    operator = scipy.sparse.csr_matrix(
+        (coefficient, (row, column)), shape=(instance.offsets[-1], instance.num_vars)
+    )
+    A = operator[:, 1:]
     AT = A.T.tocsr()
-    const = instance.operator[:, 0].toarray().ravel()
+    const = operator[:, 0].toarray().ravel()
     groups = size_groups([blk.size for blk in instance.blocks])
     lu = scipy.sparse.linalg.splu((AT @ A + 1e-12 * scipy.sparse.identity(nfree)).tocsc())
     f_free = instance.objective[1:]
@@ -411,49 +422,54 @@ def solve_sdp_bundled(
     rho = 1.0
     primal = dual = np.inf
     it = 0
-    for it in range(1, max_iters + 1):
-        U = x[nfree:]
-        Ay = A @ x[:nfree]
-        Xnew = project_psd(Ay + const + U, groups)
-        step = Xnew - X
-        X = Xnew
-        yfree = lu.solve(-f_free / rho + AT @ (X - U - const))
-        Aynew = A @ yfree
-        resid = Aynew + const - X
-        primal = float(np.sqrt(resid @ resid))
-        dual = float(rho * np.sqrt(step @ step))
-        if primal <= tol * scale and dual <= tol * scale:
-            break
-        Tx = np.concatenate([yfree, U + resid])
-        g = np.concatenate([Aynew - Ay, resid])
-        gnorm = float(np.sqrt(g @ g))
-        if trial is not None and gnorm > trial[0]:
-            refused += 1
-            x, X, count, last = trial[1], trial[2], 0, None
-        else:
-            accepted += trial is not None
-            if last is not None:
-                dG[count % ANDERSON_MEMORY], dT[count % ANDERSON_MEMORY] = g - last[0], Tx - last[1]
-                count += 1
-            x, last = Tx, (g, Tx)
-        trial = None
-        if it % 100 == 0 and primal > 10 * dual and rho < 1e6:
-            rho *= 2.0
-            x[nfree:] /= 2.0
-            count, last = 0, None
-        elif it % 100 == 0 and dual > 10 * primal and rho > 1e-6:
-            rho /= 2.0
-            x[nfree:] *= 2.0
-            count, last = 0, None
-        elif count:
-            k = min(count, ANDERSON_MEMORY)
-            gamma = np.linalg.lstsq(dG[:k] @ dG[:k].T, dG[:k] @ g, rcond=None)[0]
-            trial, x = (gnorm, x, X), x - gamma @ dT[:k]
+    # a residual that overflows raises SolverDiverged below, before the
+    # mixing weights' least-squares solve would fail on it untyped
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, max_iters + 1):
+            U = x[nfree:]
+            Ay = A @ x[:nfree]
+            Xnew = project_psd(Ay + const + U, groups)
+            step = Xnew - X
+            X = Xnew
+            yfree = lu.solve(-f_free / rho + AT @ (X - U - const))
+            Aynew = A @ yfree
+            resid = Aynew + const - X
+            primal = float(np.sqrt(resid @ resid))
+            dual = float(rho * np.sqrt(step @ step))
+            if primal <= tol and dual <= tol * scale:
+                break
+            Tx = np.concatenate([yfree, U + resid])
+            g = np.concatenate([Aynew - Ay, resid])
+            gnorm = float(np.sqrt(g @ g))
+            if not gnorm + dual < np.inf:  # NaN or infinite; gnorm >= primal, as g holds the residual
+                raise SolverDiverged(f"the bundled solver's residual is not finite at iteration {it}")
+            if trial is not None and gnorm > trial[0]:
+                refused += 1
+                x, X, count, last = trial[1], trial[2], 0, None
+            else:
+                accepted += trial is not None
+                if last is not None:
+                    dG[count % ANDERSON_MEMORY], dT[count % ANDERSON_MEMORY] = g - last[0], Tx - last[1]
+                    count += 1
+                x, last = Tx, (g, Tx)
+            trial = None
+            if it % 100 == 0 and primal > 10 * dual and rho < 1e6:
+                rho *= 2.0
+                x[nfree:] /= 2.0
+                count, last = 0, None
+            elif it % 100 == 0 and dual > 10 * primal and rho > 1e-6:
+                rho /= 2.0
+                x[nfree:] *= 2.0
+                count, last = 0, None
+            elif count:
+                k = min(count, ANDERSON_MEMORY)
+                gamma = np.linalg.lstsq(dG[:k] @ dG[:k].T, dG[:k] @ g, rcond=None)[0]
+                trial, x = (gnorm, x, X), x - gamma @ dT[:k]
 
     values = np.concatenate([[1.0], yfree])
     y = instance.moment_vector(values)
     min_eig = float(instance.block_eig_range(values)[0].min(initial=0.0))
-    converged = primal <= tol * scale and dual <= tol * scale
+    converged = primal <= tol and dual <= tol * scale
     log.info(
         "bundled solve: %d iterations, primal %.2e, dual %.2e, converged=%s, "
         "accelerated steps accepted %d, refused %d",

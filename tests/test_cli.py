@@ -620,17 +620,67 @@ def test_malformed_input_never_escapes(files, capsys, tmp_path, kind, data):
         assert report["exit_code"] == code and (code in (0, 2) or code == 1 and refused), (argv, report)
 
 
-def test_import_loads_no_scipy_subpackage_but_sparse_and_linalg():
-    """A fresh interpreter importing smk and its CLI loads, of scipy's
-    public subpackages, only scipy.sparse, the scipy.linalg that
-    scipy.sparse.linalg needs, and scipy.version: no scipy.optimize."""
+def test_import_loads_no_scipy_module():
+    """A fresh interpreter importing smk and its CLI loads no scipy module:
+    only the bundled solver needs scipy, and it imports it when called."""
     code = (
         "import json, sys, smk, smk.cli; "
-        "print(json.dumps(sorted({m.split('.')[1] for m in sys.modules if m.startswith('scipy.')})))"
+        "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
-    public = [name for name in json.loads(out) if not name.startswith("_")]
-    assert public == ["linalg", "sparse", "version"]
+    assert json.loads(out) == []
+
+
+FRESH_RUNS = """
+import contextlib, io, json, sys
+from smk.cli import run
+codes = {}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        codes[argv[0]] = run(argv)
+    codes[argv[0] + " report"] = json.loads(out.getvalue())
+    codes[argv[0] + " scipy"] = "scipy" in sys.modules
+print(json.dumps(codes))
+"""
+
+
+def test_only_the_bundled_solver_loads_scipy(files, tmp_path):
+    """In one fresh interpreter, every command that reads moments or writes
+    SDPA leaves scipy unloaded; ``solve`` then loads it, runs and converges."""
+    runs = [
+        ["certify", "--input", files["pair"]],
+        ["extract-assemble", "--input", files["pair"]],
+        ["altmeasure", "--input", files["pair"], "--cost", "random:5"],
+        ["relax", "--pop", files["triple_pop"], "--omega", "3"],
+        ["pipeline", "--pop", files["triple_pop"], "--omega", "3", "--solution", files["triple_y"]],
+        ["solve", "--pop", files["triple_pop"], "--omega", "2"],
+    ]
+    out = subprocess.run(
+        [sys.executable, "-c", FRESH_RUNS, json.dumps(runs)], capture_output=True, text=True, check=True
+    ).stdout
+    codes = json.loads(out)
+    assert [codes[argv[0]] for argv in runs] == [0] * len(runs)
+    assert [codes[argv[0] + " scipy"] for argv in runs] == [False] * (len(runs) - 1) + [True]
+    assert codes["solve report"]["converged"] is True
+
+
+@pytest.mark.parametrize("command", [["solve"], ["pipeline"]])
+def test_overflowing_solve_gives_a_typed_report(tmp_path, command):
+    """An objective coefficient of 1e200 is finite, so the reader accepts it;
+    the bundled solver's residual then overflows, which must end in a strict
+    JSON report, not a traceback after LAPACK's complaint on stderr."""
+    doc = io.pop_to_dict(demo.chain_triple_pop())
+    doc["objectives"][0]["terms"][0]["coef"] = 1e200
+    path = tmp_path / "pop_1e200.json"
+    path.write_text(json.dumps(doc))
+    argv = [*command, "--pop", str(path), "--omega", "2"]
+    code = "import sys; from smk.cli import run; sys.exit(run(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+    report = json.loads(proc.stdout, parse_constant=_not_json)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert (report["error"], report["detail"]) == (
+        "SolverDiverged", "the bundled solver's residual is not finite at iteration 1"
+    )
 
 
 def test_pipeline_and_extract_assemble_agree(files, capsys, tmp_path):

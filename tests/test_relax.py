@@ -12,7 +12,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from smk.certify import RankPolicy
 from smk.core import CliqueCover, IndexMap, SparseMomentVector, local_exponents, sparse_exponents
-from smk.errors import BlockNotPsdWarning, DegreeTooLow, DimensionMismatch, NonFiniteMoment
+from smk.errors import (
+    BlockNotPsdWarning, DegreeTooLow, DimensionMismatch, NonFiniteMoment, SolverDiverged,
+)
 from smk.matrices import ConstraintPolynomial, block_operator
 from smk.relax import (
     PopProblem,
@@ -32,6 +34,8 @@ from smk.relax import (
 )
 from smk import core, demo, io, relax
 
+from conftest import random_flat_instance
+
 
 def objective_value(pop, x):
     """The full objective at a global point, term by term."""
@@ -47,12 +51,26 @@ def objective_value(pop, x):
 
 
 def block_matrices(instance, values):
-    """Every block's matrix at ``values``, from one product with the operator."""
-    flat = instance.operator @ values
+    """Every block's matrix at ``values``, each entry summing its operator
+    terms in their stored order."""
+    row, column, coefficient = instance.operator
+    flat = np.zeros(instance.offsets[-1])
+    np.add.at(flat, row, coefficient * values[column])
     return [
         flat[lo : lo + blk.size**2].reshape(blk.size, blk.size)
         for lo, blk in zip(instance.offsets, instance.blocks)
     ]
+
+
+def csr_reference(instance):
+    """The stacked operator as a scipy CSR matrix built straight from the
+    blocks' terms: scipy sorts them by row, then column, and sums repeats."""
+    rows = [lo + np.asarray(blk.entry) for lo, blk in zip(instance.offsets, instance.blocks)]
+    terms = (
+        np.concatenate([blk.coefficient for blk in instance.blocks]),
+        (np.concatenate(rows), np.concatenate([blk.position for blk in instance.blocks])),
+    )
+    return scipy.sparse.csr_matrix(terms, shape=(instance.offsets[-1], instance.num_vars))
 
 
 def to_sdpa(instance):
@@ -494,9 +512,13 @@ def admm_reference(instance, max_iters: int = 20000, tol: float = 1e-7) -> Solve
     accelerates: the same update order, stopping test and ``rho`` schedule,
     each sweep's output taken as the next point."""
     nfree = instance.num_vars - 1
-    A = instance.operator[:, 1:]
+    row, column, coefficient = instance.operator
+    operator = scipy.sparse.csr_matrix(
+        (coefficient, (row, column)), shape=(instance.offsets[-1], instance.num_vars)
+    )
+    A = operator[:, 1:]
     AT = A.T.tocsr()
-    const = instance.operator[:, 0].toarray().ravel()
+    const = operator[:, 0].toarray().ravel()
     groups = size_groups([blk.size for blk in instance.blocks])
     lu = scipy.sparse.linalg.splu((AT @ A + 1e-12 * scipy.sparse.identity(nfree)).tocsc())
     f_free = instance.objective[1:]
@@ -517,7 +539,7 @@ def admm_reference(instance, max_iters: int = 20000, tol: float = 1e-7) -> Solve
         U += resid
         primal = float(np.sqrt(resid @ resid))
         dual = float(rho * np.sqrt(step @ step))
-        if primal <= tol * scale and dual <= tol * scale:
+        if primal <= tol and dual <= tol * scale:
             break
         if it % 100 == 0:
             if primal > 10 * dual and rho < 1e6:
@@ -528,7 +550,7 @@ def admm_reference(instance, max_iters: int = 20000, tol: float = 1e-7) -> Solve
                 U *= 2.0
 
     values = np.concatenate([[1.0], yfree])
-    converged = primal <= tol * scale and dual <= tol * scale
+    converged = primal <= tol and dual <= tol * scale
     return SolveReport(
         y=instance.moment_vector(values),
         objective=float(instance.objective @ values),
@@ -578,6 +600,63 @@ def ball_pops(draw):
     return PopProblem(cover, tuple(objectives), tuple(constraints)), omega
 
 
+class TestOperatorMatchesCsr:
+    """The operator's term arrays do what a scipy CSR matrix of the same
+    terms did, bit for bit."""
+
+    @staticmethod
+    def assert_matches_csr(inst, values):
+        """The term arrays against :func:`csr_reference`, bit for bit: the
+        same terms in the same order, the block spectra of the CSR product,
+        and the SDPA entries in ``tocsc()`` order."""
+        row, column, coefficient = inst.operator
+        assert np.unique(row * inst.num_vars + column).size == row.size  # CSR would merge a repeat
+        csr = csr_reference(inst)
+        assert np.array_equal(np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr)), row)
+        assert np.array_equal(csr.indices, column) and np.array_equal(csr.data, coefficient)
+        flat = csr @ values
+        lo, hi = np.zeros(len(inst.blocks)), np.zeros(len(inst.blocks))
+        for blocks, index in size_groups([blk.size for blk in inst.blocks]):
+            eigs = np.linalg.eigvalsh(flat[index])
+            lo[blocks], hi[blocks] = eigs[:, 0], eigs[:, -1]
+        got = inst.block_eig_range(values)
+        assert np.array_equal(got[0], lo) and np.array_equal(got[1], hi)
+        csc = csr.tocsc()
+        matno = np.repeat(np.arange(csc.shape[1]), np.diff(csc.indptr))
+        sizes = np.array([blk.size for blk in inst.blocks])
+        block = np.searchsorted(inst.offsets, csc.indices, side="right") - 1
+        i, j = np.divmod(csc.indices - inst.offsets[block], sizes[block])
+        keep = (i <= j) & (csc.data != 0.0)
+        index = np.stack([matno, block + 1, i + 1, j + 1])[:, keep]
+        value = np.where(matno == 0, -csc.data, csc.data)[keep]
+        _, _, _, got_index, got_value = relax._sdpa_columns(inst)
+        assert np.array_equal(got_index, index) and np.array_equal(got_value, value)
+
+    def test_operator_matches_csr_on_the_fixture(self, inst_triple):
+        self.assert_matches_csr(inst_triple, demo.chain_triple_moments().values)
+        self.assert_matches_csr(inst_triple, np.random.default_rng(0).standard_normal(70))
+
+    def test_operator_sorts_each_row_by_column(self):
+        # built blocks list an entry's moments in ascending order; a
+        # hand-built block need not
+        block = SdpBlock(1, "moment", None, 1, np.array([0, 0]), np.array([2, 0]), np.array([-1.0, 3.0]))
+        inst = SdpInstance(CliqueCover(1, ((1,),)), 1, ((0,), (1,), (2,)), np.zeros(3), (block,))
+        assert inst.operator[1].tolist() == [0, 2]
+        self.assert_matches_csr(inst, np.array([1.0, 0.5, 0.25]))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(ball_pops(), st.integers(0, 2**32 - 1))
+    def test_operator_matches_csr_on_ball_chains(self, case, seed):
+        inst = build_relaxation(*case)
+        self.assert_matches_csr(inst, np.random.default_rng(seed).standard_normal(inst.num_vars))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_operator_matches_csr_on_flat_instances(self, seed):
+        cover, _, _, y = random_flat_instance(seed)
+        inst = build_relaxation(feasibility_pop(cover), y.omega)
+        self.assert_matches_csr(inst, np.array([y.entries[a] for a in inst.exponents]))
+
+
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(sizes=st.lists(st.integers(0, 6), min_size=1, max_size=9), seed=st.integers(0, 2**32 - 1))
 def test_batched_projection_matches_per_block(sizes, seed):
@@ -607,7 +686,7 @@ def test_size_groups_cover_every_entry_once():
 
 
 class TestBundledSolver:
-    @pytest.mark.parametrize("omega,iterations", [(2, 273), (3, 355), (4, 616)])
+    @pytest.mark.parametrize("omega,iterations", [(2, 276), (3, 355), (4, 616)])
     def test_chain_triple_iteration_counts(self, omega, iterations):
         # ``iterations`` is the plain sweep's count; acceleration at least halves it
         inst = build_relaxation(demo.chain_triple_pop(), omega)
@@ -689,6 +768,31 @@ class TestBundledSolver:
         rep = solve_sdp_bundled(inst, max_iters=300, tol=1e-9)
         assert not rep.converged
         assert rep.primal_residual > 1e-3
+
+    def test_large_objective_does_not_loosen_the_primal_test(self):
+        # the moments live on the scale of a probability measure, so the
+        # primal residual is held to tol whatever the objective's size; a
+        # test scaled by max|objective| stopped at iteration 943 (objective
+        # 1.073, primal 9.9e-4) and at iteration 11 (primal 4.85) with
+        # converged=True
+        pop = demo.chain_triple_pop()
+        for coefficient, max_iters in ((1e4, 20000), (1e8, 2000)):
+            objectives = ({**pop.objectives[0], (4, 0): coefficient}, *pop.objectives[1:])
+            inst = build_relaxation(PopProblem(pop.cover, objectives, pop.constraints), 2)
+            rep = solve_sdp_bundled(inst, max_iters=max_iters)
+            assert rep.converged == (rep.primal_residual <= 1e-7) == (coefficient == 1e4)
+            if rep.converged:
+                assert rep.objective == pytest.approx(0.9999, abs=1e-5)  # the minimum, 1 - 1/coefficient
+                assert rep.min_block_eig >= -1e-6
+            else:
+                assert rep.iterations == max_iters
+
+    def test_overflowing_residual_raises_typed(self):
+        pop = demo.chain_triple_pop()
+        objectives = ({**pop.objectives[0], (4, 0): 1e200}, *pop.objectives[1:])
+        inst = build_relaxation(PopProblem(pop.cover, objectives, pop.constraints), 2)
+        with pytest.raises(SolverDiverged, match="not finite at iteration 1$"):
+            solve_sdp_bundled(inst)
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
     def test_unusable_tol_is_refused(self, inst_triple, pop_triple, tol):
