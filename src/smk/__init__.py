@@ -3,14 +3,7 @@ relaxations of polynomial optimization problems."""
 
 from . import demo, errors, io
 from .altmeasure import enumerate_extreme_measures, solve_weight_lp
-from .assemble import (
-    MarginalGroups,
-    assemble,
-    match_marginals,
-    maximal_support_set,
-    pushforward,
-    verify_global,
-)
+from .assemble import assemble, maximal_support_set, verify_global
 from .certify import (
     FlatnessCertificate,
     RankPolicy,
@@ -40,6 +33,7 @@ from .relax import (
     SolveReport,
     build_relaxation,
     emit_sdpa,
+    glue_certified,
     ingest_solution,
     parse_sdpa,
     pipeline,

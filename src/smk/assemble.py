@@ -7,14 +7,11 @@ stacked pass, and the glued atoms are then composed along the witness tree as
 index arrays, one atom per clique. Pairwise marginal consistency is necessary
 but not sufficient without the running intersection property, so every clique
 marginal of the result is matched against its clique's measure by the same
-matcher too, one stacked pass per clique shape. :func:`match_marginals` and
-:func:`measures_close` run that matcher, :func:`pushforward` its clustering,
-on a stack of one.
+matcher too, one stacked pass per clique shape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -65,41 +62,14 @@ def _cluster_sums(weights: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return out.reshape(len(labels), count)
 
 
-def pushforward(mu: AtomicMeasure, target, policy: RankPolicy = RankPolicy()) -> AtomicMeasure:
-    """Marginal of an atomic measure on the ``target`` variables: project
-    every atom and merge the ones that coincide up to the policy tolerance
-    (max-norm), summing their weights."""
-    target = tuple(target)
-    if not set(target) <= set(mu.variables):
-        raise ValueError(f"target {target} is not a subset of the measure's variables {mu.variables}")
-    points = mu.atoms[None, :, [mu.variables.index(v) for v in target]]
-    labels, firsts = _cluster(points, policy.tol(np.abs(points).max(initial=0.0)))
-    return AtomicMeasure(target, points[0, firsts[0]], _cluster_sums(mu.weights, labels)[0])
-
-
-@dataclass(frozen=True)
-class MarginalGroups:
-    """Matched overlap structure between a partial measure and an incoming
-    clique measure.
-
-    For each shared-marginal point there is one group: ``groups_a`` indexes
-    atoms of the partial measure projecting onto it, ``groups_b`` atoms of
-    the incoming measure, and ``masses`` holds the common projected mass.
-    """
-
-    points: np.ndarray
-    masses: np.ndarray
-    groups_a: tuple[tuple[int, ...], ...]
-    groups_b: tuple[tuple[int, ...], ...]
-
-
 def _match(points_a, weights_a, points_b, weights_b, policy, floor=True):
-    """:func:`match_marginals` on stacks of pairs, points (pairs, atoms, width)
-    and weights (pairs, atoms), each side clustered at each pair's tolerance.
-    Per pair: each a atom's point, numbered by first appearance in a, each b
-    atom's point in that numbering, each point's mass in a; and the first
-    pair that fails a check, with the check's diagnostic, or None. A point
-    of mass at most ``policy.tol()`` fails only with ``floor``."""
+    """Match the atoms of two measures point by point and mass by mass, on
+    stacks of pairs: points (pairs, atoms, width) and weights (pairs, atoms),
+    each side clustered at each pair's tolerance. Per pair: each a atom's
+    point, numbered by first appearance in a, each b atom's point in that
+    numbering, each point's mass in a; and the first pair that fails a check,
+    with the check's diagnostic, or None. A point of mass at most
+    ``policy.tol()`` fails only with ``floor``."""
     scale = [np.maximum.reduce(np.abs(x), axis=(1, 2), initial=0.0) for x in (points_a, points_b)]
     tol = policy.tol(np.where(scale[1] > scale[0], scale[1], scale[0]))  # max(a, b) reads NaN so
     (labels_a, firsts_a), (labels_b, firsts_b) = _cluster(points_a, tol), _cluster(points_b, tol)
@@ -133,34 +103,6 @@ def _match(points_a, weights_a, points_b, weights_b, policy, floor=True):
     inverse = np.zeros((len(tol), firsts_b.shape[1] + 1), dtype=int)
     inverse[rows, np.where(live, order, firsts_b.shape[1])] = span
     return labels_a, inverse[rows, labels_b], ma, failure
-
-
-def match_marginals(
-    partial: AtomicMeasure,
-    incoming: AtomicMeasure,
-    overlap: tuple[int, ...],
-    policy: RankPolicy = RankPolicy(),
-) -> MarginalGroups:
-    """Match the two pushforwards onto ``overlap`` atom by atom and mass by
-    mass; raises :class:`MarginalMismatch` with a diagnostic otherwise."""
-    overlap = tuple(overlap)
-    proj_a = partial.atoms[:, [partial.variables.index(v) for v in overlap]]
-    proj_b = incoming.atoms[:, [incoming.variables.index(v) for v in overlap]]
-    *labels, masses, failure = _match(
-        proj_a[None], partial.weights[None], proj_b[None], incoming.weights[None], policy
-    )
-    if failure:
-        raise MarginalMismatch(f"overlap {overlap}: {failure[1]}")
-    count = labels[0].max(initial=-1) + 1
-    a, b = (tuple(tuple(np.flatnonzero(lab[0] == g).tolist()) for g in range(count)) for lab in labels)
-    return MarginalGroups(proj_a[[g[0] for g in a]], masses[0, :count], a, b)
-
-
-def measures_close(a: AtomicMeasure, b: AtomicMeasure, policy: RankPolicy = RankPolicy()) -> bool:
-    """Same variable set, same atoms and weights, up to order and the policy tolerance."""
-    if a.variables != b.variables or a.num_atoms != b.num_atoms:
-        return False
-    return not _match(a.atoms[None], a.weights[None], b.atoms[None], b.weights[None], policy, floor=False)[3]
 
 
 def assemble(

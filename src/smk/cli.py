@@ -20,12 +20,12 @@ import numpy as np
 
 from . import io
 from .altmeasure import enumerate_extreme_measures, solve_weight_lp
-from .assemble import assemble, maximal_support_set, verify_global
+from .assemble import maximal_support_set
 from .certify import RankPolicy, certify, zero_propagation_check
 from .core import validate_cover
 from .errors import MalformedInput, SmkError
-from .extract import constraint_feasibility_check, extract_clique_measures, lex_order_rows
-from .relax import build_relaxation, emit_sdpa, pipeline, solve_sdp_bundled
+from .extract import extract_clique_measures, lex_order_rows
+from .relax import build_relaxation, emit_sdpa, glue_certified, pipeline, solve_sdp_bundled
 from .rip import NoOrderExists, RipFailsAt, check_rip, find_rip_order
 
 EXIT_OK = 0
@@ -159,41 +159,46 @@ def _moments(args):
     return io.load_moment_vector(args.input, allow_missing_as_zero=args.allow_missing_as_zero)
 
 
-def _certify_chain(args, y, report, want_measure: bool):
-    """The exit code and, if ``want_measure`` and the verdict is true, the
-    assembled measure (else None)."""
+def _prepared(args, y):
+    """``y`` rounded as the policy asks, its problem's constraints and the
+    witnesses of its clique order."""
     constraints = _load_constraints(args, y.cover)
-    policy = args.policy
-    if policy.round_decimals is not None:
-        y = y.rounded(policy.round_decimals)
-    witnesses = check_rip(y.cover)
-    cert = certify(y, constraints, witnesses, policy)
-    report["certificate"] = cert.to_dict()
-    report["zero_propagation"] = zero_propagation_check(y, policy).value
-    if not cert.verdict:
-        return EXIT_NEGATIVE, None
-    measures = extract_clique_measures(cert, policy, args.seed)
-    report["clique_measures"] = [io.measure_to_dict(mu) for mu in measures]
-    if not want_measure:
-        return EXIT_OK, None
-    mu = assemble(measures, witnesses, policy, chosen=cert.witness_choice())
-    mu = mu.sorted_by_atoms()
-    report["measure"] = io.measure_to_dict(mu)
-    report["global_residual"] = verify_global(mu, y)
-    support = maximal_support_set(measures, y.cover, policy)
-    report["maximal_support"] = [[float(v) for v in p] for p in support]
-    flat = [g for gs in constraints for g in gs]
-    feas = constraint_feasibility_check(mu, flat, tol=policy.tol())
-    report["feasibility_clean"] = feas.clean
-    return EXIT_OK, mu
+    if args.policy.round_decimals is not None:
+        y = y.rounded(args.policy.round_decimals)
+    return y, constraints, check_rip(y.cover)
 
 
 def _run_certify(args, report):
-    return _certify_chain(args, _moments(args), report, want_measure=False)[0]
+    y, constraints, witnesses = _prepared(args, _moments(args))
+    cert = certify(y, constraints, witnesses, args.policy)
+    report["certificate"] = cert.to_dict()
+    report["zero_propagation"] = zero_propagation_check(y, args.policy).value
+    if not cert.verdict:
+        return EXIT_NEGATIVE
+    measures = extract_clique_measures(cert, args.policy, args.seed)
+    report["clique_measures"] = [io.measure_to_dict(mu) for mu in measures]
+    return EXIT_OK
+
+
+def _certify_chain(args, y, report):
+    """The exit code and, after a true verdict, the glued measure (else None)."""
+    y, constraints, witnesses = _prepared(args, y)
+    glued = glue_certified(y, constraints, witnesses, args.policy, args.seed)
+    report["certificate"] = glued.certificate.to_dict()
+    report["zero_propagation"] = zero_propagation_check(y, args.policy).value
+    if not glued.certificate.verdict:
+        return EXIT_NEGATIVE, None
+    report["clique_measures"] = [io.measure_to_dict(mu) for mu in glued.clique_measures]
+    report["measure"] = io.measure_to_dict(glued.measure)
+    report["global_residual"] = glued.global_residual
+    support = maximal_support_set(glued.clique_measures, y.cover, args.policy)
+    report["maximal_support"] = [[float(v) for v in p] for p in support]
+    report["feasibility_clean"] = glued.feasibility_clean
+    return EXIT_OK, glued.measure
 
 
 def _run_extract_assemble(args, report):
-    code, mu = _certify_chain(args, _moments(args), report, want_measure=True)
+    code, mu = _certify_chain(args, _moments(args), report)
     if code == EXIT_OK and args.measure_output:
         io.save_measure(mu, args.measure_output)
     return code
@@ -207,7 +212,7 @@ def _run_altmeasure(args, report):
             raise MalformedInput(f"measure variables {mu.variables} are not the moment file's {variables}")
         atoms = mu.atoms
     else:
-        code, mu = _certify_chain(args, y, report, want_measure=True)
+        code, mu = _certify_chain(args, y, report)
         if code != EXIT_OK:
             return code
         atoms = mu.atoms
@@ -316,21 +321,25 @@ def run(argv=None) -> int:
     log.info("running %s", args.command)
     try:
         code = _RUNNERS[args.command](args, report)
-    except SmkError as exc:
-        report["error"] = type(exc).__name__
-        report["detail"] = str(exc)
-        code = EXIT_ERROR
-    except OSError as exc:
-        report["error"] = "OSError"
-        report["detail"] = str(exc)
-        code = EXIT_ERROR
+    except (SmkError, OSError) as exc:
+        code = _failed(report, exc)
     report["exit_code"] = code
-    text = json.dumps(report, indent=2)
-    print(text)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+    try:  # written before the report is printed, so that the printed report can say it failed
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(json.dumps(report, indent=2) + "\n")
+    except OSError as exc:
+        del report["exit_code"]
+        report["exit_code"] = code = _failed(report, exc)
+    print(json.dumps(report, indent=2))
     return code
+
+
+def _failed(report, exc) -> int:
+    """Name the error ``exc`` in the report; returns the error exit code."""
+    report["error"] = "OSError" if isinstance(exc, OSError) else type(exc).__name__
+    report["detail"] = str(exc)
+    return EXIT_ERROR
 
 
 def entry_point():

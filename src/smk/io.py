@@ -17,10 +17,17 @@ from .matrices import ConstraintPolynomial
 from .relax import PopProblem
 
 
+def _read(source) -> str:
+    try:
+        return Path(source).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"not UTF-8 text: {exc}") from None
+
+
 def _load(source) -> dict:
     if isinstance(source, Mapping):
         return dict(source)
-    return _parse(Path(source).read_text())
+    return _parse(_read(source))
 
 
 def _parse(text: str):
@@ -113,14 +120,14 @@ def load_moment_vector(source, allow_missing_as_zero: bool = False) -> SparseMom
     """
     if isinstance(source, Mapping):
         return _moments_from_dict(source, allow_missing_as_zero)
-    return _moments_from_text(Path(source).read_text(), allow_missing_as_zero)
+    return _moments_from_text(_read(source), allow_missing_as_zero)
 
 
 def load_solution(source, allow_missing_as_zero: bool = False) -> SparseMomentVector | list[float]:
     """A solution file for ``pipeline``: text whose first non-blank character
     is ``{`` as by :func:`load_moment_vector`, any other as whitespace-separated
     free coordinates; a token ``float`` refuses raises :class:`MalformedInput`."""
-    text = Path(source).read_text()
+    text = _read(source)
     if text.lstrip().startswith("{"):
         return _moments_from_text(text, allow_missing_as_zero)
     return _floats(text.split())

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .extract import AtomicMeasure, constraint_feasibility_check, extract_clique_measures
 from .matrices import ConstraintPolynomial, block_operator
-from .rip import RipFailsAt, check_rip, find_rip_order
+from .rip import RipFailsAt, RipWitnesses, check_rip, find_rip_order
 
 log = logging.getLogger(__name__)
 
@@ -354,7 +354,7 @@ def ingest_solution(
 # Bundled first-order solver
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveReport:
     """Outcome of the bundled solver; ``converged`` may be False, in which
     case the returned point is best-effort and flagged as such."""
@@ -490,16 +490,43 @@ def solve_sdp_bundled(
 # Full pipeline
 
 
-@dataclass
-class PipelineResult:
-    """Everything the certify-extract-assemble chain produces for one run."""
+@dataclass(frozen=True)
+class GluedChain:
+    """What :func:`glue_certified` gives: the certificate and, after a true
+    verdict only, the clique measures, the glued measure sorted by atoms, its
+    global residual and whether its atoms pass every constraint."""
+
+    certificate: FlatnessCertificate
+    clique_measures: tuple[AtomicMeasure, ...] | None = None
+    measure: AtomicMeasure | None = None
+    global_residual: float | None = None
+    feasibility_clean: bool | None = None
+
+
+def glue_certified(
+    y: SparseMomentVector, constraints: Sequence[Sequence[ConstraintPolynomial]],
+    witnesses: RipWitnesses, policy: RankPolicy = RankPolicy(), seed: int = 42,
+) -> GluedChain:
+    """Certify ``y`` along the witnesses' clique order and, on a true verdict,
+    extract each clique's atoms, glue them through the certificate's
+    witnesses, and check the sorted glued measure against ``y`` and the
+    constraints. A false verdict is a normal outcome and stops the chain."""
+    certificate = certify(y, constraints, witnesses, policy)
+    if not certificate.verdict:
+        return GluedChain(certificate)
+    measures = tuple(extract_clique_measures(certificate, policy, seed))
+    measure = assemble(measures, witnesses, policy, chosen=certificate.witness_choice()).sorted_by_atoms()
+    feas = constraint_feasibility_check(measure, [g for gs in constraints for g in gs], tol=policy.tol())
+    return GluedChain(certificate, measures, measure, verify_global(measure, y), feas.clean)
+
+
+@dataclass(frozen=True, kw_only=True)
+class PipelineResult(GluedChain):
+    """The chain of one :func:`pipeline` run, with the clique order it took,
+    the relaxation's objective and the bundled solver's report, if any."""
 
     clique_order: tuple[int, ...]
     objective: float
-    certificate: FlatnessCertificate
-    measure: AtomicMeasure | None
-    global_residual: float | None
-    feasibility_clean: bool | None
     solve_report: SolveReport | None
 
     @property
@@ -517,8 +544,8 @@ def pipeline(
     max_iters: int = 20000,
     solve_tol: float = 1e-7,
 ) -> PipelineResult:
-    """Solve (or ingest), certify, and, on a true verdict, extract and
-    assemble the minimizing atoms.
+    """Solve (or ingest), then :func:`glue_certified` the moment vector on a
+    clique order with running intersection.
 
     ``solver="file"`` needs a ``solution`` and ``"bundled"`` takes none, else
     ``ValueError``. A false verdict is a normal outcome: the result then
@@ -537,25 +564,11 @@ def pipeline(
         witnesses = check_rip(pop_o.cover)
 
     instance = build_relaxation(pop_o, omega)
-    report = None
-    if solver == "bundled":
-        report = solve_sdp_bundled(instance, max_iters=max_iters, tol=solve_tol)
-        y = report.y
-    else:
-        y = ingest_solution(instance, solution, policy)
+    report = None if solver == "file" else solve_sdp_bundled(instance, max_iters=max_iters, tol=solve_tol)
+    y = ingest_solution(instance, solution, policy) if report is None else report.y
     if policy.round_decimals is not None:
         y = y.rounded(policy.round_decimals)
 
-    certificate = certify(y, pop_o.constraints, witnesses, policy)
+    glued = glue_certified(y, pop_o.constraints, witnesses, policy, seed)
     objective = float(instance.objective @ y.values)
-    if not certificate.verdict:
-        return PipelineResult(order, objective, certificate, None, None, None, report)
-
-    measures = extract_clique_measures(certificate, policy, seed)
-    measure = assemble(measures, witnesses, policy, chosen=certificate.witness_choice())
-    residual = verify_global(measure, y)
-    all_constraints = [g for gs in pop_o.constraints for g in gs]
-    feas = constraint_feasibility_check(measure, all_constraints, tol=policy.tol())
-    return PipelineResult(
-        order, objective, certificate, measure.sorted_by_atoms(), residual, feas.clean, report
-    )
+    return PipelineResult(**vars(glued), clique_order=order, objective=objective, solve_report=report)

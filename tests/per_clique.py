@@ -5,7 +5,12 @@ were stacked, and the per-clique localizing and overlap matrices they read.
 The stacked code must match them bit for bit, except that glued weights may
 move in their last digits (see :func:`assemble_reference`). The gluing
 reference checks its result with pointwise loops for the pushforward and for
-measure comparison, not with the library's matcher."""
+measure comparison, not with the library's matcher.
+
+The library's matcher, ``smk.assemble._match``, works on stacks of pairs;
+:func:`pushforward`, :func:`match_marginals` and :func:`measures_close` run
+it, or its clustering, on a stack of one measure or one pair, for the tests
+that check it against these references."""
 
 from __future__ import annotations
 
@@ -14,7 +19,7 @@ import dataclasses
 import numpy as np
 import scipy.optimize
 
-from smk.assemble import _cluster
+from smk.assemble import _cluster, _cluster_sums, _match as _stacked_match
 from smk.certify import CliqueCheck, FlatnessCertificate, OverlapCheck, RankPolicy, d_half
 from smk.core import clique_subvector, local_exponents, monomial_matrix, subvector_on
 from smk.errors import (
@@ -286,6 +291,59 @@ def _match(proj_a, weights_a, proj_b, weights_b, overlap, policy):
         if ma <= floor:
             raise MarginalMismatch(f"overlap {overlap}: degenerate mass {ma:.3e} at a marginal atom")
     return labels_a, np.array(order_b, dtype=int).argsort()[labels_b], np.array(sums_a)
+
+
+def pushforward(mu, target, policy=RankPolicy()):
+    """Marginal of an atomic measure on the ``target`` variables: project
+    every atom and merge the ones that coincide up to the policy tolerance
+    (max-norm), summing their weights."""
+    target = tuple(target)
+    if not set(target) <= set(mu.variables):
+        raise ValueError(f"target {target} is not a subset of the measure's variables {mu.variables}")
+    points = mu.atoms[None, :, [mu.variables.index(v) for v in target]]
+    labels, firsts = _cluster(points, policy.tol(np.abs(points).max(initial=0.0)))
+    return AtomicMeasure(target, points[0, firsts[0]], _cluster_sums(mu.weights, labels)[0])
+
+
+@dataclasses.dataclass(frozen=True)
+class MarginalGroups:
+    """Matched overlap structure between a partial measure and an incoming
+    clique measure.
+
+    For each shared-marginal point there is one group: ``groups_a`` indexes
+    atoms of the partial measure projecting onto it, ``groups_b`` atoms of
+    the incoming measure, and ``masses`` holds the common projected mass.
+    """
+
+    points: np.ndarray
+    masses: np.ndarray
+    groups_a: tuple[tuple[int, ...], ...]
+    groups_b: tuple[tuple[int, ...], ...]
+
+
+def match_marginals(partial, incoming, overlap, policy=RankPolicy()) -> MarginalGroups:
+    """Match the two pushforwards onto ``overlap`` atom by atom and mass by
+    mass; raises :class:`MarginalMismatch` with a diagnostic otherwise."""
+    overlap = tuple(overlap)
+    proj_a = partial.atoms[:, [partial.variables.index(v) for v in overlap]]
+    proj_b = incoming.atoms[:, [incoming.variables.index(v) for v in overlap]]
+    *labels, masses, failure = _stacked_match(
+        proj_a[None], partial.weights[None], proj_b[None], incoming.weights[None], policy
+    )
+    if failure:
+        raise MarginalMismatch(f"overlap {overlap}: {failure[1]}")
+    count = labels[0].max(initial=-1) + 1
+    a, b = (tuple(tuple(np.flatnonzero(lab[0] == g).tolist()) for g in range(count)) for lab in labels)
+    return MarginalGroups(proj_a[[g[0] for g in a]], masses[0, :count], a, b)
+
+
+def measures_close(a, b, policy=RankPolicy()) -> bool:
+    """Same variable set, same atoms and weights, up to order and the policy tolerance."""
+    if a.variables != b.variables or a.num_atoms != b.num_atoms:
+        return False
+    return not _stacked_match(
+        a.atoms[None], a.weights[None], b.atoms[None], b.weights[None], policy, floor=False
+    )[3]
 
 
 def cluster_reference(points, tol):

@@ -4,15 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from smk.altmeasure import enumerate_extreme_measures
 
-from smk.assemble import (
-    _cluster,
-    assemble,
-    match_marginals,
-    maximal_support_set,
-    measures_close,
-    pushforward,
-    verify_global,
-)
+from smk.assemble import _cluster, assemble, maximal_support_set, verify_global
 from smk.certify import RankPolicy, certify
 from smk.core import CliqueCover, SparseMomentVector, monomial_matrix
 from smk.errors import FinalMarginalCheckFailed, MarginalMismatch
@@ -21,7 +13,10 @@ from smk.rip import RipWitnesses, check_rip
 from smk import demo
 
 import per_clique
-from per_clique import cluster_reference, measures_close_reference, pushforward_reference
+from per_clique import (
+    cluster_reference, match_marginals, measures_close, measures_close_reference, pushforward,
+    pushforward_reference,
+)
 from conftest import CHAIN_PAIR_ATOMS, TRIANGLE_CLIQUE_ATOMS, random_flat_instance, random_rip_cover
 
 

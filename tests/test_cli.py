@@ -491,6 +491,29 @@ def test_output_file_written(files, capsys, tmp_path):
     assert json.loads(out.read_text())["certificate"]["verdict"] is True
 
 
+def test_unwritable_output_gives_one_error_report(files, capsys, tmp_path):
+    # the --output file is written before the report is printed, so the
+    # printed report is the one that names the failed write
+    out = tmp_path / "missing" / "report.json"
+    code = run(["certify", "--input", files["pair"], "--output", str(out)])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out, parse_constant=_not_json)
+    assert (code, report["exit_code"], report["error"], captured.err) == (1, 1, "OSError", "")
+    assert report["certificate"]["verdict"] is True and not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["certify", "--input", "{doc}"],
+    ["pipeline", "--pop", "{triple_pop}", "--omega", "3", "--solution", "{doc}"],
+])
+def test_file_that_is_not_utf8_exit_one(files, capsys, tmp_path, command):
+    path = tmp_path / "not_utf8.json"
+    path.write_bytes(b"\xff\xfe\x00{")
+    code, report = run_json(capsys, [arg.format(doc=path, **files) for arg in command])
+    assert (code, report["exit_code"], report["error"]) == (1, 1, "MalformedInput")
+    assert report["detail"].startswith("not UTF-8 text: ")
+
+
 def test_clique_order_is_taken_as_given(files, capsys, tmp_path):
     # clique order 1, 3, 2 of the chain triple lacks running intersection:
     # certify refuses it, rip prints an admissible order
@@ -684,9 +707,9 @@ def test_overflowing_solve_gives_a_typed_report(tmp_path, command):
 
 
 def test_pipeline_and_extract_assemble_agree(files, capsys, tmp_path):
-    """``relax.pipeline`` and the CLI's certify chain glue a moment vector
-    each; on the same moments and problem they report the same certificate
-    and the same measure."""
+    """``smk pipeline`` and ``smk extract-assemble`` run one library chain,
+    ``relax.glue_certified``: on the same moments and problem they report the
+    same certificate, measure, global residual and feasibility flag."""
     cases = [(files["triple_y"], files["triple_pop"], 3)]
     for seed in range(4):
         cover, _, _, y = random_flat_instance(seed)
@@ -700,3 +723,5 @@ def test_pipeline_and_extract_assemble_agree(files, capsys, tmp_path):
         assert code_p == code_e == 0
         assert piped["certificate"] == chained["certificate"]
         assert piped["measure"] == chained["measure"]
+        assert piped["global_residual"] == chained["global_residual"]
+        assert piped["feasibility_clean"] == chained["feasibility_clean"]

@@ -609,6 +609,16 @@ def test_load_solution_reads_a_moment_document_or_free_coordinates(tmp_path):
         io.load_solution(tmp_path / "absent.txt")
 
 
+@pytest.mark.parametrize(
+    "load", [io.load_moment_vector, io.load_solution, io.load_pop, io.load_cover, io.load_measure]
+)
+def test_readers_refuse_a_file_that_is_not_utf8(tmp_path, load):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b"\xff\xfe\x00{")
+    with pytest.raises(MalformedInput, match="^not UTF-8 text: "):
+        load(path)
+
+
 def test_load_cover_keeps_what_the_cover_breaks(tmp_path):
     path = tmp_path / "cover.json"
     io.save_moment_vector(demo.chain_pair_moments(), path)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import logging
 import re
@@ -16,6 +17,7 @@ from smk.errors import (
     BlockNotPsdWarning, DegreeTooLow, DimensionMismatch, NonFiniteMoment, SolverDiverged,
 )
 from smk.matrices import ConstraintPolynomial, block_operator
+from smk.rip import check_rip
 from smk.relax import (
     PopProblem,
     SdpBlock,
@@ -24,6 +26,7 @@ from smk.relax import (
     SolveReport,
     build_relaxation,
     emit_sdpa,
+    glue_certified,
     ingest_solution,
     parse_sdpa,
     pipeline,
@@ -946,3 +949,43 @@ class TestPipeline:
         assert res.clique_order != (1, 2, 3)
         assert res.certificate.verdict
         assert res.minimizers.shape == (8, 4)
+
+
+def chain_fields(glued):
+    """The certify-to-minimizers chain of a record, as comparable values."""
+    measures = glued.clique_measures and [io.measure_to_dict(mu) for mu in glued.clique_measures]
+    measure = glued.measure and io.measure_to_dict(glued.measure)
+    return glued.certificate.to_dict(), measures, measure, glued.global_residual, glued.feasibility_clean
+
+
+class TestGlueCertified:
+    def test_false_verdict_stops_after_the_certificate(self):
+        # three collinear first coordinates: rank grows with the order, not flat
+        cover = demo.chain_pair_moments().cover
+        y = demo.moments_of_atoms(cover, 2, [[0.0, 0.0, 0.0], [1.0, 0.0, 1.0], [-1.0, 0.0, -1.0]], [1 / 3] * 3)
+        glued = glue_certified(y, ((), ()), check_rip(cover))
+        assert glued.certificate.verdict is False
+        assert chain_fields(glued)[1:] == (None, None, None, None)
+
+    @pytest.mark.parametrize("decimals", [None, 4])
+    def test_fields_are_the_pipelines(self, pop_triple, decimals):
+        # rounding stays with the caller: pipeline rounds before the chain
+        y, policy = demo.chain_triple_moments(), RankPolicy(round_decimals=decimals)
+        res = pipeline(pop_triple, 3, policy, solver="file", solution=y)
+        y = y if decimals is None else y.rounded(decimals)
+        glued = glue_certified(y, pop_triple.constraints, check_rip(pop_triple.cover), policy)
+        assert glued.certificate.verdict and len(glued.clique_measures) == 3
+        assert chain_fields(glued) == chain_fields(res)
+        assert res.objective == float(build_relaxation(pop_triple, 3).objective @ y.values)
+
+
+def test_result_records_are_frozen(pop_triple):
+    y = demo.chain_triple_moments()
+    records = [
+        (pipeline(pop_triple, 3, solver="file", solution=y), "objective"),
+        (glue_certified(y, pop_triple.constraints, check_rip(pop_triple.cover)), "measure"),
+        (solve_sdp_bundled(build_relaxation(pop_triple, 2), max_iters=1), "converged"),
+    ]
+    for record, field in records:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field, None)
