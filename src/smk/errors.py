@@ -70,7 +70,9 @@ class DimensionMismatch(SmkError):
 
 
 class SolverDiverged(SmkError):
-    """The bundled solver's residual overflowed to a non-finite value."""
+    """The bundled solver cannot go on: its residual overflowed to a
+    non-finite value, or its normal matrix is not finite or is numerically
+    singular."""
 
 
 class BlockNotPsdWarning(UserWarning):

@@ -50,7 +50,7 @@ class ConstraintPolynomial:
     """One inequality constraint g >= 0 on the variables of a single clique.
 
     ``coefficients`` maps local exponent tuples (aligned with ``variables``)
-    to real coefficients.
+    to real coefficients; a NaN or infinite one raises ``ValueError``.
     """
 
     variables: tuple[int, ...]
@@ -61,9 +61,11 @@ class ConstraintPolynomial:
         object.__setattr__(
             self, "coefficients", {tuple(a): float(c) for a, c in self.coefficients.items()}
         )
-        for a in self.coefficients:
+        for a, c in self.coefficients.items():
             if len(a) != len(self.variables):
                 raise ValueError(f"exponent {a} has wrong arity for variables {self.variables}")
+            if not math.isfinite(c):
+                raise ValueError(f"coefficient {c!r} at exponent {a} is not a finite number")
 
     @cached_property
     def degree(self) -> int:

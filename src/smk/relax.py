@@ -8,9 +8,9 @@ clique shape, shared as read-only arrays by every clique of that shape, and
 mapped to global positions by the clique's index table. The instance
 stacks the blocks into one operator from the moment values to the
 concatenated row-major block matrices, held as numpy term arrays; the SDPA
-export, the PSD checks and the bundled solver all read it. Only the bundled
-solver needs scipy, for a sparse LU, and imports it when called. The
-supported high-accuracy path is
+export, the PSD checks and the bundled solver all read it. The bundled
+solver factors its normal matrix with numpy alone (see :mod:`smk.factor`),
+so no part of smk needs scipy. The supported high-accuracy path is
 exporting the instance in SDPA sparse format, solving externally, and
 ingesting the solution; the bundled first-order solver is a best-effort
 fallback whose non-convergence is always reported, never silent.
@@ -19,6 +19,7 @@ fallback whose non-convergence is always reported, never silent.
 from __future__ import annotations
 
 import logging
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,6 +34,7 @@ from .errors import (
     BlockNotPsdWarning, DegreeTooLow, DimensionMismatch, NonFiniteMoment, SolverDiverged,
 )
 from .extract import AtomicMeasure, constraint_feasibility_check, extract_clique_measures
+from .factor import inverse_factor
 from .matrices import ConstraintPolynomial, block_operator
 from .rip import RipFailsAt, RipWitnesses, check_rip, find_rip_order
 
@@ -45,7 +47,8 @@ class PopProblem:
 
     ``objectives[i]`` is the coefficient map (local exponents) of the
     objective summand on clique i+1; ``constraints[i]`` that clique's
-    inequality constraint polynomials.
+    inequality constraint polynomials. A NaN or infinite objective
+    coefficient raises ``ValueError``.
     """
 
     cover: CliqueCover
@@ -63,9 +66,13 @@ class PopProblem:
             raise ValueError("need one objective map and one constraint list per clique")
         for i, (obj, gs) in enumerate(zip(self.objectives, self.constraints), start=1):
             width = len(self.cover.clique(i))
-            for a in obj:
+            for a, c in obj.items():
                 if len(a) != width:
                     raise ValueError(f"objective exponent {a} has wrong arity for clique {i}")
+                if not math.isfinite(c):
+                    raise ValueError(
+                        f"objective coefficient {c!r} at exponent {a} on clique {i} is not a finite number"
+                    )
             for g in gs:
                 if g.variables != self.cover.clique(i):
                     raise ValueError(f"constraint {g.variables} does not live on clique {i}")
@@ -134,11 +141,15 @@ class SdpInstance:
         coefficient = np.concatenate([blk.coefficient for blk in self.blocks])
         return row[order], column[order], coefficient[order]
 
+    def block_entries(self, values: np.ndarray) -> np.ndarray:
+        """Every block's row-major matrix at moment ``values``, concatenated."""
+        row, column, coefficient = self.operator
+        return np.bincount(row, coefficient * values[column], minlength=self.offsets[-1])
+
     def block_eig_range(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Smallest and largest eigenvalue of every block's matrix at
         ``values`` (0 for an empty block), one ``eigvalsh`` per block size."""
-        row, column, coefficient = self.operator
-        flat = np.bincount(row, coefficient * values[column], minlength=self.offsets[-1])
+        flat = self.block_entries(values)
         lo, hi = np.zeros(len(self.blocks)), np.zeros(len(self.blocks))
         for blocks, index in size_groups([blk.size for blk in self.blocks]):
             eigs = np.linalg.eigvalsh(flat[index])
@@ -381,8 +392,11 @@ def solve_sdp_bundled(
     (b) least-squares restoration of consistency with the shared moment
     variables (constant pinned to one) together with an objective step, and
     (c) the dual update. Convergence is not guaranteed; the report flags it.
-    The normal matrix of the least-squares step is sparse and factored once;
-    the projection runs one batched eigendecomposition per block size.
+    The normal matrix of the least-squares step is factored once, along the
+    clique tree (:func:`smk.factor.inverse_factor`), and each sweep applies
+    its inverse by two products with the sparse inverse factor; the operator
+    and its transpose act by ``np.bincount`` over its terms. The projection
+    runs one batched eigendecomposition per block size.
 
     The sweep is a fixed-point map T on the state x = (free moments y, U),
     sped up by type-II Anderson acceleration (Walker & Ni 2011): least-squares
@@ -395,26 +409,27 @@ def solve_sdp_bundled(
     """
     if not 0 <= tol < np.inf:
         raise ValueError(f"tol must be a finite non-negative number, got {tol}")
-    import scipy.sparse  # only this solver's sparse LU needs scipy: importing smk loads none
-    import scipy.sparse.linalg
-
     nfree = instance.num_vars - 1
+    nrows = instance.offsets[-1]
     row, column, coefficient = instance.operator
-    operator = scipy.sparse.csr_matrix(
-        (coefficient, (row, column)), shape=(instance.offsets[-1], instance.num_vars)
-    )
-    A = operator[:, 1:]
-    AT = A.T.tocsr()
-    const = operator[:, 0].toarray().ravel()
+
+    def apply(yfree):  # A y + const: the operator at the moments (1, yfree)
+        return instance.block_entries(np.concatenate([[1.0], yfree]))
+
+    def adjoint(v):  # Aᵀ v over the free moments
+        return np.bincount(column, coefficient * v[row], minlength=instance.num_vars)[1:]
+
+    const = apply(np.zeros(nfree))  # the pinned constant moment's part of A y + const
+    AT_const = adjoint(const)  # its part of every right-hand side, taken once
     groups = size_groups([blk.size for blk in instance.blocks])
-    lu = scipy.sparse.linalg.splu((AT @ A + 1e-12 * scipy.sparse.identity(nfree)).tocsc())
+    factor = inverse_factor(instance)
     f_free = instance.objective[1:]
     scale = max(1.0, float(np.abs(instance.objective).max()))
 
-    x = np.zeros(nfree + A.shape[0])  # the state: free moments, then U
-    X = np.zeros(A.shape[0])
+    x = np.zeros(nfree + nrows)  # the state: free moments, then U
+    X = np.zeros(nrows)
     yfree = x[:nfree]
-    dG = np.zeros((ANDERSON_MEMORY, 2 * A.shape[0]))  # ring buffers of residual and T differences
+    dG = np.zeros((ANDERSON_MEMORY, 2 * nrows))  # ring buffers of residual and T differences
     dT = np.zeros((ANDERSON_MEMORY, x.size))
     count, last = 0, None  # differences stored; (residual, T) at the last kept point
     trial = None  # (residual to beat, plain iterate, its X) while an accelerated point is on trial
@@ -427,13 +442,13 @@ def solve_sdp_bundled(
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, max_iters + 1):
             U = x[nfree:]
-            Ay = A @ x[:nfree]
-            Xnew = project_psd(Ay + const + U, groups)
+            Ay = apply(x[:nfree])  # with const, as is Aynew
+            Xnew = project_psd(Ay + U, groups)
             step = Xnew - X
             X = Xnew
-            yfree = lu.solve(-f_free / rho + AT @ (X - U - const))
-            Aynew = A @ yfree
-            resid = Aynew + const - X
+            yfree = factor.solve(-f_free / rho + (adjoint(X - U) - AT_const))
+            Aynew = apply(yfree)
+            resid = Aynew - X
             primal = float(np.sqrt(resid @ resid))
             dual = float(rho * np.sqrt(step @ step))
             if primal <= tol and dual <= tol * scale:

@@ -644,10 +644,11 @@ def test_malformed_input_never_escapes(files, capsys, tmp_path, kind, data):
 
 
 def test_import_loads_no_scipy_module():
-    """A fresh interpreter importing smk and its CLI loads no scipy module:
-    only the bundled solver needs scipy, and it imports it when called."""
+    """A fresh interpreter importing smk and its CLI loads no scipy module,
+    nor does solving the chain triple at order 2 with the bundled solver."""
     code = (
         "import json, sys, smk, smk.cli; "
+        "smk.solve_sdp_bundled(smk.build_relaxation(smk.demo.chain_triple_pop(), 2)); "
         "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
@@ -657,19 +658,19 @@ def test_import_loads_no_scipy_module():
 FRESH_RUNS = """
 import contextlib, io, json, sys
 from smk.cli import run
-codes = {}
+codes = []  # per run: exit code, report, whether scipy is loaded after it
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()) as out:
-        codes[argv[0]] = run(argv)
-    codes[argv[0] + " report"] = json.loads(out.getvalue())
-    codes[argv[0] + " scipy"] = "scipy" in sys.modules
+        code = run(argv)
+    codes.append((code, json.loads(out.getvalue()), "scipy" in sys.modules))
 print(json.dumps(codes))
 """
 
 
-def test_only_the_bundled_solver_loads_scipy(files, tmp_path):
-    """In one fresh interpreter, every command that reads moments or writes
-    SDPA leaves scipy unloaded; ``solve`` then loads it, runs and converges."""
+def test_no_command_loads_scipy(files, tmp_path):
+    """In one fresh interpreter, every command runs and leaves scipy
+    unloaded, the bundled solver's ``solve`` and ``pipeline`` included; both
+    converge and the pipeline certifies."""
     runs = [
         ["certify", "--input", files["pair"]],
         ["extract-assemble", "--input", files["pair"]],
@@ -677,14 +678,17 @@ def test_only_the_bundled_solver_loads_scipy(files, tmp_path):
         ["relax", "--pop", files["triple_pop"], "--omega", "3"],
         ["pipeline", "--pop", files["triple_pop"], "--omega", "3", "--solution", files["triple_y"]],
         ["solve", "--pop", files["triple_pop"], "--omega", "2"],
+        ["rip", "--input", files["pair"]],
+        ["pipeline", "--pop", files["triple_pop"], "--omega", "3"],
     ]
     out = subprocess.run(
         [sys.executable, "-c", FRESH_RUNS, json.dumps(runs)], capture_output=True, text=True, check=True
     ).stdout
     codes = json.loads(out)
-    assert [codes[argv[0]] for argv in runs] == [0] * len(runs)
-    assert [codes[argv[0] + " scipy"] for argv in runs] == [False] * (len(runs) - 1) + [True]
-    assert codes["solve report"]["converged"] is True
+    assert [code for code, _, _ in codes] == [0] * len(runs)
+    assert [scipy for _, _, scipy in codes] == [False] * len(runs)
+    assert codes[5][1]["converged"] is True
+    assert codes[7][1]["solver"]["converged"] is True and codes[7][1]["certificate"]["verdict"] is True
 
 
 @pytest.mark.parametrize("command", [["solve"], ["pipeline"]])

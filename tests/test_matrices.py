@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -211,6 +213,15 @@ class TestMomentMatrix:
             eigs = np.linalg.eigvalsh(M.data)
             assert eigs[0] >= -1e-10 * max(1.0, eigs[-1])
             assert np.allclose(M.data, moment_matrix_oracle(points, weights, 2))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_constraint_coefficient_is_refused(value):
+    # through the library a NaN coefficient reached the bundled solver's
+    # factorization, which failed on it untyped
+    message = f"coefficient {value!r} at exponent (2, 0) is not a finite number"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ConstraintPolynomial((1, 2), {(0, 0): 3.0, (2, 0): value})
 
 
 class TestLocalizing:

@@ -333,6 +333,16 @@ class TestBuildRelaxation:
         with pytest.raises(DegreeTooLow):
             build_relaxation(pop_triple, 1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_objective_coefficient_is_refused(self, pop_triple, value):
+        # the file reader refuses it as MalformedInput; through the library it
+        # reached the solver's factorization, which failed on it untyped
+        first, second, third = pop_triple.objectives
+        objectives = (first, {**second, (1, 1): value}, third)
+        message = f"objective coefficient {value!r} at exponent (1, 1) on clique 2 is not a finite number"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PopProblem(pop_triple.cover, objectives, pop_triple.constraints)
+
     def test_objective_vector_matches_pop(self, pop_triple, rng):
         inst = build_relaxation(pop_triple, 3)
         for _ in range(20):
