@@ -14,7 +14,6 @@ feasible basis, once per atom set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import numpy as np
 
 from .certify import RankPolicy
@@ -24,26 +23,6 @@ from .errors import Infeasible
 PIVOT_TOL = 1e-9  # the simplex's numerical guard, not a data tolerance
 REFACTOR_EVERY = 50
 ELIMINATION_BLOCK = 64  # columns brought up to date by one product in _row_reduce
-
-
-@dataclass(frozen=True)
-class WeightLP:
-    """Standard-form weight program: min c.w s.t. A w = b, w >= 0.
-
-    Rows of ``A`` are monomials evaluated at the fixed atoms (the row of the
-    zero index enforces total mass); ``b`` is the moment vector.
-    """
-
-    atoms: np.ndarray
-    matrix: np.ndarray
-    rhs: np.ndarray
-    cost: np.ndarray
-
-
-def build_weight_lp(atoms, y: SparseMomentVector, cost) -> WeightLP:
-    atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
-    A = monomial_matrix(y.index_map.exponent_array, atoms, y.index_map.monomial_steps)
-    return WeightLP(atoms, A, y.values, np.asarray(cost, dtype=float))
 
 
 def _row_reduce(A: np.ndarray, b: np.ndarray, policy: RankPolicy) -> tuple[np.ndarray, np.ndarray]:
@@ -202,9 +181,9 @@ def solve_weight_lp(
     before the simplex runs. Raises :class:`Infeasible` if no nonnegative
     weight vector reproduces the moments.
     """
-    lp = build_weight_lp(atoms, y, cost)
-    start = _feasible_start(*_row_reduce(lp.matrix, lp.rhs, policy), policy)
-    return _optimal_weights(start, lp.cost)
+    A = monomial_matrix(y.index_map.exponent_array, atoms, y.index_map.monomial_steps)
+    start = _feasible_start(*_row_reduce(A, y.values, policy), policy)
+    return _optimal_weights(start, np.asarray(cost, dtype=float))
 
 
 def enumerate_extreme_measures(
@@ -215,12 +194,12 @@ def enumerate_extreme_measures(
     Each cost gives what :func:`solve_weight_lp` gives; phase 1 is shared."""
     if budget < 1:
         return []
-    lp = build_weight_lp(atoms, y, 0.0)
-    start = _feasible_start(*_row_reduce(lp.matrix, lp.rhs, policy), policy)
+    A = monomial_matrix(y.index_map.exponent_array, atoms, y.index_map.monomial_steps)
+    start = _feasible_start(*_row_reduce(A, y.values, policy), policy)
     rng = np.random.default_rng(seed)
     found: list[np.ndarray] = []
     for _ in range(budget):
-        w = _optimal_weights(start, rng.standard_normal(lp.atoms.shape[0]))
+        w = _optimal_weights(start, rng.standard_normal(A.shape[1]))
         if not any(np.abs(w - prev).max() <= policy.tol() for prev in found):
             found.append(w)
     return found

@@ -121,6 +121,17 @@ def monomial_matrix(exponents, atoms, steps: list | None = None) -> np.ndarray:
     return out
 
 
+def polynomial_values(coefficients: Mapping[MultiIndex, float], points) -> np.ndarray:
+    """The polynomial ``{exponent tuple: coefficient}`` at each row of
+    ``points``: one :func:`monomial_matrix` call, whose rows are added in the
+    map's order, ``total += c * row``. A point whose length is not the
+    exponents' raises ``ValueError``."""
+    total = np.zeros(len(points))
+    for c, row in zip(coefficients.values(), monomial_matrix(list(coefficients), points)):
+        total += c * row
+    return total
+
+
 def lift(local: MultiIndex, clique: tuple[int, ...], n: int) -> MultiIndex:
     """Embed a local exponent tuple on ``clique`` into n variables."""
     alpha = [0] * n
@@ -296,8 +307,9 @@ class _LazyEntries(UserDict):
 
 
 class _Unhashable(tuple):
-    """An alpha that holds a list or a mapping, hashed by identity so that
-    it can wait in the supplied entries to be named as out of pattern."""
+    """An alpha that holds a list, a mapping or a bool, hashed by identity
+    so that it can wait in the supplied entries to be named as out of
+    pattern (``True == 1``, but a bool is no exponent)."""
 
     __hash__ = object.__hash__
 
@@ -327,16 +339,23 @@ class SparseMomentVector:
 
     ``entries`` maps each multi-index of ``sparse_exponents(cover, 2*omega)``
     to a real value; the entry at the zero index is the total mass.
-    :meth:`build` checks the key set as it reads. The index map and the
-    values in canonical order are computed on first use (reading
-    ``entries`` by key, in any order, and checking its key set), or carried
-    over from the call that made the vector; ``entries`` is then built from
+    ``values`` holds them as a read-only array in canonical order, aligned
+    with ``index_map.exponents``. The constructor reads ``entries`` by key,
+    in any order, and a key set other than the sparse index set raises
+    :class:`MissingEntries` or :class:`IndexOutOfPattern` as :meth:`build`
+    does. :meth:`on_index_map` carries the map and the values over from the
+    call that made the vector instead, and ``entries`` is then built from
     them on first read.
     """
 
     cover: CliqueCover
     omega: int
     entries: Mapping[MultiIndex, float]
+
+    def __post_init__(self):
+        values = np.array(_canonical_values(self.index_map, dict(self.entries)), dtype=float)
+        values.setflags(write=False)
+        vars(self)["values"] = values
 
     @classmethod
     def build(
@@ -353,8 +372,10 @@ class SparseMomentVector:
         supplied: dict[MultiIndex, float] = {}
         for alpha, v in pairs:
             try:
+                if any(isinstance(e, (bool, np.bool_)) for e in alpha):
+                    raise TypeError(alpha)
                 duplicate = alpha in supplied
-            except TypeError:  # a list or a mapping in alpha: outside the pattern
+            except TypeError:  # a list, a mapping or a bool in alpha: outside the pattern
                 alpha, duplicate = _Unhashable(alpha), False
             if duplicate:
                 raise DuplicateEntry(f"multi-index {alpha} supplied twice")
@@ -374,22 +395,14 @@ class SparseMomentVector:
         if values.shape != (len(index_map.exponents),):
             raise ValueError(f"{values.shape} values for {len(index_map.exponents)} sparse indices")
         values.setflags(write=False)
-        y = cls(cover, omega, _LazyEntries(index_map.exponents, values))
-        y.__dict__.update(index_map=index_map, values=values)
+        y = object.__new__(cls)  # its key set is the map's, so there is nothing to check
+        entries = _LazyEntries(index_map.exponents, values)
+        vars(y).update(cover=cover, omega=omega, entries=entries, index_map=index_map, values=values)
         return y
 
     @cached_property
     def index_map(self) -> IndexMap:
         return index_map_of(self.cover, 2 * self.omega)
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        """Read-only values in canonical order, aligned with ``index_map.exponents``,
-        whatever the order of ``entries``; a key set other than the sparse
-        index set raises :class:`MissingEntries` or :class:`IndexOutOfPattern`."""
-        values = np.array(_canonical_values(self.index_map, dict(self.entries)), dtype=float)
-        values.setflags(write=False)
-        return values
 
     @property
     def mass(self) -> float:

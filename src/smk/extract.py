@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .certify import FlatnessCertificate, RankPolicy
-from .core import monomial_matrix, monomial_steps
+from .core import monomial_matrix, monomial_steps, polynomial_values
 from .errors import FlatnessViolated, NonPhysicalWeights, ReconstructionFailed
 from .matrices import ConstraintPolynomial, LabeledSymMatrix
 
@@ -396,27 +396,19 @@ def constraint_feasibility_check(
 
     Constraints may live on a subset of the measure's variables; atoms are
     projected onto the constraint's variables first. Equal constraints are
-    evaluated together, at every atom in one array pass, with the operations
-    of ``g(z)`` in its order, so the values are bitwise those of ``g(z)``.
+    evaluated together, at every atom, by one call of the evaluator that
+    ``g(z)`` calls on one point.
     """
     values = np.zeros((mu.num_atoms, len(constraints)))
     column = {v: c for c, v in enumerate(mu.variables)}
     shapes: dict[tuple, list[int]] = {}
     for ci, g in enumerate(constraints):
         shapes.setdefault((len(g.variables), tuple(g.coefficients.items())), []).append(ci)
-    for (width, terms), group in shapes.items():
+    for (width, _), group in shapes.items():
         cols = np.array([[column[v] for v in constraints[ci].variables] for ci in group], dtype=int)
         z = mu.atoms[:, cols.reshape(len(group), width)]  # (atoms, constraints, width)
-        total = np.zeros(z.shape[:2])
-        for alpha, c in terms:
-            term = np.full(z.shape[:2], c)
-            for k, e in enumerate(alpha):
-                if e == 1:
-                    term *= z[..., k]
-                elif e:  # x ** e as the float64 scalar takes it; an array power may round otherwise
-                    term *= np.array([x**e for x in z[..., k].flat]).reshape(term.shape)
-            total += term
-        values[:, group] = total
+        points = z.reshape(z.shape[0] * len(group), width)
+        values[:, group] = polynomial_values(constraints[group[0]].coefficients, points).reshape(z.shape[:2])
     con, atom = np.nonzero(values.T < -tol)  # constraint by constraint, atom by atom
     violations = zip(atom.tolist(), con.tolist(), values[atom, con].tolist())
     return FeasibilityReport(values, tuple(violations))

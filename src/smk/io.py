@@ -54,6 +54,14 @@ def _integer(value) -> int:
     raise ValueError(value)
 
 
+def _number(value) -> float:
+    """``value`` as a float if it is a JSON number, an int or a float that
+    is not a bool; a bool, a string or anything else raises ``TypeError``."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        return float(value)
+    raise TypeError(f"{value!r} is not a number")
+
+
 def _list(value) -> tuple:
     """``value`` as a tuple if it is a sequence; a string, a mapping or a
     scalar raises ``TypeError``."""
@@ -62,11 +70,11 @@ def _list(value) -> tuple:
     return tuple(value)
 
 
-_KINDS = {_integer: "an integer", float: "a number", _list: "a list"}
+_KINDS = {_integer: "an integer", _number: "a number", _list: "a list"}
 
 
 def _field(data, key: str, where: str = "", kind=None):
-    """``data[key]``, converted by ``kind`` (``_integer``, ``float`` or
+    """``data[key]``, converted by ``kind`` (``_integer``, ``_number`` or
     ``_list``) if given; a missing key, or a value ``kind`` refuses, raises
     :class:`MalformedInput` naming the field."""
     if not isinstance(data, Mapping) or key not in data:
@@ -130,7 +138,7 @@ def load_solution(source, allow_missing_as_zero: bool = False) -> SparseMomentVe
     text = _read(source)
     if text.lstrip().startswith("{"):
         return _moments_from_text(text, allow_missing_as_zero)
-    return _floats(text.split())
+    return _floats(text.split(), float)
 
 
 def _moments_from_text(text: str, allow_missing_as_zero: bool) -> SparseMomentVector:
@@ -152,14 +160,14 @@ def _moments_from_dict(data, allow_missing_as_zero: bool) -> SparseMomentVector:
     )
 
 
-def _floats(values) -> list[float]:
-    """The entries' values as floats; one that ``float`` refuses raises
-    :class:`MalformedInput` naming its entry."""
+def _floats(values, read=_number) -> list[float]:
+    """The entries' values as floats, each read by ``read``; one that it
+    refuses raises :class:`MalformedInput` naming its entry."""
     out = []
     for k, value in enumerate(values):
         try:
-            out.append(float(value))
-        except (TypeError, ValueError):
+            out.append(read(value))
+        except (TypeError, ValueError, OverflowError):
             raise MalformedInput(f"entry {k}: value {value!r} is not a number") from None
     return out
 
@@ -239,13 +247,20 @@ def load_measure(source) -> AtomicMeasure:
     data = _load(source)
     try:
         variables = tuple(map(_integer, _list(_field(data, "variables"))))
-        weights = np.asarray(_field(data, "weights"), dtype=float)
-        atoms = np.asarray(_field(data, "atoms"), dtype=float).reshape(len(weights), len(variables))
+        weights = _numbers(_field(data, "weights"))
+        atoms = _numbers(_field(data, "atoms")).reshape(len(weights), len(variables))
         if not (np.isfinite(atoms).all() and np.isfinite(weights).all()):
             raise MalformedInput("not a measure: an atom coordinate or weight is not finite")
         return AtomicMeasure(variables, atoms, weights)
     except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedInput(f"not a measure: {exc}") from None
+
+
+def _numbers(value) -> np.ndarray:
+    """``value``, nested lists of JSON numbers, as a float array of their
+    shape; a leaf that :func:`_number` refuses raises ``TypeError``."""
+    leaves = np.asarray(value, dtype=object)
+    return np.array([_number(v) for v in leaves.flat]).reshape(leaves.shape)
 
 
 def measure_to_dict(mu: AtomicMeasure) -> dict:
@@ -300,7 +315,7 @@ def _add_terms(coefficients: dict, terms, width: int, where: str) -> dict:
             alpha = None
         if alpha is None or len(alpha) != width:
             raise MalformedInput(f"{at}alpha_local {term['alpha_local']!r} is not {width} integers")
-        coef = _field(term, "coef", at, kind=float)
+        coef = _field(term, "coef", at, kind=_number)
         if not np.isfinite(coef):
             raise MalformedInput(f"{at}coef {coef!r} is not a finite number")
         coefficients[alpha] = coefficients.get(alpha, 0.0) + coef

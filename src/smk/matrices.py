@@ -27,7 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import CliqueSubvector, MultiIndex, grlex_position, local_exponents
+from .core import CliqueSubvector, MultiIndex, grlex_position, local_exponents, polynomial_values
 from .errors import OrderTooHigh
 
 
@@ -77,14 +77,7 @@ class ConstraintPolynomial:
         return max(1, math.ceil(self.degree / 2))
 
     def __call__(self, z) -> float:
-        z = tuple(z)
-        total = 0.0
-        for alpha, c in self.coefficients.items():
-            term = c
-            for zk, e in zip(z, alpha):
-                term *= zk**e
-            total += term
-        return total
+        return float(polynomial_values(self.coefficients, [tuple(z)])[0])
 
 
 def block_operator(width: int, d: int, g: ConstraintPolynomial | None = None):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smk import altmeasure
-from smk.altmeasure import build_weight_lp, enumerate_extreme_measures, solve_weight_lp
+from smk.altmeasure import enumerate_extreme_measures, solve_weight_lp
 from smk.certify import RankPolicy
-from smk.core import CliqueCover, SparseMomentVector
+from smk.core import CliqueCover, SparseMomentVector, monomial_matrix
 from smk.errors import Infeasible
 from smk import demo
 
@@ -15,10 +15,15 @@ import gauss_jordan
 from conftest import CHAIN_PAIR_ATOMS
 
 
+def moment_rows(atoms, y):
+    """The weight program's matrix, read as the solver reads it: each
+    monomial of ``y`` (the rows) at each atom (the columns)."""
+    return monomial_matrix(y.index_map.exponent_array, atoms, y.index_map.monomial_steps)
+
+
 def vertex_enumeration_oracle(atoms, y, tol=1e-9):
     """All vertices of {w >= 0 : A w = b} by brute force over column bases."""
-    lp = build_weight_lp(atoms, y, np.zeros(atoms.shape[0]))
-    A, b = lp.matrix, lp.rhs
+    A, b = moment_rows(atoms, y), y.values
     rank = np.linalg.matrix_rank(A, tol=1e-9)
     n = atoms.shape[0]
     vertices = []
@@ -67,8 +72,7 @@ def redundant_lps(draw):
     below or above the elimination tolerance, on the whole row or on its
     right-hand side alone."""
     atoms, y, cost = draw(product_lps())
-    lp = build_weight_lp(atoms, y, cost)
-    A, b = lp.matrix, lp.rhs
+    A, b = moment_rows(atoms, y), y.values
     tol = RankPolicy().tol(max(1.0, np.abs(A).max(), np.abs(b).max()))
     rows = [np.column_stack([A, b])]
     for _ in range(draw(st.integers(1, 4))):
@@ -124,13 +128,20 @@ class TestSolveWeightLp:
 
     def test_zero_cost_returns_vertex(self, y_pair):
         w = solve_weight_lp(CHAIN_PAIR_ATOMS, y_pair, np.zeros(4))
-        lp = build_weight_lp(CHAIN_PAIR_ATOMS, y_pair, np.zeros(4))
-        rank = np.linalg.matrix_rank(lp.matrix, tol=1e-9)
+        rank = np.linalg.matrix_rank(moment_rows(CHAIN_PAIR_ATOMS, y_pair), tol=1e-9)
         assert np.count_nonzero(w > 1e-10) <= rank
 
     def test_infeasible(self, y_pair):
         with pytest.raises(Infeasible, match="inconsistent moment equation"):
             solve_weight_lp(np.array([[0.0, 0.0, 0.0]]), y_pair, np.array([1.0]))
+
+    def test_unbounded_when_the_mass_row_is_below_the_tolerance(self):
+        # moments up to 2.5e12 put the mass row's entries of 1 below the
+        # elimination tolerance, so nothing bounds the weight of an atom at 0
+        cover = CliqueCover(1, ((1,),))
+        y = demo.moments_of_atoms(cover, 1, [[1e6], [2e6]], [0.5, 0.5])
+        with pytest.raises(Infeasible, match="weight program is unbounded"):
+            solve_weight_lp(np.array([[0.0], [1e6], [2e6]]), y, np.array([-1.0, 0.0, 0.0]))
 
     def test_negative_weights_infeasible(self):
         # atoms 0 and 1 with mean 2 need weights (-1, 2)
@@ -144,11 +155,11 @@ class TestSolveWeightLp:
     def test_optimal_vertex_of_product_measures(self, case):
         atoms, y, cost = case
         w = solve_weight_lp(atoms, y, cost)
-        lp = build_weight_lp(atoms, y, cost)
-        scale = max(1.0, np.abs(lp.rhs).max())
+        A, b = moment_rows(atoms, y), y.values
+        scale = max(1.0, np.abs(b).max())
         assert w.min() >= 0.0
-        assert np.abs(lp.matrix @ w - lp.rhs).max() <= 1e-9 * scale
-        assert np.count_nonzero(w) <= np.linalg.matrix_rank(lp.matrix, tol=1e-9)
+        assert np.abs(A @ w - b).max() <= 1e-9 * scale
+        assert np.count_nonzero(w) <= np.linalg.matrix_rank(A, tol=1e-9)
         for v in vertex_enumeration_oracle(atoms, y):
             assert cost @ w <= cost @ v + 1e-9 * scale
 
@@ -158,20 +169,20 @@ class TestSolveWeightLp:
         # costs in {-1, 0, 1} tie, so degenerate pivots and the Bland fallback occur
         atoms, y, cost = case
         w = solve_weight_lp(atoms, y, cost)
-        lp = build_weight_lp(atoms, y, cost)
-        scale = max(1.0, np.abs(lp.rhs).max())
+        A, b = moment_rows(atoms, y), y.values
+        scale = max(1.0, np.abs(b).max())
         assert w.min() >= 0.0
-        assert np.abs(lp.matrix @ w - lp.rhs).max() <= 1e-9 * scale
+        assert np.abs(A @ w - b).max() <= 1e-9 * scale
         for v in vertex_enumeration_oracle(atoms, y):
             assert cost @ w <= cost @ v + 1e-9 * scale
 
     def test_residual_and_nonnegativity(self, y_pair, rng):
         scale = 1 + max(abs(v) for v in y_pair.entries.values())
-        lp = build_weight_lp(CHAIN_PAIR_ATOMS, y_pair, np.zeros(4))
+        A = moment_rows(CHAIN_PAIR_ATOMS, y_pair)
         for _ in range(10):
             w = solve_weight_lp(CHAIN_PAIR_ATOMS, y_pair, rng.standard_normal(4))
             assert w.min() >= -1e-10
-            assert np.abs(lp.matrix @ w - lp.rhs).max() <= 1e-8 * scale
+            assert np.abs(A @ w - y_pair.values).max() <= 1e-8 * scale
 
 
 class TestRowReduce:
@@ -216,12 +227,12 @@ class TestRowReduce:
         atoms, y = two_point_product(
             -rng.uniform(0.4, 1.2, 8), rng.uniform(0.4, 1.2, 8), rng.uniform(0.3, 0.7, 8), 3
         )
-        lp = build_weight_lp(atoms, y, 0.0)
-        A, b = altmeasure._row_reduce(lp.matrix, lp.rhs, RankPolicy())
-        ref_A, ref_b = gauss_jordan.row_reduce(lp.matrix, lp.rhs, RankPolicy())
-        assert len(b) == len(ref_b) == np.linalg.matrix_rank(lp.matrix)
+        full_A = moment_rows(atoms, y)
+        A, b = altmeasure._row_reduce(full_A, y.values, RankPolicy())
+        ref_A, ref_b = gauss_jordan.row_reduce(full_A, y.values, RankPolicy())
+        assert len(b) == len(ref_b) == np.linalg.matrix_rank(full_A)
         assert np.linalg.matrix_rank(np.vstack([A, ref_A])) == len(b)
-        assert all(any(np.array_equal(row, full) for full in lp.matrix) for row in A)
+        assert all(any(np.array_equal(row, full) for full in full_A) for row in A)
 
 
 class TestEnumerate:
@@ -261,8 +272,7 @@ class TestEnumerate:
     def test_chain_triple_mass_and_support(self):
         y = demo.chain_triple_moments()
         atoms = demo.chain_triple_minimizers()
-        lp = build_weight_lp(atoms, y, np.zeros(8))
-        rank = np.linalg.matrix_rank(lp.matrix, tol=1e-9)
+        rank = np.linalg.matrix_rank(moment_rows(atoms, y), tol=1e-9)
         found = enumerate_extreme_measures(atoms, y, budget=50, seed=5)
         assert found
         for w in found:

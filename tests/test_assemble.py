@@ -281,6 +281,11 @@ class TestAssemble:
         assert np.allclose(mu.atoms, expect)
         assert np.allclose(mu.weights, 0.25)
 
+    def test_one_measure_per_clique(self):
+        wit = check_rip(CliqueCover(3, ((1, 2), (2, 3))))
+        with pytest.raises(ValueError, match="^need exactly one measure per clique$"):
+            assemble(chain_pair_measures()[:1], wit)
+
     def test_chain_triple(self):
         measures = chain_triple_measures()
         wit = check_rip(CliqueCover(4, ((1, 2), (2, 3), (3, 4))))
@@ -618,6 +623,11 @@ class TestVerifyGlobal:
             keep = [k for k, v in enumerate(w) if v > 0]
             mu = AtomicMeasure((1, 2, 3), CHAIN_PAIR_ATOMS[keep], np.array(w)[keep])
             assert verify_global(mu, y) <= 1e-10
+
+    def test_measure_on_some_variables_is_refused(self):
+        mu = AtomicMeasure((1, 2), [[1.0, 0.0]], [1.0])
+        with pytest.raises(ValueError, match=r"^measure must live on all variables 1..n$"):
+            verify_global(mu, demo.chain_pair_moments())
 
     def test_empty_measure(self):
         y = demo.chain_pair_moments()

@@ -14,7 +14,7 @@ from smk.certify import (
 from smk.core import CliqueCover, SparseMomentVector, clique_subvector
 from smk.errors import NonFiniteMoment, SmkError, ZeroVector
 from smk.matrices import ConstraintPolynomial, LabeledSymMatrix, moment_matrix
-from smk.rip import check_rip
+from smk.rip import RipWitnesses, check_rip
 from smk import demo, io
 
 import per_clique
@@ -261,6 +261,12 @@ class TestShapeErrors:
         except (SmkError, ValueError) as exc:
             return type(exc).__name__, str(exc)
         return None
+
+    def test_constraint_lists_and_witnesses_must_fit_the_cover(self, y_pair):
+        with pytest.raises(ValueError, match=r"^need one constraint list per clique \(2\), got 3$"):
+            certify(y_pair, ((), (), ()), check_rip(y_pair.cover))
+        with pytest.raises(ValueError, match="^witnesses must be computed for the cover's own clique order$"):
+            certify(y_pair, ((), ()), RipWitnesses((2, 1), {2: frozenset({1})}))
 
     @pytest.mark.parametrize("swap", [False, True])
     def test_first_bad_clique_raises(self, y_triple, swap):

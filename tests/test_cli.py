@@ -560,7 +560,7 @@ READERS = {
     "measure": [["altmeasure", "--input", "{pair}", "--measure", "{doc}", "--cost", "random:2"]],
 }
 REPLACEMENTS = [
-    "x", "", [], [1, 2], {}, {"a": 1}, None, 0, 1, -1, 3, 0.5, -2.5, True, False,
+    "x", "", "1.0", [], [1, 2], {}, {"a": 1}, None, 0, 1, -1, 3, 0.5, -2.5, True, False,
     float("nan"), float("inf"), -float("inf"),
 ]
 
@@ -584,6 +584,19 @@ def test_invalid_cover_exit_one(capsys, tmp_path, command, kind, edit, detail):
     path.write_text(json.dumps(doc))
     code, report = run_json(capsys, [*command, str(path)])
     assert (code, report["error"], report["detail"]) == (1, "MalformedInput", detail)
+
+
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        (["extract-assemble", "--input", "{pair}", "--constraints", "{triple_pop}"],
+         "constraints file cover does not match the moment file cover"),
+        (["altmeasure", "--input", "{pair}", "--cost", "1,0"], "cost has 2 entries for 4 atoms"),
+    ],
+)
+def test_input_that_does_not_fit_the_moments_exit_one(files, capsys, argv, detail):
+    code, report = run_json(capsys, [arg.format(**files) for arg in argv])
+    assert (code, report["error"], report["detail"]) == (1, "SmkError", detail)
 
 
 def slots(node):

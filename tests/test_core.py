@@ -292,11 +292,20 @@ class TestMomentVectorBuild:
         del entries[(0, 1, 1)]
         message = "1 sparse indices missing, first (0, 1, 1)"
         with pytest.raises(MissingEntries, match=re.escape(message)):
-            SparseMomentVector(CHAIN_PAIR, 2, entries).values
+            SparseMomentVector(CHAIN_PAIR, 2, entries)
         entries[(0, 1, 1)] = 0.0
         entries[(1, 0, 1)] = 1.0  # supported on no clique
         with pytest.raises(IndexOutOfPattern, match=re.escape("(1, 0, 1)")):
-            SparseMomentVector(CHAIN_PAIR, 2, entries).values
+            SparseMomentVector(CHAIN_PAIR, 2, entries)
+
+    def test_constructor_checks_the_key_set_before_any_read(self):
+        # unchecked, a vector with one entry swapped for (9, 9, 9) would
+        # equal itself and be written to a file that the reader refuses
+        entries = dict(demo.chain_pair_moments().entries)
+        del entries[(0, 1, 1)]
+        entries[(9, 9, 9)] = 1.0
+        with pytest.raises(IndexOutOfPattern, match=re.escape("(9, 9, 9)")):
+            SparseMomentVector(CHAIN_PAIR, 2, entries)
 
 
 class TestRounded:

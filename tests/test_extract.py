@@ -127,6 +127,22 @@ class TestExtractAtoms:
         with pytest.raises(FlatnessViolated):
             extract_atoms(M, 2, seed=0)
 
+    def test_shifted_basis_monomial_outside_the_labels(self):
+        # three atoms give the basis 1, x1, x2 below order 2; labels without
+        # x1*x2, which no moment matrix lacks, leave x1 * x2 with no column
+        labels = ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2))
+        V = monomial_matrix(labels, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        M = LabeledSymMatrix((1, 2), labels, (V * [0.2, 0.3, 0.5]) @ V.T)
+        with pytest.raises(FlatnessViolated, match=r"^monomial \(1, 1\) exceeds the matrix order$"):
+            extract_atoms(M, 3, seed=0)
+
+    def test_matrix_the_atoms_do_not_reproduce(self):
+        # PSD of rank 2 and flat, but no moment matrix: the x*x entry is not
+        # the 1*x^2 entry, so the atoms +-1 read from the rest miss it by 0.1
+        M = LabeledSymMatrix((1,), ((0,), (1,), (2,)), np.array([[1.0, 0, 1], [0, 1.1, 0], [1, 0, 1]]))
+        with pytest.raises(ReconstructionFailed, match="^moment matrix residual 1.000e-01 exceeds tolerance$"):
+            extract_atoms(M, 2, seed=0)
+
     def test_non_psd_matrix_rejected(self):
         M = LabeledSymMatrix(
             (1,), ((0,), (1,), (2,)), np.diag([1.0, -1.0, 0.0])

@@ -86,9 +86,9 @@ def dump(doc: dict, layout: str, seed: int = 0) -> str:
 def read_entry_by_entry(text: str, allow_missing_as_zero: bool = False) -> SparseMomentVector:
     """The reference reader: ``json`` for the whole text, then every alpha
     as a tuple through ``SparseMomentVector.build``; text ``json`` refuses,
-    a missing field, a value ``float`` refuses, an integer field that is no
-    integral number, a list field that is no list, cliques that are not
-    lists of integers, a cover that is not one of 1..n (nested cliques
+    a missing field, a value that is no JSON number, an integer field that
+    is no integral number, a list field that is no list, cliques that are
+    not lists of integers, a cover that is not one of 1..n (nested cliques
     pass) and an omega below 1 are :class:`MalformedInput`."""
     try:
         data = json.loads(text)
@@ -137,10 +137,8 @@ def read_entry_by_entry(text: str, allow_missing_as_zero: bool = False) -> Spars
         for k, item in enumerate(sequence(data, "entries"))
     ]
     for k, (_, value) in enumerate(pairs):
-        try:
-            float(value)
-        except (TypeError, ValueError):
-            raise MalformedInput(f"entry {k}: value {value!r} is not a number") from None
+        if type(value) not in (int, float):  # a bool or a string is no JSON number
+            raise MalformedInput(f"entry {k}: value {value!r} is not a number")
     omega = integer(data, "omega")
     if omega < 1:
         raise MalformedInput(f"omega {omega} is not >= 1")
@@ -235,6 +233,28 @@ class TestMomentReader:
         for layout in LAYOUTS:
             got = assert_file_reads_as_reference(tmp_path, dump(doc, layout), defect == "null value")
             assert got == (error, message)
+
+    @pytest.mark.parametrize("value", [True, "1.0", 10**400], ids=["true", "string", "huge integer"])
+    def test_value_that_is_no_json_number_is_refused(self, tmp_path, value):
+        # a bool or a string is no JSON number, and 10**400 has no float
+        doc = io.moment_vector_to_dict(demo.chain_pair_moments())
+        doc["entries"][4]["value"] = value
+        path = tmp_path / "y.json"
+        path.write_text(json.dumps(doc))  # one-digit exponents: read as one table
+        for source in (doc, path):
+            with pytest.raises(MalformedInput) as got:
+                io.load_moment_vector(source)
+            assert str(got.value) == f"entry 4: value {value!r} is not a number"
+
+    def test_bool_exponent_is_out_of_pattern(self, tmp_path):
+        # True == 1, but a bool is no exponent
+        doc = io.moment_vector_to_dict(demo.chain_pair_moments())
+        next(e for e in doc["entries"] if e["alpha"] == [1, 0, 0])["alpha"] = [True, 0, 0]
+        path = tmp_path / "y.json"
+        path.write_text(json.dumps(doc))
+        for source in (doc, path):
+            with pytest.raises(IndexOutOfPattern, match=re.escape("(True, 0, 0)")):
+                io.load_moment_vector(source)
 
     @pytest.mark.parametrize("allow_missing_as_zero", [False, True])
     @pytest.mark.parametrize(
@@ -467,6 +487,11 @@ def test_pop_clique_zero_is_not_the_last_clique():
          'constraint 0: term 2: no "alpha_local"'),
         (lambda doc: doc["objectives"][0]["terms"][0].update(coef=None),
          "objective 0: term 0: coef None is not a number"),
+        # a string or a bool is no JSON number, whatever float() makes of it
+        (lambda doc: doc["objectives"][0]["terms"][0].update(coef="3"),
+         "objective 0: term 0: coef '3' is not a number"),
+        (lambda doc: doc["constraints"][1]["terms"][0].update(coef=True),
+         "constraint 1: term 0: coef True is not a number"),
         (lambda doc: doc["constraints"][0]["terms"][0].update(coef=float("nan")),
          "constraint 0: term 0: coef nan is not a finite number"),
         (lambda doc: doc["objectives"][1]["terms"][0].update(coef=float("inf")),
@@ -518,8 +543,12 @@ def test_problem_without_objectives_or_constraints_loads():
         (lambda doc: doc.update(weights=[0.25, "x"]), "not a measure: "),
         (lambda doc: doc.update(variables=[1.5, 3]), "not a measure: "),
         (lambda doc: doc.update(variables="13"), "not a measure: "),
-        (lambda doc: doc["atoms"][1].__setitem__(0, None), "not a measure: an atom coordinate or weight is not finite"),
-        (lambda doc: doc["weights"].__setitem__(0, None), "not a measure: an atom coordinate or weight is not finite"),
+        (lambda doc: doc["atoms"][1].__setitem__(0, None), "not a measure: None is not a number"),
+        # a string or a bool is no JSON number, whatever float() makes of it
+        (lambda doc: doc["atoms"][0].__setitem__(0, "0.5"), "not a measure: '0.5' is not a number"),
+        (lambda doc: doc["atoms"][1].__setitem__(1, True), "not a measure: True is not a number"),
+        (lambda doc: doc["weights"].__setitem__(0, "0.25"), "not a measure: '0.25' is not a number"),
+        (lambda doc: doc["weights"].__setitem__(0, None), "not a measure: None is not a number"),
         (lambda doc: doc["atoms"][0].__setitem__(1, float("inf")),
          "not a measure: an atom coordinate or weight is not finite"),
     ],

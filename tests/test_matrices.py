@@ -224,6 +224,15 @@ def test_non_finite_constraint_coefficient_is_refused(value):
         ConstraintPolynomial((1, 2), {(0, 0): 3.0, (2, 0): value})
 
 
+def test_point_of_the_wrong_length_is_refused():
+    # a point has one coordinate per variable; cut to fit, a short one would read x2^2 as 1
+    g = ConstraintPolynomial((1, 2), {(0, 0): 3.0, (2, 0): -1.0, (0, 2): -1.0})
+    assert g((1.0, -1.0)) == 1.0
+    for z in ((1.0,), (1.0, -1.0, 5.0)):
+        with pytest.raises(ValueError):
+            g(z)
+
+
 class TestLocalizing:
     def test_triple_fixture_block(self, y_triple):
         g = ConstraintPolynomial((1, 2), {(0, 0): 3.0, (2, 0): -1.0, (0, 2): -1.0})
