@@ -181,7 +181,7 @@ def solve_weight_lp(
     before the simplex runs. Raises :class:`Infeasible` if no nonnegative
     weight vector reproduces the moments.
     """
-    A = monomial_matrix(y.index_map.exponent_array, atoms, y.index_map.monomial_steps)
+    A = monomial_matrix(y.index_map.slots, atoms)
     start = _feasible_start(*_row_reduce(A, y.values, policy), policy)
     return _optimal_weights(start, np.asarray(cost, dtype=float))
 
@@ -194,7 +194,7 @@ def enumerate_extreme_measures(
     Each cost gives what :func:`solve_weight_lp` gives; phase 1 is shared."""
     if budget < 1:
         return []
-    A = monomial_matrix(y.index_map.exponent_array, atoms, y.index_map.monomial_steps)
+    A = monomial_matrix(y.index_map.slots, atoms)
     start = _feasible_start(*_row_reduce(A, y.values, policy), policy)
     rng = np.random.default_rng(seed)
     found: list[np.ndarray] = []

@@ -237,6 +237,5 @@ def verify_global(mu: AtomicMeasure, y: SparseMomentVector) -> float:
     the sparse moment vector."""
     if mu.variables != tuple(range(1, y.cover.n + 1)):
         raise ValueError("measure must live on all variables 1..n")
-    exponents = y.index_map.exponent_array
-    moments = monomial_matrix(exponents, mu.atoms, y.index_map.monomial_steps) @ mu.weights
+    moments = monomial_matrix(y.index_map.slots, mu.atoms) @ mu.weights
     return float(np.abs(moments - y.values).max())

@@ -7,12 +7,13 @@ All values here are immutable after construction and every operation is pure.
 The sparse index set of a cover and a degree bound is built once, as an
 :class:`IndexMap`. Each multi-index is keyed inside it by its *sparse key*,
 the pairs ``(variable, -exponent)`` of its nonzero exponents in variable
-order, so building and looking up cost O(clique width) per entry rather than
-O(n). Sorting by ``(degree, sparse key)`` is exactly the canonical graded
-order of :func:`grlex_key`: at the first variable where two multi-indices
-differ the larger exponent sorts first in both, and the one case where the
-orders could part, one sparse key being a prefix of the other, needs
-different degrees. A :class:`SparseMomentVector` keeps its map and its values
+order, and held as two arrays of the variables and exponents of those
+nonzeros (:class:`Slots`), so building, looking up and evaluating at points
+cost O(clique width) per entry rather than O(n). Sorting by
+``(degree, sparse key)`` is exactly the canonical graded order of
+:func:`grlex_key`: at the first variable where two multi-indices differ the
+larger exponent sorts first in both, and the one case where the orders could
+part, one sparse key being a prefix of the other, needs different degrees. A :class:`SparseMomentVector` keeps its map and its values
 in canonical order, and clique subvectors are gathered from them by position.
 
 Maps are shared: :func:`index_map_of` gives every caller asking for the same
@@ -24,10 +25,11 @@ from __future__ import annotations
 
 import math
 from collections import UserDict
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
-from typing import Iterable, Mapping
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,43 +84,80 @@ def grlex_position(exps: np.ndarray) -> np.ndarray:
     return below[np.arange(width, 0, -1), tail].sum(axis=-1)
 
 
-def monomial_steps(exps: np.ndarray) -> list:
-    """What :func:`monomial_matrix` reads of a uint8 exponent array of shape
-    (monomials, variables): per variable t with a positive exponent in some
-    row, (t, those rows, their exponents of x_t, the number of degrees 0..max
-    they span). Worth keeping when one table meets many atom sets."""
-    steps = []
-    for t in range(exps.shape[1]):
-        rows = exps[:, t].nonzero()[0]
-        if rows.size:
-            e = exps[rows, t]
-            steps.append((t, rows, e, int(e.max()) + 1))
-    return steps
+class Slots(NamedTuple):
+    """Multi-indices as two (rows, width) integer arrays: ``columns`` holds
+    the 0-based variable of each nonzero exponent in ascending order, and
+    ``exponents`` that exponent; a row with fewer nonzeros than ``width`` is
+    padded with column 0 and exponent 0."""
+
+    columns: np.ndarray
+    exponents: np.ndarray
 
 
-def monomial_matrix(exponents, atoms, steps: list | None = None) -> np.ndarray:
-    """``A[k, j] = prod_t atoms[j, t] ** exponents[k, t]``, one variable at a
-    time from a table of powers. Each power is taken once per distinct
-    coordinate value (by bit pattern, so ``-0.0`` stays apart from ``0.0``),
-    as atoms glued from clique atoms repeat their coordinates; the result is
-    bit for bit the product of the powers. Exponents are held as uint8
-    (below 256); tuples are read as bytes. ``steps``, from
-    :func:`monomial_steps` of the same exponents, saves reading them again."""
-    atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
-    count = len(exponents)
-    if steps is None:
-        if not isinstance(exponents, np.ndarray):
-            exponents = np.frombuffer(b"".join(bytes(tuple(e)) for e in exponents), dtype=np.uint8)
-        steps = monomial_steps(np.asarray(exponents, dtype=np.uint8).reshape(count, atoms.shape[1]))
-    out = np.ones((count, atoms.shape[0]))
-    if not steps:
-        return out
-    codes, where = np.unique(np.ascontiguousarray(atoms).view(np.uint64), return_inverse=True)
-    powers = codes.view(float) ** np.arange(max(step[3] for step in steps), dtype=float)[:, None]
-    table = powers[:, where.reshape(atoms.shape).T].swapaxes(0, 1)  # [t, degree, atom]
-    for t, rows, e, _ in steps:
-        out[rows] *= table[t][e]
+def exponent_slots(exps: np.ndarray) -> Slots:
+    """The :class:`Slots` of an exponent array of shape (rows, variables)."""
+    # row-major, so each row's nonzeros come in column order
+    rows, cols = np.divmod(np.flatnonzero(exps != 0), max(1, exps.shape[1]))
+    return _fill_slots(np.bincount(rows, minlength=len(exps)), cols, exps[rows, cols])
+
+
+def _fill_slots(count: np.ndarray, columns, exponents) -> Slots:
+    """:class:`Slots` of rows holding ``count[k]`` nonzeros each, whose
+    columns and exponents come row after row in ``columns`` and ``exponents``."""
+    rows = np.repeat(np.arange(len(count)), count)
+    slot = np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count)
+    shape = (len(count), int(count.max(initial=0)))
+    out = Slots(np.zeros(shape, np.intp), np.zeros(shape, np.intp))
+    out.columns[rows, slot], out.exponents[rows, slot] = columns, exponents
     return out
+
+
+def _uint8_slots(exponents, width: int) -> Slots:
+    """The :class:`Slots` of dense exponent tuples or a (rows, ``width``)
+    array, read as uint8: tuples as bytes, so an exponent outside 0..255
+    raises ``ValueError``, as does a tuple whose length is not ``width``."""
+    count = len(exponents)
+    if not isinstance(exponents, np.ndarray):
+        exponents = np.frombuffer(b"".join(bytes(tuple(e)) for e in exponents), dtype=np.uint8)
+    return exponent_slots(np.asarray(exponents, dtype=np.uint8).reshape(count, width))
+
+
+_CHUNK = 1 << 15  # matrix elements per slot product, so its temporary stays small
+
+
+def monomial_matrix(exponents, atoms) -> np.ndarray:
+    """``A[k, j] = prod_t atoms[j, t] ** exponents[k, t]`` from a table of
+    powers, one nonzero of each row at a time in variable order. Each power
+    is taken once per distinct coordinate value (by bit pattern, so ``-0.0``
+    stays apart from ``0.0``), as atoms glued from clique atoms repeat their
+    coordinates; the result is bit for bit the product of the powers.
+    ``exponents`` is their :class:`Slots`, or dense exponent tuples or a
+    (rows, variables) array, both read as uint8 (below 256): tuples as
+    bytes, and a tuple whose length is not the atoms' raises ``ValueError``."""
+    atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
+    columns, degrees = exponents if isinstance(exponents, Slots) else _uint8_slots(exponents, atoms.shape[1])
+    top = int(degrees.max(initial=0))
+    if top == 0:
+        return np.ones((len(columns), atoms.shape[0]))
+    codes, where = np.unique(np.ascontiguousarray(atoms).view(np.uint64), return_inverse=True)
+    powers = codes.view(float) ** np.arange(top + 1, dtype=float)[:, None]
+    table = powers[:, where.reshape(atoms.shape).T]  # [degree, column, atom]; degree 0 is 1.0
+    out = table[degrees[:, 0], columns[:, 0]]
+    step = max(1, _CHUNK // max(1, atoms.shape[0]))
+    for s in range(1, degrees.shape[1]):
+        for a in range(0, len(out), step):
+            out[a : a + step] *= table[degrees[a : a + step, s], columns[a : a + step, s]]
+    return out
+
+
+@lru_cache(maxsize=64)
+def _polynomial_slots(exponents: tuple[MultiIndex, ...]) -> Slots:
+    """The :class:`Slots` of a polynomial's exponent tuples, read-only,
+    compiled once per tuple of exponents."""
+    slots = _uint8_slots(exponents, len(exponents[0]) if exponents else 0)
+    for a in slots:
+        a.setflags(write=False)
+    return slots
 
 
 def polynomial_values(coefficients: Mapping[MultiIndex, float], points) -> np.ndarray:
@@ -126,18 +165,14 @@ def polynomial_values(coefficients: Mapping[MultiIndex, float], points) -> np.nd
     ``points``: one :func:`monomial_matrix` call, whose rows are added in the
     map's order, ``total += c * row``. A point whose length is not the
     exponents' raises ``ValueError``."""
+    exponents = tuple(coefficients)
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if exponents and points.shape[1] != len(exponents[0]):
+        raise ValueError(f"points of {points.shape[1]} coordinates for exponents of {len(exponents[0])}")
     total = np.zeros(len(points))
-    for c, row in zip(coefficients.values(), monomial_matrix(list(coefficients), points)):
+    for c, row in zip(coefficients.values(), monomial_matrix(_polynomial_slots(exponents), points)):
         total += c * row
     return total
-
-
-def lift(local: MultiIndex, clique: tuple[int, ...], n: int) -> MultiIndex:
-    """Embed a local exponent tuple on ``clique`` into n variables."""
-    alpha = [0] * n
-    for var, e in zip(clique, local):
-        alpha[var - 1] = e
-    return tuple(alpha)
 
 
 @dataclass(frozen=True)
@@ -210,9 +245,12 @@ def _cover_violations(cover: CliqueCover):
 class IndexMap:
     """The sparse index set of ``(cover, degree_bound)``, built once.
 
-    ``exponents`` holds the dense multi-indices in canonical order (each is
-    lifted to length n once, here) and ``position`` maps each sparse key to
-    its place in that order. Treat both as read-only.
+    ``position`` maps each sparse key to its place in canonical order, and
+    :attr:`slots` holds the same multi-indices as (entries, width) arrays of
+    their nonzeros, so no part of the map grows with n per entry.
+    ``exponents`` is the sequence of dense multi-indices of length n in that
+    order: its length is known at once, and the tuples are built on its
+    first read. Treat all of them as read-only.
     """
 
     def __init__(self, cover: CliqueCover, degree_bound: int):
@@ -225,25 +263,39 @@ class IndexMap:
         order = sorted(degrees, key=lambda key: (degrees[key], key))
         self.n = cover.n
         self.position: dict[SparseKey, int] = {key: p for p, key in enumerate(order)}
-        self.exponents: tuple[MultiIndex, ...] = tuple(_dense(key, cover.n) for key in order)
+        self.exponents = _DenseExponents(self.position, cover.n)
         self._positions: dict[tuple[tuple[int, ...], int], np.ndarray] = {}
 
     @cached_property
-    def exponent_array(self) -> np.ndarray:
-        """The exponents as one read-only uint8 array of shape (entries, n),
-        column-major, so that :func:`monomial_matrix` reads each variable's
-        exponents contiguously. Filled from the sparse keys."""
-        by_var = np.zeros((self.n, len(self.exponents)), dtype=np.uint8)
-        for key, p in self.position.items():
-            for var, e in key:
-                by_var[var - 1, p] = -e
-        by_var.setflags(write=False)
-        return by_var.T
+    def slots(self) -> Slots:
+        """The multi-indices as read-only :class:`Slots`, in canonical order,
+        filled from the sparse keys."""
+        slots = _fill_slots(
+            np.fromiter(map(len, self.position), dtype=np.intp, count=len(self.position)),
+            [var - 1 for key in self.position for var, _ in key],
+            [-e for key in self.position for _, e in key],
+        )
+        for a in slots:
+            a.setflags(write=False)
+        return slots
 
     @cached_property
-    def monomial_steps(self) -> list:
-        """:func:`monomial_steps` of :attr:`exponent_array`, scanned once per map."""
-        return monomial_steps(self.exponent_array)
+    def _sorted_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`_row_keys` of :attr:`slots`, sorted, and the position of each."""
+        keys = _row_keys(self.slots, self.slots.columns.shape[1])
+        order = np.argsort(keys)
+        return keys[order], order
+
+    def places(self, slots: Slots) -> np.ndarray:
+        """The position of each multi-index of ``slots`` in canonical order,
+        -1 for one outside the set. Rows are matched on their exact
+        (variable, exponent) pairs."""
+        width = self.slots.columns.shape[1]
+        keys = _row_keys(slots, width)
+        known, order = self._sorted_rows
+        at = np.minimum(np.searchsorted(known, keys), len(known) - 1)
+        found = (known[at] == keys) & ~slots.exponents[:, width:].any(axis=1)
+        return np.where(found, order[at], -1)
 
     def positions(self, variables: tuple[int, ...], bound: int) -> np.ndarray:
         """Global position of each local exponent tuple of degree <= ``bound``
@@ -261,11 +313,43 @@ class IndexMap:
             try:
                 out.append(self.position[key])
             except KeyError:
-                raise IndexOutOfPattern(lift(loc, variables, self.n)) from None
+                raise IndexOutOfPattern(_dense(key, self.n)) from None
         table = np.array(out, dtype=np.int64)
         table.setflags(write=False)
         self._positions[variables, bound] = table
         return table
+
+
+def _row_keys(slots: Slots, width: int) -> np.ndarray:
+    """Each row of ``slots``, cut or padded with zeros to ``width`` slots
+    (at least one), as one bytes scalar: two rows' scalars are equal exactly
+    when their (variable, exponent) pairs are."""
+    keys = np.zeros((len(slots.columns), 2, max(1, width)), np.int64)
+    w = min(width, slots.columns.shape[1])
+    keys[:, 0, :w], keys[:, 1, :w] = slots.columns[:, :w], slots.exponents[:, :w]
+    return keys.reshape(len(keys), -1).view(np.dtype((np.void, keys[0].nbytes)))[:, 0]
+
+
+class _DenseExponents(Sequence):
+    """The dense multi-indices of the sparse keys ``keys`` (in their order)
+    as tuples of length ``n``; the tuples are built on the first read of an
+    item, so what only takes the length never builds them."""
+
+    def __init__(self, keys: Mapping[SparseKey, int], n: int):
+        self._keys, self._n = keys, n
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    @cached_property
+    def _tuples(self) -> tuple[MultiIndex, ...]:
+        return tuple(_dense(key, self._n) for key in self._keys)
+
+    def __getitem__(self, k):
+        return self._tuples[k]
+
+    def __iter__(self):
+        return iter(self._tuples)
 
 
 def index_map_of(cover: CliqueCover, degree_bound: int) -> IndexMap:

@@ -18,7 +18,7 @@ def moments_of_atoms(
 ) -> SparseMomentVector:
     """Sparse moment vector of a weighted atomic measure on all n variables."""
     index_map = index_map_of(cover, 2 * omega)
-    values = monomial_matrix(index_map.exponent_array, atoms) @ np.asarray(weights, dtype=float)
+    values = monomial_matrix(index_map.slots, atoms) @ np.asarray(weights, dtype=float)
     return SparseMomentVector.on_index_map(cover, omega, index_map, values)
 
 

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .certify import FlatnessCertificate, RankPolicy
-from .core import monomial_matrix, monomial_steps, polynomial_values
+from .core import exponent_slots, monomial_matrix, polynomial_values
 from .errors import FlatnessViolated, NonPhysicalWeights, ReconstructionFailed
 from .matrices import ConstraintPolynomial, LabeledSymMatrix
 
@@ -129,10 +129,9 @@ def _column_echelon_bases(
 @lru_cache(maxsize=64)
 def _label_table(labels: tuple, nvars: int):
     """Per label tuple, built once: the top degree omega, the columns of
-    labels of degree below it, the labels as a uint8 exponent array with
-    its :func:`monomial_steps`, and ``shift[k, t]``, the column of
-    labels[k] times x_t, -1 past the order and in a last row that stands
-    for no label."""
+    labels of degree below it, the labels' :class:`~smk.core.Slots`, and
+    ``shift[k, t]``, the column of labels[k] times x_t, -1 past the order
+    and in a last row that stands for no label."""
     column = {l: k for k, l in enumerate(labels)}
     shifted = (tuple(e + (s == t) for s, e in enumerate(l)) for l in labels for t in range(nvars))
     shift = np.array([column.get(l, -1) for l in shifted] + [-1] * nvars, np.int64)
@@ -140,10 +139,10 @@ def _label_table(labels: tuple, nvars: int):
     exponents = np.array(labels, dtype=np.uint8).reshape(len(labels), nvars)
     degree = exponents.sum(axis=1, dtype=np.int64)
     omega = int(degree.max(initial=0))
-    steps = monomial_steps(exponents)
-    for a in (shift, exponents, *(a for step in steps for a in step[1:3])):
+    slots = exponent_slots(exponents)
+    for a in (shift, *slots):
         a.setflags(write=False)
-    return omega, np.flatnonzero(degree < omega).tolist(), exponents, steps, shift
+    return omega, np.flatnonzero(degree < omega).tolist(), slots, shift
 
 
 def _drop(out: list, live: np.ndarray, failed: np.ndarray, error, *arrays):
@@ -217,7 +216,7 @@ def _extract_stack(
     k = len(data)
     if r == 0:
         return [(np.zeros((0, nvars)), np.zeros(0)) for _ in range(k)]
-    omega, columns, exponents, steps, shift = _label_table(labels, nvars)
+    omega, columns, slots, shift = _label_table(labels, nvars)
     scales = np.abs(data).max(axis=(1, 2), initial=0.0)
     out: list = [None] * k
     live = np.arange(k)
@@ -289,7 +288,7 @@ def _extract_stack(
 
     # weights from the degree-<=omega moments by least squares, one solve per
     # stack; the moments of the labels are row 0, as labels are in matrix order
-    A = monomial_matrix(exponents, atoms.reshape(-1, nvars), steps)
+    A = monomial_matrix(slots, atoms.reshape(-1, nvars))
     A = A.reshape(len(labels), len(live), r).transpose(1, 0, 2).copy()
     weights = (np.linalg.pinv(A) @ data[:, 0, :, None])[:, :, 0]
     lightest = weights.min(axis=1)

@@ -251,7 +251,8 @@ def _elimination_order(cover, blocks, size, row, column):
     sizes = np.array([s for _, s in blocks], dtype=np.int64)
     clique_of_row = np.repeat(np.array([c for c, _ in blocks], dtype=np.int64), sizes**2)
     free = column > 0
-    readers = np.unique((column[free] - 1) * (m + 1) + clique_of_row[row[free]])
+    readers = np.sort((column[free] - 1) * (m + 1) + clique_of_row[row[free]])
+    readers = readers[np.diff(readers, prepend=-1) != 0]  # each (moment, clique) pair once
     moment, clique = np.divmod(readers, m + 1)
     front = np.full(size, -1, dtype=np.int64)
     np.maximum.at(front, moment, rank[clique])

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import json
 import re
-from itertools import islice
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from .core import CliqueCover, SparseMomentVector, _cover_violations, index_map_of
+from .core import CliqueCover, SparseMomentVector, _cover_violations, exponent_slots, index_map_of
 from .errors import MalformedInput
 from .extract import AtomicMeasure
 from .matrices import ConstraintPolynomial
@@ -138,7 +137,7 @@ def load_solution(source, allow_missing_as_zero: bool = False) -> SparseMomentVe
     text = _read(source)
     if text.lstrip().startswith("{"):
         return _moments_from_text(text, allow_missing_as_zero)
-    return _floats(text.split(), float)
+    return _floats(text.split(), float).tolist()
 
 
 def _moments_from_text(text: str, allow_missing_as_zero: bool) -> SparseMomentVector:
@@ -160,16 +159,24 @@ def _moments_from_dict(data, allow_missing_as_zero: bool) -> SparseMomentVector:
     )
 
 
-def _floats(values, read=_number) -> list[float]:
-    """The entries' values as floats, each read by ``read``; one that it
-    refuses raises :class:`MalformedInput` naming its entry."""
+def _floats(values, read=_number) -> np.ndarray:
+    """The entries' values as a float array, each read by ``read``; one that
+    it refuses raises :class:`MalformedInput` naming its entry. Under
+    :func:`_number`, values that are all ints and floats (no bool) are read
+    by one array conversion, unless an int overflows it."""
+    values = list(values)
+    if read is _number and set(map(type, values)) <= {int, float}:
+        try:
+            return np.array(values, dtype=float)
+        except OverflowError:  # the loop below names the entry
+            pass
     out = []
     for k, value in enumerate(values):
         try:
             out.append(read(value))
         except (TypeError, ValueError, OverflowError):
             raise MalformedInput(f"entry {k}: value {value!r} is not a number") from None
-    return out
+    return np.array(out, dtype=float)
 
 
 # an "alpha" key and the opening bracket of its list
@@ -181,8 +188,8 @@ def _read_table(text: str, allow_missing_as_zero: bool) -> SparseMomentVector | 
     n one-digit JSON integers inside the sparse pattern, with no
     multi-index twice and none missing unless allowed; None for any other
     document. The list bodies are cut from the text and the rest is parsed
-    by ``json``; the bodies become one exponent table, and the nonzeros of
-    each row give its sparse key."""
+    by ``json``; the bodies become one exponent table, whose rows are
+    matched against the map by their nonzeros."""
     # without escapes every "alpha" key is spelled as it reads, so each one
     # is cut below and only a cut list reads as []
     starts = [m.end() for m in _ALPHA.finditer(text)] if "\\" not in text else []
@@ -214,12 +221,8 @@ def _read_table(text: str, allow_missing_as_zero: bool) -> SparseMomentVector | 
     table = (body[::2] - np.uint8(ord("0"))).reshape(-1, n)
     if table.max() > 9:
         return None
-    rows, cols = np.divmod(np.flatnonzero(table), n)
-    # each row's sparse key: (variable, -exponent) of its nonzeros in variable order
-    pairs = zip((cols + 1).tolist(), (-table[rows, cols].astype(np.int64)).tolist())
-    keys = (tuple(islice(pairs, c)) for c in np.bincount(rows, minlength=len(table)).tolist())
     index_map = index_map_of(cover, 2 * omega)
-    places = np.array([index_map.position.get(key, -1) for key in keys], dtype=np.int64)
+    places = index_map.places(exponent_slots(table))
     hits = np.bincount(places + 1, minlength=len(index_map.exponents) + 1)
     if hits[0] or hits.max() > 1 or (hits[1:].min() == 0 and not allow_missing_as_zero):
         return None

@@ -107,11 +107,14 @@ class SdpBlock:
 
 @dataclass(frozen=True)
 class SdpInstance:
-    """Sparse moment relaxation ready for export or solving."""
+    """Sparse moment relaxation ready for export or solving. ``exponents``
+    are the moments' dense multi-indices in canonical order; from
+    :func:`build_relaxation` they are the index map's own sequence, whose
+    tuples are built on first read."""
 
     cover: CliqueCover
     omega: int
-    exponents: tuple[MultiIndex, ...]
+    exponents: Sequence[MultiIndex]
     objective: np.ndarray  # aligned with exponents; position 0 is the constant
     blocks: tuple[SdpBlock, ...]
 
@@ -168,7 +171,7 @@ def size_groups(sizes: Sequence[int]) -> list[tuple[np.ndarray, np.ndarray]]:
     sizes = np.asarray(sizes, dtype=np.int64)
     offsets = np.cumsum(np.concatenate([[0], sizes**2]))
     out = []
-    for s in np.unique(sizes[sizes > 0]).tolist():
+    for s in sorted({s for s in sizes.tolist() if s > 0}):
         blocks = np.flatnonzero(sizes == s)
         out.append((blocks, offsets[blocks, None, None] + np.arange(s * s).reshape(s, s)))
     return out

@@ -7,8 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from smk.core import CliqueCover, SparseMomentVector, lift, local_exponents
+from smk.core import CliqueCover, SparseMomentVector, local_exponents
 from smk.demo import moments_of_atoms
+
+
+def lift(local, clique, n):
+    """Embed a local exponent tuple on ``clique`` into n variables."""
+    alpha = [0] * n
+    for var, e in zip(clique, local):
+        alpha[var - 1] = e
+    return tuple(alpha)
 
 # ---------------------------------------------------------------------------
 # chain-pair reference data (n=3, cliques {1,2},{2,3}, omega=2)

@@ -18,7 +18,7 @@ from conftest import CHAIN_PAIR_ATOMS
 def moment_rows(atoms, y):
     """The weight program's matrix, read as the solver reads it: each
     monomial of ``y`` (the rows) at each atom (the columns)."""
-    return monomial_matrix(y.index_map.exponent_array, atoms, y.index_map.monomial_steps)
+    return monomial_matrix(y.index_map.slots, atoms)
 
 
 def vertex_enumeration_oracle(atoms, y, tol=1e-9):

@@ -636,11 +636,11 @@ class TestVerifyGlobal:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_equals_residual_of_a_fresh_scan(self, seed):
-        # the steps kept on the index map give the residual of a table read afresh
+        # the slots kept on the index map give the residual of the dense exponents
         cover, atoms, weights, y = random_flat_instance(seed + 60)
         atoms = atoms + np.random.default_rng(seed).normal(scale=1e-3, size=atoms.shape)
         mu = AtomicMeasure(tuple(range(1, cover.n + 1)), atoms, weights)
-        fresh = np.array(y.index_map.exponent_array)
+        fresh = np.array(y.index_map.exponents, dtype=np.uint8)
         expected = float(np.abs(monomial_matrix(fresh, atoms) @ weights - y.values).max())
         assert verify_global(mu, y) == expected
 

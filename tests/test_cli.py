@@ -668,6 +668,18 @@ def test_import_loads_no_scipy_module():
     assert json.loads(out) == []
 
 
+def test_bundled_pipeline_loads_no_masked_array_module():
+    """A bundled pipeline on the chain triple, in a fresh interpreter, leaves
+    numpy.ma unloaded: ``np.unique`` without an index output would load it."""
+    code = (
+        "import json, sys, smk; "
+        "result = smk.pipeline(smk.demo.chain_triple_pop(), 3); "
+        "print(json.dumps([len(result.minimizers), [m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']]]))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    assert json.loads(out) == [8, []]
+
+
 FRESH_RUNS = """
 import contextlib, io, json, sys
 from smk.cli import run

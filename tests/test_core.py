@@ -13,10 +13,10 @@ from smk.core import (
     SparseMomentVector,
     clique_subvector,
     grlex_key,
-    lift,
+    Slots,
+    exponent_slots,
     local_exponents,
     monomial_matrix,
-    monomial_steps,
     sparse_exponents,
     subvector_on,
     validate_cover,
@@ -29,7 +29,7 @@ from smk.rip import check_rip
 from smk import demo
 
 from conftest import (
-    CHAIN_PAIR_ENTRIES, TRIANGLE_ENTRIES, keyed, random_flat_instance, random_rip_cover,
+    CHAIN_PAIR_ENTRIES, TRIANGLE_ENTRIES, keyed, lift, random_flat_instance, random_rip_cover,
     shuffled_chain_covers,
 )
 
@@ -76,26 +76,48 @@ class TestIndexMap:
         reference = grlex_reference(cover, bound)
         assert list(index_map.exponents) == reference
         assert sorted(index_map.position.values()) == list(range(len(reference)))
-        assert np.array_equal(
-            index_map.exponent_array, np.array(reference, dtype=np.uint8).reshape(-1, cover.n)
-        )
+        for row, columns, exponents, alpha in zip(range(len(reference)), *index_map.slots, reference):
+            nonzero = [(t, e) for t, e in enumerate(alpha) if e]
+            padding = [(0, 0)] * (len(columns) - len(nonzero))
+            assert list(zip(columns.tolist(), exponents.tolist())) == nonzero + padding, row
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_monomial_steps_equal_per_variable_scan(self, seed):
-        # covers with n up to 48 at degree bounds 0-4, against the dense lifts
+    def test_slots_equal_those_of_the_dense_lifts(self, seed):
+        # covers with n up to 48 at degree bounds 0-4: one slot per nonzero, in
+        # variable order, padded with column 0 and exponent 0 to the widest row,
+        # and each row is found at its own position
         rng = np.random.default_rng(seed)
         cover = random_rip_cover(rng, max_cliques=16, max_clique_size=3)
         index_map = IndexMap(cover, int(rng.integers(0, 5)))
-        dense = np.array(index_map.exponents, dtype=np.int64).reshape(-1, cover.n)
-        reference = [(t, np.flatnonzero(dense[:, t])) for t in range(cover.n) if dense[:, t].any()]
-        steps = index_map.monomial_steps
-        assert index_map.monomial_steps is steps
-        assert [t for t, *_ in steps] == [t for t, _ in reference]
-        for (t, rows, e, degrees), (_, ref_rows) in zip(steps, reference):
-            assert rows.dtype == np.intp and np.array_equal(rows, ref_rows)
-            assert e.dtype == np.uint8 and np.array_equal(e, dense[ref_rows, t])
-            assert type(degrees) is int and degrees == int(e.max()) + 1
-        assert len(steps) == len(monomial_steps(index_map.exponent_array))
+        slots = index_map.slots
+        assert index_map.slots is slots and isinstance(slots, Slots)
+        dense = np.array(index_map.exponents, dtype=np.uint8).reshape(-1, cover.n)
+        reference = exponent_slots(dense)
+        assert slots.columns.dtype == slots.exponents.dtype == np.intp
+        assert np.array_equal(slots.columns, reference.columns)
+        assert np.array_equal(slots.exponents, reference.exponents)
+        assert not (slots.columns.flags.writeable or slots.exponents.flags.writeable)
+        assert np.array_equal(index_map.places(slots), np.arange(len(dense)))
+
+    def test_places_compare_exact_pairs(self):
+        # exponents 10-20 at degree bound 20: each multi-index is found at its
+        # position in any row order, and none outside the set is found
+        index_map = IndexMap(CHAIN_TRIPLE, 20)
+        dense = np.array(index_map.exponents, dtype=np.uint8)
+        assert dense.max() == 20
+        order = np.random.default_rng(0).permutation(len(dense))
+        assert np.array_equal(index_map.places(exponent_slots(dense[order])), order)
+        outside = [(16, 0, 1, 0), (0, 0, 0, 21), (10, 11, 0, 0), (1, 1, 1, 0), (0, 17, 0, 4)]
+        rows = np.array([*outside, (0, 16, 0, 0), (0, 0, 10, 10)], dtype=np.uint8)
+        places = index_map.places(exponent_slots(rows)).tolist()
+        assert places[:5] == [-1] * 5
+        assert places[5:] == [index_map.position[((2, -16),)], index_map.position[((3, -10), (4, -10))]]
+
+    def test_dense_exponents_are_built_on_first_read(self):
+        index_map = IndexMap(CHAIN_TRIPLE, 4)
+        assert len(index_map.exponents) == 35 and "_tuples" not in vars(index_map.exponents)
+        assert index_map.exponents[2] == (0, 1, 0, 0) and "_tuples" in vars(index_map.exponents)
+        assert index_map.exponents[-2:] == ((0, 0, 1, 3), (0, 0, 0, 4))
 
     def test_positions_follow_local_order(self):
         index_map = IndexMap(CHAIN_TRIPLE, 4)
@@ -206,24 +228,25 @@ class TestMonomialMatrix:
         assert np.array_equal(monomial_matrix(exponents, atoms), loop)
         assert np.array_equal(monomial_matrix(np.array(exponents), atoms), loop)
 
-    @pytest.mark.parametrize("case", ["glued", "negative zero", "single atom"])
+    @pytest.mark.parametrize("case", ["glued", "negative zero", "single atom", "degree twenty"])
     def test_bitwise_product_loop(self, rng, case):
         # powers are taken once per distinct coordinate: glued atoms repeat
-        # coordinates, and -0.0 equals 0.0 but its odd powers are -0.0
+        # coordinates, and -0.0 equals 0.0 but its odd powers are -0.0; at
+        # degree bound 20 exponents 10-20 are evaluated the same way
         cover = CliqueCover(5, ((1, 2), (2, 3), (3, 4), (4, 5)))
         if case == "glued":  # every sign pattern of two values per variable
             bits = (np.arange(32)[:, None] >> np.arange(5)) & 1
             atoms = np.where(bits == 1, rng.uniform(0.4, 1.2, 5), rng.uniform(-1.2, -0.4, 5))
-        elif case == "negative zero":
+        elif case in ("negative zero", "degree twenty"):
             atoms = rng.uniform(-1.5, 1.5, (4, 5))
             atoms[0, 1], atoms[1, 1], atoms[2, 3] = -0.0, 0.0, -0.0
         else:
             atoms = rng.uniform(-1.5, 1.5, (1, 5))
-        index_map = IndexMap(cover, 6)
+        index_map = IndexMap(cover, 20 if case == "degree twenty" else 6)
         loop = np.array([np.prod(atoms ** np.asarray(a, dtype=float), axis=1) for a in index_map.exponents])
         for A in (
             monomial_matrix(index_map.exponents, atoms),
-            monomial_matrix(index_map.exponent_array, atoms, index_map.monomial_steps),
+            monomial_matrix(index_map.slots, atoms),
         ):
             assert A.tobytes() == loop.tobytes()
         if case == "negative zero":

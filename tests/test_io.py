@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from smk import demo, io
+from smk.assemble import verify_global
 from smk.core import CliqueCover, SparseMomentVector, index_map_of, sparse_exponents
 from smk.errors import DuplicateEntry, IndexOutOfPattern, MalformedInput, MissingEntries
 from smk.extract import AtomicMeasure
@@ -246,6 +247,17 @@ class TestMomentReader:
                 io.load_moment_vector(source)
             assert str(got.value) == f"entry 4: value {value!r} is not a number"
 
+    def test_int_and_float_values_read_as_float_reads_each(self, tmp_path):
+        # the table read converts its values at once, bit for bit as float()
+        doc = io.moment_vector_to_dict(demo.chain_pair_moments())
+        values = [2**53 + 1, 10**300, -(2**64) - 1, -0.0, 0.1, 7]
+        for k, value in enumerate(values, start=1):
+            doc["entries"][k]["value"] = value
+        path = tmp_path / "y.json"
+        path.write_text(json.dumps(doc))
+        expected = np.array([float(value) for value in values]).tobytes()
+        assert io.load_moment_vector(path).values[1:7].tobytes() == expected
+
     def test_bool_exponent_is_out_of_pattern(self, tmp_path):
         # True == 1, but a bool is no exponent
         doc = io.moment_vector_to_dict(demo.chain_pair_moments())
@@ -341,6 +353,19 @@ class TestMomentReader:
         text = self.one_variable_text(top)
         expected = assert_file_reads_as_reference(tmp_path, text, top < 10, allow_missing_as_zero=True)
         assert np.frombuffer(expected[0])[:top + 1].tolist() == [float(e) for e in range(top + 1)]
+
+    def test_exponents_ten_to_twenty(self, tmp_path):
+        # a chain at omega = 10 holds exponents up to 20: its file is read
+        # entry by entry as the reference reads it, with the atoms' moments
+        cover = CliqueCover(3, ((1, 2), (2, 3)))
+        atoms, weights = np.array([[0.5, -1.25, 0.75], [-0.5, 1.0, 1.5]]), np.array([0.25, 0.75])
+        y = demo.moments_of_atoms(cover, 10, atoms, weights)
+        got = assert_file_reads_as_reference(tmp_path, json.dumps(io.moment_vector_to_dict(y)), False)
+        assert got[0] == y.values.tobytes() and max(map(max, got[1])) == 20
+        loop = np.array([np.prod(atoms ** np.asarray(a, dtype=float), axis=1) for a in got[1]]) @ weights
+        assert loop.tobytes() == y.values.tobytes()
+        loaded = io.load_moment_vector(tmp_path / "y.json")
+        assert verify_global(AtomicMeasure((1, 2, 3), atoms, weights), loaded) == 0.0
 
     def test_malformed_multi_digit_exponents(self, tmp_path):
         text = self.one_variable_text(255)

@@ -17,6 +17,8 @@ from smk.errors import (
     BlockNotPsdWarning, DegreeTooLow, DimensionMismatch, NonFiniteMoment, SolverDiverged,
 )
 from smk.matrices import ConstraintPolynomial, block_operator
+from smk.altmeasure import enumerate_extreme_measures
+from smk.assemble import maximal_support_set, verify_global
 from smk.rip import check_rip
 from smk.relax import (
     PopProblem,
@@ -880,6 +882,21 @@ class TestPipeline:
         assert pipeline(pop, 3, solver="file", solution=y).certificate.verdict
         assert len(built) == 1
 
+    def test_file_to_weights_builds_no_dense_exponent(self, pop_triple, tmp_path):
+        # the table read, the pipeline, the global check and the weight program
+        # read the index map by slots and positions: no length-n tuple is built
+        path = tmp_path / "y.json"
+        io.save_moment_vector(demo.chain_triple_moments(), path)
+        core._index_map.cache_clear()
+        y = io.load_moment_vector(path)
+        res = pipeline(pop_triple, 3, solver="file", solution=y)
+        assert res.certificate.verdict and verify_global(res.measure, y) == res.global_residual
+        assert enumerate_extreme_measures(maximal_support_set(res.clique_measures, y.cover), y, 2)
+        index_map = core.index_map_of(y.cover, 6)
+        assert y.index_map is index_map and build_relaxation(pop_triple, 3).exponents is index_map.exponents
+        assert "_tuples" not in vars(index_map.exponents) and "data" not in vars(y.entries)
+        assert len(index_map.exponents) == 70 and index_map.exponents[-1] == (0, 0, 0, 6)
+
     def test_ordered_cover_checks_rip_once(self, pop_triple, monkeypatch):
         covers = []
         check = relax.check_rip
@@ -959,6 +976,28 @@ class TestPipeline:
         assert res.clique_order != (1, 2, 3)
         assert res.certificate.verdict
         assert res.minimizers.shape == (8, 4)
+
+
+def test_traced_peak_per_clique_does_not_grow_with_the_chain():
+    # a width-3 chain at m = 200 and m = 1600 (n = 3201): the moments of two
+    # atoms on the index map and pipeline(solver="file") on them; a dense
+    # tuple of length n per multi-index would make the peak per clique grow 8x
+    peaks = {}
+    for m in (200, 1600):
+        pop = ball_chain(m, 0)
+        rng = np.random.default_rng(m)
+        a2 = rng.uniform(-1.0, 1.0, pop.cover.n)
+        a1 = np.where(a2 > 0, a2 - rng.uniform(0.3, 1.0, a2.size), a2 + rng.uniform(0.3, 1.0, a2.size))
+        core._index_map.cache_clear()
+        tracemalloc.start()
+        try:
+            y = demo.moments_of_atoms(pop.cover, 2, np.array([a1, a2]), [0.25, 0.75])
+            res = pipeline(pop, 2, solver="file", solution=y)
+            peaks[m] = tracemalloc.get_traced_memory()[1] / m
+        finally:
+            tracemalloc.stop()
+        assert res.certificate.verdict and len(res.minimizers) == 2
+    assert peaks[1600] <= 1.5 * peaks[200], peaks
 
 
 def chain_fields(glued):
