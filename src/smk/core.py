@@ -5,15 +5,16 @@ Variables are numbered 1..n in every public interface; exponent tuples are
 All values here are immutable after construction and every operation is pure.
 
 The sparse index set of a cover and a degree bound is built once, as an
-:class:`IndexMap`. Each multi-index is keyed inside it by its *sparse key*,
-the pairs ``(variable, -exponent)`` of its nonzero exponents in variable
-order, and held as two arrays of the variables and exponents of those
-nonzeros (:class:`Slots`), so building, looking up and evaluating at points
-cost O(clique width) per entry rather than O(n). Sorting by
-``(degree, sparse key)`` is exactly the canonical graded order of
-:func:`grlex_key`: at the first variable where two multi-indices differ the
+:class:`IndexMap`, which holds each multi-index as two arrays of the
+variables and exponents of its nonzeros (:class:`Slots`), so building,
+looking up and evaluating at points cost O(clique width) per entry rather
+than O(n). Its canonical graded order (:func:`grlex_key`) is the order by
+degree and then by the pairs ``(variable, -exponent)`` of the nonzeros in
+variable order: at the first variable where two multi-indices differ the
 larger exponent sorts first in both, and the one case where the orders could
-part, one sparse key being a prefix of the other, needs different degrees. A :class:`SparseMomentVector` keeps its map and its values
+part, one list of pairs being a prefix of the other, needs different
+degrees. So one ``np.lexsort`` of every clique's lifted local exponents
+orders the set. A :class:`SparseMomentVector` keeps its map and its values
 in canonical order, and clique subvectors are gathered from them by position.
 
 Maps are shared: :func:`index_map_of` gives every caller asking for the same
@@ -28,7 +29,7 @@ from collections import UserDict
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import groupby, product
 from typing import NamedTuple
 
 import numpy as np
@@ -36,7 +37,6 @@ import numpy as np
 from .errors import DuplicateEntry, IndexOutOfPattern, MissingEntries
 
 MultiIndex = tuple[int, ...]
-SparseKey = tuple[tuple[int, int], ...]
 
 
 def grlex_key(alpha: MultiIndex):
@@ -98,17 +98,10 @@ def exponent_slots(exps: np.ndarray) -> Slots:
     """The :class:`Slots` of an exponent array of shape (rows, variables)."""
     # row-major, so each row's nonzeros come in column order
     rows, cols = np.divmod(np.flatnonzero(exps != 0), max(1, exps.shape[1]))
-    return _fill_slots(np.bincount(rows, minlength=len(exps)), cols, exps[rows, cols])
-
-
-def _fill_slots(count: np.ndarray, columns, exponents) -> Slots:
-    """:class:`Slots` of rows holding ``count[k]`` nonzeros each, whose
-    columns and exponents come row after row in ``columns`` and ``exponents``."""
-    rows = np.repeat(np.arange(len(count)), count)
+    count = np.bincount(rows, minlength=len(exps))
     slot = np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count)
-    shape = (len(count), int(count.max(initial=0)))
-    out = Slots(np.zeros(shape, np.intp), np.zeros(shape, np.intp))
-    out.columns[rows, slot], out.exponents[rows, slot] = columns, exponents
+    out = Slots(*np.zeros((2, len(exps), int(count.max(initial=0))), np.intp))
+    out.columns[rows, slot], out.exponents[rows, slot] = cols, exps[rows, cols]
     return out
 
 
@@ -140,7 +133,7 @@ def monomial_matrix(exponents, atoms) -> np.ndarray:
     if top == 0:
         return np.ones((len(columns), atoms.shape[0]))
     codes, where = np.unique(np.ascontiguousarray(atoms).view(np.uint64), return_inverse=True)
-    powers = codes.view(float) ** np.arange(top + 1, dtype=float)[:, None]
+    powers = np.stack([codes.view(float) ** float(d) for d in range(top + 1)])  # same bits in any batch
     table = powers[:, where.reshape(atoms.shape).T]  # [degree, column, atom]; degree 0 is 1.0
     out = table[degrees[:, 0], columns[:, 0]]
     step = max(1, _CHUNK // max(1, atoms.shape[0]))
@@ -245,39 +238,33 @@ def _cover_violations(cover: CliqueCover):
 class IndexMap:
     """The sparse index set of ``(cover, degree_bound)``, built once.
 
-    ``position`` maps each sparse key to its place in canonical order, and
-    :attr:`slots` holds the same multi-indices as (entries, width) arrays of
-    their nonzeros, so no part of the map grows with n per entry.
-    ``exponents`` is the sequence of dense multi-indices of length n in that
-    order: its length is known at once, and the tuples are built on its
-    first read. Treat all of them as read-only.
+    :attr:`slots` holds its multi-indices in canonical order, so no part of
+    the map grows with n per entry, and :meth:`places` finds rows among
+    them. ``exponents`` is the sequence of dense multi-indices of length n
+    in that order: its length is known at once, and the tuples are built on
+    its first read. Treat all of them as read-only.
     """
 
     def __init__(self, cover: CliqueCover, degree_bound: int):
-        if degree_bound < 0:
-            raise ValueError("degree_bound must be nonnegative")
-        degrees: dict[SparseKey, int] = {}
-        for cl in cover.cliques:
-            for loc in _local_exponents(len(cl), degree_bound):
-                degrees[tuple((var, -e) for var, e in zip(cl, loc) if e)] = sum(loc)
-        order = sorted(degrees, key=lambda key: (degrees[key], key))
-        self.n = cover.n
-        self.position: dict[SparseKey, int] = {key: p for p, key in enumerate(order)}
-        self.exponents = _DenseExponents(self.position, cover.n)
-        self._positions: dict[tuple[tuple[int, ...], int], np.ndarray] = {}
-
-    @cached_property
-    def slots(self) -> Slots:
-        """The multi-indices as read-only :class:`Slots`, in canonical order,
-        filled from the sparse keys."""
-        slots = _fill_slots(
-            np.fromiter(map(len, self.position), dtype=np.intp, count=len(self.position)),
-            [var - 1 for key in self.position for var, _ in key],
-            [-e for key in self.position for _, e in key],
+        if degree_bound < 0 or not cover.cliques:
+            raise ValueError("degree_bound must be nonnegative and the cover must have cliques")
+        cliques = sorted(cover.cliques, key=len)  # lifted a width at a time
+        lifted = [_lift(np.array(list(cls), dtype=np.intp), degree_bound) for _, cls in groupby(cliques, len)]
+        width = max(s.columns.shape[1] for s in lifted)
+        columns, exponents = (
+            np.concatenate([np.pad(a, ((0, 0), (0, width - a.shape[1]))) for a in arrays])
+            for arrays in zip(*lifted)
         )
-        for a in slots:
+        keys = columns * (degree_bound + 1) + degree_bound - exponents  # (variable, -exponent) pairs
+        order = np.lexsort((*keys.T[::-1], exponents.sum(axis=1)))
+        new = np.r_[True, np.diff(keys[order], axis=0).any(axis=1)]
+        place = (np.cumsum(new) - 1)[np.argsort(order)]  # of each lifted row
+        self.slots = Slots(columns[order[new]], exponents[order[new]])
+        for a in (place, *self.slots):
             a.setflags(write=False)
-        return slots
+        self.n, self.exponents = cover.n, _DenseExponents(self.slots, cover.n)
+        ends = np.cumsum([len(_local_exponents(len(cl), degree_bound)) for cl in cliques]).tolist()
+        self._positions = {(cl, degree_bound): place[s:e] for cl, s, e in zip(cliques, [0, *ends], ends)}
 
     @cached_property
     def _sorted_rows(self) -> tuple[np.ndarray, np.ndarray]:
@@ -300,50 +287,67 @@ class IndexMap:
     def positions(self, variables: tuple[int, ...], bound: int) -> np.ndarray:
         """Global position of each local exponent tuple of degree <= ``bound``
         on ``variables`` (in the order of :func:`local_exponents`), as a
-        read-only array computed once per ``(variables, bound)``; a tuple
-        outside the set raises :class:`IndexOutOfPattern` naming its lift."""
-        variables = tuple(variables)
-        cached = self._positions.get((variables, bound))
-        if cached is not None:
-            return cached
-        var_order = sorted(range(len(variables)), key=variables.__getitem__)
-        out = []
-        for loc in _local_exponents(len(variables), bound):
-            key = tuple((variables[t], -loc[t]) for t in var_order if loc[t])
-            try:
-                out.append(self.position[key])
-            except KeyError:
-                raise IndexOutOfPattern(_dense(key, self.n)) from None
-        table = np.array(out, dtype=np.int64)
-        table.setflags(write=False)
-        self._positions[variables, bound] = table
-        return table
+        read-only array computed once per ``(variables, bound)``: a clique's
+        at the map's bound come with the build, and any other lift of the
+        local table is found by :meth:`places`. A tuple outside the set
+        raises :class:`IndexOutOfPattern` naming its lift."""
+        key = tuple(variables), bound
+        if key not in self._positions:
+            lifted = _lift(np.array([key[0]], dtype=np.intp), bound)
+            table = self.places(lifted)
+            if (table < 0).any():  # name the first lift outside the set
+                raise IndexOutOfPattern(_DenseExponents(Slots(*(a[table < 0] for a in lifted)), self.n)[0])
+            table.setflags(write=False)
+            self._positions[key] = table
+        return self._positions[key]
+
+
+def _lift(variables: np.ndarray, bound: int) -> Slots:
+    """The :class:`Slots` of ``local_exponents(width, bound)`` on each row of
+    ``variables``, a (cliques, width) array of 1-based variables in any
+    order, clique after clique."""
+    cliques, width = variables.shape
+    local = _local_exponents(width, bound)
+    order = np.argsort(variables, axis=1, kind="stable")
+    table = np.array(local, dtype=np.intp).reshape(len(local), width)[:, order]  # by ascending variable
+    slots = exponent_slots(table.swapaxes(0, 1).reshape(cliques * len(local), width))
+    clique = np.repeat(np.arange(cliques), len(local))[:, None]
+    columns = np.sort(variables, axis=1)[clique, slots.columns] - 1
+    return Slots(np.where(slots.exponents > 0, columns, 0), slots.exponents)
 
 
 def _row_keys(slots: Slots, width: int) -> np.ndarray:
     """Each row of ``slots``, cut or padded with zeros to ``width`` slots
     (at least one), as one bytes scalar: two rows' scalars are equal exactly
     when their (variable, exponent) pairs are."""
-    keys = np.zeros((len(slots.columns), 2, max(1, width)), np.int64)
+    width = max(1, width)
+    keys = np.zeros((len(slots.columns), 2, width), np.int64)
     w = min(width, slots.columns.shape[1])
     keys[:, 0, :w], keys[:, 1, :w] = slots.columns[:, :w], slots.exponents[:, :w]
-    return keys.reshape(len(keys), -1).view(np.dtype((np.void, keys[0].nbytes)))[:, 0]
+    return keys.reshape(len(keys), 2 * width).view(np.dtype((np.void, 16 * width)))[:, 0]
 
 
 class _DenseExponents(Sequence):
-    """The dense multi-indices of the sparse keys ``keys`` (in their order)
-    as tuples of length ``n``; the tuples are built on the first read of an
-    item, so what only takes the length never builds them."""
+    """The multi-indices of ``slots`` (in their order) as dense tuples of
+    length ``n``; the tuples are built on the first read of an item, so
+    what only takes the length never builds them."""
 
-    def __init__(self, keys: Mapping[SparseKey, int], n: int):
-        self._keys, self._n = keys, n
+    def __init__(self, slots: Slots, n: int):
+        self._slots, self._n = slots, n
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self._slots.columns)
 
     @cached_property
     def _tuples(self) -> tuple[MultiIndex, ...]:
-        return tuple(_dense(key, self._n) for key in self._keys)
+        out, step = [], max(1, _CHUNK // max(1, self._n))  # rows per scatter, so it stays small
+        for a in range(0, len(self), step):
+            columns, exponents = (x[a : a + step] for x in self._slots)
+            rows, slot = np.nonzero(exponents)
+            dense = np.zeros((len(columns), self._n), np.intp)
+            dense[rows, columns[rows, slot]] = exponents[rows, slot]
+            out += map(tuple, dense.tolist())
+        return tuple(out)
 
     def __getitem__(self, k):
         return self._tuples[k]
@@ -363,13 +367,6 @@ def index_map_of(cover: CliqueCover, degree_bound: int) -> IndexMap:
 @lru_cache(maxsize=2)
 def _index_map(n: int, cliques: frozenset, degree_bound: int) -> IndexMap:
     return IndexMap(CliqueCover(n, sorted(cliques)), degree_bound)
-
-
-def _dense(key: SparseKey, n: int) -> MultiIndex:
-    alpha = [0] * n
-    for var, e in key:
-        alpha[var - 1] = -e
-    return tuple(alpha)
 
 
 def sparse_exponents(cover: CliqueCover, degree_bound: int) -> list[MultiIndex]:

@@ -318,6 +318,8 @@ def _add_terms(coefficients: dict, terms, width: int, where: str) -> dict:
             alpha = None
         if alpha is None or len(alpha) != width:
             raise MalformedInput(f"{at}alpha_local {term['alpha_local']!r} is not {width} integers")
+        if min(alpha, default=0) < 0:
+            raise MalformedInput(f"{at}alpha_local {term['alpha_local']!r} has a negative exponent")
         coef = _field(term, "coef", at, kind=_number)
         if not np.isfinite(coef):
             raise MalformedInput(f"{at}coef {coef!r} is not a finite number")

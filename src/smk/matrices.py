@@ -21,6 +21,7 @@ to its degree, so no entry can fall outside the stored moment data.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Mapping
@@ -45,12 +46,26 @@ class LabeledSymMatrix:
         return len(self.labels)
 
 
+def exponent_tuple(alpha) -> MultiIndex:
+    """``alpha`` as a tuple of ints (itself, if it is one); an exponent that
+    is a bool, negative or not an integral number raises ``ValueError``
+    naming it."""
+    alpha = tuple(alpha)
+    for e in alpha:
+        integral = isinstance(e, numbers.Integral) or isinstance(e, numbers.Real) and float(e).is_integer()
+        if isinstance(e, bool) or not integral or e < 0:
+            raise ValueError(f"exponent {e!r} in {alpha} is not a nonnegative integer")
+    return alpha if all(type(e) is int for e in alpha) else tuple(map(int, alpha))
+
+
 @dataclass(frozen=True)
 class ConstraintPolynomial:
     """One inequality constraint g >= 0 on the variables of a single clique.
 
     ``coefficients`` maps local exponent tuples (aligned with ``variables``)
-    to real coefficients; a NaN or infinite one raises ``ValueError``.
+    to real coefficients; a NaN or infinite one raises ``ValueError``, as
+    does an exponent that is not a nonnegative integer (see
+    :func:`exponent_tuple`).
     """
 
     variables: tuple[int, ...]
@@ -59,7 +74,7 @@ class ConstraintPolynomial:
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
         object.__setattr__(
-            self, "coefficients", {tuple(a): float(c) for a, c in self.coefficients.items()}
+            self, "coefficients", {exponent_tuple(a): float(c) for a, c in self.coefficients.items()}
         )
         for a, c in self.coefficients.items():
             if len(a) != len(self.variables):

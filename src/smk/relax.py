@@ -35,7 +35,7 @@ from .errors import (
 )
 from .extract import AtomicMeasure, constraint_feasibility_check, extract_clique_measures
 from .factor import inverse_factor
-from .matrices import ConstraintPolynomial, block_operator
+from .matrices import ConstraintPolynomial, block_operator, exponent_tuple
 from .rip import RipFailsAt, RipWitnesses, check_rip, find_rip_order
 
 log = logging.getLogger(__name__)
@@ -48,7 +48,8 @@ class PopProblem:
     ``objectives[i]`` is the coefficient map (local exponents) of the
     objective summand on clique i+1; ``constraints[i]`` that clique's
     inequality constraint polynomials. A NaN or infinite objective
-    coefficient raises ``ValueError``.
+    coefficient raises ``ValueError``, as does an exponent that is not a
+    nonnegative integer.
     """
 
     cover: CliqueCover
@@ -59,7 +60,7 @@ class PopProblem:
         object.__setattr__(
             self,
             "objectives",
-            tuple({tuple(a): float(c) for a, c in obj.items()} for obj in self.objectives),
+            tuple({exponent_tuple(a): float(c) for a, c in obj.items()} for obj in self.objectives),
         )
         object.__setattr__(self, "constraints", tuple(tuple(gs) for gs in self.constraints))
         if len(self.objectives) != self.cover.m or len(self.constraints) != self.cover.m:

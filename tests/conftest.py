@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from smk.core import CliqueCover, SparseMomentVector, local_exponents
+from smk.core import CliqueCover, Slots, SparseMomentVector, local_exponents
 from smk.demo import moments_of_atoms
+from smk.errors import IndexOutOfPattern
 
 
 def lift(local, clique, n):
@@ -17,6 +18,50 @@ def lift(local, clique, n):
     for var, e in zip(clique, local):
         alpha[var - 1] = e
     return tuple(alpha)
+
+
+class index_map_reference:
+    """The sparse index set of ``(cover, bound)`` built by a dict of sparse
+    keys, the pairs ``(variable, -exponent)`` of each multi-index's nonzeros
+    in variable order, sorted by ``(degree, key)`` in Python: the reference
+    for :class:`smk.core.IndexMap`, with the same readers."""
+
+    def __init__(self, cover, bound):
+        degrees = {}
+        for cl in cover.cliques:
+            for loc in local_exponents(len(cl), bound):
+                degrees[tuple((var, -e) for var, e in zip(cl, loc) if e)] = sum(loc)
+        order = sorted(degrees, key=lambda key: (degrees[key], key))
+        self.n = cover.n
+        self.position = {key: p for p, key in enumerate(order)}
+        self.exponents = [self.dense(key) for key in order]
+        shape = (len(order), max(map(len, order)))
+        self.slots = Slots(np.zeros(shape, np.intp), np.zeros(shape, np.intp))
+        for p, key in enumerate(order):
+            for s, (var, e) in enumerate(key):
+                self.slots.columns[p, s], self.slots.exponents[p, s] = var - 1, -e
+
+    def dense(self, key):
+        alpha = [0] * self.n
+        for var, e in key:
+            alpha[var - 1] = -e
+        return tuple(alpha)
+
+    def positions(self, variables, bound):
+        var_order = sorted(range(len(variables)), key=variables.__getitem__)
+        out = []
+        for loc in local_exponents(len(variables), bound):
+            key = tuple((variables[t], -loc[t]) for t in var_order if loc[t])
+            if key not in self.position:
+                raise IndexOutOfPattern(self.dense(key))
+            out.append(self.position[key])
+        return np.array(out, dtype=np.int64)
+
+    def places(self, slots):
+        rows = zip(slots.columns.tolist(), slots.exponents.tolist())
+        keys = [tuple((c + 1, -e) for c, e in zip(*row) if e) for row in rows]
+        return np.array([self.position.get(key, -1) for key in keys], dtype=np.int64)
+
 
 # ---------------------------------------------------------------------------
 # chain-pair reference data (n=3, cliques {1,2},{2,3}, omega=2)

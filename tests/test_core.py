@@ -1,6 +1,6 @@
 import math
 import re
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -29,8 +29,8 @@ from smk.rip import check_rip
 from smk import demo
 
 from conftest import (
-    CHAIN_PAIR_ENTRIES, TRIANGLE_ENTRIES, keyed, lift, random_flat_instance, random_rip_cover,
-    shuffled_chain_covers,
+    CHAIN_PAIR_ENTRIES, TRIANGLE_ENTRIES, index_map_reference, keyed, lift, random_flat_instance,
+    random_rip_cover, shuffled_chain_covers,
 )
 
 CHAIN_PAIR = CliqueCover(3, ((1, 2), (2, 3)))
@@ -75,7 +75,7 @@ class TestIndexMap:
         index_map = IndexMap(cover, bound)
         reference = grlex_reference(cover, bound)
         assert list(index_map.exponents) == reference
-        assert sorted(index_map.position.values()) == list(range(len(reference)))
+        assert np.array_equal(index_map.places(index_map.slots), np.arange(len(reference)))
         for row, columns, exponents, alpha in zip(range(len(reference)), *index_map.slots, reference):
             nonzero = [(t, e) for t, e in enumerate(alpha) if e]
             padding = [(0, 0)] * (len(columns) - len(nonzero))
@@ -111,7 +111,47 @@ class TestIndexMap:
         rows = np.array([*outside, (0, 16, 0, 0), (0, 0, 10, 10)], dtype=np.uint8)
         places = index_map.places(exponent_slots(rows)).tolist()
         assert places[:5] == [-1] * 5
-        assert places[5:] == [index_map.position[((2, -16),)], index_map.position[((3, -10), (4, -10))]]
+        assert places[5:] == [index_map.exponents.index((0, 16, 0, 0)), index_map.exponents.index((0, 0, 10, 10))]
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        st.one_of(
+            shuffled_chain_covers(),
+            st.integers(0, 2**32 - 1).map(lambda seed: random_rip_cover(np.random.default_rng(seed), 16, 4)),
+        ),
+        st.integers(0, 6),
+    )
+    def test_equals_dict_and_sort_reference(self, cover, bound):
+        # exponents, slots, every clique's and overlap's positions at every
+        # bound up to the map's, and places of the map's rows in a shuffled
+        # order among rows outside the set
+        index_map, reference = IndexMap(cover, bound), index_map_reference(cover, bound)
+        assert list(index_map.exponents) == reference.exponents
+        assert all(np.array_equal(a, b) for a, b in zip(index_map.slots, reference.slots))
+        overlaps = {tuple(sorted(set(a) & set(b))) for a, b in combinations(cover.cliques, 2)}
+        for variables, b in product([*cover.cliques, *overlaps], range(bound + 1)):
+            assert np.array_equal(index_map.positions(variables, b), reference.positions(variables, b))
+        rng = np.random.default_rng(bound)
+        dense = np.array(reference.exponents, dtype=np.uint8).reshape(-1, cover.n)
+        rows = np.concatenate([dense, rng.integers(0, 3, (20, cover.n), dtype=np.uint8)])
+        slots = exponent_slots(rows[rng.permutation(len(rows))])
+        assert np.array_equal(index_map.places(slots), reference.places(slots))
+
+    def test_positions_of_unsorted_empty_and_outside_tuples(self):
+        index_map, reference = IndexMap(CHAIN_TRIPLE, 4), index_map_reference(CHAIN_TRIPLE, 4)
+        for variables in ((3, 2), (4, 3), (2,), ()):
+            assert np.array_equal(index_map.positions(variables, 4), reference.positions(variables, 4))
+        assert index_map.positions((), 4).tolist() == [0]
+        for variables, alpha in [((4, 1), (1, 0, 0, 1)), ((2, 3, 4), (0, 1, 0, 1)), ((3, 1), (1, 0, 1, 0))]:
+            with pytest.raises(IndexOutOfPattern) as got:
+                index_map.positions(variables, 4)
+            with pytest.raises(IndexOutOfPattern) as want:
+                reference.positions(variables, 4)
+            assert got.value.alpha == want.value.alpha == alpha
+
+    def test_cover_without_cliques_is_refused(self):
+        with pytest.raises(ValueError, match="the cover must have cliques"):
+            IndexMap(CliqueCover(2, ()), 2)
 
     def test_dense_exponents_are_built_on_first_read(self):
         index_map = IndexMap(CHAIN_TRIPLE, 4)
@@ -224,9 +264,20 @@ class TestMonomialMatrix:
         exponents = sparse_exponents(cover, 6)
         atoms = rng.uniform(-1.5, 1.5, (7, 6))
         atoms[0, 2] = 0.0
-        loop = np.array([np.prod(atoms ** np.asarray(a, dtype=float), axis=1) for a in exponents])
+        loop = np.array([np.prod([atoms[:, t] ** float(e) for t, e in enumerate(a)], axis=0) for a in exponents])
         assert np.array_equal(monomial_matrix(exponents, atoms), loop)
         assert np.array_equal(monomial_matrix(np.array(exponents), atoms), loop)
+
+    def test_a_point_gets_the_same_bits_in_any_batch(self):
+        # numpy computes a broadcast power by another path once the array is
+        # large, which gave dozens of these squares other bits than a call on
+        # their point alone
+        points = np.random.default_rng(0).standard_normal((3000, 1))
+        points[:2, 0] = 0.0, -0.0
+        exponents = [(d,) for d in range(21)]
+        stacked = monomial_matrix(exponents, points)
+        alone = np.column_stack([monomial_matrix(exponents, point) for point in points])
+        assert np.array_equal(stacked.view(np.uint64), alone.view(np.uint64))
 
     @pytest.mark.parametrize("case", ["glued", "negative zero", "single atom", "degree twenty"])
     def test_bitwise_product_loop(self, rng, case):

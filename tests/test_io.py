@@ -538,6 +538,11 @@ def test_pop_clique_zero_is_not_the_last_clique():
         (lambda doc: doc.update(cliques="12"), "cliques '12' is not a list of lists of integers"),
         (lambda doc: doc["objectives"][0]["terms"][0].update(alpha_local=[1.5, 0]),
          "objective 0: term 0: alpha_local [1.5, 0] is not 2 integers"),
+        # a negative exponent wrapped round the local order and priced another monomial
+        (lambda doc: doc["objectives"][0]["terms"][0].update(alpha_local=[-1, 0]),
+         "objective 0: term 0: alpha_local [-1, 0] has a negative exponent"),
+        (lambda doc: doc["constraints"][1]["terms"][0].update(alpha_local=[0, -2.0]),
+         "constraint 1: term 0: alpha_local [0, -2.0] has a negative exponent"),
         (lambda doc: doc.update(constraints="ab"), "constraints 'ab' is not a list"),
         (lambda doc: doc["objectives"][1].update(terms="xy"), "objective 1: terms 'xy' is not a list"),
     ],

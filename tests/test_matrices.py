@@ -224,6 +224,21 @@ def test_non_finite_constraint_coefficient_is_refused(value):
         ConstraintPolynomial((1, 2), {(0, 0): 3.0, (2, 0): value})
 
 
+@pytest.mark.parametrize("alpha", [(-1, 0), (1.5, 0), (True, 0), (0, float("nan")), (0, "2")])
+def test_exponent_that_is_not_a_nonnegative_integer_is_refused(alpha):
+    # a negative exponent wrapped round the local order and 1.5 was read as 1,
+    # so either built the block of another polynomial
+    with pytest.raises(ValueError, match=re.escape(f"in {alpha} is not a nonnegative integer")):
+        ConstraintPolynomial((1, 2), {alpha: 1.0, (0, 0): 1.0})
+
+
+def test_integral_exponents_are_stored_as_ints():
+    g = ConstraintPolynomial((1, 2), {(0.0, 0.0): 3.0, (2.0, 0.0): -1.0, (np.int64(0), 2): -1.0})
+    assert list(g.coefficients) == [(0, 0), (2, 0), (0, 2)]
+    assert {type(e) for a in g.coefficients for e in a} == {int}
+    assert g((1.0, -1.0)) == 1.0
+
+
 def test_point_of_the_wrong_length_is_refused():
     # a point has one coordinate per variable; cut to fit, a short one would read x2^2 as 1
     g = ConstraintPolynomial((1, 2), {(0, 0): 3.0, (2, 0): -1.0, (0, 2): -1.0})

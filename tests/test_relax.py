@@ -345,6 +345,29 @@ class TestBuildRelaxation:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             PopProblem(pop_triple.cover, objectives, pop_triple.constraints)
 
+    @pytest.mark.parametrize("alpha", [(-1, 0), (1.5, 0), (True, 0)])
+    def test_objective_exponent_that_is_not_a_nonnegative_integer_is_refused(self, pop_triple, alpha):
+        first, _, third = pop_triple.objectives
+        with pytest.raises(ValueError, match=re.escape(f"in {alpha} is not a nonnegative integer")):
+            PopProblem(pop_triple.cover, (first, {alpha: 1.0}, third), pop_triple.constraints)
+
+    def test_integral_float_exponents_read_as_ints(self, pop_triple):
+        # float exponents such as 2.0 once reached the slot compiler of g(z),
+        # which failed on them with an untyped TypeError
+        def floats(terms):
+            return {tuple(map(float, a)): c for a, c in terms.items()}
+
+        constraints = tuple(
+            tuple(ConstraintPolynomial(g.variables, floats(g.coefficients)) for g in gs)
+            for gs in pop_triple.constraints
+        )
+        pop = PopProblem(pop_triple.cover, tuple(map(floats, pop_triple.objectives)), constraints)
+        assert pop == pop_triple
+        y = demo.chain_triple_moments()
+        assert emit_sdpa(build_relaxation(pop, 3)) == emit_sdpa(build_relaxation(pop_triple, 3))
+        result = pipeline(pop, 3, solver="file", solution=y)
+        assert result.feasibility_clean and len(result.measure.atoms) == 8
+
     def test_objective_vector_matches_pop(self, pop_triple, rng):
         inst = build_relaxation(pop_triple, 3)
         for _ in range(20):
