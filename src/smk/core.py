@@ -289,10 +289,13 @@ class IndexMap:
         on ``variables`` (in the order of :func:`local_exponents`), as a
         read-only array computed once per ``(variables, bound)``: a clique's
         at the map's bound come with the build, and any other lift of the
-        local table is found by :meth:`places`. A tuple outside the set
-        raises :class:`IndexOutOfPattern` naming its lift."""
+        local table is found by :meth:`places`. A tuple outside the set raises
+        :class:`IndexOutOfPattern` naming its lift; a variable outside 1..n, the variable."""
         key = tuple(variables), bound
         if key not in self._positions:
+            if min(key[0], default=1) < 1 or max(key[0], default=1) > self.n:
+                outside = next(v for v in key[0] if not 1 <= v <= self.n)
+                raise IndexOutOfPattern(key[0], f"variable {outside} is outside 1..{self.n}")
             lifted = _lift(np.array([key[0]], dtype=np.intp), bound)
             table = self.places(lifted)
             if (table < 0).any():  # name the first lift outside the set

@@ -1,48 +1,51 @@
-"""Inverse Cholesky factor of the bundled solver's normal matrix.
+"""Inverse Cholesky factor of a positive definite matrix ``H`` that is
+chordal along a clique tree, such as the bundled solver's normal matrix
+(:func:`smk.relax.normal_matrix`).
 
-The least-squares step of the bundled solver solves ``H y = b`` for the free
-moments, with ``H = AᵀA + 1e-12 I`` and ``A`` the block operator without its
-constant column. Two moments meet in ``H`` only where one block entry reads
-both, and a block reads only moments on its clique, so with the running
-intersection property ``H`` is chordal along the clique tree (Vandenberghe &
-Andersen, "Chordal graphs and semidefinite optimization", 2015). The moments
-are eliminated in a nested dissection of that tree (George 1973): cliques by
-centroid decomposition, deepest first; each moment at the topmost clique
-whose blocks read it, that is, the topmost clique holding its support;
-within a clique, the moments other cliques read last. A cover with no clique
-tree is one front, in canonical order.
+:func:`plan` takes a cover and a :class:`Pattern`: H's lower triangle and
+the cliques that read each unknown. Two unknowns meet only where one clique
+reads both, so with the running intersection property H is chordal along the
+clique tree (Vandenberghe & Andersen, "Chordal graphs and semidefinite
+optimization", 2015). The unknowns are eliminated in a nested dissection of
+that tree (George 1973): cliques by centroid decomposition, deepest first;
+each unknown at the topmost clique that reads it; within a clique, the
+unknowns other cliques read last. A cover with no clique tree is one front.
 
-``H = L Lᵀ`` is factored by a multifrontal Cholesky with one dense front per
-clique; the fronts at one height of the front tree are factored together,
-padded to one size, by batched numpy calls. The inverse factor ``W = L⁻¹`` is
-then formed front by front from the root: ``W[i, j]`` can be nonzero only
-where ``i`` is ``j`` or an ancestor of ``j`` in the elimination tree, so it is
-kept as term arrays over those entries, exact zeros dropped, and
-``H⁻¹ b = Wᵀ (W b)`` takes two ``np.bincount`` calls.
-
-The order, the front index sets and the scatter, extend-add and gather
-indices depend only on the sparsity pattern. :func:`plan_of` computes them
-once per pattern; :func:`inverse_factor` then pays only for ``H`` and the
-dense work of each front.
+``H = L Lᵀ`` is factored by a multifrontal Cholesky (Liu, SIAM Rev. 1992)
+with one dense front per clique, the fronts at one height of the front tree
+batched and padded to one size. ``W = L⁻¹`` is formed from the root down,
+kept as terms over ``W[k, j]`` for ``k`` equal to ``j`` or its ancestor in
+the elimination tree, exact zeros dropped: ``H⁻¹ b = Wᵀ (W b)`` takes two
+``np.bincount`` calls. :func:`plan` does the index work by array passes, one
+per height of the front tree, and :func:`inverse_factor` the dense work: on
+the tests' width-3 ball chain of 400 cliques, 35-49 ms and 27-39 ms.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import CliqueCover
-from .errors import SolverDiverged
 from .rip import NoOrderExists, RipFailsAt, check_rip, find_rip_order
 
-REGULARIZATION = 1e-12  # on the diagonal of H, so that a moment no block reads has a pivot
+
+class Pattern(NamedTuple):
+    """A symmetric matrix's lower triangle ``row >= column`` over ``size``
+    unknowns, the diagonal included, and each pair of a 0-based unknown
+    ``read`` and a 1-based clique ``reader`` that reads it, once."""
+
+    size: int
+    row: np.ndarray
+    column: np.ndarray
+    read: np.ndarray
+    reader: np.ndarray
 
 
 class InverseFactor(NamedTuple):
-    """``W = L⁻¹`` for ``H = L Lᵀ`` as terms over the free moments in
-    canonical order: ``W[row[t], column[t]] = value[t]``."""
+    """``W = L⁻¹`` for ``H = L Lᵀ`` as terms over the unknowns in canonical
+    order: ``W[row[t], column[t]] = value[t]``."""
 
     row: np.ndarray
     column: np.ndarray
@@ -56,70 +59,48 @@ class InverseFactor(NamedTuple):
 
 
 class _Level(NamedTuple):
-    """Fronts of one height of the front tree, factored together. Each is
-    padded to ``own`` eliminated moments, ``update`` later moments it
-    updates, and ``ancestors`` further rows of its columns of ``W``: the
-    ancestors of its moments in the elimination tree."""
+    """Fronts of one height of the front tree, factored together, padded to
+    ``own`` eliminated unknowns, ``update`` later unknowns they update, and
+    ``ancestors`` further rows of W: their unknowns' elimination-tree ancestors."""
 
     count: int
     own: int
     update: int
     ancestors: int
     target: np.ndarray  # flat positions in the (count, own + update, own + update) fronts
-    source: np.ndarray  # what goes there: positions in [H entries, 1.0, update matrices]
+    source: np.ndarray  # what goes there: positions in [matrix entries, 1.0, update matrices]
     update_at: int  # where the level's update matrices start in that buffer
     gather: np.ndarray  # (count, ancestors, update) positions in the W store
-    w_at: int  # where the level's own blocks, then ancestor blocks, start in the W store
+    w_at: int  # where the level's (count, own + ancestors, own) blocks of W start in the W store
 
 
 class FactorPlan(NamedTuple):
     """The value-independent part of the factorization of one pattern."""
 
-    size: int  # free moments
-    first: np.ndarray  # H gains coefficient[first] * coefficient[second] at ``entry``
-    second: np.ndarray
-    entry: np.ndarray
-    diagonal: np.ndarray  # the entry of each diagonal element
-    entries: int
+    size: int  # unknowns
     levels: tuple[_Level, ...]
     update_size: int
     w_size: int
     w_take: np.ndarray  # W's structural entries: positions in the W store,
-    w_row: np.ndarray  # and their rows and columns among the free moments
+    w_row: np.ndarray  # and their rows and columns among the unknowns
     w_column: np.ndarray
 
     @property
     def fronts(self) -> int:
-        """One per clique that is the topmost reader of some moment, and one
-        for the moments no block reads, if any."""
+        """One per clique that is some unknown's topmost reader, one for unread unknowns."""
         return sum(level.count for level in self.levels)
 
 
-def inverse_factor(instance) -> InverseFactor:
-    """The inverse factor of ``instance``'s normal matrix (an
-    :class:`~smk.relax.SdpInstance`). A normal matrix with an entry that is
-    not finite (from a coefficient whose square overflows, say) or that is
-    numerically singular (columns of A that only a regularization below
-    their rounding error tells apart) raises :class:`SolverDiverged`."""
-    coefficient = instance.operator[2]
-    plan = plan_of(instance)
-    buf = np.empty(plan.entries + 1 + plan.update_size)
-    with np.errstate(over="ignore", invalid="ignore"):
-        products = coefficient[plan.first] * coefficient[plan.second]
-    buf[: plan.entries] = np.bincount(plan.entry, products, minlength=plan.entries)
-    if not np.isfinite(buf[: plan.entries]).all():
-        raise SolverDiverged("the bundled solver's normal matrix AᵀA is not finite")
-    buf[plan.diagonal] += REGULARIZATION
-    buf[plan.entries] = 1.0  # the diagonal of a padded front
+def inverse_factor(plan: FactorPlan, values: np.ndarray) -> InverseFactor:
+    """The inverse factor of the matrix whose lower triangle holds ``values``
+    in the order of the pattern ``plan`` was made from. A matrix that is not
+    numerically positive definite raises ``numpy.linalg.LinAlgError``."""
+    buf = np.concatenate([values, [1.0], np.empty(plan.update_size)])  # 1.0: a padded front's diagonal
     factored = []
     for lv in plan.levels:
         n = lv.own + lv.update
-        front = np.bincount(lv.target, buf[lv.source], minlength=lv.count * n * n)
-        front = front.reshape(lv.count, n, n)
-        try:
-            inverse = np.linalg.inv(np.linalg.cholesky(front[:, : lv.own, : lv.own]))
-        except np.linalg.LinAlgError:
-            raise SolverDiverged("the bundled solver's normal matrix AᵀA is numerically singular") from None
+        front = np.bincount(lv.target, buf[lv.source], minlength=lv.count * n * n).reshape(lv.count, n, n)
+        inverse = np.linalg.inv(np.linalg.cholesky(front[:, : lv.own, : lv.own]))
         below = front[:, lv.own :, : lv.own] @ inverse.transpose(0, 2, 1)  # L's rows below the front
         schur = front[:, lv.own :, lv.own :] - below @ below.transpose(0, 2, 1)
         buf[lv.update_at : lv.update_at + schur.size] = schur.ravel()
@@ -127,146 +108,183 @@ def inverse_factor(instance) -> InverseFactor:
     store = np.zeros(plan.w_size + 1)  # the last entry stays 0: gathers of structural zeros read it
     for lv, (inverse, spread) in zip(reversed(plan.levels), reversed(factored)):
         # W's rows above the front: W[R, own] = -W[R, update] L21 L11⁻¹
-        ancestors = -(store[lv.gather] @ spread)
-        mid = lv.w_at + inverse.size
-        store[lv.w_at : mid] = inverse.ravel()
-        store[mid : mid + ancestors.size] = ancestors.ravel()
+        block = np.concatenate([inverse, -(store[lv.gather] @ spread)], axis=1)
+        store[lv.w_at : lv.w_at + block.size] = block.ravel()
     value = store[plan.w_take]
     keep = value != 0.0
     return InverseFactor(plan.w_row[keep], plan.w_column[keep], value[keep], plan.size)
 
 
-def plan_of(instance) -> FactorPlan:
-    """The :class:`FactorPlan` of ``instance``'s pattern: its cover, its
-    blocks' cliques and sizes and its operator's rows and columns. The last
-    two plans asked for are kept."""
-    row, column, _ = instance.operator
-    blocks = tuple((blk.clique, blk.size) for blk in instance.blocks)
-    return _plan(
-        instance.cover, blocks, instance.num_vars,
-        np.asarray(row, dtype=np.int64).tobytes(), np.asarray(column, dtype=np.int64).tobytes(),
-    )
+def plan(cover: CliqueCover, pattern: Pattern) -> FactorPlan:
+    """The :class:`FactorPlan` of ``pattern`` on ``cover``. Positions below are
+    in elimination order, a front's consecutive and before its parent's."""
+    size = pattern.size
+    order, ends = _elimination_order(cover, pattern)
+    position = np.argsort(order)
+    i, j = position[pattern.row], position[pattern.column]
+    hi, hj = np.maximum(i, j), np.minimum(i, j)
+    starts = ends - np.diff(ends, prepend=0)
+    nfront, span = len(ends), size + 1  # a (front, position) pair is the key front * span + position
+    front_of = np.repeat(np.arange(nfront), ends - starts)
+
+    # the update sets and the front tree: a front's update set holds the rows
+    # past it that the pattern joins to its columns, and the rows of its
+    # children's update sets past it; its parent is its first update row's
+    # front (a sentinel parent[-1] = -1 marks the roots). Grown to a fixed point.
+    fi, fj = front_of[hi], front_of[hj]
+    upd_key = _unique((fj * span + hi)[fi > fj])
+    while True:
+        f, r = np.divmod(upd_key, span)
+        head = np.flatnonzero(np.diff(f, prepend=-1))  # each front's first update row
+        parent = np.full(nfront + 1, -1, dtype=np.int64)
+        parent[f[head]] = front_of[r[head]]
+        grown = _unique(np.concatenate([upd_key, (parent[f] * span + r)[r >= ends[parent[f]]]]))
+        if grown.size == upd_key.size:
+            break
+        upd_key = grown
+    height = [0] * (nfront + 1)  # each front's height in the front tree; the last collects the roots
+    for f, p in enumerate(parent[:-1].tolist()):
+        height[p] = max(height[p], height[f] + 1)
+    height = np.array(height[:-1], dtype=np.int64)
+    nlevel = int(height.max(initial=-1)) + 1
+    slot = np.empty(nfront, dtype=np.int64)  # each front's place in its level, set level by level
+    upd_row = np.append(upd_key % span, -1)  # -1 for a padded place
+    upd_first = np.searchsorted(upd_key, np.arange(nfront + 1) * span)
+    nupd = np.diff(upd_first)
+    count, own, upd, anc = np.bincount(height, minlength=nlevel), *np.zeros((3, nlevel), dtype=np.int64)
+    np.maximum.at(own, height, ends - starts)  # each level's widest front
+    np.maximum.at(upd, height, nupd)
+    own_f = own[height]
+    update_at = np.cumsum(np.concatenate([[len(hi) + 1], count * upd * upd]))
+
+    def local(f, x):  # the row of position x, in f or in f's update set, in front f's matrix
+        at = own_f[f] + np.searchsorted(upd_key, f * span + x) - upd_first[f]
+        return np.where(x < ends[f], x - starts[f], at)
+
+    lifted = local(parent[_ranges(nupd)[0]], upd_row[:-1])  # each update row's row in the parent front
+
+    # per level, the scatter of the pattern's entries and of the children's
+    # update matrices into the fronts, and the elimination tree of the fronts'
+    # columns from a symbolic factorization of the same scatter: each column's
+    # parent is its first row below, and its rows past the parent join the
+    # parent's column; what reaches the update columns goes to the parent front
+    entries = [np.flatnonzero(height[fj] == lv) for lv in range(nlevel)]  # by their column's front
+    children = [np.flatnonzero((parent[:-1] >= 0) & (height[parent[:-1]] == lv)) for lv in range(nlevel)]
+    etree = np.full(size, -1, dtype=np.int64)
+    filled = np.zeros(int(update_at[-1]), dtype=bool)
+    filled[: len(hi) + 1] = True
+    scatters = []
+    for lv in range(nlevel):
+        own_, n = int(own[lv]), int(own[lv] + upd[lv])
+        fronts = np.flatnonzero(height == lv)
+        slot[fronts] = np.arange(len(fronts))
+        t = entries[lv]
+        base, a, b = slot[fj[t]] * n * n, local(fj[t], hi[t]), hj[t] - starts[fj[t]]
+        g, pq = _ranges(nupd[children[lv]] ** 2)  # every pair (p, q) of a child's update set
+        c = children[lv][g]
+        p, q = np.divmod(pq, nupd[c])
+        cu = upd[height[c]]
+        width = ends[fronts] - starts[fronts]
+        g, pad = _ranges(own_ - width)  # a padded front is the identity past its columns
+        pad += width[g]
+        target = np.concatenate([
+            base + a * n + b, (base + b * n + a)[a != b],
+            slot[parent[c]] * n * n + lifted[upd_first[c] + p] * n + lifted[upd_first[c] + q],
+            slot[fronts[g]] * n * n + pad * (n + 1),
+        ])
+        source = np.concatenate([
+            t, t[a != b], update_at[height[c]] + (slot[c] * cu + p) * cu + q, np.full(pad.size, len(hi)),
+        ])
+        scatters.append((target, source))
+        front = np.zeros((len(fronts), n, n), dtype=bool)  # as [front, column, row]: the scatter is symmetric
+        front.reshape(-1)[target[filled[source]]] = True
+        every, up = np.arange(len(fronts)), np.zeros((len(fronts), own_), dtype=np.int64)
+        for k in range(min(own_, n - 1)):  # below a column's first row its rows are False
+            below = front[:, k, k + 1 :]
+            up[:, k] = first = k + 1 + below.argmax(axis=1)
+            front[every, first, k + 1 :] |= below
+        filled[update_at[lv] : update_at[lv + 1]] = front[:, own_:, own_:].ravel()
+        g, k = _ranges(width)
+        u, f = up[g, k], fronts[g]
+        u[~front[g, k, np.minimum(u, n - 1)] | (u <= k)] = -1  # no row below
+        above = upd_row[np.where(u >= own_, upd_first[f] + u - own_, -1)]
+        etree[starts[f] + k] = np.where(u < 0, -1, np.where(u < own_, starts[f] + u, above))
+
+    # W's structure: each position j with its ancestors k in the elimination
+    # tree. The rows of a front's block of W are its own positions, then the
+    # ancestors of its columns past it, and W[k, x] is at w_base + row * own + x
+    ks, js = [np.arange(size)], [np.arange(size)]
+    while ks[-1].size:
+        k = etree[ks[-1]]
+        ks, js = ks + [k[k >= 0]], js + [js[-1][k >= 0]]
+    k, j = np.concatenate(ks), np.concatenate(js)
+    g, past = front_of[j], k >= ends[front_of[j]]
+    above_key, rank = np.unique(g[past] * span + k[past], return_inverse=True)
+    above_key = np.append(above_key, nfront * span)  # then a sentinel past every key
+    above_first = np.searchsorted(above_key, np.arange(nfront + 1) * span)
+    nabove = np.diff(above_first)
+    np.maximum.at(anc, height, nabove)
+    w_at = np.cumsum(np.concatenate([[0], count * (own + anc) * own]))
+    w_base = w_at[height] + slot * (own_f + anc[height]) * own_f - starts
+    row = k - starts[g]
+    row[past] = own_f[g[past]] + rank - above_first[g[past]]
+    by_row = np.argsort(order[k] * span + order[j])  # W's terms row by row, as a CSR matrix holds them
+    take, rows, cols = (w_base[g] + row * own_f[g] + j)[by_row], order[k][by_row], order[j][by_row]
+
+    # the gathers W[R, update] of each front; a structural zero reads the sentinel
+    f, ac = _ranges(nabove * nupd)
+    a, c = np.divmod(ac, nupd[f])
+    k, x = above_key[above_first[f] + a] % span, upd_row[upd_first[f] + c]
+    g = front_of[x]
+    at = np.searchsorted(above_key, g * span + k)
+    row = np.where(above_key[at] == g * span + k, own_f[g] + at - above_first[g], -1)
+    row = np.where((starts[g] <= k) & (k < ends[g]), k - starts[g], row)
+    pos = np.where(row >= 0, w_base[g] + row * own_f[g] + x, w_at[-1])
+    levels = []
+    for lv, (target, source) in enumerate(scatters):
+        gather = np.full((count[lv], anc[lv], upd[lv]), w_at[-1], dtype=np.int64)
+        mine = height[f] == lv
+        gather[slot[f[mine]], a[mine], c[mine]] = pos[mine]
+        levels.append(_Level(*map(int, (count[lv], own[lv], upd[lv], anc[lv])), target, source,
+                             int(update_at[lv]), gather, int(w_at[lv])))
+    return FactorPlan(size, tuple(levels), int(update_at[-1] - update_at[0]), int(w_at[-1]), take, rows, cols)
 
 
-@lru_cache(maxsize=2)
-def _plan(cover: CliqueCover, blocks: tuple, num_vars: int, row_bytes: bytes, column_bytes: bytes):
-    """The :class:`FactorPlan` of one pattern, with the operator's rows and
-    columns as the bytes of int64 arrays, so that the pattern is hashable."""
-    row, column = np.frombuffer(row_bytes, dtype=np.int64), np.frombuffer(column_bytes, dtype=np.int64)
-    size = num_vars - 1
-    order, ends = _elimination_order(cover, blocks, size, row, column)
-    position = np.empty(size, dtype=np.int64)
-    position[order] = np.arange(size)
-    first, second, entry, diagonal, hi, hj = _normal_pattern(row, column, position, size)
-    parent = _elimination_tree(hi, hj, size)
-    starts = [0, *ends[:-1]]
-    front_of = np.repeat(np.arange(len(ends)), np.diff([0, *ends]))
-    updates, children = _update_sets(hi, hj, ends, front_of)
-    chains = [_ancestors(parent, j) for j in range(size)]
-    above = [sorted({k for j in range(s, e) for k in chains[j] if k >= e}) for s, e in zip(starts, ends)]
-    above_at = [{k: a for a, k in enumerate(rows)} for rows in above]
-    height = [0] * len(ends)
-    for f, kids in enumerate(children):
-        height[f] = 1 + max((height[c] for c in kids), default=-1)
-    levels = [[f for f in range(len(ends)) if height[f] == h] for h in range(max(height, default=-1) + 1)]
-
-    # the padded sizes of each level, each front's place in its level, and where
-    # the levels' update matrices (in the buffer after H and the 1.0) and W blocks go
-    shape = [
-        (len(fronts), max(ends[f] - starts[f] for f in fronts),
-         max(len(updates[f]) for f in fronts), max(len(above[f]) for f in fronts))
-        for fronts in levels
-    ]
-    place = {f: (lv, b) for lv, fronts in enumerate(levels) for b, f in enumerate(fronts)}
-    update_at = np.cumsum([len(hi) + 1] + [count * upd * upd for count, _, upd, _ in shape]).tolist()
-    w_at = np.cumsum([0] + [count * own * (own + anc) for count, own, _, anc in shape]).tolist()
-
-    def w_position(k, x):
-        """Where W[k, x] is in the store, for k = x or an ancestor of x in the
-        elimination tree; the sentinel zero where W[k, x] is a structural zero."""
-        g = int(front_of[x])
-        lv, b = place[g]
-        count, own, _, anc = shape[lv]
-        if starts[g] <= k < ends[g]:
-            return w_at[lv] + (b * own + k - starts[g]) * own + x - starts[g]
-        if k in above_at[g]:
-            return w_at[lv] + count * own * own + (b * anc + above_at[g][k]) * own + x - starts[g]
-        return w_at[-1]
-
-    by_front = np.argsort(front_of[hj], kind="stable")
-    cuts = np.searchsorted(front_of[hj][by_front], np.arange(len(ends) + 1)).tolist()
-    plan_levels = []
-    for lv, fronts in enumerate(levels):
-        count, own, upd, anc = shape[lv]
-        n = own + upd
-        target, source = [], []
-        gather = np.full((count, anc, upd), w_at[-1], dtype=np.int64)
-        for b, f in enumerate(fronts):
-            s, e = starts[f], ends[f]
-            at = {x: x - s for x in range(s, e)}  # each moment's row in the front
-            at.update({x: own + c for c, x in enumerate(updates[f])})
-            base = b * n * n
-            for t in by_front[cuts[f] : cuts[f + 1]].tolist():  # H's entries in the front's columns
-                i, j = at[int(hi[t])], at[int(hj[t])]
-                target += [base + i * n + j, base + j * n + i][: 1 + (i != j)]
-                source += [t] * (1 + (i != j))
-            for c in children[f]:  # extend-add of each child's update matrix
-                clv, cb = place[c]
-                cupd = shape[clv][2]
-                origin = update_at[clv] + cb * cupd * cupd
-                for p, x in enumerate(updates[c]):
-                    target += [base + at[x] * n + at[y] for y in updates[c]]
-                    source += range(origin + p * cupd, origin + p * cupd + len(updates[c]))
-            for t in range(e - s, own):  # a padded front is the identity beyond its moments
-                target.append(base + t * n + t)
-                source.append(len(hi))
-            for a, k in enumerate(above[f]):
-                gather[b, a, : len(updates[f])] = [w_position(k, x) for x in updates[f]]
-        plan_levels.append(_Level(
-            count, own, upd, anc, np.array(target, dtype=np.int64),
-            np.array(source, dtype=np.int64), update_at[lv], gather, w_at[lv],
-        ))
-
-    structure = np.array([(k, j) for j in range(size) for k in [j, *chains[j]]], dtype=np.int64)
-    rows, columns = order[structure.reshape(-1, 2).T]
-    by_row = np.lexsort((columns, rows))  # W's terms row by row, as a CSR matrix holds them
-    return FactorPlan(
-        size, first, second, entry, diagonal, len(hi), tuple(plan_levels), update_at[-1] - len(hi) - 1,
-        w_at[-1], np.array([w_position(k, j) for k, j in structure.tolist()], dtype=np.int64)[by_row],
-        rows[by_row], columns[by_row],
-    )
+def _ranges(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For consecutive groups of ``lengths``: each member's group and place in it."""
+    group = np.repeat(np.arange(len(lengths)), lengths)
+    return group, np.arange(group.size) - (np.cumsum(lengths) - lengths)[group]
 
 
-def _elimination_order(cover, blocks, size, row, column):
-    """The free moments (0-based) in elimination order and the end of each
-    front in that order. A moment's front is the topmost clique whose blocks
-    read it; moments no block reads form a first front."""
+def _unique(keys: np.ndarray) -> np.ndarray:
+    """Nonnegative ``keys`` sorted, once each, by one sort: ``np.unique`` with no
+    index output takes a slower hash table and loads ``numpy.ma``."""
+    keys = np.sort(keys)
+    return keys[np.diff(keys, prepend=-1) != 0]
+
+
+def _elimination_order(cover: CliqueCover, pattern: Pattern):
+    """The unknowns in elimination order and the end of each front in that
+    order. An unknown's front is the topmost clique that reads it; unknowns
+    no clique reads form a first front."""
+    size = pattern.size
     moments = np.arange(size)
     depth = _dissection_depths(cover)
     if depth is None:
-        return moments, [size] if size else []
-    m = cover.m
-    rank = np.full(m + 1, -1, dtype=np.int64)  # by 1-based clique: deepest first, then by position
-    rank[np.lexsort((np.arange(m), -np.array(depth))) + 1] = np.arange(m)
-    sizes = np.array([s for _, s in blocks], dtype=np.int64)
-    clique_of_row = np.repeat(np.array([c for c, _ in blocks], dtype=np.int64), sizes**2)
-    free = column > 0
-    readers = np.sort((column[free] - 1) * (m + 1) + clique_of_row[row[free]])
-    readers = readers[np.diff(readers, prepend=-1) != 0]  # each (moment, clique) pair once
-    moment, clique = np.divmod(readers, m + 1)
+        return moments, np.array([size] if size else [], dtype=np.int64)
+    rank = np.full(cover.m + 1, -1, dtype=np.int64)  # by 1-based clique: deepest first, then by position
+    rank[np.lexsort((np.arange(cover.m), -np.array(depth))) + 1] = np.arange(cover.m)
     front = np.full(size, -1, dtype=np.int64)
-    np.maximum.at(front, moment, rank[clique])
-    shared = np.bincount(moment, minlength=size) > 1
+    np.maximum.at(front, pattern.read, rank[pattern.reader])
+    shared = np.bincount(pattern.read, minlength=size) > 1
     order = np.lexsort((moments, shared, front))
-    _, counts = np.unique(front[order], return_counts=True)
-    return order, np.cumsum(counts).tolist()
+    return order, np.flatnonzero(np.diff(front[order], append=cover.m) != 0) + 1
 
 
 def _dissection_depths(cover: CliqueCover) -> list[int] | None:
-    """Each clique's depth (0 at the top of each connected part) in a
-    centroid decomposition of a clique tree of ``cover``, or None if the
-    cover has none. In an order with the running intersection property, a
-    clique hangs from its first witness when the two share a variable."""
+    """Each clique's depth (0 at the top of each connected part) in a centroid
+    decomposition of a clique tree of ``cover``, or None if it has none: in an
+    order with the property, a clique hangs from its first witness if they meet."""
     try:
         order, witness = tuple(range(1, cover.m + 1)), check_rip(cover).witness
     except RipFailsAt:
@@ -297,79 +315,10 @@ def _dissection_depths(cover: CliqueCover) -> list[int] | None:
         for v in reversed(part[1:]):
             weight[parent[v]] += weight[v]
         centroid = start
-        while True:  # step into a subtree holding more than half the part, while there is one
-            heavy = [
-                w for w in adjacent[centroid] if parent.get(w) == centroid and 2 * weight[w] > len(part)
-            ]
-            if not heavy:
-                break
+        while heavy := [  # step into a subtree holding more than half the part, while there is one
+            w for w in adjacent[centroid] if parent.get(w) == centroid and 2 * weight[w] > len(part)
+        ]:
             centroid = heavy[0]
         depth[centroid] = d
         stack.extend((w, d + 1) for w in adjacent[centroid] if depth[w] < 0)
     return depth
-
-
-def _normal_pattern(row, column, position, size):
-    """The lower triangle of H in elimination order: the term pairs whose
-    products sum into it, the entry each pair adds to, the entry of each
-    diagonal element, and the entries' rows and columns, sorted by row, then
-    column. Two terms pair when they share an operator row."""
-    counts = np.bincount(row)
-    per = counts[row]  # terms in each term's row; the terms are sorted by row
-    first = np.repeat(np.arange(row.size), per)
-    offset = np.arange(first.size) - np.repeat(np.cumsum(per) - per, per)
-    second = np.repeat((np.cumsum(counts) - counts)[row], per) + offset
-    keep = (column[first] > 0) & (column[second] > 0)
-    first, second = first[keep], second[keep]
-    i, j = position[column[first] - 1], position[column[second] - 1]
-    keep = i >= j
-    first, second, i, j = first[keep], second[keep], i[keep], j[keep]
-    keys = np.concatenate([i * size + j, np.arange(size) * (size + 1)])
-    pattern, index = np.unique(keys, return_inverse=True)
-    hi, hj = np.divmod(pattern, max(size, 1))
-    return first, second, index[: first.size], index[first.size :], hi, hj
-
-
-def _elimination_tree(hi, hj, size) -> list[int]:
-    """Parent of each position in the elimination tree of the lower-triangle
-    pattern (hi, hj), sorted by row (Liu 1986, with path compression); -1 at
-    a root."""
-    parent, ancestor = [-1] * size, [-1] * size
-    for i, j in zip(hi.tolist(), hj.tolist()):
-        if i == j:
-            continue
-        while ancestor[j] not in (-1, i):
-            ancestor[j], j = i, ancestor[j]
-        if ancestor[j] < 0:
-            ancestor[j] = parent[j] = i
-    return parent
-
-
-def _update_sets(hi, hj, ends, front_of):
-    """Each front's update set (the later positions its dense factor
-    reaches: those H joins to its columns and those of its children's update
-    sets past it, sorted) and its children, the fronts whose update sets
-    start in it."""
-    later = [set() for _ in ends]
-    front = front_of[hj]
-    past = hi >= np.asarray(ends, dtype=np.int64)[front]
-    for f, i in zip(front[past].tolist(), hi[past].tolist()):
-        later[f].add(i)
-    updates, children = [], [[] for _ in ends]
-    for f, e in enumerate(ends):
-        reach = later[f]
-        for c in children[f]:
-            reach.update(x for x in updates[c] if x >= e)
-        updates.append(sorted(reach))
-        if reach:
-            children[int(front_of[updates[f][0]])].append(f)
-    return updates, children
-
-
-def _ancestors(parent: list[int], j: int) -> list[int]:
-    out = []
-    j = parent[j]
-    while j >= 0:
-        out.append(j)
-        j = parent[j]
-    return out

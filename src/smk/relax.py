@@ -22,7 +22,7 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -34,7 +34,7 @@ from .errors import (
     BlockNotPsdWarning, DegreeTooLow, DimensionMismatch, NonFiniteMoment, SolverDiverged,
 )
 from .extract import AtomicMeasure, constraint_feasibility_check, extract_clique_measures
-from .factor import inverse_factor
+from .factor import FactorPlan, Pattern, inverse_factor, plan
 from .matrices import ConstraintPolynomial, block_operator, exponent_tuple
 from .rip import RipFailsAt, RipWitnesses, check_rip, find_rip_order
 
@@ -386,6 +386,46 @@ class SolveReport:
 ANDERSON_MEMORY = 20  # differences kept for the mixing weights; 5 and 10 need more sweeps
 
 
+def normal_matrix(instance: SdpInstance) -> tuple[Pattern, FactorPlan, np.ndarray]:
+    """The bundled solver's normal matrix ``H = AᵀA + 1e-12 I``, ``A`` the
+    operator without its constant column, as its pattern over the free
+    moments (each read by its blocks' cliques), that pattern's plan, both
+    kept for the last two operator patterns, and H's entries. An entry that
+    is not finite raises :class:`SolverDiverged`."""
+    row, column, coefficient = instance.operator
+    blocks = tuple((blk.clique, blk.size) for blk in instance.blocks)
+    pattern, first, second, entry, diagonal, factor_plan = _normal_pattern(
+        instance.cover, blocks, instance.num_vars, *(np.asarray(a, np.int64).tobytes() for a in (row, column))
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.bincount(entry, coefficient[first] * coefficient[second], minlength=len(pattern.row))
+    if not np.isfinite(values).all():
+        raise SolverDiverged("the bundled solver's normal matrix AᵀA is not finite")
+    values[diagonal] += 1e-12  # so that a moment no block reads has a pivot
+    return pattern, factor_plan, values
+
+
+@lru_cache(maxsize=2)
+def _normal_pattern(cover: CliqueCover, blocks: tuple, num_vars: int, row_bytes: bytes, column_bytes: bytes):
+    """H's pattern and plan for one operator pattern (rows and columns as int64
+    bytes, so that it is hashable), and its sums: ``entry[t]`` gains
+    ``coefficient[first[t]] * coefficient[second[t]]``; ``diagonal`` is H's."""
+    row, column = np.frombuffer(row_bytes, dtype=np.int64), np.frombuffer(column_bytes, dtype=np.int64)
+    size = num_vars - 1
+    start = np.searchsorted(row, row)  # of each term's row; a row's terms are sorted by column
+    per = np.arange(row.size) - start + 1  # each term pairs with itself and the terms before it in its row
+    first = np.repeat(np.arange(row.size), per)
+    second = np.arange(first.size) - np.repeat(np.cumsum(per) - per - start, per)
+    first, second = first[column[second] > 0], second[column[second] > 0]
+    keys = np.concatenate([(column[first] - 1) * size + column[second] - 1, np.arange(size) * (size + 1)])
+    entries, index = np.unique(keys, return_inverse=True)
+    clique = np.repeat(np.array([c for c, _ in blocks], dtype=np.int64), [s * s for _, s in blocks])[row]
+    readers = np.sort(((column - 1) * (cover.m + 1) + clique)[column > 0])
+    readers = readers[np.diff(readers, prepend=-1) != 0]  # each (moment, clique) pair once
+    pattern = Pattern(size, *np.divmod(entries, max(size, 1)), *np.divmod(readers, cover.m + 1))
+    return pattern, first, second, index[: first.size], index[first.size :], plan(cover, pattern)
+
+
 def solve_sdp_bundled(
     instance: SdpInstance, max_iters: int = 20000, tol: float = 1e-7
 ) -> SolveReport:
@@ -396,20 +436,21 @@ def solve_sdp_bundled(
     (b) least-squares restoration of consistency with the shared moment
     variables (constant pinned to one) together with an objective step, and
     (c) the dual update. Convergence is not guaranteed; the report flags it.
-    The normal matrix of the least-squares step is factored once, along the
-    clique tree (:func:`smk.factor.inverse_factor`), and each sweep applies
-    its inverse by two products with the sparse inverse factor; the operator
-    and its transpose act by ``np.bincount`` over its terms. The projection
-    runs one batched eigendecomposition per block size.
+    The least-squares step's :func:`normal_matrix` is factored once along the
+    clique tree, and each sweep applies its inverse by two products with the
+    sparse inverse factor; the operator and its transpose act by
+    ``np.bincount`` over its terms. The projection runs one batched
+    eigendecomposition per block size.
 
     The sweep is a fixed-point map T on the state x = (free moments y, U),
     sped up by type-II Anderson acceleration (Walker & Ni 2011): least-squares
     weights on the last :data:`ANDERSON_MEMORY` differences of the residual
-    T(x) - x mix the stored values of T. The residual is measured as
-    (A dy, dU), the norm in which a plain sweep never increases it at a fixed
-    ``rho`` (He & Yuan 2015). An accelerated point whose residual exceeds that
-    of the point it came from is refused for the plain iterate T(x); a refusal
-    and every change of ``rho`` clear the memory.
+    T(x) - x, from their Gram matrix (kept across sweeps, a row and column
+    rewritten per new difference), mix the stored values of T. The residual
+    is measured as (A dy, dU), the norm in which a plain sweep never increases
+    it at a fixed ``rho`` (He & Yuan 2015). An accelerated point whose
+    residual exceeds that of the point it came from is refused for the plain
+    iterate T(x); a refusal and every change of ``rho`` clear the memory.
     """
     if not 0 <= tol < np.inf:
         raise ValueError(f"tol must be a finite non-negative number, got {tol}")
@@ -426,7 +467,10 @@ def solve_sdp_bundled(
     const = apply(np.zeros(nfree))  # the pinned constant moment's part of A y + const
     AT_const = adjoint(const)  # its part of every right-hand side, taken once
     groups = size_groups([blk.size for blk in instance.blocks])
-    factor = inverse_factor(instance)
+    try:
+        factor = inverse_factor(*normal_matrix(instance)[1:])
+    except np.linalg.LinAlgError:
+        raise SolverDiverged("the bundled solver's normal matrix AᵀA is numerically singular") from None
     f_free = instance.objective[1:]
     scale = max(1.0, float(np.abs(instance.objective).max()))
 
@@ -435,6 +479,7 @@ def solve_sdp_bundled(
     yfree = x[:nfree]
     dG = np.zeros((ANDERSON_MEMORY, 2 * nrows))  # ring buffers of residual and T differences
     dT = np.zeros((ANDERSON_MEMORY, x.size))
+    gram = np.zeros((ANDERSON_MEMORY, ANDERSON_MEMORY))  # dG dGᵀ, read as gram[:k, :k]: count = 0 clears it
     count, last = 0, None  # differences stored; (residual, T) at the last kept point
     trial = None  # (residual to beat, plain iterate, its X) while an accelerated point is on trial
     accepted = refused = 0
@@ -467,8 +512,10 @@ def solve_sdp_bundled(
                 x, X, count, last = trial[1], trial[2], 0, None
             else:
                 accepted += trial is not None
-                if last is not None:
-                    dG[count % ANDERSON_MEMORY], dT[count % ANDERSON_MEMORY] = g - last[0], Tx - last[1]
+                if last is not None:  # a difference enters slot s: rewrite gram's row and column s
+                    s, k = count % ANDERSON_MEMORY, min(count + 1, ANDERSON_MEMORY)
+                    dG[s], dT[s] = g - last[0], Tx - last[1]
+                    gram[s, :k] = gram[:k, s] = dG[:k] @ dG[s]
                     count += 1
                 x, last = Tx, (g, Tx)
             trial = None
@@ -482,7 +529,7 @@ def solve_sdp_bundled(
                 count, last = 0, None
             elif count:
                 k = min(count, ANDERSON_MEMORY)
-                gamma = np.linalg.lstsq(dG[:k] @ dG[:k].T, dG[:k] @ g, rcond=None)[0]
+                gamma = np.linalg.lstsq(gram[:k, :k], dG[:k] @ g, rcond=None)[0]
                 trial, x = (gnorm, x, X), x - gamma @ dT[:k]
 
     values = np.concatenate([[1.0], yfree])

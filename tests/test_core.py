@@ -470,6 +470,15 @@ class TestCliqueSubvector:
             subvector_on(y, (1, 3))
         assert info.value.alpha == (1, 0, 1, 0)
 
+    @pytest.mark.parametrize("variables,outside", [((5,), 5), ((0, 1), 0), ((1, 2, 3, 4, 5), 5)])
+    def test_variables_outside_one_to_n_refused_typed(self, variables, outside):
+        # neither may reach numpy's indexing: variable 5 of 4 would raise an
+        # untyped IndexError, and variable 0 would wrap round to the last column
+        y = demo.chain_triple_moments()
+        with pytest.raises(IndexOutOfPattern, match=re.escape(f"variable {outside} is outside 1..4")) as info:
+            subvector_on(y, variables)
+        assert info.value.alpha == variables
+
     def test_reembedding_roundtrip(self, y_triangle):
         for i in (1, 2, 3):
             clique = TRIANGLE.clique(i)
